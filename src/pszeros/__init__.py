@@ -9,7 +9,7 @@ from the metastable free energies of the competing phases.  Every prediction
 is checkable against exact enumeration on small tori.
 """
 
-from .errors import BudgetError, CheckFailure, ConvergenceError
+from .errors import BudgetError, ConvergenceError
 from .lattice import Torus, torus
 from .models import (
     EstimatedConstants,

@@ -7,7 +7,3 @@ class BudgetError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """A convergence certificate is absent or violated."""
-
-
-class CheckFailure(AssertionError):
-    """A self-check comparing two independently computed quantities failed."""

@@ -166,12 +166,6 @@ class Torus:
             x for x in sites if all(y in sites for y in self.neighbors[x])
         )
 
-    def exterior_boundary(self, sites) -> frozenset:
-        s = set(sites)
-        return frozenset(
-            y for x in s for y in self.neighbors[x] if y not in s
-        )
-
 
 @lru_cache(maxsize=None)
 def torus(L: int, d: int, R: int = 1) -> Torus:

@@ -21,8 +21,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .contours import (
     ContourSumEngine,
@@ -32,7 +35,7 @@ from .contours import (
 )
 from .errors import ConvergenceError
 from .lattice import torus
-from .models import Regime, SpinModel, pair_weight
+from .models import Regime, SpinModel, pair_weight, theta, theta_max
 from .polymer import PolymerSystem, ursell_coefficient
 
 STABLE_TOL = 1e-9
@@ -75,10 +78,7 @@ def _classes(model: SpinModel, q, size_cap: int):
 def estimate_tau(model: SpinModel, z: complex, size_cap: int = 12) -> float:
     """Measured Peierls rate: the infimum over enumerated contours of
     -log(|rho(Y)| / theta(z)^{|Y|}) / |Y|."""
-    th = max(
-        abs(pair_weight(model.ground_pair(m), z))
-        for m in model.orbit_representatives()
-    )
+    th = theta_max(model, z)
     if th == 0:
         return math.inf
     best = math.inf
@@ -97,16 +97,15 @@ def estimate_M(model: SpinModel, zs) -> float:
     |d theta_m / dz| / theta(z), by central differences."""
     out = 0.0
     for z in zs:
-        eps = 1e-6 * (1.0 + abs(z))
-        th = max(
-            abs(pair_weight(model.ground_pair(m), z))
-            for m in model.orbit_representatives()
-        )
+        th = theta_max(model, z)
         for m in model.orbit_representatives():
-            f = lambda w: pair_weight(model.ground_pair(m), w)
-            der = (f(z + eps) - f(z - eps)) / (2 * eps)
-            out = max(out, abs(der) / th)
+            out = max(out, abs(_theta_derivative(model, m, z)) / th)
     return out
+
+
+def _theta_derivative(model, m, z):
+    eps = 1e-6 * (1.0 + abs(z))
+    return (theta(model, m, z + eps) - theta(model, m, z - eps)) / (2 * eps)
 
 
 def estimated_constants(model: SpinModel, zs, size_cap: int = 12):
@@ -168,19 +167,13 @@ class WeightEngine:
             w /= self._untruncated.partition_function(comp, y.q)
         return w
 
-    def partition_plain(self, region, q) -> complex:
-        return self._untruncated.partition_function(region, q)
-
     # truncated objects ---------------------------------------------------
-
-    def _region_key(self, region):
-        return tuple(sorted(region))
 
     def zprime(self, region, q) -> complex:
         """Z'_q(region) = theta_q^{|region|} * (compatible-collection sum of
         truncated weights)."""
         region = frozenset(tuple(x) for x in region)
-        key = (self._region_key(region), q)
+        key = (tuple(sorted(region)), q)
         if key in self._zprime:
             return self._zprime[key]
         thq = self.theta[q]
@@ -287,6 +280,18 @@ def truncated_partition(model: SpinModel, region, q, z: complex,
 # -- infinite-volume pressure -----------------------------------------------------
 
 
+def _overlap_offsets(model: SpinModel, q, size_cap: int):
+    """Per pair of classes (i, j), the sorted offsets a - b (a in support i,
+    b in support j) at which class j placed relative to class i overlaps it."""
+    d = model.dimension
+    supports = [y.support for y in _classes(model, q, size_cap)]
+    return [
+        [sorted({tuple(a[k] - b[k] for k in range(d)) for a in si for b in sj})
+         for sj in supports]
+        for si in supports
+    ]
+
+
 @lru_cache(maxsize=None)
 def _gas_skeleton(model: SpinModel, q, size_cap: int, norm_cap: float):
     """z-independent cluster data for the translation-invariant contour gas.
@@ -299,19 +304,10 @@ def _gas_skeleton(model: SpinModel, q, size_cap: int, norm_cap: float):
     classes = _classes(model, q, size_cap)
     d = model.dimension
     supports = [y.support for y in classes]
-    overlap_offsets = []
-    for si in supports:
-        row = []
-        for sj in supports:
-            offs = sorted({
-                tuple(a[k] - b[k] for k in range(d)) for a in si for b in sj
-            })
-            row.append(offs)
-        overlap_offsets.append(row)
+    overlap_offsets = _overlap_offsets(model, q, size_cap)
 
     # connected placement sets up to translation, rooted at class i0 at 0
     placement_sets = set()
-    max_parts = max(1, int(norm_cap // max((y.size for y in classes), default=1)))
     min_size = min((y.size for y in classes), default=1)
     cap_parts = max(1, int(norm_cap // max(min_size, 1)))
 
@@ -423,25 +419,48 @@ def polymer_pressure(
 
 
 _A_SCALES = (1.0, 0.5, 0.25, 0.15, 0.111, 0.1, 0.083, 0.06, 0.05, 0.02, 0.01)
+_LOG_SCALES = np.log(_A_SCALES)
+_ETA_CAP = 8.0
+_ETA_TOL = 2.0**-14  # largest loss of eta to the t grid's chords
+_T_MAX = max(_A_SCALES) + _ETA_CAP
+
+
+_CertificateGeometry = namedtuple(
+    "_CertificateGeometry", "sizes volumes offsets rows grid_exp step"
+)
 
 
 @lru_cache(maxsize=None)
 def _certificate_geometry(model: SpinModel, q, size_cap: int):
-    """z-independent data for the gas certificate: class sizes, volumes and
-    pairwise counts of overlapping relative placements."""
+    """z-independent certificate data: class sizes |Y|, volumes |V(Y)|,
+    counts of overlapping relative placements per pair of classes, the rows
+    (volumes, then each offsets row over its |Y|), and e^{t |Y|} on a t grid
+    over [0, max alpha + eta cap] with its step.  A chord of a log-sum-exp
+    row over one cell misses its root by at most
+    (s_max - s_min)^2 step^2 / (32 s_min) for class sizes s; the step keeps
+    that below _ETA_TOL."""
     classes = _classes(model, q, size_cap)
-    d = model.dimension
-    supports = [y.support for y in classes]
-    n_offsets = [
-        [
-            len({tuple(a[k] - b[k] for k in range(d)) for a in si for b in sj})
-            for sj in supports
-        ]
-        for si in supports
-    ]
-    sizes = [y.size for y in classes]
-    volumes = [len(y.volume) for y in classes]
-    return sizes, volumes, n_offsets
+    offsets = np.array(
+        [[len(o) for o in row] for row in _overlap_offsets(model, q, size_cap)],
+        dtype=float,
+    )
+    sizes = np.array([y.size for y in classes], dtype=float)
+    volumes = np.array([len(y.volume) for y in classes], dtype=float)
+    spread = float(np.ptp(sizes)) if len(sizes) else 0.0
+    step = math.sqrt(32.0 * sizes.min() * _ETA_TOL) / spread if spread else _T_MAX
+    grid = np.linspace(0.0, _T_MAX, math.ceil(_T_MAX / step) + 1)
+    return _CertificateGeometry(
+        sizes, volumes, offsets, np.vstack([volumes, offsets / sizes[:, None]]),
+        np.exp(np.outer(sizes, grid)), grid[1],
+    )
+
+
+def _certificate_ok(geo, absw, alpha, eta):
+    """The certificate predicate at scale alpha and decay rate eta."""
+    boost = absw * np.exp((alpha + eta) * geo.sizes)
+    if float(geo.volumes @ boost) > 1.0:
+        return False
+    return bool(np.all(geo.offsets @ boost <= alpha * geo.sizes))
 
 
 def _gas_certificate(model, q, classes, weights, cutoffs):
@@ -450,43 +469,37 @@ def _gas_certificate(model, q, classes, weights, cutoffs):
     Uses a(Y) = alpha |Y| (any positive scale is admissible) and requires
     both the neighbor-sum condition per contour class and the origin-rooted
     mass condition, which together turn the norm cutoff into an
-    exp(-eta * norm) tail bound.  Returns (ok, best eta over the scales).
+    exp(-eta * norm) tail bound.  Returns (ok, best eta over the scales <= 8).
+
+    Both conditions see eta only through t = alpha + eta: the mass sum
+    A(t) <= 1 does not involve alpha, and the neighbor rows over |Y| give
+    psi(t) <= alpha, so eta(alpha) = min(A^{-1}(1), psi^{-1}(alpha)) - alpha.
+    On the t grid, searchsorted finds each root's cell (or an end cell) and
+    a chord of the convex log row there bounds the root from below.  The
+    predicate confirms the best scale.
     """
-    if not classes:
-        return True, 8.0
-    import numpy as np
-
-    sizes, volumes, n_offsets = _certificate_geometry(model, q, cutoffs.size_cap)
-    sz = np.array(sizes, dtype=float)
-    vol = np.array(volumes, dtype=float)
-    off = np.array(n_offsets, dtype=float)
-    absw = np.array([abs(w) for w in weights])
-
-    def ok(alpha, eta):
-        boost = absw * np.exp((alpha + eta) * sz)
-        if float(vol @ boost) > 1.0:
-            return False
-        return bool(np.all(off @ boost <= alpha * sz))
-
-    best_eta = -1.0
-    for alpha in _A_SCALES:
-        # only explore scales that improve on the incumbent eta
-        if not ok(alpha, max(best_eta, 0.0)):
-            continue
-        lo, hi = max(best_eta, 0.0), 8.0
-        if ok(alpha, hi):
-            best_eta = hi
-            break
-        for _ in range(16):
-            mid = 0.5 * (lo + hi)
-            if ok(alpha, mid):
-                lo = mid
-            else:
-                hi = mid
-        best_eta = lo
-        if best_eta >= 4.0:
-            break
-    return best_eta >= 0.0, max(best_eta, 0.0)
+    if not classes or not any(weights):
+        return True, _ETA_CAP
+    geo = _certificate_geometry(model, q, cutoffs.size_cap)
+    absw = np.abs(weights)
+    rows = geo.rows * absw @ geo.grid_exp
+    i = int(np.searchsorted(rows[0, 1:-1], 1.0, side="right"))
+    a0, a1 = math.log(rows[0, i]), math.log(rows[0, i + 1])
+    t_mass = geo.step * (i - a0 / (a1 - a0))
+    # all neighbor rows, in the cell where their max crosses alpha
+    nb = rows[1:]
+    cell = np.searchsorted(nb.max(axis=0)[1:-1], _A_SCALES, side="right")
+    lo, hi = np.log(nb[:, cell]), np.log(nb[:, cell + 1])
+    t_nb = geo.step * (cell + ((_LOG_SCALES - lo) / (hi - lo)).min(axis=0))
+    etas = np.minimum(t_nb, t_mass) - _A_SCALES
+    k = int(etas.argmax())
+    eta = min(float(etas[k]) - 1e-9, _ETA_CAP)  # 1e-9: room for rounding
+    if eta < 0.0:
+        # within _ETA_TOL of the boundary only the predicate can decide
+        return any(_certificate_ok(geo, absw, a, 0.0) for a in _A_SCALES), 0.0
+    if not _certificate_ok(geo, absw, _A_SCALES[k], eta):
+        raise ConvergenceError(f"gas certificate: eta={eta!r} fails its predicate")
+    return True, eta
 
 
 # -- metastable free energies ------------------------------------------------------
@@ -637,12 +650,6 @@ def _independent_set_sum(system, ids):
 # -- non-degeneracy diagnostics ------------------------------------------------------
 
 
-def _log_theta_derivative(model, m, z):
-    eps = 1e-6 * (1.0 + abs(z))
-    f = lambda w: pair_weight(model.ground_pair(m), w)
-    return (f(z + eps) - f(z - eps)) / (2 * eps) / f(z)
-
-
 def _hull_distance(point, others):
     """Distance in the plane from a point to the convex hull of others."""
     pts = [complex(o) for o in others]
@@ -663,8 +670,6 @@ def _hull_distance(point, others):
 def _inside_hull(p, pts):
     if len(pts) < 3:
         return False
-    import numpy as np
-
     from scipy.spatial import ConvexHull, QhullError  # type: ignore
 
     try:
@@ -698,12 +703,12 @@ def nondegeneracy_check(
     checked_hulls = 0
     window = alpha if alpha is not None else 1.0
     for z in zs:
-        th = {m: abs(pair_weight(model.ground_pair(m), z)) for m in reps}
+        th = {m: abs(theta(model, m, z)) for m in reps}
         tmax = max(th.values())
         active = [m for m in reps if th[m] >= tmax * math.exp(-window)]
         if len(active) < 2:
             continue
-        v = {m: _log_theta_derivative(model, m, z) for m in active}
+        v = {m: _theta_derivative(model, m, z) / theta(model, m, z) for m in active}
         for a, b in itertools.combinations(active, 2):
             alpha_pairs = min(alpha_pairs, abs(v[a] - v[b]))
             checked_pairs += 1
@@ -714,21 +719,15 @@ def nondegeneracy_check(
                     _hull_distance(v[m], [v[x] for x in active if x != m]),
                 )
             checked_hulls += 1
+        # complex derivative of log zeta via central differences along the
+        # real axis
         eps = 1e-5 * (1.0 + abs(z))
-        tables = {
-            w: free_energy_table(model, w, cutoffs)
-            for w in (z + eps, z - eps, z + 1j * eps, z - 1j * eps)
+        up = free_energy_table(model, z + eps, cutoffs)
+        dn = free_energy_table(model, z - eps, cutoffs)
+        vzeta = {
+            mm: (cmath.log(up[mm].zeta) - cmath.log(dn[mm].zeta)) / (2 * eps)
+            for mm in active
         }
-
-        def vz(mm):
-            # complex derivative of log zeta via central differences
-            fx = (
-                cmath.log(tables[z + eps][mm].zeta)
-                - cmath.log(tables[z - eps][mm].zeta)
-            ) / (2 * eps)
-            return fx
-
-        vzeta = {mm: vz(mm) for mm in active}
         for a, b in itertools.combinations(active, 2):
             alpha_zeta = min(alpha_zeta, abs(vzeta[a] - vzeta[b]))
         if len(active) >= 3:

@@ -31,18 +31,6 @@ Pair = tuple[complex, float]  # (z-independent energy, power of z in exp(-Phi))
 ZERO_PAIR: Pair = (0j, 0.0)
 
 
-def pair_add(a: Pair, b: Pair) -> Pair:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def pair_sub(a: Pair, b: Pair) -> Pair:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def pair_scale(a: Pair, s: float) -> Pair:
-    return (a[0] * s, a[1] * s)
-
-
 def pair_energy(a: Pair, z: complex) -> complex:
     """Evaluate the energy c - p*log(z)."""
     c, p = a
@@ -134,9 +122,6 @@ class SpinModel:
 
     def orbit_size(self, m: Spin) -> int:
         return len(self.orbit_of(m))
-
-    def spin_index(self, m: Spin) -> int:
-        return self.spins.index(m)
 
 
 # -- elementary observables ---------------------------------------------------

@@ -197,23 +197,27 @@ def enumerate_clusters(system: PolymerSystem, subset=None, max_norm: float = 8.0
     def connected_supports(root_idx):
         """Connected (under incompatibility) subsets whose least element is
         items[root_idx]: rooted growth, forbidding re-expansion of polymers
-        already branched at an outer level so each set appears once."""
+        already branched at an outer level so each set appears once.  A
+        polymer that would take the summed size past max_norm is skipped:
+        sizes are positive, so no set grown from there could be kept."""
         results = []
 
-        def grow(current, candidates):
+        def grow(current, candidates, norm):
             results.append(tuple(current))
             branched = set()
             for i, g in enumerate(candidates):
+                if norm + system.size(g) > max_norm:
+                    continue
                 if any(system.incompatible(g, h) for h in current):
                     rest = [
                         h
                         for j, h in enumerate(candidates)
                         if j != i and h not in branched
                     ]
-                    grow(current + [g], rest)
+                    grow(current + [g], rest, norm + system.size(g))
                     branched.add(g)
 
-        grow([items[root_idx]], list(items[root_idx + 1:]))
+        grow([items[root_idx]], list(items[root_idx + 1:]), system.size(items[root_idx]))
         return results
 
     for ridx in range(len(items)):

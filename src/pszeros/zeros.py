@@ -4,9 +4,11 @@ Zeros of the torus partition sum sit, up to exponentially small shifts, at
 the points of a two-phase coexistence curve where the moduli of the two
 competing weights (with their orbit-multiplicity factors) agree and the
 accumulated phase difference hits pi modulo 2 pi / L^d.  This module traces
-coexistence curves by predictor-corrector continuation, solves the two zero
-equations along them, derives the density of zeros, and matches predictions
-against exact polynomial roots.
+coexistence curves by predictor-corrector continuation, and solves the two
+zero equations along them as one complex equation per zero,
+L^d log(zeta_m / zeta_n) = log(q_n / q_m) + i pi (2j + 1), by complex Newton
+inside a bracket found on the traced curve.  It also derives the density of
+zeros and matches predictions against exact polynomial roots.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ class PhaseEvaluator:
     def zeta(self, m, z: complex) -> complex:
         return self.table(z)[m].zeta
 
-    def zeta_max(self, z: complex) -> float:
-        return max(abs(e.zeta) for e in self.table(z).entries.values())
-
     def arg_ratio(self, m, n, z: complex) -> float:
         return cmath.phase(self.zeta(m, z) / self.zeta(n, z))
 
@@ -95,6 +94,11 @@ def _wrap_pi(x: float) -> float:
     return (x + math.pi) % TWO_PI - math.pi
 
 
+def _phase_near(ev, m, n, z, ref: float) -> float:
+    """Arg(zeta_m / zeta_n) at z, on the branch within pi of ref."""
+    return ref + _wrap_pi(ev.arg_ratio(m, n, z) - _wrap_pi(ref))
+
+
 def _correct(ev: PhaseEvaluator, m, n, z: complex, offset: float = 0.0,
              tol: float = 1e-12, max_iter: int = 24):
     """Newton correction transverse to the locus f_m - f_n = offset."""
@@ -102,16 +106,7 @@ def _correct(ev: PhaseEvaluator, m, n, z: complex, offset: float = 0.0,
         F = ev.f(m, z) - ev.f(n, z) - offset
         if abs(F) < tol:
             return z, abs(F)
-        eps = 1e-7 * (1.0 + abs(z))
-        gx = (
-            (ev.f(m, z + eps) - ev.f(n, z + eps))
-            - (ev.f(m, z - eps) - ev.f(n, z - eps))
-        ) / (2 * eps)
-        gy = (
-            (ev.f(m, z + 1j * eps) - ev.f(n, z + 1j * eps))
-            - (ev.f(m, z - 1j * eps) - ev.f(n, z - 1j * eps))
-        ) / (2 * eps)
-        g = complex(gx, gy)
+        g = _gradient(ev, m, n, z)
         if abs(g) < 1e-14:
             break
         z = z - F * g / abs(g) ** 2
@@ -119,7 +114,8 @@ def _correct(ev: PhaseEvaluator, m, n, z: complex, offset: float = 0.0,
     return z, abs(F)
 
 
-def _gradient(ev, m, n, z, offset):
+def _gradient(ev, m, n, z):
+    """Gradient of f_m - f_n as a complex number, by central differences."""
     eps = 1e-7 * (1.0 + abs(z))
     gx = (
         (ev.f(m, z + eps) - ev.f(n, z + eps))
@@ -171,7 +167,7 @@ def trace_coexistence(
     h = step
     while len(points) < max_points:
         z = points[-1]
-        g = _gradient(ev, m, n, z, offset)
+        g = _gradient(ev, m, n, z)
         if abs(g) < 1e-14:
             end_reason = "degenerate gradient"
             break
@@ -181,7 +177,7 @@ def trace_coexistence(
         accepted = False
         for _ in range(12):
             z_new, res = _correct(ev, m, n, z + h * t, offset)
-            d_new = delta[-1] + _wrap_pi(ev.arg_ratio(m, n, z_new) - _wrap_pi(delta[-1]))
+            d_new = _phase_near(ev, m, n, z_new, delta[-1])
             if res < 1e-9 and abs(d_new - delta[-1]) < math.pi / 4 and abs(z_new - z) < 3 * h:
                 accepted = True
                 break
@@ -205,7 +201,7 @@ def trace_coexistence(
             closed = True
             end_reason = "closed"
             # close the loop exactly on the first point
-            d_close = delta[-1] + _wrap_pi(ev.arg_ratio(m, n, points[0]) - _wrap_pi(delta[-1]))
+            d_close = _phase_near(ev, m, n, points[0], delta[-1])
             points.append(points[0])
             delta.append(d_close)
             residuals.append(residuals[0])
@@ -259,6 +255,47 @@ class ZeroSet:
         return rows
 
 
+def _solve_crossing(ev, m, n, offset, target, bracket, Ld, phase_tol,
+                    max_iter: int = 80):
+    """The root of h = log(zeta_m / zeta_n) = -offset + i target between two
+    locus points (z1, d1, z2, d2) whose unwrapped phases straddle target.
+
+    Complex Newton from linear interpolation, with h' = r'/r and r' of
+    r = zeta_m / zeta_n by central differences (r has no branch cut, log r
+    does).  An iterate that leaves the disk around the bracket or fails to
+    halve |h - target| is replaced by a bisection step on the bracket, so
+    the loop converges also where the mollifier makes zeta non-holomorphic.
+    """
+    z1, d1, z2, d2 = bracket
+
+    def at(w):
+        r = ev.zeta(m, w) / ev.zeta(n, w)
+        return r, complex(math.log(abs(r)) + offset, _wrap_pi(cmath.phase(r) - target))
+
+    z = z1 + (z2 - z1) * ((target - d1) / (d2 - d1)) if d2 != d1 else z1
+    r, F = at(z)
+    for _ in range(max_iter):
+        eps = 1e-6 * (1.0 + abs(z))
+        z_new = z - F * r * 2 * eps / (at(z + eps)[0] - at(z - eps)[0])
+        if abs(z_new - z) <= 1e-13 * (1.0 + abs(z)):
+            return z_new
+        if abs(z_new - 0.5 * (z1 + z2)) <= abs(z2 - z1):
+            r_new, F_new = at(z_new)
+            if abs(F_new) <= 0.5 * abs(F):
+                z, r, F = z_new, r_new, F_new
+                continue
+        z, _ = _correct(ev, m, n, 0.5 * (z1 + z2), offset)
+        d = _phase_near(ev, m, n, z, d1)
+        if (d1 - target) * (d - target) <= 0:
+            z2, d2 = z, d
+        else:
+            z1, d1 = z, d
+        if abs(Ld * (d2 - d1)) < phase_tol and abs(z2 - z1) < 1e-13 * (1 + abs(z1)):
+            return _correct(ev, m, n, 0.5 * (z1 + z2), offset)[0]
+        r, F = at(z)
+    return z
+
+
 def solve_zero_equations(
     model: SpinModel, curve: CoexistenceCurve, L: int,
     cutoffs: Cutoffs = Cutoffs(), tau: float | None = None, c0: float = 0.0,
@@ -269,8 +306,12 @@ def solve_zero_equations(
     The modulus equation carries the orbit-size factors q^{1/L^d}; when they
     differ the curve is re-corrected onto the shifted locus.  The phase
     equation looks for L^d * Delta = pi (mod 2 pi): every sample window is
-    refined until the phase difference is bracketed monotonically, then
-    bisected to the requested residual.
+    refined until it moves the scaled phase by at most pi/2, and each window
+    whose phase crosses a target brackets one zero.  Together the two
+    equations say L^d log(zeta_m / zeta_n) = log(q_n / q_m) + i pi (2j + 1),
+    which ``_solve_crossing`` solves in the bracket by safeguarded complex
+    Newton; ``phase_tol`` bounds the scaled phase width of the bracket where
+    it falls back to bisection.
     """
     m, n = curve.phases
     ev = evaluator or PhaseEvaluator(model, cutoffs, tau, c0)
@@ -290,14 +331,14 @@ def solve_zero_equations(
     # unwrap phase along the (possibly shifted) polyline
     deltas = [ev.arg_ratio(m, n, pts[0])]
     for z in pts[1:]:
-        deltas.append(deltas[-1] + _wrap_pi(ev.arg_ratio(m, n, z) - _wrap_pi(deltas[-1])))
+        deltas.append(_phase_near(ev, m, n, z, deltas[-1]))
 
     # refine until each segment moves the scaled phase by at most pi/2
     def refine(z1, d1, z2, d2, depth=0):
         if abs(Ld * (d2 - d1)) <= math.pi / 2 or depth > 24:
             return [(z1, d1)]
         zm_, res = _correct(ev, m, n, 0.5 * (z1 + z2), offset)
-        dm = d1 + _wrap_pi(ev.arg_ratio(m, n, zm_) - _wrap_pi(d1))
+        dm = _phase_near(ev, m, n, zm_, d1)
         return refine(z1, d1, zm_, dm, depth + 1) + refine(zm_, dm, z2, d2, depth + 1)
 
     fine = []
@@ -314,33 +355,24 @@ def solve_zero_equations(
     degraded_tail = curve.end_reason == "multiple point"
     for j in range(jlo, jhi + 1):
         target = (math.pi + TWO_PI * j) / Ld
-        crossings = []
-        for i in range(len(fine) - 1):
-            (z1, d1), (z2, d2) = fine[i], fine[i + 1]
-            if (d1 - target) == 0.0 or (d1 - target) * (d2 - target) < 0:
-                crossings.append(i)
+        crossings = [
+            i for i in range(len(fine) - 1)
+            if (fine[i][1] - target) == 0.0
+            or (fine[i][1] - target) * (fine[i + 1][1] - target) < 0
+        ]
         if len(crossings) > 1:
             flagged.append((j, len(crossings)))
         for i in crossings:
-            (z1, d1), (z2, d2) = fine[i], fine[i + 1]
-            for _ in range(80):
-                zm_, req_res = _correct(ev, m, n, 0.5 * (z1 + z2), offset)
-                dm = d1 + _wrap_pi(ev.arg_ratio(m, n, zm_) - _wrap_pi(d1))
-                if (d1 - target) * (dm - target) <= 0:
-                    z2, d2 = zm_, dm
-                else:
-                    z1, d1 = zm_, dm
-                if abs(Ld * (d2 - d1)) < phase_tol and abs(z2 - z1) < 1e-13 * (1 + abs(z1)):
-                    break
-            zsol, req_res = _correct(ev, m, n, 0.5 * (z1 + z2), offset)
-            dsol = d1 + _wrap_pi(ev.arg_ratio(m, n, zsol) - _wrap_pi(d1))
-            k = j % Ld
+            zsol = _solve_crossing(
+                ev, m, n, offset, target, fine[i] + fine[i + 1], Ld, phase_tol
+            )
+            dsol = _phase_near(ev, m, n, zsol, target)
             near_end = degraded_tail and (
                 abs(zsol - curve.points[-1]) < 3 * (curve.arclength[-1] / max(len(curve) - 1, 1))
             )
             zeros.append(PredictedZero(
-                zsol, k, req_res, abs(Ld * dsol - (math.pi + TWO_PI * j)),
-                degraded=near_end,
+                zsol, j % Ld, abs(ev.f(m, zsol) - ev.f(n, zsol) - offset),
+                abs(Ld * dsol - (math.pi + TWO_PI * j)), degraded=near_end,
             ))
     # deduplicate closed-curve double counting (first point == last point)
     uniq = []
@@ -551,21 +583,8 @@ def find_multiple_points(
                 if abs(g1) + abs(g2) < tol:
                     ok = True
                     break
-                eps = 1e-7 * (1.0 + abs(z))
-
-                def G(w):
-                    return (ev.f(m, w) - ev.f(n, w), ev.f(n, w) - ev.f(p, w))
-
-                gx1, gx2 = G(z + eps)
-                hx1, hx2 = G(z - eps)
-                gy1, gy2 = G(z + 1j * eps)
-                hy1, hy2 = G(z - 1j * eps)
-                J = np.array(
-                    [
-                        [(gx1 - hx1) / (2 * eps), (gy1 - hy1) / (2 * eps)],
-                        [(gx2 - hx2) / (2 * eps), (gy2 - hy2) / (2 * eps)],
-                    ]
-                )
+                d1, d2 = _gradient(ev, m, n, z), _gradient(ev, n, p, z)
+                J = np.array([[d1.real, d1.imag], [d2.real, d2.imag]])
                 try:
                     dxy = np.linalg.solve(J, np.array([g1, g2]))
                 except np.linalg.LinAlgError:

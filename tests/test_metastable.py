@@ -234,6 +234,17 @@ def test_finite_volume_within_wrapping_bound():
         assert gap <= 2 * L**2 * math.exp(-tau * L / 4)
 
 
+def test_finite_volume_cluster_branch_three_states():
+    # above EXACT_PLACEMENT_BUDGET the torus gas goes through
+    # enumerate_clusters; growing supports past the norm cutoff once took
+    # this call past 1.8 GB, pruned it takes a fraction of a second
+    m = blume_capel(1.5, 0.3)
+    z = cmath.exp(0.7j)
+    zl = finite_volume_zeta(m, 1, 4, z)
+    assert cmath.isfinite(zl) and zl != 0
+    assert abs(cmath.log(zl / free_energy_table(m, z)[1].zeta)) < 1e-3
+
+
 def test_finite_volume_no_contours():
     m = ising(1.5)
     assert finite_volume_zeta(m, 1, 3, 1.0, Cutoffs(0, 0.0)) == theta(m, 1, 1.0)
