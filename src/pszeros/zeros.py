@@ -255,16 +255,17 @@ class ZeroSet:
         return rows
 
 
-def _solve_crossing(ev, m, n, offset, target, bracket, Ld, phase_tol,
-                    max_iter: int = 80):
+def _solve_crossing(ev, m, n, offset, target, bracket, Ld, phase_tol):
     """The root of h = log(zeta_m / zeta_n) = -offset + i target between two
     locus points (z1, d1, z2, d2) whose unwrapped phases straddle target.
 
     Complex Newton from linear interpolation, with h' = r'/r and r' of
     r = zeta_m / zeta_n by central differences (r has no branch cut, log r
-    does).  An iterate that leaves the disk around the bracket or fails to
-    halve |h - target| is replaced by a bisection step on the bracket, so
-    the loop converges also where the mollifier makes zeta non-holomorphic.
+    does).  An iterate in the disk around the bracket is kept if it halves
+    |F| = |h - target| or makes L^d |F| < phase_tol, and is the root if the
+    latter holds after a negligible step.  Any other iterate, or r' = 0,
+    gives way to a bisection step on the bracket, so the loop converges also
+    where the mollifier makes zeta non-holomorphic.
     """
     z1, d1, z2, d2 = bracket
 
@@ -273,16 +274,18 @@ def _solve_crossing(ev, m, n, offset, target, bracket, Ld, phase_tol,
         return r, complex(math.log(abs(r)) + offset, _wrap_pi(cmath.phase(r) - target))
 
     z = z1 + (z2 - z1) * ((target - d1) / (d2 - d1)) if d2 != d1 else z1
-    r, F = at(z)
-    for _ in range(max_iter):
+    for _ in range(80):
+        r, F = at(z)
         eps = 1e-6 * (1.0 + abs(z))
-        z_new = z - F * r * 2 * eps / (at(z + eps)[0] - at(z - eps)[0])
-        if abs(z_new - z) <= 1e-13 * (1.0 + abs(z)):
-            return z_new
+        dr = at(z + eps)[0] - at(z - eps)[0]
+        z_new = z - F * r * 2 * eps / dr if dr else math.inf
         if abs(z_new - 0.5 * (z1 + z2)) <= abs(z2 - z1):
-            r_new, F_new = at(z_new)
-            if abs(F_new) <= 0.5 * abs(F):
-                z, r, F = z_new, r_new, F_new
+            F_new = at(z_new)[1]
+            small = Ld * abs(F_new) < phase_tol
+            if small and abs(z_new - z) <= 1e-13 * (1.0 + abs(z)):
+                return z_new
+            if small or abs(F_new) <= 0.5 * abs(F):
+                z = z_new
                 continue
         z, _ = _correct(ev, m, n, 0.5 * (z1 + z2), offset)
         d = _phase_near(ev, m, n, z, d1)
@@ -292,7 +295,6 @@ def _solve_crossing(ev, m, n, offset, target, bracket, Ld, phase_tol,
             z1, d1 = z, d
         if abs(Ld * (d2 - d1)) < phase_tol and abs(z2 - z1) < 1e-13 * (1 + abs(z1)):
             return _correct(ev, m, n, 0.5 * (z1 + z2), offset)[0]
-        r, F = at(z)
     return z
 
 

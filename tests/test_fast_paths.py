@@ -298,3 +298,30 @@ def test_newton_falls_back_to_bisection():
         (cmath.exp(-0.4j), 0.4, cmath.exp(-0.55j), 0.55), 9, 1e-9,
     )
     assert abs(z - cmath.exp(-1j * target)) < 1e-12
+
+
+class _FlatInX:
+    """zeta_1 = e^{i y^2} (1 + K x) at z = x + iy, zeta_-1 = 1: the locus
+    through the bracket is the imaginary axis and the phase root of
+    y^2 = t is at i sqrt(t).  The real-direction difference of r is 0 for
+    K = 0 and 2 K eps for K = 1e15, where the Newton step is a negligible
+    step away from a point that is no root."""
+
+    def __init__(self, K):
+        self.K = K
+
+    def zeta(self, m, z):
+        return cmath.exp(1j * z.imag**2) * (1.0 + self.K * z.real) if m == 1 else 1.0 + 0j
+
+    def f(self, m, z):
+        return -math.log(abs(self.zeta(m, z)))
+
+    def arg_ratio(self, m, n, z):
+        return cmath.phase(self.zeta(m, z) / self.zeta(n, z))
+
+
+@pytest.mark.parametrize("K", [0.0, 1e15])
+def test_newton_without_a_usable_derivative_bisects(K):
+    target = 0.25
+    z = _solve_crossing(_FlatInX(K), 1, -1, 0.0, target, (0.4j, 0.16, 0.8j, 0.64), 9, 1e-9)
+    assert abs(z - 0.5j) < 1e-12
