@@ -291,16 +291,7 @@ class _NonHolomorphic:
         return cmath.phase(self.zeta(m, z) / self.zeta(n, z))
 
 
-def test_newton_falls_back_to_bisection():
-    target = 0.5
-    z = _solve_crossing(
-        _NonHolomorphic(), 1, -1, 0.0, target,
-        (cmath.exp(-0.4j), 0.4, cmath.exp(-0.55j), 0.55), 9, 1e-9,
-    )
-    assert abs(z - cmath.exp(-1j * target)) < 1e-12
-
-
-class _FlatInX:
+class _FlatInX(_NonHolomorphic):
     """zeta_1 = e^{i y^2} (1 + K x) at z = x + iy, zeta_-1 = 1: the locus
     through the bracket is the imaginary axis and the phase root of
     y^2 = t is at i sqrt(t).  The real-direction difference of r is 0 for
@@ -313,15 +304,13 @@ class _FlatInX:
     def zeta(self, m, z):
         return cmath.exp(1j * z.imag**2) * (1.0 + self.K * z.real) if m == 1 else 1.0 + 0j
 
-    def f(self, m, z):
-        return -math.log(abs(self.zeta(m, z)))
 
-    def arg_ratio(self, m, n, z):
-        return cmath.phase(self.zeta(m, z) / self.zeta(n, z))
-
-
-@pytest.mark.parametrize("K", [0.0, 1e15])
-def test_newton_without_a_usable_derivative_bisects(K):
-    target = 0.25
-    z = _solve_crossing(_FlatInX(K), 1, -1, 0.0, target, (0.4j, 0.16, 0.8j, 0.64), 9, 1e-9)
-    assert abs(z - 0.5j) < 1e-12
+@pytest.mark.parametrize("ev, target, bracket, root", [
+    (_NonHolomorphic(), 0.5, (cmath.exp(-0.4j), 0.4, cmath.exp(-0.55j), 0.55),
+     cmath.exp(-0.5j)),
+    (_FlatInX(0.0), 0.25, (0.4j, 0.16, 0.8j, 0.64), 0.5j),
+    (_FlatInX(1e15), 0.25, (0.4j, 0.16, 0.8j, 0.64), 0.5j),
+], ids=["non-holomorphic", "zero-derivative", "huge-derivative"])
+def test_newton_falls_back_to_bisection(ev, target, bracket, root):
+    z = _solve_crossing(ev, 1, -1, 0.0, target, bracket, 9, 1e-9)
+    assert abs(z - root) < 1e-12
