@@ -1,9 +1,10 @@
 """Exact torus partition functions, their coefficient polynomials and zeros.
 
 Everything here is ground truth for the contour machinery: full enumeration
-over spin configurations (Gray-code order, incremental energy updates), an
-independent transfer-matrix evaluation for range-1 models, and companion
-matrix root finding for the partition polynomial in z.
+over spin configurations (one numpy kernel computes the energies of a block
+of configurations from placement-index arrays and per-pattern energy
+tables), an independent transfer-matrix evaluation for range-1 models, and
+companion matrix root finding for the partition polynomial in z.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,128 +21,56 @@ from .models import SpinModel, _torus_placements
 
 ENUM_BUDGET = 2**27
 MATRIX_BUDGET = 1024
-_RESYNC = 4096  # recompute the running energy from scratch this often
+_BLOCK = 1024  # configurations per enumeration block, at most
 
 
-# -- Gray-code enumeration ----------------------------------------------------
+# -- enumeration --------------------------------------------------------------
 
 
-def _gray_steps(radix: int, n: int):
-    """Reflected mixed-radix Gray sequence: yields (digit, old, new) steps.
+def _energy_blocks(model: SpinModel, L: int):
+    """Yield ``(c, p)``: the complex energy and the power of z of every torus
+    configuration, one block of at most ``_BLOCK`` configurations at a time.
 
-    Every state of {0..radix-1}^n is visited exactly once, each step changing
-    one digit by +-1.
+    ``D[site, row]`` is the spin digit of a site in each configuration of a
+    block: every digit row of the first ``lo`` sites, the other sites pinned;
+    blocks come in a fixed order.  A term adds ``e[code]`` per placement,
+    where ``code`` reads the digits at the placement's sites in base q, so
+    every energy is computed from scratch.
     """
-    a = [0] * n
-    d = [1] * n
-    while True:
-        i = 0
-        while i < n:
-            b = a[i] + d[i]
-            if 0 <= b < radix:
-                yield i, a[i], b
-                a[i] = b
-                break
-            d[i] = -d[i]
-            i += 1
-        if i == n:
-            return
-
-
-def _block_assignments(radix: int, n: int, max_blocks: int = 64):
-    """Fixed partition of the configuration space into contiguous blocks by
-    pinning the trailing digits.  The partition depends only on the model and
-    torus, never on the worker count, so reductions are reproducible."""
-    k = 0
-    while radix**k < max_blocks and k < n:
-        k += 1
-    free = n - k
-    return [tuple(p) for p in itertools.product(range(radix), repeat=k)], free
-
-
-def _enumerate_blocks(model: SpinModel, L: int, visit_block, workers: int = 1):
-    """Run ``visit_block(pinned_digits, free_digits)`` over all blocks and
-    return the per-block results combined in fixed block order."""
     q = len(model.spins)
-    n = L**model.dimension
-    blocks, free = _block_assignments(q, n)
-    if workers <= 1:
-        return [visit_block(b, free) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(lambda b: visit_block(b, free), blocks))
-
-
-class _RunningEnergy:
-    """Total torus energy pair maintained under single-site spin flips."""
-
-    def __init__(self, model: SpinModel, L: int):
-        self.model = model
-        geom, anchored, _ = _torus_placements(model, L)
-        self.geom = geom
-        self.anchored = anchored
-        # placements covering each site, with full weight (not 1/|shape|)
-        cover = [[] for _ in range(geom.n_sites)]
-        for x in range(geom.n_sites):
-            for ti, sites in anchored[x]:
-                for s in set(sites):
-                    cover[s].append((model.terms[ti], sites))
-        self.cover = cover
-
-    def full(self, spins) -> tuple[complex, float]:
-        c, p = 0j, 0.0
-        for x in range(self.geom.n_sites):
-            for ti, sites in self.anchored[x]:
-                tc, tp = self.model.terms[ti].pair(tuple(spins[s] for s in sites))
-                c += tc
-                p += tp
-        return c, p
-
-    def delta(self, spins, site, new_spin) -> tuple[complex, float]:
-        dc, dp = 0j, 0.0
-        old = spins[site]
-        for term, sites in self.cover[site]:
-            before = tuple(spins[s] for s in sites)
-            after = tuple(
-                new_spin if s == site else spins[s] for s in sites
-            )
-            # a placement may cover `site` several times only if it wrapped,
-            # which L >= 2R+1 forbids; patterns therefore differ in one slot
-            c1, p1 = term.pair(after)
-            c0, p0 = term.pair(before)
-            dc += c1 - c0
-            dp += p1 - p0
-        return dc, dp
-
-
-def _scan(model: SpinModel, L: int, accumulate, workers: int = 1):
-    """Drive ``accumulate(c, p)`` over every configuration's energy pair."""
-    q = len(model.spins)
-    n = L**model.dimension
-    run = _RunningEnergy(model, L)
-    spin_of = model.spins
-
-    def visit_block(pinned, free):
-        spins = [spin_of[0]] * free + [spin_of[dig] for dig in pinned]
-        c, p = run.full(spins)
-        acc = accumulate()
-        acc.add(c, p)
-        count = 0
-        for site, _, new in _gray_steps(q, free):
-            dc, dp = run.delta(spins, site, spin_of[new])
-            spins[site] = spin_of[new]
-            c += dc
-            p += dp
-            count += 1
-            if count % _RESYNC == 0:
-                c, p = run.full(spins)
-            acc.add(c, p)
-        return acc
-
-    return _enumerate_blocks(model, L, visit_block, workers)
+    geom, anchored, _ = _torus_placements(model, L)
+    n = geom.n_sites
+    kernels = []
+    for ti, t in enumerate(model.terms):
+        idx = np.array(
+            [sites for x in range(n) for tj, sites in anchored[x] if tj == ti], dtype=np.intp
+        )
+        w = q ** np.arange(len(t.shape) - 1, -1, -1)
+        pats = [
+            tuple(model.spins[i] for i in digits)
+            for digits in itertools.product(range(q), repeat=len(t.shape))
+        ]
+        ec = np.array([t.energy[s] for s in pats], dtype=complex)
+        ep = np.array([t.zpower.get(s, 0.0) for s in pats], dtype=float)
+        kernels.append((idx, w, ec, ep))
+    lo = 0
+    while lo < n and q ** (lo + 1) <= _BLOCK:
+        lo += 1
+    D = np.empty((n, q**lo), dtype=np.intp)
+    D[:lo] = np.indices((q,) * lo).reshape(lo, q**lo)
+    for high in itertools.product(range(q), repeat=n - lo):
+        D[lo:] = np.array(high, dtype=np.intp)[:, None]
+        c = np.zeros(q**lo, dtype=complex)
+        p = np.zeros(q**lo, dtype=float)
+        for idx, w, ec, ep in kernels:
+            code = w @ D[idx]  # (placements, rows)
+            c += ec[code].sum(axis=0)
+            p += ep[code].sum(axis=0)
+        yield c, p
 
 
 def partition_function_exact(
-    model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET, workers: int = 1
+    model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET
 ) -> complex:
     """Z_L^per(z) by full enumeration of |S|^{L^d} configurations."""
     q = len(model.spins)
@@ -153,20 +81,9 @@ def partition_function_exact(
             "use transfer_matrix_pf for range-1 models"
         )
     logz = cmath.log(z)
-
-    class Acc:
-        __slots__ = ("total",)
-
-        def __init__(self):
-            self.total = 0j
-
-        def add(self, c, p):
-            self.total += cmath.exp(-c + p * logz)
-
-    parts = _scan(model, L, Acc, workers)
     total = 0j
-    for a in parts:
-        total += a.total
+    for c, p in _energy_blocks(model, L):
+        total += complex(np.exp(-c + p * logz).sum())
     return total
 
 
@@ -297,7 +214,7 @@ class PartitionPolynomial:
 
 
 def partition_polynomial(
-    model: SpinModel, L: int, budget: int = ENUM_BUDGET, workers: int = 1
+    model: SpinModel, L: int, budget: int = ENUM_BUDGET
 ) -> PartitionPolynomial:
     """Exact coefficients of Z_L^per in z.
 
@@ -320,24 +237,26 @@ def partition_polynomial(
     if q**n > budget:
         raise BudgetError(f"enumeration of {q}^{n} states exceeds budget {budget}")
     D = n * max_site_power
-
-    class Acc:
-        __slots__ = ("co",)
-
-        def __init__(self):
-            self.co = np.zeros(D + 1, dtype=complex)
-
-        def add(self, c, p):
-            self.co[int(round(p))] += cmath.exp(-c)
-
-    parts = _scan(model, L, Acc, workers)
     co = np.zeros(D + 1, dtype=complex)
-    for a in parts:
-        co += a.co
+    for c, p in _energy_blocks(model, L):
+        k = np.rint(p).astype(np.intp)
+        w = np.exp(-c)
+        co.real += np.bincount(k, w.real, D + 1)
+        co.imag += np.bincount(k, w.imag, D + 1)
     return PartitionPolynomial(tuple(co.tolist()), L, tag=f"{model.name} L={L}")
 
 
 # -- zeros ---------------------------------------------------------------------
+
+
+def phase_key(z: complex) -> tuple:
+    """Sort key of zeros: arg z rounded to 10 digits, then |z|.  A phase
+    within 1e-10 of -pi counts as +pi, so a zero on the negative real axis
+    sorts last whatever the sign of a rounding-level imaginary part."""
+    t = cmath.phase(z)
+    if t < 1e-10 - cmath.pi:
+        t = cmath.pi
+    return (round(t, 10), abs(z))
 
 
 @dataclass(frozen=True)
@@ -349,7 +268,7 @@ class ExactZeroSet:
 
     def to_csv_rows(self):
         rows = [("re", "im", "abs", "arg")]
-        for r in sorted(self.roots, key=lambda w: (round(cmath.phase(w), 12), abs(w))):
+        for r in sorted(self.roots, key=phase_key):
             rows.append(
                 (
                     format(r.real, ".17g"),

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BudgetError
 from .metastable import Cutoffs, finite_volume_zeta, free_energy_table
 from .models import SpinModel
-from .torus_exact import ExactZeroSet, partition_function_exact, transfer_matrix_pf
+from .torus_exact import ExactZeroSet, partition_function_exact, phase_key, transfer_matrix_pf
 
 TWO_PI = 2.0 * math.pi
 
@@ -376,13 +376,18 @@ def solve_zero_equations(
                 zsol, j % Ld, abs(ev.f(m, zsol) - ev.f(n, zsol) - offset),
                 abs(Ld * dsol - (math.pi + TWO_PI * j)), degraded=near_end,
             ))
-    # deduplicate closed-curve double counting (first point == last point)
+    return ZeroSet((m, n), L, _sort_unique(zeros), tuple(flagged))
+
+
+def _sort_unique(zeros) -> tuple:
+    """Zeros in ``phase_key`` order, without the closed-curve double counts
+    (first point == last point)."""
     uniq = []
-    for w in sorted(zeros, key=lambda w: (round(cmath.phase(w.z), 10), abs(w.z))):
+    for w in sorted(zeros, key=lambda w: phase_key(w.z)):
         if uniq and abs(w.z - uniq[-1].z) < 1e-10 * (1 + abs(w.z)):
             continue
         uniq.append(w)
-    return ZeroSet((m, n), L, tuple(uniq), tuple(flagged))
+    return tuple(uniq)
 
 
 def ising_zero_angle(J: float, d: int, L: int, k: int) -> float:

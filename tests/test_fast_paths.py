@@ -1,7 +1,9 @@
-"""The fast certificate and the Newton zero solver against the bisection
-code they replaced, kept here as oracles."""
+"""The fast certificate, the Newton zero solver and the block enumeration
+kernel against the bisection and Gray-code scan code they replaced, kept
+here as oracles."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -16,14 +18,25 @@ from pszeros.metastable import (
     _classes,
     _gas_certificate,
 )
-from pszeros.models import blume_capel, ising, potts
+from conftest import free_field_model
+from pszeros.models import (
+    InteractionTerm,
+    SpinModel,
+    _torus_placements,
+    blume_capel,
+    ising,
+    model_from_config,
+    potts,
+)
 from pszeros.polymer import PolymerSystem, enumerate_clusters
+from pszeros.torus_exact import partition_function_exact, partition_polynomial
 from pszeros.zeros import (
     PhaseEvaluator,
     PredictedZero,
     ZeroSet,
     _correct,
     _solve_crossing,
+    _sort_unique,
     _wrap_pi,
     solve_zero_equations,
     trace_coexistence,
@@ -132,12 +145,95 @@ def oracle_solve(model, curve, L, ev, phase_tol=1e-9):
             zeros.append(PredictedZero(
                 zsol, j % Ld, req, abs(Ld * dsol - (math.pi + 2 * math.pi * j))
             ))
-    uniq = []
-    for w in sorted(zeros, key=lambda w: (round(cmath.phase(w.z), 10), abs(w.z))):
-        if uniq and abs(w.z - uniq[-1].z) < 1e-10 * (1 + abs(w.z)):
-            continue
-        uniq.append(w)
-    return ZeroSet((m, n), L, tuple(uniq), tuple(flagged))
+    # the solver's phase order, so that zeros on the negative axis line up
+    return ZeroSet((m, n), L, _sort_unique(zeros), tuple(flagged))
+
+
+def oracle_gray_steps(radix, n):
+    """Reflected mixed-radix Gray sequence: yields (digit, old, new) steps.
+
+    Every state of {0..radix-1}^n is visited exactly once, each step changing
+    one digit by +-1.
+    """
+    a = [0] * n
+    d = [1] * n
+    while True:
+        i = 0
+        while i < n:
+            b = a[i] + d[i]
+            if 0 <= b < radix:
+                yield i, a[i], b
+                a[i] = b
+                break
+            d[i] = -d[i]
+            i += 1
+        if i == n:
+            return
+
+
+class OracleRunningEnergy:
+    """Total torus energy pair maintained under single-site spin flips."""
+
+    def __init__(self, model, L):
+        self.model = model
+        geom, anchored, _ = _torus_placements(model, L)
+        self.geom = geom
+        self.anchored = anchored
+        # placements covering each site, with full weight (not 1/|shape|)
+        cover = [[] for _ in range(geom.n_sites)]
+        for x in range(geom.n_sites):
+            for ti, sites in anchored[x]:
+                for s in set(sites):
+                    cover[s].append((model.terms[ti], sites))
+        self.cover = cover
+
+    def full(self, spins):
+        c, p = 0j, 0.0
+        for x in range(self.geom.n_sites):
+            for ti, sites in self.anchored[x]:
+                tc, tp = self.model.terms[ti].pair(tuple(spins[s] for s in sites))
+                c += tc
+                p += tp
+        return c, p
+
+    def delta(self, spins, site, new_spin):
+        dc, dp = 0j, 0.0
+        for term, sites in self.cover[site]:
+            before = tuple(spins[s] for s in sites)
+            after = tuple(new_spin if s == site else spins[s] for s in sites)
+            c1, p1 = term.pair(after)
+            c0, p0 = term.pair(before)
+            dc += c1 - c0
+            dp += p1 - p0
+        return dc, dp
+
+
+def oracle_scan(model, L):
+    """Energy pairs (c, p) of every configuration, one list per block: the
+    trailing digits are pinned (at least 64 blocks) and each block is walked
+    in Gray-code order with per-flip updates, recomputed from scratch every
+    4096 steps."""
+    q = len(model.spins)
+    run = OracleRunningEnergy(model, L)
+    n = run.geom.n_sites
+    k = 0
+    while q**k < 64 and k < n:
+        k += 1
+    blocks = []
+    for pinned in itertools.product(range(q), repeat=k):
+        spins = [model.spins[0]] * (n - k) + [model.spins[d] for d in pinned]
+        c, p = run.full(spins)
+        out = [(c, p)]
+        for count, (site, _, new) in enumerate(oracle_gray_steps(q, n - k), 1):
+            dc, dp = run.delta(spins, site, model.spins[new])
+            spins[site] = model.spins[new]
+            c += dc
+            p += dp
+            if count % 4096 == 0:
+                c, p = run.full(spins)
+            out.append((c, p))
+        blocks.append(out)
+    return blocks
 
 
 # -- certificate -----------------------------------------------------------------
@@ -314,3 +410,101 @@ class _FlatInX(_NonHolomorphic):
 def test_newton_falls_back_to_bisection(ev, target, bracket, root):
     z = _solve_crossing(ev, 1, -1, 0.0, target, bracket, 9, 1e-9)
     assert abs(z - root) < 1e-12
+
+
+# -- enumeration kernel ------------------------------------------------------------
+
+# the plaquette-perturbed Ising model of the benchmark's exact side
+PLAQUETTE_ISING = """\
+[model]
+name = perturbed_ising
+
+[coupling.horizontal]
+shape = (0,0);(1,0)
+J = 1.5
+
+[coupling.vertical]
+shape = (0,0);(0,1)
+J = 1.5
+
+[coupling.plaquette]
+shape = (0,0);(1,0);(0,1);(1,1)
+J = 0.1
+"""
+
+
+
+def _asymmetric_model():
+    """Three states with a bond and a three-site corner term whose energies
+    change when the sites are permuted, so the digit order of a placement's
+    code matters."""
+    spins = (-1, 0, 1)
+    site = InteractionTerm(
+        ((0, 0),), {(s,): complex(0.2 * s) for s in spins}, {(s,): float(s + 1) for s in spins}
+    )
+    bond = InteractionTerm(
+        ((0, 0), (1, 0)),
+        {(a, b): complex(0.5 * a - 0.3 * b + 0.7 * a * b)
+         for a, b in itertools.product(spins, repeat=2)},
+        {},
+    )
+    corner = InteractionTerm(
+        ((0, 0), (1, 0), (0, 1)),
+        {(a, b, c): complex(0.1 * a + 0.4 * a * b - 0.2 * b * c * c)
+         for a, b, c in itertools.product(spins, repeat=3)},
+        {},
+    )
+    return SpinModel(spins, 2, 1, (site, bond, corner), tuple((s,) for s in spins),
+                     name="asymmetric")
+
+
+_ENUMERATION_CASES = {
+    "ising-L3": (lambda: ising(1.5), 3),
+    "ising-L4": (lambda: ising(1.5), 4),
+    "plaquette-L3": (lambda: model_from_config(PLAQUETTE_ISING), 3),
+    "plaquette-L4": (lambda: model_from_config(PLAQUETTE_ISING), 4),
+    "blume-capel-L3": (lambda: blume_capel(1.3, 0.1), 3),
+    "potts3-L3": (lambda: potts(3, 1.2), 3),
+    "free-field3-L3": (
+        lambda: free_field_model(
+            spins=(-1, 0, 1), site_energy=lambda s: 0.3 * s, site_zpower=lambda s: s + 1
+        ),
+        3,
+    ),
+    "asymmetric3-L3": (_asymmetric_model, 3),
+}
+
+
+@pytest.fixture(scope="module", params=list(_ENUMERATION_CASES))
+def scanned(request):
+    make, L = _ENUMERATION_CASES[request.param]
+    model = make()
+    return model, L, oracle_scan(model, L)
+
+
+def test_coefficients_match_gray_code_oracle(scanned):
+    model, L, blocks = scanned
+    new = partition_polynomial(model, L).coefficients
+    old = np.zeros(len(new), dtype=complex)
+    for block in blocks:  # per-block sums added in block order, as the scan did
+        co = np.zeros(len(new), dtype=complex)
+        for c, p in block:
+            co[int(round(p))] += cmath.exp(-c)
+        old += co
+    assert np.all(old != 0)
+    for a, b in zip(new, old):
+        assert abs(a - b) <= 1e-13 * abs(b)
+
+
+def test_partition_function_matches_gray_code_oracle(scanned):
+    model, L, blocks = scanned
+    rng = random.Random(f"{model.name}/{L}")
+    for _ in range(5):
+        z = rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random())
+        logz = cmath.log(z)
+        terms = [[cmath.exp(-c + p * logz) for c, p in block] for block in blocks]
+        old = sum(sum(block) for block in terms)
+        # relative to the summed moduli: at complex z the terms cancel, and
+        # |Z| is known no better than rounding of the largest terms allows
+        mass = sum(abs(w) for block in terms for w in block)
+        assert abs(partition_function_exact(model, L, z) - old) <= 1e-13 * mass

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from conftest import free_field_model, random_z
@@ -62,15 +63,11 @@ def test_enumeration_budget():
         partition_function_exact(ising(1.0), 6, 1.0, budget=2**20)
 
 
-def test_worker_count_is_bit_reproducible():
+def test_repeated_calls_are_bit_reproducible():
     m = blume_capel(1.3, 0.1)
     z = 0.6 + 0.8j
-    assert partition_function_exact(m, 3, z, workers=1) == partition_function_exact(
-        m, 3, z, workers=5
-    )
-    p1 = partition_polynomial(m, 3, workers=1)
-    p5 = partition_polynomial(m, 3, workers=5)
-    assert p1.coefficients == p5.coefficients
+    assert partition_function_exact(m, 3, z) == partition_function_exact(m, 3, z)
+    assert partition_polynomial(m, 3).coefficients == partition_polynomial(m, 3).coefficients
 
 
 def test_polynomial_degrees():
@@ -144,3 +141,30 @@ def test_zero_set_serialization():
     assert len(rows) == 10
     data = zs.to_json()
     assert '"degree": 9' in data
+
+
+def _winding_number(coefficients, radius, n=2**15):
+    """Zeros of the polynomial inside |z| = radius by the argument principle:
+    the winding of its values round a circle sampled at n points."""
+    co = np.asarray(coefficients)[::-1]
+    v = np.polyval(co, radius * np.exp(2j * np.pi * np.arange(n + 1) / n))
+    steps = np.angle(v[1:] / v[:-1])
+    # each step must turn by well under pi for the winding to be unambiguous
+    assert np.abs(steps).max() < math.pi / 4
+    return round(steps.sum() / (2 * math.pi))
+
+
+@pytest.mark.parametrize(
+    "model, L", [(ising(1.5), 4), (blume_capel(1.5, 0.3), 3)], ids=["ising-L4", "blume-capel-L3"]
+)
+def test_argument_principle_counts_the_roots(model, L):
+    poly = partition_polynomial(model, L)
+    roots = exact_zeros(poly).roots
+    assert len(roots) == poly.degree
+    delta = 1e-3
+    # the roots found against the count, and every root on the unit circle
+    # (Lee-Yang): none inside 1 - delta, all inside 1 + delta
+    inner = _winding_number(poly.coefficients, 1 - delta)
+    outer = _winding_number(poly.coefficients, 1 + delta)
+    assert inner == sum(abs(r) < 1 - delta for r in roots) == 0
+    assert outer == sum(abs(r) < 1 + delta for r in roots) == poly.degree

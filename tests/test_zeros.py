@@ -4,10 +4,12 @@ import math
 import pytest
 
 from pszeros.models import blume_capel, ising, potts
-from pszeros.torus_exact import exact_zeros, partition_polynomial
+from pszeros.torus_exact import ExactZeroSet, exact_zeros, partition_polynomial
 from pszeros.zeros import (
     CurveError,
     PhaseEvaluator,
+    PredictedZero,
+    _sort_unique,
     density_of_zeros,
     find_multiple_points,
     ising_zero_angle,
@@ -280,3 +282,26 @@ def test_match_restricted_to_shared_arc():
     assert rep.n_predicted == len(zs.zeros)
     assert rep.n_exact >= rep.n_predicted
     assert rep.max_distance < 0.1
+
+
+@pytest.mark.parametrize("eps", [1e-17, -1e-17])
+def test_negative_axis_zero_sorts_last(eps):
+    # a zero on the negative real axis sorts last (arg +pi) in both kinds of
+    # zero set, whatever the sign of a rounding-level imaginary part
+    others = [0.6 + 0.8j, 0.6 - 0.8j, -0.8 + 0.6j, -0.8 - 0.6j, 1.0]
+    axis = complex(-1.0, eps)
+    exact = ExactZeroSet(tuple(others[:2] + [axis] + others[2:]), 0.0, 6)
+    rows = exact.to_csv_rows()
+    assert len(rows) == 7
+    assert (float(rows[-1][0]), float(rows[-1][1])) == (-1.0, eps)
+    predicted = _sort_unique(PredictedZero(z, 0, 0.0, 0.0) for z in [axis] + others)
+    assert [w.z for w in predicted] == [-0.8 - 0.6j, 0.6 - 0.8j, 1.0, 0.6 + 0.8j, -0.8 + 0.6j, axis]
+
+
+def test_negative_axis_double_count_is_dropped():
+    # the closed-curve double count of a zero at -1 is adjacent in phase order
+    # even when its two copies fall on opposite sides of the branch cut
+    predicted = _sort_unique(
+        PredictedZero(z, 0, 0.0, 0.0) for z in (-1 + 1e-17j, 0.6 + 0.8j, -1 - 1e-17j)
+    )
+    assert [w.z for w in predicted] == [0.6 + 0.8j, -1 + 1e-17j]
