@@ -94,24 +94,23 @@ class Scenario:
                     sub[s] = dict(cp[s])
             sub.write(buf)
             model_text = buf.getvalue()
-        cut = Cutoffs()
-        if "cutoffs" in cp:
-            cut = Cutoffs(
-                cp["cutoffs"].getint("size_cap", 12),
-                cp["cutoffs"].getfloat("norm_cap", 18.0),
-            )
+        try:
+            seed = sec.getint("seed", 0)
+            cut = Cutoffs()
+            if "cutoffs" in cp:
+                cut = Cutoffs(
+                    cp["cutoffs"].getint("size_cap", 12),
+                    cp["cutoffs"].getfloat("norm_cap", 18.0),
+                )
+        except ValueError as exc:
+            raise ModelError(f"malformed number: {exc}") from exc
         options = {
             s: dict(cp[s])
             for s in cp.sections()
             if s not in ("scenario", "model", "cutoffs")
         }
         return Scenario(
-            sec.get("name", "scenario"),
-            pipelines,
-            model_text,
-            sec.getint("seed", 0),
-            cut,
-            options,
+            sec.get("name", "scenario"), pipelines, model_text, seed, cut, options
         )
 
     def model(self) -> SpinModel:
@@ -594,6 +593,8 @@ def main(argv=None) -> int:
         return 2
     try:
         scn = Scenario.from_text(text)
+        if scn.model_text:
+            scn.model()
     except ModelError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,8 @@ piece's deviation; the remaining pieces merge into a single contour network.
 Extraction and reconstruction are mutually inverse bijections between
 configurations and matching collections, and the induced rewriting of the
 Boltzmann weight turns the spin sum into contour sums that this module also
-evaluates directly (by recursion over external contours) for cross-checks.
+evaluates directly (an independent-set sum over contour volumes, recursing
+into interiors) for cross-checks.
 """
 
 from __future__ import annotations
@@ -17,21 +18,16 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .lattice import (
-    Torus,
-    chebyshev_ball,
-    torus,
-    zd_components,
-    zd_diameter,
-    zd_holes,
-)
+from .lattice import Torus, chebyshev_ball, components, torus, zd_holes
 from .models import (
     SpinModel,
     TorusConfiguration,
     ZdConfiguration,
     excitation_energy_pair,
     pair_weight,
+    r_boundary,
 )
+from .polymer import independent_set_sum
 
 ENUM_CORE_BUDGET = 2**21
 
@@ -203,35 +199,8 @@ def contour_graph(config: TorusConfiguration, R: int):
     diameter 2R+1 contains both and is non-constant.  Returns (geometry,
     small components, large components)."""
     geom = config.torus(R)
-    spins = config.spins
-    bad = set()
-    for c, box in enumerate(geom.boxes):
-        v0 = spins[box[0]]
-        if any(spins[i] != v0 for i in box[1:]):
-            bad.add(c)
-    parent = {x: x for x in bad}
-
-    def find(x):
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    for c in bad:
-        ra = find(c)
-        for s in geom.boxes[c]:
-            if s in parent:
-                rb = find(s)
-                if rb != ra:
-                    parent[rb] = ra
-    comps = {}
-    for x in parent:
-        comps.setdefault(find(x), []).append(x)
     small, large = [], []
-    for sites in comps.values():
-        c = frozenset(sites)
+    for c in components(r_boundary(config, R), geom.boxes.__getitem__):
         if 2 * geom.diameter(c) < geom.L:
             small.append(c)
         else:
@@ -529,34 +498,14 @@ class ZdContour:
 def _zd_contour_from_deviations(model, q, deviations):
     """Build the contour of a background-q configuration with the given
     deviations, or None if its bad region is not a single component."""
-    from .models import r_boundary
-
     cfg = ZdConfiguration.make(q, deviations)
     support = r_boundary(cfg, model.range)
     if not support:
         return None
-    look = cfg.lookup()
     # two boundary sites are linked when one non-constant box contains both
-    parent = {x: x for x in support}
-
-    def find(x):
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    for c in support:
-        ra = find(c)
-        for s in chebyshev_ball(c, model.range):
-            if s in parent and s != c:
-                rb = find(s)
-                if rb != ra:
-                    parent[rb] = ra
-    roots = {find(x) for x in support}
-    if len(roots) != 1:
+    if len(components(support, lambda x: chebyshev_ball(x, model.range))) != 1:
         return None
+    look = cfg.lookup()
     holes = zd_holes(support)
     interiors = []
     for comp in sorted(holes, key=min):
@@ -664,6 +613,13 @@ def _canon_contour(y: ZdContour) -> ZdContour:
 # -- contour partition functions ---------------------------------------------
 
 
+def region_masks(region, subsets):
+    """Bitmasks of subsets of a finite site set (bit i is the i-th site in
+    sorted order), together with the mask of the whole set."""
+    bit = {x: 1 << i for i, x in enumerate(sorted(region))}
+    return [sum(bit[x] for x in s) for s in subsets], (1 << len(bit)) - 1
+
+
 def _canon_region(region: frozenset):
     if not region:
         return (), (0,)
@@ -674,8 +630,13 @@ def _canon_region(region: frozenset):
 
 class ContourSumEngine:
     """Evaluates Z_q(region) = sum over matching collections with external
-    q-contours, by recursion over mutually external contours and their
-    interiors, memoized on the translation-canonical region."""
+    q-contours: an independent-set sum over families of volume-disjoint
+    contours, each weighted with the sums over its interiors, memoized on
+    the translation-canonical region.
+
+    Volume-disjoint contours whose supports are adjacent count as
+    compatible, although no configuration produces both; Ising regions from
+    3x6 upward therefore miss the spin sum by about 1e-7."""
 
     def __init__(self, model: SpinModel, z: complex, budget: int = ENUM_CORE_BUDGET):
         self.model = model
@@ -693,24 +654,14 @@ class ContourSumEngine:
         if key in self._memo:
             return self._memo[key]
         contours = contours_in_region(self.model, q, region, self.budget)
-        vols = [y.volume for y in contours]
         weights = []
         for y in contours:
             w = pair_weight(y.energy_pair(self.model), self.z)
             for comp, lab in y.interiors:
                 w *= self.partition_function(comp, lab)
             weights.append(w)
-        thq = self.theta[q]
-        total = 0j
-
-        def rec(i, free, acc):
-            nonlocal total
-            total += acc * thq ** len(free)
-            for j in range(i, len(contours)):
-                if vols[j] <= free:
-                    rec(j + 1, free - vols[j], acc * weights[j])
-
-        rec(0, region, 1.0 + 0j)
+        masks, full = region_masks(region, [y.volume for y in contours])
+        total = independent_set_sum(masks, weights, self.theta[q], full)
         self._memo[key] = total
         return total
 

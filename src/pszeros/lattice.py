@@ -38,8 +38,9 @@ def zd_diameter(sites) -> int:
     )
 
 
-def zd_components(sites) -> list[frozenset]:
-    """Nearest-neighbor connected components of a finite Z^d site set."""
+def components(sites, neighbors) -> list[frozenset]:
+    """Connected components of a finite site set, where ``neighbors(x)``
+    yields the candidate neighbors of x (those outside the set are ignored)."""
     todo = set(sites)
     out = []
     while todo:
@@ -47,8 +48,7 @@ def zd_components(sites) -> list[frozenset]:
         comp = {seed}
         stack = [seed]
         while stack:
-            x = stack.pop()
-            for y in zd_neighbors(x):
+            for y in neighbors(stack.pop()):
                 if y in todo:
                     todo.remove(y)
                     comp.add(y)
@@ -60,30 +60,19 @@ def zd_components(sites) -> list[frozenset]:
 def zd_holes(support) -> list[frozenset]:
     """Finite components of Z^d minus ``support`` (the holes of the set).
 
-    Flood-fills the complement inside the bounding box inflated by one layer;
-    every complement component not touching that outer shell is a hole.
+    Splits the complement inside the bounding box inflated by one layer into
+    components: those holding the lowest or the highest corner of that box
+    lie outside, the rest are holes.
     """
     support = set(support)
     if not support:
         return []
     d = len(next(iter(support)))
-    lo = [min(p[a] for p in support) - 1 for a in range(d)]
-    hi = [max(p[a] for p in support) + 1 for a in range(d)]
-    box = set(itertools.product(*[range(lo[a], hi[a] + 1) for a in range(d)]))
-    free = box - support
-    # everything reachable from the inflated shell is part of the infinite
-    # component; what remains splits into the holes
-    shell = {p for p in free if any(p[a] in (lo[a], hi[a]) for a in range(d))}
-    stack = list(shell)
-    outside = set(shell)
-    while stack:
-        x = stack.pop()
-        for y in zd_neighbors(x):
-            if y in free and y not in outside:
-                outside.add(y)
-                stack.append(y)
-    inner = free - outside
-    return zd_components(inner)
+    lo = tuple(min(p[a] for p in support) - 1 for a in range(d))
+    hi = tuple(max(p[a] for p in support) + 1 for a in range(d))
+    box = itertools.product(*[range(lo[a], hi[a] + 1) for a in range(d)])
+    free = [p for p in box if p not in support]
+    return [c for c in components(free, zd_neighbors) if lo not in c and hi not in c]
 
 
 class Torus:
@@ -144,21 +133,7 @@ class Torus:
 
     def components(self, sites) -> list[frozenset]:
         """Nearest-neighbor components of a subset (given as indices)."""
-        todo = set(sites)
-        out = []
-        while todo:
-            seed = todo.pop()
-            comp = {seed}
-            stack = [seed]
-            while stack:
-                x = stack.pop()
-                for y in self.neighbors[x]:
-                    if y in todo:
-                        todo.remove(y)
-                        comp.add(y)
-                        stack.append(y)
-            out.append(frozenset(comp))
-        return out
+        return components(sites, self.neighbors.__getitem__)
 
     def shrink(self, sites: frozenset) -> frozenset:
         """Remove from ``sites`` the layer adjacent to its complement."""

@@ -32,11 +32,17 @@ from .contours import (
     ZdContour,
     contour_classes,
     contours_in_region,
+    region_masks,
 )
 from .errors import ConvergenceError
 from .lattice import torus
 from .models import Regime, SpinModel, pair_weight, theta, theta_max
-from .polymer import PolymerSystem, ursell_coefficient
+from .polymer import (
+    PolymerSystem,
+    enumerate_clusters,
+    independent_set_sum,
+    ursell_coefficient,
+)
 
 STABLE_TOL = 1e-9
 
@@ -190,16 +196,8 @@ class WeightEngine:
         region = frozenset(tuple(x) for x in region)
         contours = contours_in_region(self.model, q, region, self.budget)
         weights = [self.weight_truncated(y) for y in contours]
-        supports = [y.support for y in contours]
-
-        def rec(i, free, acc):
-            total = acc
-            for j in range(i, len(contours)):
-                if supports[j] <= free:
-                    total += rec(j + 1, free - supports[j], acc * weights[j])
-            return total
-
-        return rec(0, region, 1.0 + 0j)
+        masks, _ = region_masks(region, [y.support for y in contours])
+        return independent_set_sum(masks, weights)
 
     def mollifier_factor(self, y: ZdContour) -> float:
         """phi_q(Y): the product over phases of the smooth cutoff applied to
@@ -303,7 +301,6 @@ def _gas_skeleton(model: SpinModel, q, size_cap: int, norm_cap: float):
     """
     classes = _classes(model, q, size_cap)
     d = model.dimension
-    supports = [y.support for y in classes]
     overlap_offsets = _overlap_offsets(model, q, size_cap)
 
     # connected placement sets up to translation, rooted at class i0 at 0
@@ -341,16 +338,18 @@ def _gas_skeleton(model: SpinModel, q, size_cap: int, norm_cap: float):
     for pset in sorted(placement_sets):
         placements = list(pset)
         sizes = [classes[ci].size for ci, _ in placements]
-        incompat = frozenset(
-            frozenset((a, b))
-            for a in range(len(placements))
-            for b in range(a + 1, len(placements))
-            if _placed_overlap(placements[a], placements[b], supports, d)
-        )
+        # (ca, oa) and (cb, ob) overlap exactly when ob - oa is an offset
+        # at which class cb placed relative to class ca overlaps it
+        incompat = [
+            (a, b)
+            for (a, (ca, oa)), (b, (cb, ob))
+            in itertools.combinations(enumerate(placements), 2)
+            if tuple(y - x for x, y in zip(oa, ob)) in overlap_offsets[ca][cb]
+        ]
         sys_stub = PolymerSystem.build(
             tuple(range(len(placements))),
             {i: 0j for i in range(len(placements))},
-            [tuple(e) for e in incompat],
+            incompat,
         )
         base = sum(sizes)
         ranges = [
@@ -368,14 +367,6 @@ def _gas_skeleton(model: SpinModel, q, size_cap: int, norm_cap: float):
                 (tuple((placements[i][0], mult[i]) for i in range(len(placements))), u)
             )
     return classes, tuple(entries)
-
-
-def _placed_overlap(pa, pb, supports, d):
-    (ca, oa), (cb, ob) = pa, pb
-    sa = {tuple(x[k] + oa[k] for k in range(d)) for x in supports[ca]}
-    return any(
-        tuple(x[k] + ob[k] for k in range(d)) in sa for x in supports[cb]
-    )
 
 
 @dataclass(frozen=True)
@@ -607,8 +598,11 @@ def finite_volume_zeta(
     n = geom.n_sites
     if not placements:
         return th
-    w = {i: engine.weight_truncated(classes[ci]) for i, (ci, _, _) in enumerate(placements)}
+    w = [engine.weight_truncated(classes[ci]) for ci, _, _ in placements]
     supports = [sup for (_, _, sup) in placements]
+    if len(placements) <= EXACT_PLACEMENT_BUDGET:
+        zsum = independent_set_sum([sum(1 << s for s in sup) for sup in supports], w)
+        return th * cmath.exp(cmath.log(zsum) / n)
     ids = tuple(range(len(placements)))
     edges = [
         (i, j)
@@ -617,34 +611,9 @@ def finite_volume_zeta(
         if supports[i] & supports[j]
     ]
     sizes = {i: classes[placements[i][0]].size for i in ids}
-    system = PolymerSystem.build(ids, w, edges, sizes)
-    if len(placements) <= EXACT_PLACEMENT_BUDGET:
-        zsum = _independent_set_sum(system, ids)
-        s_L = cmath.log(zsum) / n
-    else:
-        from .polymer import enumerate_clusters
-
-        clusters = enumerate_clusters(system, ids, cutoffs.norm_cap)
-        s_L = sum(c.value for c in clusters) / n
-    return th * cmath.exp(s_L)
-
-
-def _independent_set_sum(system, ids):
-    neigh = {
-        i: frozenset(j for j in ids if j != i and system.incompatible(i, j))
-        for i in ids
-    }
-
-    def rec(i, banned, acc):
-        total = acc
-        for j in range(i, len(ids)):
-            g = ids[j]
-            if g in banned:
-                continue
-            total += rec(j + 1, banned | neigh[g], acc * system.weights[g])
-        return total
-
-    return rec(0, frozenset(), 1.0 + 0j)
+    system = PolymerSystem.build(ids, dict(enumerate(w)), edges, sizes)
+    clusters = enumerate_clusters(system, ids, cutoffs.norm_cap)
+    return th * cmath.exp(sum(c.value for c in clusters) / n)
 
 
 # -- non-degeneracy diagnostics ------------------------------------------------------

@@ -503,7 +503,17 @@ table = -1,-1 : 1.0 : 0          ; spins : energy : zpower   (one per line)
 
 
 def model_from_config(text: str) -> SpinModel:
-    """Build a model from the documented key-value schema."""
+    """Build a model from the documented key-value schema; a value that does
+    not parse raises ModelError."""
+    try:
+        return _model_from_config(text)
+    except ModelError:
+        raise
+    except ValueError as exc:
+        raise ModelError(f"malformed model value: {exc}") from exc
+
+
+def _model_from_config(text: str) -> SpinModel:
     cp = configparser.ConfigParser()
     cp.read_string(text)
     if "model" not in cp:

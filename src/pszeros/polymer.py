@@ -84,24 +84,54 @@ class PolymerSystem:
         return PolymerSystem.build(polymers, weights, edges, sizes, a)
 
 
+def independent_set_sum(masks, weights, vacancy=1.0, sites: int = 0) -> complex:
+    """Sum over families of pairwise-disjoint bitmasks of the product of
+    their weights times ``vacancy`` to the number of bits of
+    ``sites | union(masks)`` that the family leaves uncovered.
+
+    The lowest undecided bit is decided first: it stays vacant or it is the
+    lowest bit of one chosen mask, so each mask is tried only at its own
+    lowest bit.  Partial sums are memoized on the set of undecided bits.
+    """
+    by_low = {}
+    universe = sites
+    for m, w in zip(masks, weights):
+        by_low.setdefault(m & -m, []).append((m, w))
+        universe |= m
+    starts = sum(by_low)  # every bit that is the lowest bit of some mask
+    memo = {}
+
+    def rec(free):
+        if not free & starts:
+            return vacancy ** free.bit_count() + 0j
+        if free in memo:
+            return memo[free]
+        low = free & -free
+        total = vacancy * rec(free ^ low)
+        for m, w in by_low.get(low, ()):
+            if m & free == m:
+                total += w * rec(free ^ m)
+        memo[free] = total
+        return total
+
+    return rec(universe)
+
+
 def polymer_partition_function(system: PolymerSystem, subset=None) -> complex:
     """Sum over collections of pairwise compatible polymers of the product
-    of their weights (independent-set enumeration)."""
+    of their weights.  Polymer i is bit i of its mask, and each incompatible
+    pair adds one bit that both of its masks carry."""
     items = tuple(system.polymers if subset is None else subset)
     if len(items) > PARTITION_BUDGET:
         raise BudgetError(f"polymer subset of {len(items)} exceeds budget")
-
-    def rec(i, chosen_weight, banned):
-        if i == len(items):
-            return chosen_weight
-        g = items[i]
-        total = rec(i + 1, chosen_weight, banned)
-        if g not in banned:
-            extra = {h for h in items[i + 1:] if system.incompatible(g, h)}
-            total += rec(i + 1, chosen_weight * system.weights[g], banned | extra)
-        return total
-
-    return rec(0, 1.0 + 0j, frozenset())
+    masks = [1 << i for i in range(len(items))]
+    bit = len(items)
+    for i, j in itertools.combinations(range(len(items)), 2):
+        if system.incompatible(items[i], items[j]):
+            masks[i] |= 1 << bit
+            masks[j] |= 1 << bit
+            bit += 1
+    return independent_set_sum(masks, [system.weights[g] for g in items])
 
 
 # -- Ursell coefficients -------------------------------------------------------

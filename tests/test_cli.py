@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import pytest
 
 from pszeros.cli import PRESETS, Scenario, emit_plot, main, run
 
@@ -18,6 +19,21 @@ def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[scenario]\nname = x\npipelines = teleport\n")
     assert main(["--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("scenario, model", [
+    ("seed = abc\n", "J = 1.5\n"),
+    ("\n[cutoffs]\nnorm_cap = x\n", "J = 1.5\n"),
+    ("", "J = abc\n"),
+])
+def test_malformed_number_is_a_config_error(tmp_path, capsys, scenario, model):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        "[scenario]\nname = x\npipelines = free-energy\n" + scenario
+        + "\n[model]\nname = ising\n" + model
+    )
+    assert main(["--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_budget_exit_code(tmp_path):

@@ -1,6 +1,7 @@
-"""The fast certificate, the Newton zero solver and the block enumeration
-kernel against the bisection and Gray-code scan code they replaced, kept
-here as oracles."""
+"""The fast certificate, the Newton zero solver, the block enumeration
+kernel, the independent-set kernel and the component search against the
+bisection, Gray-code scan, recursion and union-find code they replaced,
+kept here as oracles."""
 
 import cmath
 import itertools
@@ -10,15 +11,28 @@ import random
 import numpy as np
 import pytest
 
+import pszeros.contours as contours_module
+from pszeros.contours import (
+    ContourSumEngine,
+    _canon_region,
+    contour_graph,
+    contours_in_region,
+)
+from pszeros.lattice import chebyshev_ball, components, torus, zd_holes, zd_neighbors
 from pszeros.metastable import (
+    EXACT_PLACEMENT_BUDGET,
     Cutoffs,
     WeightEngine,
     _A_SCALES,
     _certificate_geometry,
     _classes,
     _gas_certificate,
+    _gas_skeleton,
+    _overlap_offsets,
+    _torus_placements_of_classes,
+    finite_volume_zeta,
 )
-from conftest import free_field_model
+from conftest import free_field_model, sparse_torus_config
 from pszeros.models import (
     InteractionTerm,
     SpinModel,
@@ -26,9 +40,17 @@ from pszeros.models import (
     blume_capel,
     ising,
     model_from_config,
+    pair_weight,
     potts,
+    r_boundary,
 )
-from pszeros.polymer import PolymerSystem, enumerate_clusters
+from pszeros.polymer import (
+    PolymerSystem,
+    enumerate_clusters,
+    polymer_partition_function,
+    ursell_coefficient,
+)
+from test_polymer import _random_certified_system, two_polymer_system
 from pszeros.torus_exact import partition_function_exact, partition_polynomial
 from pszeros.zeros import (
     PhaseEvaluator,
@@ -508,3 +530,432 @@ def test_partition_function_matches_gray_code_oracle(scanned):
         # |Z| is known no better than rounding of the largest terms allows
         mass = sum(abs(w) for block in terms for w in block)
         assert abs(partition_function_exact(model, L, z) - old) <= 1e-13 * mass
+
+
+# -- oracles: the independent-set recursions and component searches replaced
+# by polymer.independent_set_sum and lattice.components -----------------------
+
+
+def oracle_polymer_partition_function(system, subset=None):
+    items = tuple(system.polymers if subset is None else subset)
+
+    def rec(i, chosen_weight, banned):
+        if i == len(items):
+            return chosen_weight
+        g = items[i]
+        total = rec(i + 1, chosen_weight, banned)
+        if g not in banned:
+            extra = {h for h in items[i + 1:] if system.incompatible(g, h)}
+            total += rec(i + 1, chosen_weight * system.weights[g], banned | extra)
+        return total
+
+    return rec(0, 1.0 + 0j, frozenset())
+
+
+class OracleWeightEngine(WeightEngine):
+    def polymer_sum(self, region, q):
+        region = frozenset(tuple(x) for x in region)
+        contours = contours_in_region(self.model, q, region, self.budget)
+        weights = [self.weight_truncated(y) for y in contours]
+        supports = [y.support for y in contours]
+
+        def rec(i, free, acc):
+            total = acc
+            for j in range(i, len(contours)):
+                if supports[j] <= free:
+                    total += rec(j + 1, free - supports[j], acc * weights[j])
+            return total
+
+        return rec(0, region, 1.0 + 0j)
+
+
+def oracle_independent_set_sum(system, ids):
+    neigh = {
+        i: frozenset(j for j in ids if j != i and system.incompatible(i, j))
+        for i in ids
+    }
+
+    def rec(i, banned, acc):
+        total = acc
+        for j in range(i, len(ids)):
+            g = ids[j]
+            if g in banned:
+                continue
+            total += rec(j + 1, banned | neigh[g], acc * system.weights[g])
+        return total
+
+    return rec(0, frozenset(), 1.0 + 0j)
+
+
+def oracle_finite_volume_zeta(model, m, L, z, cutoffs=Cutoffs()):
+    """finite_volume_zeta as it was: the polymer system built for both
+    branches, the exact one summed by the old recursion."""
+    engine = WeightEngine(model, z)
+    th = engine.theta[m]
+    classes = list(_classes(model, m, cutoffs.size_cap))
+    geom, placements = _torus_placements_of_classes(model, classes, L)
+    n = geom.n_sites
+    if not placements:
+        return th
+    w = {i: engine.weight_truncated(classes[ci]) for i, (ci, _, _) in enumerate(placements)}
+    supports = [sup for (_, _, sup) in placements]
+    ids = tuple(range(len(placements)))
+    edges = [(i, j) for i in ids for j in ids[i + 1:] if supports[i] & supports[j]]
+    sizes = {i: classes[placements[i][0]].size for i in ids}
+    system = PolymerSystem.build(ids, w, edges, sizes)
+    if len(placements) <= EXACT_PLACEMENT_BUDGET:
+        s_L = cmath.log(oracle_independent_set_sum(system, ids)) / n
+    else:
+        s_L = sum(c.value for c in enumerate_clusters(system, ids, cutoffs.norm_cap)) / n
+    return th * cmath.exp(s_L)
+
+
+class OracleContourSumEngine(ContourSumEngine):
+    def partition_function(self, region, q):
+        region = frozenset(tuple(x) for x in region)
+        key = (_canon_region(region)[0], q)
+        if key in self._memo:
+            return self._memo[key]
+        contours = contours_module.contours_in_region(self.model, q, region, self.budget)
+        vols = [y.volume for y in contours]
+        weights = []
+        for y in contours:
+            w = pair_weight(y.energy_pair(self.model), self.z)
+            for comp, lab in y.interiors:
+                w *= self.partition_function(comp, lab)
+            weights.append(w)
+        thq = self.theta[q]
+        total = 0j
+
+        def rec(i, free, acc):
+            nonlocal total
+            total += acc * thq ** len(free)
+            for j in range(i, len(contours)):
+                if vols[j] <= free:
+                    rec(j + 1, free - vols[j], acc * weights[j])
+
+        rec(0, region, 1.0 + 0j)
+        self._memo[key] = total
+        return total
+
+
+def oracle_zd_components(sites):
+    todo = set(sites)
+    out = []
+    while todo:
+        seed = todo.pop()
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            x = stack.pop()
+            for y in zd_neighbors(x):
+                if y in todo:
+                    todo.remove(y)
+                    comp.add(y)
+                    stack.append(y)
+        out.append(frozenset(comp))
+    return out
+
+
+def oracle_torus_components(geom, sites):
+    todo = set(sites)
+    out = []
+    while todo:
+        seed = todo.pop()
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            x = stack.pop()
+            for y in geom.neighbors[x]:
+                if y in todo:
+                    todo.remove(y)
+                    comp.add(y)
+                    stack.append(y)
+        out.append(frozenset(comp))
+    return out
+
+
+def oracle_zd_holes(support):
+    support = set(support)
+    if not support:
+        return []
+    d = len(next(iter(support)))
+    lo = [min(p[a] for p in support) - 1 for a in range(d)]
+    hi = [max(p[a] for p in support) + 1 for a in range(d)]
+    box = set(itertools.product(*[range(lo[a], hi[a] + 1) for a in range(d)]))
+    free = box - support
+    shell = {p for p in free if any(p[a] in (lo[a], hi[a]) for a in range(d))}
+    stack = list(shell)
+    outside = set(shell)
+    while stack:
+        x = stack.pop()
+        for y in zd_neighbors(x):
+            if y in free and y not in outside:
+                outside.add(y)
+                stack.append(y)
+    return oracle_zd_components(free - outside)
+
+
+def oracle_torus_union_find(config, R):
+    """The bad-box scan and union-find of the old contour_graph, returning
+    the components before classification."""
+    geom = config.torus(R)
+    spins = config.spins
+    bad = set()
+    for c, box in enumerate(geom.boxes):
+        v0 = spins[box[0]]
+        if any(spins[i] != v0 for i in box[1:]):
+            bad.add(c)
+    parent = {x: x for x in bad}
+
+    def find(x):
+        r = x
+        while parent[r] != r:
+            r = parent[r]
+        while parent[x] != r:
+            parent[x], x = r, parent[x]
+        return r
+
+    for c in bad:
+        ra = find(c)
+        for s in geom.boxes[c]:
+            if s in parent:
+                rb = find(s)
+                if rb != ra:
+                    parent[rb] = ra
+    comps = {}
+    for x in parent:
+        comps.setdefault(find(x), []).append(x)
+    return bad, [frozenset(sites) for sites in comps.values()]
+
+
+def oracle_zd_union_find(support, R):
+    """The union-find of the old _zd_contour_from_deviations."""
+    parent = {x: x for x in support}
+
+    def find(x):
+        r = x
+        while parent[r] != r:
+            r = parent[r]
+        while parent[x] != r:
+            parent[x], x = r, parent[x]
+        return r
+
+    for c in support:
+        ra = find(c)
+        for s in chebyshev_ball(c, R):
+            if s in parent and s != c:
+                rb = find(s)
+                if rb != ra:
+                    parent[rb] = ra
+    comps = {}
+    for x in parent:
+        comps.setdefault(find(x), []).append(x)
+    return [frozenset(sites) for sites in comps.values()]
+
+
+def oracle_placed_overlap(pa, pb, supports, d):
+    (ca, oa), (cb, ob) = pa, pb
+    sa = {tuple(x[k] + oa[k] for k in range(d)) for x in supports[ca]}
+    return any(
+        tuple(x[k] + ob[k] for k in range(d)) in sa for x in supports[cb]
+    )
+
+
+def oracle_gas_skeleton(model, q, size_cap, norm_cap):
+    """_gas_skeleton with the overlap of two placements tested on their
+    translated supports."""
+    classes = _classes(model, q, size_cap)
+    d = model.dimension
+    supports = [y.support for y in classes]
+    overlap_offsets = _overlap_offsets(model, q, size_cap)
+    placement_sets = set()
+    min_size = min((y.size for y in classes), default=1)
+    cap_parts = max(1, int(norm_cap // max(min_size, 1)))
+
+    def canon(pset):
+        t = min(pset, key=lambda p: (p[1], p[0]))[1]
+        return tuple(sorted(
+            (ci, tuple(o[k] - t[k] for k in range(d))) for ci, o in pset
+        ))
+
+    def grow(pset, base_norm):
+        placement_sets.add(canon(pset))
+        if len(pset) >= cap_parts:
+            return
+        for cj in range(len(classes)):
+            if base_norm + classes[cj].size > norm_cap:
+                continue
+            for (ci, oi) in pset:
+                for rel in overlap_offsets[ci][cj]:
+                    cand = (cj, tuple(oi[k] + rel[k] for k in range(d)))
+                    if cand not in pset:
+                        grow(pset | {cand}, base_norm + classes[cj].size)
+
+    for i0 in range(len(classes)):
+        if classes[i0].size <= norm_cap:
+            grow(frozenset([(i0, (0,) * d)]), classes[i0].size)
+
+    entries = []
+    for pset in sorted(placement_sets):
+        placements = list(pset)
+        sizes = [classes[ci].size for ci, _ in placements]
+        incompat = frozenset(
+            frozenset((a, b))
+            for a in range(len(placements))
+            for b in range(a + 1, len(placements))
+            if oracle_placed_overlap(placements[a], placements[b], supports, d)
+        )
+        sys_stub = PolymerSystem.build(
+            tuple(range(len(placements))),
+            {i: 0j for i in range(len(placements))},
+            [tuple(e) for e in incompat],
+        )
+        base = sum(sizes)
+        ranges = [
+            range(1, 2 + int((norm_cap - base) // sizes[i]))
+            for i in range(len(placements))
+        ]
+        for mult in itertools.product(*ranges):
+            norm = sum(m * s for m, s in zip(mult, sizes))
+            if norm > norm_cap or sum(mult) > 8:
+                continue
+            u = ursell_coefficient(sys_stub, dict(enumerate(mult)))
+            if u == 0.0:
+                continue
+            entries.append(
+                (tuple((placements[i][0], mult[i]) for i in range(len(placements))), u)
+            )
+    return classes, tuple(entries)
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+def _random_polymer_system(rng, n):
+    polys = tuple(f"g{i}" for i in range(n))
+    edges = [
+        (polys[i], polys[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.3
+    ]
+    w = {g: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for g in polys}
+    return PolymerSystem.build(polys, w, edges)
+
+
+def test_polymer_partition_function_matches_recursion_oracle():
+    rng = random.Random(41)
+    systems = [
+        two_polymer_system(0.2, 0.5j, incompatible=False),
+        two_polymer_system(0.2, 0.3, incompatible=True),
+        PolymerSystem.build(("a",), {"a": 0.3 + 0.1j}, []),
+        # the cluster-expansion demo's toy system
+        PolymerSystem.build(
+            ("a", "b", "c"), {"a": 0.05, "b": 0.04 + 0.01j, "c": 0.03},
+            [("a", "b"), ("b", "c")],
+        ),
+    ]
+    systems += [_random_certified_system(rng)[0] for _ in range(30)]
+    systems += [_random_polymer_system(rng, n) for n in (8, 12, 16, 20)]
+    for s in systems:
+        assert _rel(polymer_partition_function(s), oracle_polymer_partition_function(s)) <= 1e-13
+    s = systems[-1]
+    subset = s.polymers[::2]
+    assert _rel(polymer_partition_function(s, subset),
+                oracle_polymer_partition_function(s, subset)) <= 1e-13
+
+
+@pytest.mark.parametrize("model", [ising(1.5), blume_capel(1.5, 0.3)], ids=lambda m: m.name)
+def test_zprime_matches_recursion_oracle(model):
+    rng = random.Random(42)
+    regions = [
+        [(i, j) for i in range(a) for j in range(b)] for a, b in ((3, 3), (3, 4), (4, 4))
+    ]
+    for _ in range(2):
+        z = rng.uniform(0.7, 1.3) * cmath.exp(2j * math.pi * rng.random())
+        new, old = WeightEngine(model, z), OracleWeightEngine(model, z)
+        for region in regions:
+            for q in model.spins:
+                b = old.zprime(region, q)
+                assert _rel(new.zprime(region, q), b) <= 1e-13
+
+
+@pytest.mark.parametrize("model", [ising(1.5), blume_capel(1.5, 0.3)], ids=lambda m: m.name)
+@pytest.mark.parametrize("L", [3, 4])
+def test_finite_volume_zeta_matches_recursion_oracle(model, L):
+    rng = random.Random(f"{model.name}/{L}")
+    for _ in range(2):
+        z = rng.uniform(0.8, 1.2) * cmath.exp(2j * math.pi * rng.random())
+        for m in model.orbit_representatives():
+            b = oracle_finite_volume_zeta(model, m, L, z)
+            assert _rel(finite_volume_zeta(model, m, L, z), b) <= 1e-13
+
+
+def test_contour_partition_function_matches_recursion_oracle(monkeypatch):
+    # both engines read one contour list per region, so the oracle pays for
+    # its recursion only
+    cache = {}
+    enumerate_region = contours_module.contours_in_region
+
+    def cached(model, q, region, budget):
+        key = (model.name, q, frozenset(region))
+        if key not in cache:
+            cache[key] = enumerate_region(model, q, region, budget)
+        return cache[key]
+
+    monkeypatch.setattr(contours_module, "contours_in_region", cached)
+    rng = random.Random(43)
+    cases = [
+        (blume_capel(1.4, 0.05), (4, 5), 1),
+        (blume_capel(1.4, 0.05), (5, 5), 1),
+        (ising(1.1), (3, 6), 1),
+        (ising(1.1), (5, 6), 1),
+    ]
+    for model, (a, b), q in cases:
+        region = [(i, j) for i in range(a) for j in range(b)]
+        z = rng.uniform(0.6, 1.6) * cmath.exp(2j * math.pi * rng.random())
+        new = ContourSumEngine(model, z).partition_function(region, q)
+        old = OracleContourSumEngine(model, z).partition_function(region, q)
+        assert _rel(new, old) <= 1e-13, (model.name, a, b)
+
+
+def _random_zd_sites(rng, d, side, density):
+    return [p for p in itertools.product(range(side), repeat=d) if rng.random() < density]
+
+
+def test_components_match_bfs_and_union_find_oracles():
+    # same order as the old BFS; the union-finds listed components in
+    # another order, which their callers sorted or only counted, so against
+    # them the partition is compared
+    rng = random.Random(44)
+    for _ in range(40):
+        d = rng.choice((2, 3))
+        sites = frozenset(_random_zd_sites(rng, d, 6 if d == 2 else 4, rng.uniform(0.2, 0.7)))
+        assert components(sites, zd_neighbors) == oracle_zd_components(sites)
+        assert sorted(zd_holes(sites), key=min) == sorted(oracle_zd_holes(sites), key=min)
+        R = rng.choice((1, 2))
+        linked = components(sites, lambda x: chebyshev_ball(x, R))
+        assert sorted(linked, key=min) == sorted(oracle_zd_union_find(sites, R), key=min)
+
+        geom = torus(rng.choice((5, 6, 7)), 2)
+        sub = [x for x in range(geom.n_sites) if rng.random() < 0.5]
+        assert geom.components(sub) == oracle_torus_components(geom, sub)
+        assert geom.components(frozenset(sub)) == oracle_torus_components(geom, frozenset(sub))
+
+        model = rng.choice((ising(1.0), blume_capel(1.0, 0.1)))
+        cfg = sparse_torus_config(rng, model, geom.L, rng.randint(0, 6))
+        bad, comps = oracle_torus_union_find(cfg, 1)
+        assert r_boundary(cfg, 1) == bad
+        linked = components(bad, geom.boxes.__getitem__)
+        assert sorted(linked, key=min) == sorted(comps, key=min)
+        _, small, large = contour_graph(cfg, 1)
+        assert sorted(small + large, key=min) == sorted(comps, key=min)
+
+
+@pytest.mark.parametrize("model", [ising(1.5), blume_capel(1.5, 0.3), potts(3, 1.5)],
+                         ids=lambda m: m.name)
+def test_gas_skeleton_matches_placed_overlap_oracle(model):
+    for q in model.orbit_representatives():
+        assert _gas_skeleton(model, q, 12, 18.0) == oracle_gas_skeleton(model, q, 12, 18.0)

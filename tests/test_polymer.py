@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -9,6 +10,7 @@ from pszeros.polymer import (
     PolymerSystem,
     enumerate_clusters,
     estimate_c0,
+    independent_set_sum,
     kp_certificate,
     log_partition_expansion,
     polymer_partition_function,
@@ -35,6 +37,38 @@ def test_partition_function_factorizes_when_compatible():
 def test_partition_function_incompatible_pair():
     s = two_polymer_system(0.2, 0.3, incompatible=True)
     assert polymer_partition_function(s) == pytest.approx(1.5)
+
+
+def test_independent_set_sum_matches_brute_force():
+    rng = random.Random(45)
+    for _ in range(60):
+        n_bits = rng.randint(1, 16)
+        n = rng.randint(0, 12)
+        masks = [
+            sum(1 << rng.randrange(n_bits) for _ in range(rng.randint(1, 4)))
+            for _ in range(n)
+        ]
+        weights = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in masks]
+        vacancy = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+        # extra sites, some of them covered by no polymer
+        sites = rng.randrange(1 << (n_bits + 2))
+        universe = sites
+        for m in masks:
+            universe |= m
+        expected = 0j
+        for chosen in itertools.product((False, True), repeat=n):
+            covered, term = 0, 1 + 0j
+            for pick, m, w in zip(chosen, masks, weights):
+                if pick:
+                    if covered & m:
+                        break
+                    covered |= m
+                    term *= w
+            else:
+                expected += term * vacancy ** (universe & ~covered).bit_count()
+        got = independent_set_sum(masks, weights, vacancy, sites)
+        assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected))
+    assert independent_set_sum([], [], 0.5, 0b1011) == 0.5**3
 
 
 def test_partition_function_budget():
