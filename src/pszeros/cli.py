@@ -28,7 +28,7 @@ from pathlib import Path
 from .errors import BudgetError, ConvergenceError
 from .metastable import Cutoffs, nondegeneracy_check, estimated_constants, free_energy_table
 from .models import ModelError, SpinModel, blume_capel, model_from_config
-from .torus_exact import exact_zeros, partition_function_exact, partition_polynomial, transfer_matrix_pf
+from .torus_exact import _sum_with_mass, exact_zeros, partition_polynomial, transfer_matrix_pf
 from .zeros import (
     PhaseEvaluator,
     density_of_zeros,
@@ -94,16 +94,9 @@ class Scenario:
                     sub[s] = dict(cp[s])
             sub.write(buf)
             model_text = buf.getvalue()
-        try:
-            seed = sec.getint("seed", 0)
-            cut = Cutoffs()
-            if "cutoffs" in cp:
-                cut = Cutoffs(
-                    cp["cutoffs"].getint("size_cap", 12),
-                    cp["cutoffs"].getfloat("norm_cap", 18.0),
-                )
-        except ValueError as exc:
-            raise ModelError(f"malformed number: {exc}") from exc
+        seed = _opt(sec, "seed", 0, int)
+        caps = cp["cutoffs"] if "cutoffs" in cp else {}
+        cut = Cutoffs(_opt(caps, "size_cap", 12, int), _opt(caps, "norm_cap", 18.0))
         options = {
             s: dict(cp[s])
             for s in cp.sections()
@@ -215,30 +208,45 @@ def _parse_complex_list(text: str):
     return [complex(tok.strip().replace(" ", "")) for tok in text.split(";") if tok.strip()]
 
 
+def _parse_list(conv):
+    return lambda text: [conv(v) for v in text.split(",")]
+
+
+def _opt(opts, key: str, default, conv=float):
+    """Scenario value ``key`` (or ``default``) read by ``conv``; a value
+    that does not parse is a configuration error."""
+    text = opts.get(key, default)
+    try:
+        return conv(text)
+    except ValueError as exc:
+        raise ModelError(f"malformed option {key} = {text!r}: {exc}") from exc
+
+
 def _pipeline_exact(scn: Scenario, em: Emitter) -> int:
     model = scn.model()
     opts = scn.options.get("exact", {})
-    L = int(opts.get("l", opts.get("L", 3)))
+    L = _opt(opts, "l", 3, int)
     poly = partition_polynomial(model, L)
     zs = exact_zeros(poly)
     em.write_text(f"exact_polynomial_L{L}.json", poly.to_json() + "\n")
     em.write_text(f"exact_zeros_L{L}.json", zs.to_json() + "\n")
     em.write_csv(f"exact_zeros_L{L}.csv", zs.to_csv_rows())
-    spots = _parse_complex_list(opts.get("z_values", ""))
+    spots = _opt(opts, "z_values", "", _parse_complex_list)
     rows = [("re_z", "im_z", "enum_re", "enum_im", "tm_re", "tm_im", "rel_dev")]
     worst = 0.0
     for z in spots:
-        ze = partition_function_exact(model, L, z)
+        # near a zero of Z the terms cancel: compare against their moduli
+        ze, mass = _sum_with_mass(model, L, z)
         try:
             zt = transfer_matrix_pf(model, L, z)
-            dev = abs(ze - zt) / abs(ze)
+            dev = abs(ze - zt) / mass
         except BudgetError:
             zt, dev = complex("nan"), float("nan")
         worst = max(worst, dev if dev == dev else 0.0)
         rows.append(tuple(map(fmt, (z.real, z.imag, ze.real, ze.imag, zt.real, zt.imag, dev))))
     if spots:
         em.write_csv(f"exact_spot_checks_L{L}.csv", rows)
-        if worst > float(opts.get("tolerance", 1e-10)):
+        if worst > _opt(opts, "tolerance", 1e-10):
             return 1
     return 0
 
@@ -250,16 +258,16 @@ def _pipeline_contour_check(scn: Scenario, em: Emitter) -> int:
 
     model = scn.model()
     opts = scn.options.get("contour-check", {})
-    L = int(opts.get("l", opts.get("L", 3)))
+    L = _opt(opts, "l", 3, int)
     n_states = len(model.spins) ** (L**model.dimension)
     if n_states > 2**22:
         raise BudgetError(
             f"contour check over {n_states} configurations exceeds budget"
         )
-    tol = float(opts.get("tolerance", 1e-10))
+    tol = _opt(opts, "tolerance", 1e-10)
     rng = random.Random(scn.seed)
-    n_z = int(opts.get("n_random_z", 10))
-    radii = [float(r) for r in opts.get("radii", "0.6, 1.6").split(",")]
+    n_z = _opt(opts, "n_random_z", 10, int)
+    radii = _opt(opts, "radii", "0.6, 1.6", _parse_list(float))
     zs = [
         rng.choice(radii) * cmath.exp(2j * math.pi * rng.random())
         for _ in range(n_z)
@@ -285,14 +293,14 @@ def _pipeline_free_energy(scn: Scenario, em: Emitter) -> int:
     model = scn.model()
     opts = scn.options.get("free-energy", {})
     kind = opts.get("grid", "circle")
-    npts = int(opts.get("n", 16))
+    npts = _opt(opts, "n", 16, int)
     if kind == "circle":
-        radius = float(opts.get("radius", 1.0))
+        radius = _opt(opts, "radius", 1.0)
         grid = [
             radius * cmath.exp(2j * math.pi * k / npts) for k in range(npts)
         ]
     else:
-        grid = _parse_complex_list(opts.get("z_values", "1.0"))
+        grid = _opt(opts, "z_values", "1.0", _parse_complex_list)
     reps = model.orbit_representatives()
     entries = []
     activations = 0
@@ -331,7 +339,7 @@ def _pipeline_free_energy(scn: Scenario, em: Emitter) -> int:
 def _pipeline_zeros(scn: Scenario, em: Emitter) -> int:
     model = scn.model()
     opts = scn.options.get("zeros", {})
-    L = int(opts.get("l", opts.get("L", 3)))
+    L = _opt(opts, "l", 3, int)
     phases = opts.get("phases")
     reps = model.orbit_representatives()
     if phases:
@@ -339,8 +347,8 @@ def _pipeline_zeros(scn: Scenario, em: Emitter) -> int:
         pair = tuple(m for m in reps if str(m) in want)
     else:
         pair = tuple(reps[:2])
-    seed_pt = complex(opts.get("seed_point", "1.05+0.05j").replace(" ", ""))
-    step = float(opts.get("step", 0.05))
+    seed_pt = _opt(opts, "seed_point", "1.05+0.05j", lambda t: complex(t.replace(" ", "")))
+    step = _opt(opts, "step", 0.05)
     ev = PhaseEvaluator(model, scn.cutoffs)
     curve = trace_coexistence(
         model, pair[0], pair[1], seed_pt, step=step, cutoffs=scn.cutoffs,
@@ -374,7 +382,7 @@ def _pipeline_zeros(scn: Scenario, em: Emitter) -> int:
             title=f"{model.name} L={L}: predicted (hollow) vs exact (filled)",
         ),
     )
-    tol = float(opts.get("tolerance_match", 1e-4))
+    tol = _opt(opts, "tolerance_match", 1e-4)
     if rep.cardinality_mismatch or rep.max_distance > tol:
         return 1
     return 0
@@ -383,8 +391,8 @@ def _pipeline_zeros(scn: Scenario, em: Emitter) -> int:
 def _pipeline_compare(scn: Scenario, em: Emitter) -> int:
     model = scn.model()
     opts = scn.options.get("compare", {})
-    Ls = [int(v) for v in opts.get("l_values", "3, 4").split(",")]
-    zs = _parse_complex_list(opts.get("z_values", "")) or [
+    Ls = _opt(opts, "l_values", "3, 4", _parse_list(int))
+    zs = _opt(opts, "z_values", "", _parse_complex_list) or [
         cmath.exp(1j * t) for t in (0.5, 1.0, 2.0)
     ]
     rows = [("L", "re_z", "im_z", "ratio", "warnings")]
@@ -405,10 +413,10 @@ def _pipeline_compare(scn: Scenario, em: Emitter) -> int:
 
 def _pipeline_lambda_sweep(scn: Scenario, em: Emitter) -> int:
     opts = scn.options.get("lambda-sweep", {})
-    J = float(opts.get("j", opts.get("J", 1.3)))
-    L = int(opts.get("l", opts.get("L", 3)))
-    lams = [float(v) for v in opts.get("lambda_values", "-0.3,-0.1,0.0,0.1,0.3").split(",")]
-    circle_tol = float(opts.get("circle_tolerance", 1e-6))
+    J = _opt(opts, "j", 1.3)
+    L = _opt(opts, "l", 3, int)
+    lams = _opt(opts, "lambda_values", "-0.3,-0.1,0.0,0.1,0.3", _parse_list(float))
+    circle_tol = _opt(opts, "circle_tolerance", 1e-6)
     rows = [("lambda", "fraction_on_circle", "inversion_symmetry_error")]
     fractions = []
     all_roots = {}
@@ -471,6 +479,8 @@ def run(scenario: Scenario, outdir) -> int:
         em.manifest(scenario)
         return 3
     except (ModelError, ConvergenceError) as exc:
+        if isinstance(exc, ModelError):
+            print(f"config error: {exc}", file=sys.stderr)
         em.write_json("error.json", {"stage": name, "error": str(exc)})
         em.manifest(scenario)
         return 2

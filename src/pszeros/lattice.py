@@ -105,10 +105,6 @@ class Torus:
     def index(self, coord: Coord) -> int:
         return self._index[tuple(c % self.L for c in coord)]
 
-    def translate(self, site: int, shift: Coord) -> int:
-        c = self.coords[site]
-        return self._index[tuple((c[a] + shift[a]) % self.L for a in range(self.d))]
-
     # -- set geometry -------------------------------------------------------
 
     def diameter(self, sites) -> int:

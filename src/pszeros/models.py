@@ -20,8 +20,11 @@ from __future__ import annotations
 import cmath
 import configparser
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .lattice import Torus, chebyshev_ball, torus, zd_diameter
 
@@ -123,6 +126,25 @@ class SpinModel:
     def orbit_size(self, m: Spin) -> int:
         return len(self.orbit_of(m))
 
+    @cached_property
+    def tables(self) -> tuple:
+        """Per term, its pattern table ``(radix, energy, zpower)``, built once
+        per model: a pattern's code ``radix @ digits`` reads its digits
+        (indices into ``spins``) in base q in shape order, and ``energy`` and
+        ``zpower`` hold the term's energy pair per code."""
+        q = len(self.spins)
+        out = []
+        for t in self.terms:
+            k = len(t.shape)
+            pats = [tuple(self.spins[i] for i in digits)
+                    for digits in itertools.product(range(q), repeat=k)]
+            out.append((
+                q ** np.arange(k - 1, -1, -1),
+                np.array([t.energy[s] for s in pats], dtype=complex),
+                np.array([t.zpower.get(s, 0.0) for s in pats], dtype=float),
+            ))
+        return tuple(out)
+
 
 # -- elementary observables ---------------------------------------------------
 
@@ -179,12 +201,6 @@ class ZdConfiguration:
         )
         return ZdConfiguration(background, dev)
 
-    def value(self, x) -> Spin:
-        for c, s in self.deviations:
-            if c == x:
-                return s
-        return self.background
-
     def lookup(self):
         table = dict(self.deviations)
         bg = self.background
@@ -220,51 +236,89 @@ def r_boundary(config, R: int):
     raise ModelError("non-finite boundary: unsupported configuration type")
 
 
-# -- placement tables ---------------------------------------------------------
+# -- the placement-table energy kernel ----------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _torus_placements(model: SpinModel, L: int):
-    """Per-site placement tables on the torus.
-
-    anchored[x]   : placements whose anchor (offset 0) sits at x
-    containing[x] : (term_index, sites, 1/|shape|) for every placement whose
-                    shape covers x
-    """
-    geom = torus(L, model.dimension, model.range)
-    anchored = [[] for _ in range(geom.n_sites)]
-    containing = [[] for _ in range(geom.n_sites)]
-    for ti, t in enumerate(model.terms):
-        inv = 1.0 / len(t.shape)
-        for x in range(geom.n_sites):
-            sites = tuple(geom.translate(x, off) for off in t.shape)
-            anchored[x].append((ti, sites))
-            for s in sites:
-                containing[s].append((ti, sites, inv))
-    return geom, anchored, containing
+def _placement_index(shape, sides, lo, hi):
+    """Site indices (placements x |shape|) of ``shape`` anchored at every
+    point of the box lo <= a < hi, on the grid with the given sides; sites
+    and anchors are numbered row-major (first axis slowest) and coordinates
+    wrap around each side."""
+    d = len(sides)
+    anchors = np.indices([h - l for l, h in zip(lo, hi)]).reshape(d, -1).T + lo
+    pos = anchors[:, None, :] + np.array(shape)
+    out = np.ravel_multi_index(tuple(np.moveaxis(pos, -1, 0)), sides, mode="wrap")
+    out = np.ascontiguousarray(out)  # row-major gathers are the fast ones
+    out.setflags(write=False)  # shared by every caller through the cache
+    return out
 
 
-def _site_energy_pair(model, containing_entry, value_at) -> Pair:
-    """h_x = sum over interaction translates containing x of Phi/|shape|."""
-    c, p = 0j, 0.0
-    for ti, sites, inv in containing_entry:
-        t = model.terms[ti]
-        tc, tp = t.pair(tuple(value_at(s) for s in sites))
-        c += tc * inv
-        p += tp * inv
-    return (c, p)
+def torus_placements(model: SpinModel, L: int) -> list:
+    """Per term, its placements on the torus of side L, one anchored at
+    every site."""
+    if L < 2 * model.range + 1:
+        raise ModelError(f"torus side {L} is below 2R+1={2 * model.range + 1}")
+    d = model.dimension
+    return [_placement_index(t.shape, (L,) * d, (0,) * d, (L,) * d) for t in model.terms]
+
+
+def strip_placements(model: SpinModel, L: int) -> list:
+    """Per term, its placements on the two-layer strip of a range-1 transfer
+    matrix (open along the first axis, the torus of side L across): the
+    lowest first-axis offset of the shape sits in the first layer, so each
+    torus placement falls in exactly one pair of consecutive layers."""
+    rest = (L,) * (model.dimension - 1)
+    out = []
+    for t in model.terms:
+        low = -min(o[0] for o in t.shape)
+        lo, hi = (low,) + (0,) * len(rest), (low + 1,) + rest
+        out.append(_placement_index(t.shape, (2,) + rest, lo, hi))
+    return out
+
+
+def box_placements(model: SpinModel, sides: tuple) -> list:
+    """Per term, every placement that fits inside the open box of the given
+    sides."""
+    out = []
+    for t in model.terms:
+        off = np.array(t.shape)
+        lo, hi = -off.min(axis=0), np.subtract(sides, off.max(axis=0))
+        out.append(_placement_index(t.shape, sides, tuple(lo.tolist()), tuple(hi.tolist())))
+    return out
+
+
+def placement_energies(model: SpinModel, index, blocks, weights=None):
+    """The energy kernel: for each digit array ``D`` (sites x rows; a digit
+    is the index of a spin in ``model.spins``) in ``blocks``, yield the
+    energies and powers of z of its rows, summed over terms t and their
+    placements ``index[t]`` as ``weights[t] * table[code]`` (weight 1 when
+    ``weights`` is None).  A generator, so that a sweep keeps its frame and
+    the large per-block temporaries reuse the heap, rather than return it to
+    the system and fault it back in every block."""
+    for D in blocks:
+        c = np.zeros(D.shape[1], dtype=complex)
+        p = np.zeros(D.shape[1], dtype=float)
+        for ti, (radix, energy, zpower) in enumerate(model.tables):
+            code = radix @ D[index[ti]]  # (placements, rows)
+            if weights is None:
+                c += energy[code].sum(axis=0)
+                p += zpower[code].sum(axis=0)
+            else:
+                c += weights[ti] @ energy[code]
+                p += weights[ti] @ zpower[code]
+        yield c, p
+
+
+def _digits(model: SpinModel, spins) -> np.ndarray:
+    digit = {s: i for i, s in enumerate(model.spins)}
+    return np.array([digit[s] for s in spins], dtype=np.intp)
 
 
 def hamiltonian_torus_pair(model: SpinModel, config: TorusConfiguration) -> Pair:
-    geom, anchored, _ = _torus_placements(model, config.side)
-    spins = config.spins
-    c, p = 0j, 0.0
-    for x in range(geom.n_sites):
-        for ti, sites in anchored[x]:
-            tc, tp = model.terms[ti].pair(tuple(spins[s] for s in sites))
-            c += tc
-            p += tp
-    return (c, p)
+    index = torus_placements(model, config.side)
+    (c, p), = placement_energies(model, index, [_digits(model, config.spins)[:, None]])
+    return (complex(c[0]), float(p[0]))
 
 
 def hamiltonian_torus(model: SpinModel, config: TorusConfiguration, z: complex) -> complex:
@@ -273,30 +327,32 @@ def hamiltonian_torus(model: SpinModel, config: TorusConfiguration, z: complex) 
 
 
 def excitation_energy_pair(model: SpinModel, config) -> Pair:
+    """The energy pair of the R-boundary B: every placement A of a term
+    counted with weight |A & B| / |A|.  On Z^d the placements are those in
+    the box bbox(B) inflated by R, which holds every placement that meets B."""
     boundary = r_boundary(config, model.range)
-    c, p = 0j, 0.0
+    if not boundary:
+        return ZERO_PAIR
     if isinstance(config, TorusConfiguration):
-        _, _, containing = _torus_placements(model, config.side)
-        spins = config.spins
-        for x in boundary:
-            tc, tp = _site_energy_pair(model, containing[x], lambda s: spins[s])
-            c += tc
-            p += tp
-        return (c, p)
-    look = config.lookup()
-    for x in boundary:
-        for t in model.terms:
-            inv = 1.0 / len(t.shape)
-            for off in t.shape:
-                anchor = tuple(x[a] - off[a] for a in range(model.dimension))
-                pat = tuple(
-                    look(tuple(anchor[a] + o[a] for a in range(model.dimension)))
-                    for o in t.shape
-                )
-                tc, tp = t.pair(pat)
-                c += tc * inv
-                p += tp * inv
-    return (c, p)
+        index = torus_placements(model, config.side)
+        digits = _digits(model, config.spins)
+        bad = list(boundary)
+    else:
+        pts = np.array(list(boundary))
+        lo = pts.min(axis=0) - model.range
+        sides = tuple((pts.max(axis=0) + model.range - lo + 1).tolist())
+        index = box_placements(model, sides)
+        digits = np.full(math.prod(sides), model.spins.index(config.background), dtype=np.intp)
+        if config.deviations:
+            coords, spins = zip(*config.deviations)
+            flat = np.ravel_multi_index(tuple((np.array(coords) - lo).T), sides)
+            digits[flat] = _digits(model, spins)
+        bad = np.ravel_multi_index(tuple((pts - lo).T), sides)
+    mask = np.zeros(len(digits), dtype=bool)
+    mask[bad] = True
+    weights = [mask[idx].sum(axis=1) / idx.shape[1] for idx in index]
+    (c, p), = placement_energies(model, index, [digits[:, None]], weights)
+    return (complex(c[0]), float(p[0]))
 
 
 def excitation_energy(model: SpinModel, config, z: complex) -> complex:
@@ -503,12 +559,14 @@ table = -1,-1 : 1.0 : 0          ; spins : energy : zpower   (one per line)
 
 
 def model_from_config(text: str) -> SpinModel:
-    """Build a model from the documented key-value schema; a value that does
-    not parse raises ModelError."""
+    """Build a model from the documented key-value schema; a missing value,
+    or one that does not parse, raises ModelError."""
     try:
         return _model_from_config(text)
     except ModelError:
         raise
+    except KeyError as exc:
+        raise ModelError(f"missing model value {exc}" + _CONFIG_DOC) from exc
     except ValueError as exc:
         raise ModelError(f"malformed model value: {exc}") from exc
 
@@ -522,19 +580,19 @@ def _model_from_config(text: str) -> SpinModel:
     name = sec.get("name", "").strip()
     d = sec.getint("d", 2)
     if name == "ising":
-        return ising(sec.getfloat("J"), d, sec.get("field", "shifted"))
+        return ising(float(sec["J"]), d, sec.get("field", "shifted"))
     if name == "blume_capel":
         return blume_capel(
-            sec.getfloat("J"), sec.getfloat("lambda"), d, sec.get("field", "shifted")
+            float(sec["J"]), float(sec["lambda"]), d, sec.get("field", "shifted")
         )
     if name == "potts":
-        return potts(sec.getint("q"), sec.getfloat("J"), d)
+        return potts(int(sec["q"]), float(sec["J"]), d)
     if name == "perturbed_ising":
         couplings = {}
         for s in cp.sections():
             if s.startswith("coupling"):
                 shape = _parse_shape(cp[s]["shape"])
-                couplings[shape] = cp[s].getfloat("J")
+                couplings[shape] = float(cp[s]["J"])
         return perturbed_ising(couplings, d, sec.get("field", "shifted"))
     if name == "custom":
         spins = tuple(int(v) for v in sec["spins"].split(","))

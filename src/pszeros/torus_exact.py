@@ -1,10 +1,15 @@
 """Exact torus partition functions, their coefficient polynomials and zeros.
 
 Everything here is ground truth for the contour machinery: full enumeration
-over spin configurations (one numpy kernel computes the energies of a block
-of configurations from placement-index arrays and per-pattern energy
-tables), an independent transfer-matrix evaluation for range-1 models, and
-companion matrix root finding for the partition polynomial in z.
+over spin configurations, a transfer-matrix evaluation for range-1 models,
+and companion matrix root finding for the partition polynomial in z.
+
+Enumeration and the transfer matrix share the pattern tables of the energy
+kernel ``models.placement_energies``, not the sum over configurations:
+enumeration runs the kernel on blocks of torus configurations, the transfer
+matrix on pairs of layer states of a two-layer strip and takes a trace.
+Their agreement checks the two ways of summing over configurations; a
+wrong table entry would show in both alike.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError
-from .models import SpinModel, _torus_placements
+from .models import SpinModel, placement_energies, strip_placements, torus_placements
 
 ENUM_BUDGET = 2**27
 MATRIX_BUDGET = 1024
@@ -33,46 +38,28 @@ def _energy_blocks(model: SpinModel, L: int):
 
     ``D[site, row]`` is the spin digit of a site in each configuration of a
     block: every digit row of the first ``lo`` sites, the other sites pinned;
-    blocks come in a fixed order.  A term adds ``e[code]`` per placement,
-    where ``code`` reads the digits at the placement's sites in base q, so
-    every energy is computed from scratch.
+    blocks come in a fixed order.  The energy kernel computes every energy
+    anew, with no running update between configurations.
     """
     q = len(model.spins)
-    geom, anchored, _ = _torus_placements(model, L)
-    n = geom.n_sites
-    kernels = []
-    for ti, t in enumerate(model.terms):
-        idx = np.array(
-            [sites for x in range(n) for tj, sites in anchored[x] if tj == ti], dtype=np.intp
-        )
-        w = q ** np.arange(len(t.shape) - 1, -1, -1)
-        pats = [
-            tuple(model.spins[i] for i in digits)
-            for digits in itertools.product(range(q), repeat=len(t.shape))
-        ]
-        ec = np.array([t.energy[s] for s in pats], dtype=complex)
-        ep = np.array([t.zpower.get(s, 0.0) for s in pats], dtype=float)
-        kernels.append((idx, w, ec, ep))
+    n = L**model.dimension
     lo = 0
     while lo < n and q ** (lo + 1) <= _BLOCK:
         lo += 1
     D = np.empty((n, q**lo), dtype=np.intp)
     D[:lo] = np.indices((q,) * lo).reshape(lo, q**lo)
-    for high in itertools.product(range(q), repeat=n - lo):
-        D[lo:] = np.array(high, dtype=np.intp)[:, None]
-        c = np.zeros(q**lo, dtype=complex)
-        p = np.zeros(q**lo, dtype=float)
-        for idx, w, ec, ep in kernels:
-            code = w @ D[idx]  # (placements, rows)
-            c += ec[code].sum(axis=0)
-            p += ep[code].sum(axis=0)
-        yield c, p
+
+    def blocks():
+        for high in itertools.product(range(q), repeat=n - lo):
+            D[lo:] = np.array(high, dtype=np.intp)[:, None]
+            yield D
+
+    return placement_energies(model, torus_placements(model, L), blocks())
 
 
-def partition_function_exact(
-    model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET
-) -> complex:
-    """Z_L^per(z) by full enumeration of |S|^{L^d} configurations."""
+def _sum_with_mass(model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET):
+    """Z_L^per(z) by enumeration, and the summed moduli of its terms: the
+    scale against which Z is known when the terms cancel."""
     q = len(model.spins)
     n = L**model.dimension
     if q**n > budget:
@@ -81,10 +68,19 @@ def partition_function_exact(
             "use transfer_matrix_pf for range-1 models"
         )
     logz = cmath.log(z)
-    total = 0j
+    total, mass = 0j, 0.0
     for c, p in _energy_blocks(model, L):
-        total += complex(np.exp(-c + p * logz).sum())
-    return total
+        w = np.exp(-c + p * logz)
+        total += complex(w.sum())
+        mass += float(np.abs(w).sum())
+    return total, mass
+
+
+def partition_function_exact(
+    model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET
+) -> complex:
+    """Z_L^per(z) by full enumeration of |S|^{L^d} configurations."""
+    return _sum_with_mass(model, L, z, budget)[0]
 
 
 # -- transfer matrix ----------------------------------------------------------
@@ -94,89 +90,31 @@ def transfer_matrix_pf(
     model: SpinModel, L: int, z: complex, budget: int = MATRIX_BUDGET
 ) -> complex:
     """Z_L^per(z) as the trace of the L-fold product of the layer-to-layer
-    transfer matrix.  Supports range-1 interactions only."""
+    transfer matrix.  Supports range-1 interactions only.
+
+    Entry (i, j) is the energy kernel on the two-layer strip with layer
+    states i and j, evaluated a block of rows i at a time so that no array
+    is much larger than the matrix itself.
+    """
     if model.range != 1:
         raise BudgetError("transfer matrix supports range R=1 only")
-    d = model.dimension
     q = len(model.spins)
-    layer_sites = L ** (d - 1)
-    n = q**layer_sites
+    m = L ** (model.dimension - 1)
+    n = q**m
     if n > budget:
         raise BudgetError(f"transfer matrix dimension {n} exceeds budget {budget}")
+    layer = np.indices((q,) * m).reshape(m, n)  # digits of each layer state
+    starts = range(0, n, max(1, _BLOCK // n))
 
-    layer_coords = [tuple(p) for p in itertools.product(range(L), repeat=d - 1)]
-    layer_index = {c: i for i, c in enumerate(layer_coords)}
-    states = [tuple(p) for p in itertools.product(range(q), repeat=layer_sites)]
-    spins = model.spins
+    def blocks():  # digits of the layer pairs (i, j), i in a block of rows
+        for i0 in starts:
+            rows = layer[:, i0 : i0 + starts.step]
+            yield np.concatenate([np.repeat(rows, n, axis=1), np.tile(layer, rows.shape[1])])
+
     logz = cmath.log(z)
-
-    intra, inter = [], []
-    for t in model.terms:
-        firsts = {off[0] for off in t.shape}
-        if firsts == {0}:
-            intra.append(t)
-        else:
-            inter.append(t)
-
-    def wrap(coord):
-        return tuple(c % L for c in coord)
-
-    # energies within one layer (site terms and in-layer bonds), per state
-    ec = np.zeros(n, dtype=complex)
-    ep = np.zeros(n, dtype=float)
-    for si, st in enumerate(states):
-        c, p = 0j, 0.0
-        for t in intra:
-            for anchor in layer_coords:
-                pat = tuple(
-                    spins[st[layer_index[wrap(tuple(anchor[a] + off[a + 1] for a in range(d - 1)))]]]
-                    for off in t.shape
-                )
-                tc, tp = t.pair(pat)
-                c += tc
-                p += tp
-        ec[si] = c
-        ep[si] = p
-
-    # layer-to-layer coupling
-    cc = np.zeros((n, n), dtype=complex)
-    cp = np.zeros((n, n), dtype=float)
-    pair_terms = [t for t in inter if len(t.shape) == 2]
-    other_terms = [t for t in inter if len(t.shape) != 2]
-    st_arr = np.array(states, dtype=np.intp)
-    for t in pair_terms:
-        (o0, o1) = t.shape if t.shape[0][0] == 0 else (t.shape[1], t.shape[0])
-        tc = np.array(
-            [[t.energy[(spins[a], spins[b])] for b in range(q)] for a in range(q)],
-            dtype=complex,
-        )
-        tp = np.array(
-            [[t.zpower.get((spins[a], spins[b]), 0.0) for b in range(q)] for a in range(q)],
-            dtype=float,
-        )
-        for k, coord in enumerate(layer_coords):
-            tgt = layer_index[wrap(tuple(coord[a] + o1[a + 1] - o0[a + 1] for a in range(d - 1)))]
-            ia = st_arr[:, k]
-            jb = st_arr[:, tgt]
-            cc += tc[ia[:, None], jb[None, :]]
-            cp += tp[ia[:, None], jb[None, :]]
-    for t in other_terms:  # rare multi-site cross-layer shapes
-        for i, si in enumerate(states):
-            for j, sj in enumerate(states):
-                c, p = 0j, 0.0
-                for anchor in layer_coords:
-                    pat = []
-                    for off in t.shape:
-                        rest = wrap(tuple(anchor[a] + off[a + 1] for a in range(d - 1)))
-                        src = si if off[0] == 0 else sj
-                        pat.append(spins[src[layer_index[rest]]])
-                    tc, tp = t.pair(tuple(pat))
-                    c += tc
-                    p += tp
-                cc[i, j] += c
-                cp[i, j] += p
-
-    T = np.exp(-(ec[:, None] + cc) + (ep[:, None] + cp) * logz)
+    T = np.empty((n, n), dtype=complex)
+    for i0, (c, p) in zip(starts, placement_energies(model, strip_placements(model, L), blocks())):
+        T[i0 : i0 + starts.step] = np.exp(-c + p * logz).reshape(-1, n)
     return complex(np.trace(np.linalg.matrix_power(T, L)))
 
 

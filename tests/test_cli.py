@@ -4,6 +4,8 @@ import json
 import pytest
 
 from pszeros.cli import PRESETS, Scenario, emit_plot, main, run
+from pszeros.models import ising
+from pszeros.torus_exact import exact_zeros, partition_polynomial
 
 
 def test_usage_without_arguments(capsys):
@@ -25,6 +27,8 @@ def test_bad_config_exit_code(tmp_path):
     ("seed = abc\n", "J = 1.5\n"),
     ("\n[cutoffs]\nnorm_cap = x\n", "J = 1.5\n"),
     ("", "J = abc\n"),
+    ("", ""),
+    ("\n[free-energy]\nn = three\n", "J = 1.5\n"),
 ])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, scenario, model):
     cfg = tmp_path / "bad.cfg"
@@ -34,6 +38,39 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, scenario, model):
     )
     assert main(["--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline, section", [
+    ("exact", "[exact]\nL = three\n"),
+    ("zeros", "[zeros]\nseed_point = abc\n"),
+    ("compare", "[compare]\nl_values = 3, x\n"),
+    ("lambda-sweep", "[lambda-sweep]\nlambda_values = 0.1, y\n"),
+])
+def test_malformed_pipeline_option_is_a_config_error(tmp_path, capsys, pipeline, section):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        f"[scenario]\nname = x\npipelines = {pipeline}\n\n"
+        f"[model]\nname = ising\nJ = 1.5\n\n{section}"
+    )
+    assert main(["--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_exact_spot_check_next_to_a_zero(tmp_path):
+    # |Z| is tiny next to a root, and enumeration and transfer matrix agree
+    # only relative to the summed moduli of the terms
+    root = exact_zeros(partition_polynomial(ising(1.5), 3)).roots[0]
+    z = root * (1 + 1e-9)
+    cfg = tmp_path / "spot.cfg"
+    cfg.write_text(
+        "[scenario]\nname = spot\npipelines = exact\n\n"
+        "[model]\nname = ising\nJ = 1.5\n\n"
+        f"[exact]\nL = 3\nz_values = {z.real!r}{z.imag:+.17g}j\n"
+    )
+    out = tmp_path / "o"
+    assert main(["--scenario", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "exact_spot_checks_L3.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[-1]) < 1e-13
 
 
 def test_budget_exit_code(tmp_path):

@@ -1,7 +1,8 @@
 """The fast certificate, the Newton zero solver, the block enumeration
-kernel, the independent-set kernel and the component search against the
-bisection, Gray-code scan, recursion and union-find code they replaced,
-kept here as oracles."""
+kernel, the independent-set kernel, the component search and the
+placement-table energy kernel against the bisection, Gray-code scan,
+recursion, union-find and per-placement loop code they replaced, kept here
+as oracles."""
 
 import cmath
 import itertools
@@ -32,12 +33,15 @@ from pszeros.metastable import (
     _torus_placements_of_classes,
     finite_volume_zeta,
 )
-from conftest import free_field_model, sparse_torus_config
+from conftest import free_field_model, random_torus_config, sparse_torus_config
 from pszeros.models import (
     InteractionTerm,
     SpinModel,
-    _torus_placements,
+    TorusConfiguration,
+    ZdConfiguration,
     blume_capel,
+    excitation_energy_pair,
+    hamiltonian_torus_pair,
     ising,
     model_from_config,
     pair_weight,
@@ -51,7 +55,7 @@ from pszeros.polymer import (
     ursell_coefficient,
 )
 from test_polymer import _random_certified_system, two_polymer_system
-from pszeros.torus_exact import partition_function_exact, partition_polynomial
+from pszeros.torus_exact import partition_function_exact, partition_polynomial, transfer_matrix_pf
 from pszeros.zeros import (
     PhaseEvaluator,
     PredictedZero,
@@ -193,12 +197,36 @@ def oracle_gray_steps(radix, n):
             return
 
 
+def oracle_torus_placements(model, L):
+    """Per-site placement tables on the torus.
+
+    anchored[x]   : placements whose anchor (offset 0) sits at x
+    containing[x] : (term_index, sites, 1/|shape|) for every placement whose
+                    shape covers x
+    """
+    geom = torus(L, model.dimension, model.range)
+    anchored = [[] for _ in range(geom.n_sites)]
+    containing = [[] for _ in range(geom.n_sites)]
+    for ti, t in enumerate(model.terms):
+        inv = 1.0 / len(t.shape)
+        for x in range(geom.n_sites):
+            c = geom.coords[x]
+            sites = tuple(
+                geom.index(tuple(c[a] + off[a] for a in range(model.dimension)))
+                for off in t.shape
+            )
+            anchored[x].append((ti, sites))
+            for s in sites:
+                containing[s].append((ti, sites, inv))
+    return geom, anchored, containing
+
+
 class OracleRunningEnergy:
     """Total torus energy pair maintained under single-site spin flips."""
 
     def __init__(self, model, L):
         self.model = model
-        geom, anchored, _ = _torus_placements(model, L)
+        geom, anchored, _ = oracle_torus_placements(model, L)
         self.geom = geom
         self.anchored = anchored
         # placements covering each site, with full weight (not 1/|shape|)
@@ -959,3 +987,202 @@ def test_components_match_bfs_and_union_find_oracles():
 def test_gas_skeleton_matches_placed_overlap_oracle(model):
     for q in model.orbit_representatives():
         assert _gas_skeleton(model, q, 12, 18.0) == oracle_gas_skeleton(model, q, 12, 18.0)
+
+
+# -- oracles: the per-placement energy loops replaced by the placement-table
+# energy kernel (models.placement_energies) -------------------------------------
+
+
+def oracle_hamiltonian_torus_pair(model, config):
+    geom, anchored, _ = oracle_torus_placements(model, config.side)
+    spins = config.spins
+    c, p = 0j, 0.0
+    for x in range(geom.n_sites):
+        for ti, sites in anchored[x]:
+            tc, tp = model.terms[ti].pair(tuple(spins[s] for s in sites))
+            c += tc
+            p += tp
+    return (c, p)
+
+
+def oracle_site_energy_pair(model, containing_entry, value_at):
+    """h_x = sum over interaction translates containing x of Phi/|shape|."""
+    c, p = 0j, 0.0
+    for ti, sites, inv in containing_entry:
+        t = model.terms[ti]
+        tc, tp = t.pair(tuple(value_at(s) for s in sites))
+        c += tc * inv
+        p += tp * inv
+    return (c, p)
+
+
+def oracle_excitation_energy_pair(model, config):
+    boundary = r_boundary(config, model.range)
+    c, p = 0j, 0.0
+    if isinstance(config, TorusConfiguration):
+        _, _, containing = oracle_torus_placements(model, config.side)
+        spins = config.spins
+        for x in boundary:
+            tc, tp = oracle_site_energy_pair(model, containing[x], lambda s: spins[s])
+            c += tc
+            p += tp
+        return (c, p)
+    look = config.lookup()
+    for x in boundary:
+        for t in model.terms:
+            inv = 1.0 / len(t.shape)
+            for off in t.shape:
+                anchor = tuple(x[a] - off[a] for a in range(model.dimension))
+                pat = tuple(
+                    look(tuple(anchor[a] + o[a] for a in range(model.dimension)))
+                    for o in t.shape
+                )
+                tc, tp = t.pair(pat)
+                c += tc * inv
+                p += tp * inv
+    return (c, p)
+
+
+def oracle_transfer_matrix_pf(model, L, z):
+    """The per-term-kind transfer matrix; right only for shapes whose
+    first-axis offsets are 0 and 1 (it misplaces backward offsets)."""
+    d = model.dimension
+    q = len(model.spins)
+    layer_sites = L ** (d - 1)
+    n = q**layer_sites
+    layer_coords = [tuple(p) for p in itertools.product(range(L), repeat=d - 1)]
+    layer_index = {c: i for i, c in enumerate(layer_coords)}
+    states = [tuple(p) for p in itertools.product(range(q), repeat=layer_sites)]
+    spins = model.spins
+    logz = cmath.log(z)
+
+    intra, inter = [], []
+    for t in model.terms:
+        firsts = {off[0] for off in t.shape}
+        if firsts == {0}:
+            intra.append(t)
+        else:
+            inter.append(t)
+
+    def wrap(coord):
+        return tuple(c % L for c in coord)
+
+    ec = np.zeros(n, dtype=complex)
+    ep = np.zeros(n, dtype=float)
+    for si, st in enumerate(states):
+        c, p = 0j, 0.0
+        for t in intra:
+            for anchor in layer_coords:
+                pat = tuple(
+                    spins[st[layer_index[wrap(tuple(anchor[a] + off[a + 1] for a in range(d - 1)))]]]
+                    for off in t.shape
+                )
+                tc, tp = t.pair(pat)
+                c += tc
+                p += tp
+        ec[si] = c
+        ep[si] = p
+
+    cc = np.zeros((n, n), dtype=complex)
+    cp = np.zeros((n, n), dtype=float)
+    pair_terms = [t for t in inter if len(t.shape) == 2]
+    other_terms = [t for t in inter if len(t.shape) != 2]
+    st_arr = np.array(states, dtype=np.intp)
+    for t in pair_terms:
+        (o0, o1) = t.shape if t.shape[0][0] == 0 else (t.shape[1], t.shape[0])
+        tc = np.array(
+            [[t.energy[(spins[a], spins[b])] for b in range(q)] for a in range(q)],
+            dtype=complex,
+        )
+        tp = np.array(
+            [[t.zpower.get((spins[a], spins[b]), 0.0) for b in range(q)] for a in range(q)],
+            dtype=float,
+        )
+        for k, coord in enumerate(layer_coords):
+            tgt = layer_index[wrap(tuple(coord[a] + o1[a + 1] - o0[a + 1] for a in range(d - 1)))]
+            ia = st_arr[:, k]
+            jb = st_arr[:, tgt]
+            cc += tc[ia[:, None], jb[None, :]]
+            cp += tp[ia[:, None], jb[None, :]]
+    for t in other_terms:
+        for i, si in enumerate(states):
+            for j, sj in enumerate(states):
+                c, p = 0j, 0.0
+                for anchor in layer_coords:
+                    pat = []
+                    for off in t.shape:
+                        rest = wrap(tuple(anchor[a] + off[a + 1] for a in range(d - 1)))
+                        src = si if off[0] == 0 else sj
+                        pat.append(spins[src[layer_index[rest]]])
+                    tc, tp = t.pair(tuple(pat))
+                    c += tc
+                    p += tp
+                cc[i, j] += c
+                cp[i, j] += p
+
+    T = np.exp(-(ec[:, None] + cc) + (ep[:, None] + cp) * logz)
+    return complex(np.trace(np.linalg.matrix_power(T, L)))
+
+
+_ENERGY_MODELS = {
+    "ising": lambda: ising(1.5),
+    "plaquette": lambda: model_from_config(PLAQUETTE_ISING),
+    "blume-capel": lambda: blume_capel(1.3, 0.1),
+    "potts3": lambda: potts(3, 1.2),
+    "free-field3": lambda: free_field_model(
+        spins=(-1, 0, 1), site_energy=lambda s: 0.3 * s, site_zpower=lambda s: s + 1
+    ),
+    "asymmetric3": _asymmetric_model,
+}
+
+
+def _pair_close(new, old):
+    return all(abs(a - b) <= 1e-13 * max(abs(b), 1.0) for a, b in zip(new, old))
+
+
+@pytest.mark.parametrize("name", list(_ENERGY_MODELS))
+def test_torus_energies_match_placement_loop_oracles(name):
+    model = _ENERGY_MODELS[name]()
+    rng = random.Random(f"torus-energies/{name}")
+    for L in (3, 4, 5):
+        for k in range(12):
+            if k % 2:
+                cfg = random_torus_config(rng, model, L)
+            else:
+                cfg = sparse_torus_config(rng, model, L, rng.randint(0, 4))
+            assert _pair_close(hamiltonian_torus_pair(model, cfg),
+                               oracle_hamiltonian_torus_pair(model, cfg))
+            assert _pair_close(excitation_energy_pair(model, cfg),
+                               oracle_excitation_energy_pair(model, cfg))
+
+
+@pytest.mark.parametrize("name", list(_ENERGY_MODELS))
+def test_zd_excitation_energies_match_placement_loop_oracle(name):
+    model = _ENERGY_MODELS[name]()
+    rng = random.Random(f"zd-energies/{name}")
+    for _ in range(40):
+        bg = rng.choice(model.spins)
+        others = [s for s in model.spins if s != bg]
+        side = rng.randint(1, 5)
+        origin = (rng.randint(-3, 3), rng.randint(-3, 3))
+        dev = {
+            (origin[0] + i, origin[1] + j): rng.choice(others)
+            for i, j in itertools.product(range(side), repeat=2)
+            if rng.random() < 0.5
+        }
+        cfg = ZdConfiguration.make(bg, dev)
+        assert _pair_close(excitation_energy_pair(model, cfg),
+                           oracle_excitation_energy_pair(model, cfg))
+
+
+@pytest.mark.parametrize("name", list(_ENERGY_MODELS))
+def test_transfer_matrix_matches_per_term_kind_oracle(name):
+    # every model here has forward first-axis offsets only, where the old
+    # transfer matrix was right
+    model = _ENERGY_MODELS[name]()
+    rng = random.Random(f"transfer/{name}")
+    for L in (3, 4) if len(model.spins) == 2 else (3,):
+        for _ in range(3):
+            z = rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random())
+            new, old = transfer_matrix_pf(model, L, z), oracle_transfer_matrix_pf(model, L, z)
+            assert abs(new - old) <= 1e-12 * abs(old), (L, z)

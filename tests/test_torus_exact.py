@@ -1,15 +1,17 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from conftest import free_field_model, random_z
 from pszeros.errors import BudgetError
-from pszeros.models import blume_capel, ising, potts
+from pszeros.models import blume_capel, ising, perturbed_ising, potts
 from pszeros.torus_exact import (
     ExactZeroSet,
     PartitionPolynomial,
+    _sum_with_mass,
     exact_zeros,
     partition_function_exact,
     partition_polynomial,
@@ -47,6 +49,42 @@ def test_enumeration_vs_transfer_matrix_blume_capel():
     ze = partition_function_exact(m, 3, 1.0)
     zt = transfer_matrix_pf(m, 3, 1.0)
     assert abs(ze - zt) / abs(ze) < 1e-12
+
+
+def _backward_offset_ising():
+    # the anti-diagonal bond reaches back along the first axis
+    return perturbed_ising({
+        ((0, 0), (1, 0)): 1.0,
+        ((0, 0), (0, 1)): 1.0,
+        ((-1, 1), (0, 0)): 0.3,
+        ((0, 0), (0, 1), (1, 1)): 0.2,
+    })
+
+
+def _plaquette_ising():
+    return perturbed_ising({
+        ((0, 0), (1, 0)): 1.5,
+        ((0, 0), (0, 1)): 1.5,
+        ((0, 0), (1, 0), (0, 1), (1, 1)): 0.1,
+    })
+
+
+@pytest.mark.parametrize("make, L", [
+    (_backward_offset_ising, 3),
+    (_backward_offset_ising, 4),
+    (_plaquette_ising, 3),
+    (_plaquette_ising, 4),
+    (lambda: blume_capel(1.3, 0.1), 3),
+    (lambda: potts(3, 1.2), 3),
+], ids=["backward-L3", "backward-L4", "plaquette-L3", "plaquette-L4", "blume-capel-L3",
+        "potts3-L3"])
+def test_enumeration_vs_transfer_matrix_to_term_moduli(make, L):
+    # relative to the summed moduli of the terms: at complex z they cancel
+    m = make()
+    rng = random.Random(f"{m.name}/{L}")
+    for z in [1.0, 0.8 + 0.3j] + [random_z(rng) for _ in range(3)]:
+        ze, mass = _sum_with_mass(m, L, z)
+        assert abs(ze - transfer_matrix_pf(m, L, z)) <= 1e-12 * mass
 
 
 def test_transfer_matrix_rejects_long_range():
