@@ -16,7 +16,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import json
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetError
 from .lattice import Torus, chebyshev_ball, components, torus, zd_holes
@@ -24,7 +27,7 @@ from .models import (
     SpinModel,
     TorusConfiguration,
     ZdConfiguration,
-    excitation_energy_pair,
+    _boundary_energy_pair,
     pair_weight,
     r_boundary,
 )
@@ -93,7 +96,7 @@ class TorusContour:
 
     def energy_pair(self, model: SpinModel):
         if self._pair is None:
-            self._pair = excitation_energy_pair(model, self.full_config())
+            self._pair = _boundary_energy_pair(model, self.full_config(), self.support)
         return self._pair
 
     def to_json_dict(self):
@@ -158,7 +161,7 @@ class TorusNetwork:
 
     def energy_pair(self, model: SpinModel):
         if self._pair is None:
-            self._pair = excitation_energy_pair(model, self.full_config())
+            self._pair = _boundary_energy_pair(model, self.full_config(), self.support)
         return self._pair
 
 
@@ -480,7 +483,7 @@ class ZdContour:
 
     def energy_pair(self, model: SpinModel):
         if self._pair is None:
-            self._pair = excitation_energy_pair(model, self.config())
+            self._pair = _boundary_energy_pair(model, self.config(), self.support)
         return self._pair
 
     def translate(self, shift):
@@ -546,10 +549,10 @@ def contours_in_region(model: SpinModel, q, region, budget: int = ENUM_CORE_BUDG
     return out
 
 
-def contour_classes(model: SpinModel, q, max_support: int, linkage: int | None = None):
+def contour_classes(model: SpinModel, q, max_support: int):
     """Translation classes of q-contours with support size <= max_support.
 
-    Deviation patterns are grown under a Chebyshev linkage radius; for the
+    Deviation patterns are grown under Chebyshev linkage 2R+1; for the
     support caps used here (a few boxes) this enumerates every class.
     """
     R = model.range
@@ -558,7 +561,7 @@ def contour_classes(model: SpinModel, q, max_support: int, linkage: int | None =
         raise BudgetError("size cap too large for pattern enumeration")
     # deviations further apart than 2R+1 cannot share a non-constant box, and
     # each extra deviation enlarges the boundary by at least one box face
-    link = linkage if linkage is not None else 2 * R + 1
+    link = 2 * R + 1
     max_dev = 1 + max(
         0, (max_support - (2 * R + 1) ** d) // ((2 * R + 1) ** (d - 1))
     )
@@ -736,7 +739,9 @@ def torus_contour_identity_check(
     state weights and standardized contour/network weights; the second sums
     over contour networks alone, with every label region resummed into a
     contour partition function.  Both must reproduce the configuration sum
-    exactly.
+    exactly.  Each side is summed per z in one numpy reduction over its
+    terms, each term one exponential of its energy pair, as in the
+    enumeration.
     """
     q = len(model.spins)
     n = L**model.dimension
@@ -744,18 +749,12 @@ def torus_contour_identity_check(
         raise BudgetError("torus identity check exceeds enumeration budget")
     geom = torus(L, model.dimension, model.range)
 
-    weight_pairs = {}
-
-    def object_pair(o):
-        k = o.key()
-        if k not in weight_pairs:
-            weight_pairs[k] = o.energy_pair(model)
-        return weight_pairs[k]
-
     ground = {m: model.ground_pair(m) for m in model.spins}
 
-    collection_sum_terms = []      # (c, p) for the matching-collection product
-    networks = []       # (network pair, component regions+labels) for ZL2
+    collection = []  # (c, p) of the matching-collection term of each configuration
+    # the vacua and the networks with their label regions; the ground weight
+    # theta^|region| of a label region goes into the exponent of its term
+    resummed = [((gc * n, gp * n), ()) for gc, gp in ground.values()]
     vacuum_seen = set()
 
     for assignment in itertools.product(model.spins, repeat=n):
@@ -767,45 +766,40 @@ def torus_contour_identity_check(
             c += gc * cnt
             p += gp * cnt
         for o in coll.objects():
-            oc, op = object_pair(o)
+            oc, op = o.energy_pair(model)
             c += oc
             p += op
-        collection_sum_terms.append((c, p))
+        collection.append((c, p))
         if not coll.contours:
             if coll.network is None:
                 vacuum_seen.add(coll.vacuum_label)
             else:
-                regions = [
-                    (comp, lab) for comp, lab in coll.network.labels
-                ]
-                networks.append((object_pair(coll.network), regions))
+                c, p = coll.network.energy_pair(model)
+                for comp, lab in coll.network.labels:
+                    c += ground[lab][0] * len(comp)
+                    p += ground[lab][1] * len(comp)
+                resummed.append(((c, p), coll.network.labels))
 
     assert vacuum_seen == set(model.spins)
 
     report = {"collection_max_rel": 0.0, "resummed_max_rel": 0.0,
-              "n_configs": q**n, "n_networks": len(networks), "per_z": []}
+              "n_configs": q**n, "n_networks": len(resummed) - q, "per_z": []}
+    coll_c, coll_p = np.array(collection).T
+    res_c, res_p = np.array([pair for pair, _ in resummed]).T
+    regions = {r for _, labels in resummed for r in labels}
     for z in zs:
         logz = cmath.log(z)
         exact = partition_function_exact(model, L, z, budget)
-        collection_sum = sum(cmath.exp(-c + p * logz) for c, p in collection_sum_terms)
-        engine_cache = {}
-
-        def zq(region, lab):
-            key = (tuple(sorted(region)), lab)
-            if key not in engine_cache:
-                engine_cache[key] = torus_region_partition_function(
-                    model, geom, region, lab, z
-                )
-            return engine_cache[key]
-
-        resummed_sum = sum(
-            pair_weight(model.ground_pair(m), z) ** n for m in model.spins
-        )
-        for pair, regions in networks:
-            term = cmath.exp(-pair[0] + pair[1] * logz)
-            for comp, lab in regions:
-                term *= zq(comp, lab)
-            resummed_sum += term
+        collection_sum = complex(np.exp(-coll_c + coll_p.real * logz).sum())
+        # a label region's contour sum enters as its ratio to theta^|region|
+        theta = {m: pair_weight(ground[m], z) for m in model.spins}
+        ratio = {
+            (comp, lab): torus_region_partition_function(model, geom, comp, lab, z)
+            / theta[lab] ** len(comp)
+            for comp, lab in regions
+        }
+        factors = [math.prod(ratio[r] for r in labels) for _, labels in resummed]
+        resummed_sum = complex((np.exp(-res_c + res_p.real * logz) * factors).sum())
         r1 = abs(collection_sum - exact) / abs(exact)
         r2 = abs(resummed_sum - exact) / abs(exact)
         report["per_z"].append(

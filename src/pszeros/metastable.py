@@ -10,6 +10,12 @@ consistent run) keeps the truncated weights inside the certified convergence
 region.  Finite-volume analogues on the torus sum the same gas over wrapped
 placements.
 
+The z-independent part of a phase's gas (its contour classes, the offsets
+at which two classes overlap, the certificate geometry and the cluster
+skeleton with its Ursell coefficients) is one record per (phase, support
+cap), built on first use and held on the model (``SpinModel.gas``), so
+that it is computed once per model and freed with it.
+
 Desk-scale note: the Peierls rate tau and the entropy constant c0 are
 estimated from the model and reported.  Certified asymptotic constants
 (tau >= 4 c0 + 16) can be supplied through a Regime; by default the engine
@@ -23,11 +29,12 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .contours import (
+    ENUM_CORE_BUDGET,
     ContourSumEngine,
     ZdContour,
     contour_classes,
@@ -41,7 +48,7 @@ from .polymer import (
     PolymerSystem,
     enumerate_clusters,
     independent_set_sum,
-    ursell_coefficient,
+    multi_indices,
 )
 
 STABLE_TOL = 1e-9
@@ -76,11 +83,6 @@ class Cutoffs:
     norm_cap: float = 18.0
 
 
-@lru_cache(maxsize=None)
-def _classes(model: SpinModel, q, size_cap: int):
-    return tuple(contour_classes(model, q, size_cap))
-
-
 def estimate_tau(model: SpinModel, z: complex, size_cap: int = 12) -> float:
     """Measured Peierls rate: the infimum over enumerated contours of
     -log(|rho(Y)| / theta(z)^{|Y|}) / |Y|."""
@@ -89,7 +91,7 @@ def estimate_tau(model: SpinModel, z: complex, size_cap: int = 12) -> float:
         return math.inf
     best = math.inf
     for q in model.orbit_representatives():
-        for y in _classes(model, q, size_cap):
+        for y in _gas(model, q, size_cap).classes:
             rho = abs(pair_weight(y.energy_pair(model), z))
             if rho == 0:
                 continue
@@ -146,7 +148,7 @@ class WeightEngine:
 
     def __init__(self, model: SpinModel, z: complex, tau: float | None = None,
                  c0: float = 0.0, regime: Regime | None = None,
-                 budget: int = 2**21):
+                 budget: int = ENUM_CORE_BUDGET):
         self.model = model
         self.z = z
         if regime is not None:
@@ -278,95 +280,124 @@ def truncated_partition(model: SpinModel, region, q, z: complex,
 # -- infinite-volume pressure -----------------------------------------------------
 
 
-def _overlap_offsets(model: SpinModel, q, size_cap: int):
-    """Per pair of classes (i, j), the sorted offsets a - b (a in support i,
-    b in support j) at which class j placed relative to class i overlaps it."""
-    d = model.dimension
-    supports = [y.support for y in _classes(model, q, size_cap)]
-    return [
-        [sorted({tuple(a[k] - b[k] for k in range(d)) for a in si for b in sj})
-         for sj in supports]
-        for si in supports
-    ]
+_A_SCALES = (1.0, 0.5, 0.25, 0.15, 0.111, 0.1, 0.083, 0.06, 0.05, 0.02, 0.01)
+_LOG_SCALES = np.log(_A_SCALES)
+_ETA_CAP = 8.0
+_ETA_TOL = 2.0**-14  # largest loss of eta to the t grid's chords
+_T_MAX = max(_A_SCALES) + _ETA_CAP
 
 
-@lru_cache(maxsize=None)
-def _gas_skeleton(model: SpinModel, q, size_cap: int, norm_cap: float):
-    """z-independent cluster data for the translation-invariant contour gas.
+_CertificateGeometry = namedtuple("_CertificateGeometry", "sizes volumes offsets rows grid_exp step")
 
-    Entries are (class multiplicities, ursell coefficient); summing the
-    evaluated entries over translation classes of clusters equals the
-    per-site rooted sum, since a cluster class has exactly |V| translates
-    whose volume covers the origin.
-    """
-    classes = _classes(model, q, size_cap)
-    d = model.dimension
-    overlap_offsets = _overlap_offsets(model, q, size_cap)
 
-    # connected placement sets up to translation, rooted at class i0 at 0
-    placement_sets = set()
-    min_size = min((y.size for y in classes), default=1)
-    cap_parts = max(1, int(norm_cap // max(min_size, 1)))
+class _Gas:
+    """Phase q's gas record at one support cap (see the module docstring);
+    each part is built on first use.  The overlap offsets are dropped once a
+    skeleton and the geometry are built (they take about 0.3 MiB for a
+    three-state phase), so another norm cap searches them again."""
 
-    def canon(pset):
-        anchor = min(pset, key=lambda p: (p[1], p[0]))
-        t = anchor[1]
-        return tuple(sorted(
-            (ci, tuple(o[k] - t[k] for k in range(d))) for ci, o in pset
-        ))
+    def __init__(self, model: SpinModel, q, size_cap: int):
+        self.d = model.dimension
+        self.classes = tuple(contour_classes(model, q, size_cap))
+        self._skeletons = {}
 
-    def grow(pset, base_norm):
-        placement_sets.add(canon(pset))
-        if len(pset) >= cap_parts:
-            return
-        for cj in range(len(classes)):
-            if base_norm + classes[cj].size > norm_cap:
-                continue
-            for (ci, oi) in pset:
-                for rel in overlap_offsets[ci][cj]:
-                    off = tuple(oi[k] + rel[k] for k in range(d))
-                    cand = (cj, off)
-                    if cand in pset:
-                        continue
-                    grow(pset | {cand}, base_norm + classes[cj].size)
-
-    for i0 in range(len(classes)):
-        if classes[i0].size <= norm_cap:
-            grow(frozenset([(i0, (0,) * d)]), classes[i0].size)
-
-    entries = []
-    for pset in sorted(placement_sets):
-        placements = list(pset)
-        sizes = [classes[ci].size for ci, _ in placements]
-        # (ca, oa) and (cb, ob) overlap exactly when ob - oa is an offset
-        # at which class cb placed relative to class ca overlaps it
-        incompat = [
-            (a, b)
-            for (a, (ca, oa)), (b, (cb, ob))
-            in itertools.combinations(enumerate(placements), 2)
-            if tuple(y - x for x, y in zip(oa, ob)) in overlap_offsets[ca][cb]
+    @cached_property
+    def offsets(self):
+        """Per pair of classes (i, j), the sorted offsets a - b (a in support
+        i, b in support j) at which class j placed relative to class i
+        overlaps it."""
+        d = self.d
+        supports = [y.support for y in self.classes]
+        return [
+            [sorted({tuple(a[k] - b[k] for k in range(d)) for a in si for b in sj})
+             for sj in supports]
+            for si in supports
         ]
-        sys_stub = PolymerSystem.build(
-            tuple(range(len(placements))),
-            {i: 0j for i in range(len(placements))},
-            incompat,
+
+    @cached_property
+    def geometry(self) -> _CertificateGeometry:
+        """z-independent certificate data: class sizes |Y|, volumes |V(Y)|,
+        counts of overlapping relative placements per pair of classes, the
+        rows (volumes, then each offsets row over its |Y|), and e^{t |Y|} on a
+        t grid over [0, max alpha + eta cap] with its step.  A chord of a
+        log-sum-exp row over one cell misses its root by at most
+        (s_max - s_min)^2 step^2 / (32 s_min) for class sizes s; the step
+        keeps that below _ETA_TOL."""
+        offsets = np.array([[len(o) for o in row] for row in self.offsets], dtype=float)
+        sizes = np.array([y.size for y in self.classes], dtype=float)
+        volumes = np.array([len(y.volume) for y in self.classes], dtype=float)
+        spread = float(np.ptp(sizes)) if len(sizes) else 0.0
+        step = math.sqrt(32.0 * sizes.min() * _ETA_TOL) / spread if spread else _T_MAX
+        grid = np.linspace(0.0, _T_MAX, math.ceil(_T_MAX / step) + 1)
+        return _CertificateGeometry(
+            sizes, volumes, offsets, np.vstack([volumes, offsets / sizes[:, None]]),
+            np.exp(np.outer(sizes, grid)), grid[1],
         )
-        base = sum(sizes)
-        ranges = [
-            range(1, 2 + int((norm_cap - base) // sizes[i]))
-            for i in range(len(placements))
-        ]
-        for mult in itertools.product(*ranges):
-            norm = sum(m * s for m, s in zip(mult, sizes))
-            if norm > norm_cap or sum(mult) > 8:
-                continue
-            u = ursell_coefficient(sys_stub, dict(enumerate(mult)))
-            if u == 0.0:
-                continue
-            entries.append(
-                (tuple((placements[i][0], mult[i]) for i in range(len(placements))), u)
-            )
-    return classes, tuple(entries)
+
+    def skeleton(self, norm_cap: float) -> tuple:
+        """z-independent cluster data for the translation-invariant gas.
+
+        Entries are (class multiplicities, ursell coefficient); summing the
+        evaluated entries over translation classes of clusters equals the
+        per-site rooted sum, since a cluster class has exactly |V| translates
+        whose volume covers the origin.
+        """
+        if norm_cap in self._skeletons:
+            return self._skeletons[norm_cap]
+        classes, d, overlap_offsets = self.classes, self.d, self.offsets
+        # connected placement sets up to translation, rooted at class i0 at 0;
+        # growth ends where every further class would pass the norm cap
+        placement_sets = set()
+
+        def canon(pset):
+            t = min(pset, key=lambda p: (p[1], p[0]))[1]
+            return tuple(sorted(
+                (ci, tuple(o[k] - t[k] for k in range(d))) for ci, o in pset
+            ))
+
+        def grow(pset, base_norm):
+            placement_sets.add(canon(pset))
+            for cj in range(len(classes)):
+                if base_norm + classes[cj].size > norm_cap:
+                    continue
+                for (ci, oi) in pset:
+                    for rel in overlap_offsets[ci][cj]:
+                        cand = (cj, tuple(oi[k] + rel[k] for k in range(d)))
+                        if cand not in pset:
+                            grow(pset | {cand}, base_norm + classes[cj].size)
+
+        for i0 in range(len(classes)):
+            if classes[i0].size <= norm_cap:
+                grow(frozenset([(i0, (0,) * d)]), classes[i0].size)
+
+        entries = []
+        for pset in sorted(placement_sets):
+            placements = list(pset)
+            ids = tuple(range(len(placements)))
+            # (ca, oa) and (cb, ob) overlap exactly when ob - oa is an offset
+            # at which class cb placed relative to class ca overlaps it
+            incompat = [
+                (a, b)
+                for (a, (ca, oa)), (b, (cb, ob))
+                in itertools.combinations(enumerate(placements), 2)
+                if tuple(y - x for x, y in zip(oa, ob)) in overlap_offsets[ca][cb]
+            ]
+            sizes = {i: classes[ci].size for i, (ci, _) in enumerate(placements)}
+            sys_stub = PolymerSystem.build(ids, {i: 0j for i in ids}, incompat, sizes)
+            for mult, _, u in multi_indices(sys_stub, ids, norm_cap):
+                entries.append((tuple((placements[i][0], mult[i]) for i in ids), u))
+        self._skeletons[norm_cap] = tuple(entries)
+        self.geometry  # takes its counts from the offsets before they go
+        del self.offsets
+        return self._skeletons[norm_cap]
+
+
+def _gas(model: SpinModel, q, size_cap: int) -> _Gas:
+    """Phase q's gas record at the given support cap, built once per model."""
+    key = (q, size_cap)
+    if key not in model.gas:
+        model.gas[key] = _Gas(model, q, size_cap)
+    return model.gas[key]
 
 
 @dataclass(frozen=True)
@@ -383,17 +414,17 @@ class PressureResult:
 def polymer_pressure(
     model: SpinModel, q, z: complex, cutoffs: Cutoffs = Cutoffs(),
     tau: float | None = None, c0: float = 0.0, engine: WeightEngine | None = None,
-    require_certificate: bool = True,
 ) -> PressureResult:
     """The contour-gas pressure s_q at z: rooted cluster sum per site of the
     truncated weights, with the certified exponential tail bound."""
-    classes, entries = _gas_skeleton(model, q, cutoffs.size_cap, cutoffs.norm_cap)
+    gas = _gas(model, q, cutoffs.size_cap)
+    entries = gas.skeleton(cutoffs.norm_cap)
     if engine is None:
         engine = WeightEngine(model, z, tau=tau, c0=c0)
-    w = [engine.weight_truncated(y) for y in classes]
+    w = [engine.weight_truncated(y) for y in gas.classes]
 
-    cert, eta = _gas_certificate(model, q, classes, w, cutoffs)
-    if require_certificate and not cert:
+    cert, eta = _gas_certificate(gas, w)
+    if not cert:
         raise ConvergenceError(
             "contour-gas convergence certificate failed; refuse to expand"
         )
@@ -409,43 +440,6 @@ def polymer_pressure(
     )
 
 
-_A_SCALES = (1.0, 0.5, 0.25, 0.15, 0.111, 0.1, 0.083, 0.06, 0.05, 0.02, 0.01)
-_LOG_SCALES = np.log(_A_SCALES)
-_ETA_CAP = 8.0
-_ETA_TOL = 2.0**-14  # largest loss of eta to the t grid's chords
-_T_MAX = max(_A_SCALES) + _ETA_CAP
-
-
-_CertificateGeometry = namedtuple(
-    "_CertificateGeometry", "sizes volumes offsets rows grid_exp step"
-)
-
-
-@lru_cache(maxsize=None)
-def _certificate_geometry(model: SpinModel, q, size_cap: int):
-    """z-independent certificate data: class sizes |Y|, volumes |V(Y)|,
-    counts of overlapping relative placements per pair of classes, the rows
-    (volumes, then each offsets row over its |Y|), and e^{t |Y|} on a t grid
-    over [0, max alpha + eta cap] with its step.  A chord of a log-sum-exp
-    row over one cell misses its root by at most
-    (s_max - s_min)^2 step^2 / (32 s_min) for class sizes s; the step keeps
-    that below _ETA_TOL."""
-    classes = _classes(model, q, size_cap)
-    offsets = np.array(
-        [[len(o) for o in row] for row in _overlap_offsets(model, q, size_cap)],
-        dtype=float,
-    )
-    sizes = np.array([y.size for y in classes], dtype=float)
-    volumes = np.array([len(y.volume) for y in classes], dtype=float)
-    spread = float(np.ptp(sizes)) if len(sizes) else 0.0
-    step = math.sqrt(32.0 * sizes.min() * _ETA_TOL) / spread if spread else _T_MAX
-    grid = np.linspace(0.0, _T_MAX, math.ceil(_T_MAX / step) + 1)
-    return _CertificateGeometry(
-        sizes, volumes, offsets, np.vstack([volumes, offsets / sizes[:, None]]),
-        np.exp(np.outer(sizes, grid)), grid[1],
-    )
-
-
 def _certificate_ok(geo, absw, alpha, eta):
     """The certificate predicate at scale alpha and decay rate eta."""
     boost = absw * np.exp((alpha + eta) * geo.sizes)
@@ -454,8 +448,9 @@ def _certificate_ok(geo, absw, alpha, eta):
     return bool(np.all(geo.offsets @ boost <= alpha * geo.sizes))
 
 
-def _gas_certificate(model, q, classes, weights, cutoffs):
-    """Convergence certificate for the translation-invariant contour gas.
+def _gas_certificate(gas: _Gas, weights):
+    """Convergence certificate for the contour gas of a record at the given
+    class weights.
 
     Uses a(Y) = alpha |Y| (any positive scale is admissible) and requires
     both the neighbor-sum condition per contour class and the origin-rooted
@@ -469,9 +464,9 @@ def _gas_certificate(model, q, classes, weights, cutoffs):
     a chord of the convex log row there bounds the root from below.  The
     predicate confirms the best scale.
     """
-    if not classes or not any(weights):
+    if not gas.classes or not any(weights):
         return True, _ETA_CAP
-    geo = _certificate_geometry(model, q, cutoffs.size_cap)
+    geo = gas.geometry
     absw = np.abs(weights)
     rows = geo.rows * absw @ geo.grid_exp
     i = int(np.searchsorted(rows[0, 1:-1], 1.0, side="right"))
@@ -593,7 +588,7 @@ def finite_volume_zeta(
     th = engine.theta[m]
     if th == 0:
         return 0j
-    classes = list(_classes(model, m, cutoffs.size_cap))
+    classes = _gas(model, m, cutoffs.size_cap).classes
     geom, placements = _torus_placements_of_classes(model, classes, L)
     n = geom.n_sites
     if not placements:

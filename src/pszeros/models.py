@@ -145,6 +145,12 @@ class SpinModel:
             ))
         return tuple(out)
 
+    @cached_property
+    def gas(self) -> dict:
+        """Per (phase, support cap), the contour-gas record that
+        ``metastable`` builds on first use; freed with the model."""
+        return {}
+
 
 # -- elementary observables ---------------------------------------------------
 
@@ -330,7 +336,12 @@ def excitation_energy_pair(model: SpinModel, config) -> Pair:
     """The energy pair of the R-boundary B: every placement A of a term
     counted with weight |A & B| / |A|.  On Z^d the placements are those in
     the box bbox(B) inflated by R, which holds every placement that meets B."""
-    boundary = r_boundary(config, model.range)
+    return _boundary_energy_pair(model, config, r_boundary(config, model.range))
+
+
+def _boundary_energy_pair(model: SpinModel, config, boundary) -> Pair:
+    """``excitation_energy_pair`` for a configuration whose R-boundary is
+    already known: a contour's is its support."""
     if not boundary:
         return ZERO_PAIR
     if isinstance(config, TorusConfiguration):

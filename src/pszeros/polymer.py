@@ -200,6 +200,23 @@ def ursell_coefficient(system: PolymerSystem, multiplicity: dict) -> float:
     return total / denom
 
 
+def multi_indices(system: PolymerSystem, support, max_norm: float):
+    """Yield (multiplicities, norm, Ursell coefficient) for the multi-indices
+    that put every polymer of ``support`` at least once, have norm = sum of
+    multiplicity * size at most max_norm and total multiplicity at most
+    URSELL_BUDGET, and carry a nonzero coefficient."""
+    sizes = [system.size(g) for g in support]
+    base = sum(sizes)
+    ranges = [range(1, 2 + int((max_norm - base) // s)) for s in sizes]
+    for mult in itertools.product(*ranges):
+        norm = sum(m * s for m, s in zip(mult, sizes))
+        if norm > max_norm or sum(mult) > URSELL_BUDGET:
+            continue
+        u = ursell_coefficient(system, dict(zip(support, mult)))
+        if u != 0.0:
+            yield mult, norm, u
+
+
 # -- cluster enumeration -------------------------------------------------------
 
 
@@ -252,32 +269,12 @@ def enumerate_clusters(system: PolymerSystem, subset=None, max_norm: float = 8.0
 
     for ridx in range(len(items)):
         for sup in connected_supports(ridx):
-            base = sum(system.size(g) for g in sup)
-            if base > max_norm:
-                continue
-            ranges = [
-                range(1, 2 + int((max_norm - base) // system.size(g)))
-                for g in sup
-            ]
-            for mult in itertools.product(*ranges):
-                norm = sum(m * system.size(g) for g, m in zip(sup, mult))
-                if norm > max_norm or sum(mult) > URSELL_BUDGET:
-                    continue
-                X = dict(zip(sup, mult))
-                u = ursell_coefficient(system, X)
-                if u == 0.0:
-                    continue
+            for mult, norm, u in multi_indices(system, sup, max_norm):
                 w = 1.0 + 0j
-                for g, m in X.items():
+                for g, m in zip(sup, mult):
                     w *= system.weights[g] ** m
-                out.append(
-                    Cluster(
-                        tuple(sorted(X.items(), key=lambda kv: str(kv[0]))),
-                        u,
-                        w,
-                        norm,
-                    )
-                )
+                multiplicity = tuple(sorted(zip(sup, mult), key=lambda kv: str(kv[0])))
+                out.append(Cluster(multiplicity, u, w, norm))
     return out
 
 

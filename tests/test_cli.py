@@ -96,7 +96,17 @@ def test_bijection_preset(tmp_path):
     rep = json.loads((out / "contour_check_L3.json").read_text())
     assert rep["bijection_total"] == 512
     assert rep["bijection_failures"] == 0
-    assert rep["collection_max_rel"] < 1e-10 and rep["resummed_max_rel"] < 1e-10
+    assert rep["collection_max_rel"] <= 2e-15 and rep["resummed_max_rel"] <= 2e-15
+
+
+def test_contour_check_bc_preset(tmp_path):
+    # both sides of the torus identity sum their terms as the enumeration
+    # does, so they meet it to rounding
+    out = tmp_path / "bc"
+    assert main(["--preset", "contour-check-bc", "--out", str(out)]) == 0
+    rep = json.loads((out / "contour_check_L3.json").read_text())
+    assert rep["bijection_total"] == 3**9 and rep["bijection_failures"] == 0
+    assert rep["collection_max_rel"] <= 2e-15 and rep["resummed_max_rel"] <= 2e-15
 
 
 def test_manifest_checksums(tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -227,6 +228,35 @@ def test_contour_weight_matches_energy_decomposition(rng):
     bh = hamiltonian_torus(m, cfg, z)
     e_plus = ground_state_energy(m, 1, z)
     assert rho == pytest.approx(cmath.exp(-(bh - 40 * e_plus)), rel=1e-11)
+
+
+def test_contour_support_is_its_r_boundary():
+    # contours, networks and Z^d contours hand their support to the energy
+    # kernel as the R-boundary of their standardized configuration
+    from pszeros.models import potts
+
+    def check(model, obj, config):
+        assert r_boundary(config, model.range) == obj.support
+        assert obj.energy_pair(model) == excitation_energy_pair(model, config)
+
+    for model in (ising(1.5), blume_capel(1.5, 0.3), potts(3, 1.5)):
+        for q in model.spins:
+            for y in contour_classes(model, q, 12):
+                check(model, y, y.config())
+    region_model = blume_capel(1.4, 0.05)
+    region = [(i, j) for i in range(4) for j in range(4)]
+    for q in region_model.spins:
+        for y in contours_in_region(region_model, q, region):
+            check(region_model, y, y.config())
+    bc = blume_capel(1.5, 0.3)
+    kinds = set()
+    sparse = random.Random(17)
+    configs = [sparse_torus_config(sparse, bc, 7, sparse.randint(1, 4)) for _ in range(40)]
+    for cfg in itertools.chain(all_configs(bc, 3), configs):
+        for obj in extract(cfg, bc.range).objects():
+            check(bc, obj, obj.full_config())
+            kinds.add(type(obj).__name__)
+    assert kinds == {"TorusContour", "TorusNetwork"}
 
 
 def test_contour_weight_orbit_symmetry(rng):

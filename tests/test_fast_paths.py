@@ -25,11 +25,8 @@ from pszeros.metastable import (
     Cutoffs,
     WeightEngine,
     _A_SCALES,
-    _certificate_geometry,
-    _classes,
+    _gas,
     _gas_certificate,
-    _gas_skeleton,
-    _overlap_offsets,
     _torus_placements_of_classes,
     finite_volume_zeta,
 )
@@ -76,7 +73,7 @@ ETA_SLACK = 2.0**-13
 
 def oracle_predicate(model, q, weights, size_cap=12):
     """The certificate predicate ok(alpha, eta) for fixed weights."""
-    geo = _certificate_geometry(model, q, size_cap)
+    geo = _gas(model, q, size_cap).geometry
     sz, vol, off = geo.sizes, geo.volumes, geo.offsets
     absw = np.array([abs(w) for w in weights])
 
@@ -295,12 +292,12 @@ def _certificate_cases(model, n_z, seed):
         z = rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random())
         engine = WeightEngine(model, z)
         for q in model.orbit_representatives():
-            classes = _classes(model, q, 12)
+            classes = _gas(model, q, 12).classes
             yield q, classes, [engine.weight_truncated(y) for y in classes]
 
 
 def _check_certificate(model, q, classes, weights):
-    cert, eta = _gas_certificate(model, q, classes, weights, Cutoffs())
+    cert, eta = _gas_certificate(_gas(model, q, 12), weights)
     cert_old, eta_old = oracle_certificate(model, q, classes, weights)
     assert cert == cert_old
     if cert:
@@ -327,11 +324,11 @@ def test_certificate_at_the_convergence_boundary():
     rng = np.random.default_rng(7)
     flags = set()
     for q in model.orbit_representatives():
-        classes = _classes(model, q, 12)
+        classes = _gas(model, q, 12).classes
         for scale in np.logspace(-60, 0, 120):
             w = scale * rng.random(len(classes)) * np.exp(2j * np.pi * rng.random(len(classes)))
             _check_certificate(model, q, classes, list(w))
-            flags.add(_gas_certificate(model, q, classes, list(w), Cutoffs()))
+            flags.add(_gas_certificate(_gas(model, q, 12), list(w)))
     assert {c for c, _ in flags} == {True, False}
     assert (True, 8.0) in flags
 
@@ -620,7 +617,7 @@ def oracle_finite_volume_zeta(model, m, L, z, cutoffs=Cutoffs()):
     branches, the exact one summed by the old recursion."""
     engine = WeightEngine(model, z)
     th = engine.theta[m]
-    classes = list(_classes(model, m, cutoffs.size_cap))
+    classes = list(_gas(model, m, cutoffs.size_cap).classes)
     geom, placements = _torus_placements_of_classes(model, classes, L)
     n = geom.n_sites
     if not placements:
@@ -791,12 +788,16 @@ def oracle_placed_overlap(pa, pb, supports, d):
 
 
 def oracle_gas_skeleton(model, q, size_cap, norm_cap):
-    """_gas_skeleton with the overlap of two placements tested on their
-    translated supports."""
-    classes = _classes(model, q, size_cap)
+    """The gas record's skeleton with the overlap of two placements tested
+    on their translated supports."""
+    classes = _gas(model, q, size_cap).classes
     d = model.dimension
     supports = [y.support for y in classes]
-    overlap_offsets = _overlap_offsets(model, q, size_cap)
+    overlap_offsets = [
+        [sorted({tuple(a[k] - b[k] for k in range(d)) for a in si for b in sj})
+         for sj in supports]
+        for si in supports
+    ]
     placement_sets = set()
     min_size = min((y.size for y in classes), default=1)
     cap_parts = max(1, int(norm_cap // max(min_size, 1)))
@@ -986,7 +987,8 @@ def test_components_match_bfs_and_union_find_oracles():
                          ids=lambda m: m.name)
 def test_gas_skeleton_matches_placed_overlap_oracle(model):
     for q in model.orbit_representatives():
-        assert _gas_skeleton(model, q, 12, 18.0) == oracle_gas_skeleton(model, q, 12, 18.0)
+        gas = _gas(model, q, 12)
+        assert (gas.classes, gas.skeleton(18.0)) == oracle_gas_skeleton(model, q, 12, 18.0)
 
 
 # -- oracles: the per-placement energy loops replaced by the placement-table

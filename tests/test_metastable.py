@@ -1,8 +1,11 @@
 import cmath
+import gc
 import math
+import weakref
 
 import pytest
 
+import pszeros.metastable as metastable
 from conftest import random_z
 from pszeros.contours import contour_classes, contour_partition_function
 from pszeros.metastable import (
@@ -340,3 +343,44 @@ def test_zeta_all_theta_vanish_no_nan():
     tab = free_energy_table(m, 0.0)
     assert all(e.a == math.inf for e in tab.entries.values())
     assert tab.stable == ()
+
+
+# -- the gas record ------------------------------------------------------------------
+
+
+def test_gas_record_built_once_per_phase(monkeypatch):
+    # whichever entry point asks first, a fresh model enumerates each phase's
+    # contour classes once and runs each phase's offset search once
+    model = blume_capel(1.5, 0.3)
+    classes_calls, offset_calls = [], []
+    enumerate_classes = metastable.contour_classes
+    offset_search = metastable._Gas.offsets.func
+
+    def counted_classes(m, q, size_cap):
+        if m is model:
+            classes_calls.append(q)
+        return enumerate_classes(m, q, size_cap)
+
+    def counted_offsets(gas):
+        offset_calls.append(gas.classes[0].q)
+        return offset_search(gas)
+
+    monkeypatch.setattr(metastable, "contour_classes", counted_classes)
+    monkeypatch.setattr(metastable._Gas.offsets, "func", counted_offsets)
+    for z in (1.0, 0.9 + 0.3j, cmath.exp(2.0j)):
+        free_energy_table(model, z)
+    estimated_constants(model, [1.0, 0.9 + 0.3j])
+    for m in model.orbit_representatives():
+        finite_volume_zeta(model, m, 3, 1.1)
+    phases = sorted(model.orbit_representatives())
+    assert sorted(classes_calls) == phases
+    assert sorted(offset_calls) == phases
+
+
+def test_gas_record_is_freed_with_its_model():
+    model = ising(1.5)
+    free_energy_table(model, 1.1)
+    record = weakref.ref(model.gas[(1, Cutoffs().size_cap)])
+    del model
+    gc.collect()
+    assert record() is None
