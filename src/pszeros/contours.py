@@ -20,9 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetError
-from .lattice import Torus, chebyshev_ball, components, torus, zd_holes
+from .lattice import Torus, chebyshev_ball, components, torus, zd_neighbors
 from .models import (
     SpinModel,
     TorusConfiguration,
@@ -500,25 +501,106 @@ class ZdContour:
         )
 
 
-def _zd_contour_from_deviations(model, q, deviations):
-    """Build the contour of a background-q configuration with the given
-    deviations, or None if its bad region is not a single component."""
-    cfg = ZdConfiguration.make(q, deviations)
-    support = r_boundary(cfg, model.range)
-    if not support:
-        return None
-    # two boundary sites are linked when one non-constant box contains both
-    if len(components(support, lambda x: chebyshev_ball(x, model.range))) != 1:
-        return None
-    look = cfg.lookup()
-    holes = zd_holes(support)
-    interiors = []
-    for comp in sorted(holes, key=min):
-        vals = {look(x) for x in comp}
-        assert len(vals) == 1, "hole of a contour support is not constant"
-        interiors.append((comp, vals.pop()))
-    spins = {x: look(x) for x in support}
-    return ZdContour(q, support, spins, tuple(interiors))
+_BLOCK_CELLS = 2**20  # digits per block of candidate rows
+
+
+def _window(a, R: int, reduce, fill):
+    """``reduce`` (np.max or np.min) over the Chebyshev box of diameter
+    2R+1 around every site of the leading d = a.ndim - 1 axes (the last axis
+    holds the rows), with the outside read as ``fill``."""
+    d = a.ndim - 1
+    a = np.pad(a, [(R, R)] * d + [(0, 0)], constant_values=fill)
+    for axis in range(d):
+        a = reduce(sliding_window_view(a, 2 * R + 1, axis=axis), axis=-1)
+    return a
+
+
+def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, region=None):
+    """Batched contour construction on Z^d.
+
+    ``blocks`` yields digit arrays (sites x rows; a digit is the index of a
+    spin in ``model.spins``) over the box of the given shape whose lowest
+    corner is ``lo``; each row is a background-q configuration with its
+    deviations at least R+1 sites inside the box.  Yields, in row order,
+    the contour of every row whose R-boundary (its support) has at most
+    ``max_support`` sites, lies in ``region`` (a boolean mask of the box)
+    together with its holes, and is one component when two support sites
+    within Chebyshev distance R are linked.
+    """
+    R, d, n = model.range, len(shape), math.prod(shape)
+    bg = model.spins.index(q)
+    cells = [tuple(c) for c in (np.indices(shape).reshape(d, -1).T + lo).tolist()]
+    border = np.zeros(shape + (1,), dtype=bool)
+    for axis in range(d):
+        border[(slice(None),) * axis + ([0, -1],)] = True
+    outside_region = None if region is None else ~region[..., None]
+    for D in blocks:
+        digits = D.reshape(shape + (-1,))
+        support = _window(digits, R, np.max, bg) != _window(digits, R, np.min, bg)
+        keep = np.ones(digits.shape[-1], dtype=bool)
+        if max_support is not None:
+            keep &= support.sum(axis=tuple(range(d))) <= max_support
+        if outside_region is not None:
+            keep &= ~(support & outside_region).any(axis=tuple(range(d)))
+        rows = np.flatnonzero(keep)
+        support = support[..., rows]
+        # one component: a Chebyshev-R dilation inside the support from its
+        # first site reaches all of it
+        flat = support.reshape(n, len(rows))
+        reach = np.zeros_like(flat)
+        reach[flat.argmax(axis=0), np.arange(len(rows))] = True
+        reach = reach.reshape(support.shape)
+        while True:
+            grown = _window(reach, R, np.max, False) & support
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        connected = (reach == support).all(axis=tuple(range(d)))
+        rows, support = rows[connected], support[..., connected]
+        # the outside: a nearest-neighbour dilation in the complement of the
+        # support from the box border; what it misses are holes
+        free = ~support
+        outside = border & free
+        while True:
+            grown = outside.copy()
+            for axis in range(d):
+                lower = (slice(None),) * axis + (slice(None, -1),)
+                upper = (slice(None),) * axis + (slice(1, None),)
+                grown[upper] |= outside[lower]
+                grown[lower] |= outside[upper]
+            grown &= free
+            if np.array_equal(grown, outside):
+                break
+            outside = grown
+        holes = free & ~outside
+        if outside_region is not None:
+            inside = ~(holes & outside_region).any(axis=tuple(range(d)))
+            rows, support, holes = rows[inside], support[..., inside], holes[..., inside]
+        row_digits = D[:, rows].T.tolist()
+        for sup, hol, dig in zip(support.reshape(n, -1).T, holes.reshape(n, -1).T,
+                                 row_digits):
+            interiors = []
+            hole_sites = np.flatnonzero(hol).tolist()
+            for comp in sorted(components([cells[i] for i in hole_sites], zd_neighbors),
+                               key=min):
+                vals = {dig[i] for i in hole_sites if cells[i] in comp}
+                assert len(vals) == 1, "hole of a contour support is not constant"
+                interiors.append((comp, model.spins[vals.pop()]))
+            sites = np.flatnonzero(sup).tolist()
+            yield ZdContour(
+                q, frozenset(cells[i] for i in sites),
+                {cells[i]: model.spins[dig[i]] for i in sites}, tuple(interiors),
+            )
+
+
+def _row_blocks(n_sites: int, n_rows: int, fill):
+    """Split ``n_rows`` candidate rows into blocks of bounded size: yields
+    (start, stop, digit array) with the array (sites x rows) filled with
+    ``fill`` for the caller to set the deviations."""
+    step = max(1, _BLOCK_CELLS // n_sites)
+    for start in range(0, n_rows, step):
+        stop = min(n_rows, start + step)
+        yield start, stop, np.full((n_sites, stop - start), fill, dtype=np.int8)
 
 
 def contours_in_region(model: SpinModel, q, region, budget: int = ENUM_CORE_BUDGET):
@@ -534,17 +616,29 @@ def contours_in_region(model: SpinModel, q, region, budget: int = ENUM_CORE_BUDG
         raise BudgetError(
             f"contour enumeration over a {len(core)}-site core exceeds budget"
         )
-    out = []
-    for assignment in itertools.product([None] + others, repeat=len(core)):
-        dev = {core[i]: s for i, s in enumerate(assignment) if s is not None}
-        if not dev:
-            continue
-        y = _zd_contour_from_deviations(model, q, dev)
-        if y is None:
-            continue
-        if not (y.support <= region and y.volume <= region):
-            continue
-        out.append(y)
+    if not core:
+        return []
+    # the core's box padded by R+1, and every assignment of the core in
+    # itertools.product order over (no deviation, *others), the first core
+    # site slowest; the all-background row 0 is skipped
+    pts = np.array(core)
+    lo = pts.min(axis=0) - model.range - 1
+    shape = tuple((pts.max(axis=0) + model.range + 2 - lo).tolist())
+    mask = np.zeros(shape, dtype=bool)
+    inbox = [x for x in region if all(0 <= x[a] - lo[a] < shape[a] for a in range(len(shape)))]
+    mask[tuple((np.array(inbox) - lo).T)] = True
+    flat_core = np.ravel_multi_index(tuple((pts - lo).T), shape)
+    choice = np.array([model.spins.index(s) for s in [q] + others], dtype=np.int8)
+    base = len(choice)
+    powers = base ** np.arange(len(core) - 1, -1, -1, dtype=np.int64)
+
+    def blocks():
+        for start, stop, D in _row_blocks(math.prod(shape), total - 1, choice[0]):
+            r = np.arange(start + 1, stop + 1, dtype=np.int64)
+            D[flat_core] = choice[(r // powers[:, None]) % base]
+            yield D
+
+    out = list(_zd_contours(model, q, tuple(lo.tolist()), shape, blocks(), region=mask))
     out.sort(key=lambda y: y.key())
     return out
 
@@ -586,19 +680,32 @@ def contour_classes(model: SpinModel, q, max_support: int):
                         new.append(canon)
         frontier = new
 
+    # every labelling of every pattern, one row each, in a common box
+    # padded by R+1
+    side = (max_dev - 1) * link + 1 + 2 * (R + 1)
+    shape = (side,) * d
+    labels = np.array([model.spins.index(s) for s in others], dtype=np.int8)
+    rows = []  # (flat sites of a pattern, digits of one labelling)
+    for pat in sorted(patterns, key=sorted):
+        sites = np.ravel_multi_index(tuple((np.array(sorted(pat)) + R + 1).T), shape)
+        for labs in itertools.product(range(len(others)), repeat=len(pat)):
+            rows.append((sites, labels[list(labs)]))
+
+    def blocks():
+        for start, stop, D in _row_blocks(side**d, len(rows), model.spins.index(q)):
+            for col, (sites, digits) in enumerate(rows[start:stop]):
+                D[sites, col] = digits
+            yield D
+
     classes = []
     seen = set()
-    for pat in sorted(patterns, key=sorted):
-        for labs in itertools.product(others, repeat=len(pat)):
-            dev = dict(zip(sorted(pat), labs))
-            y = _zd_contour_from_deviations(model, q, dev)
-            if y is None or y.size > max_support:
-                continue
-            yc = _canon_contour(y)
-            if yc.key() in seen:
-                continue
-            seen.add(yc.key())
-            classes.append(yc)
+    lo = (-(R + 1),) * d
+    for y in _zd_contours(model, q, lo, shape, blocks(), max_support=max_support):
+        yc = _canon_contour(y)
+        if yc.key() in seen:
+            continue
+        seen.add(yc.key())
+        classes.append(yc)
     classes.sort(key=lambda y: (y.size, y.key()))
     return classes
 

@@ -4,7 +4,8 @@ Site addressing: torus sites are flat row-major indices (first axis slowest),
 Z^d sites are integer coordinate tuples.  The diameter of a finite set is the
 side of the smallest enclosing axis-aligned cubic box measured in sites, so a
 box of k x ... x k sites has diameter k and a single site has diameter 1.  On
-the torus the enclosing box may wrap.
+the torus the enclosing box may wrap.  The holes of a Z^d contour support
+are found by the batched contour builder in ``contours``, on digit arrays.
 """
 
 from __future__ import annotations
@@ -55,24 +56,6 @@ def components(sites, neighbors) -> list[frozenset]:
                     stack.append(y)
         out.append(frozenset(comp))
     return out
-
-
-def zd_holes(support) -> list[frozenset]:
-    """Finite components of Z^d minus ``support`` (the holes of the set).
-
-    Splits the complement inside the bounding box inflated by one layer into
-    components: those holding the lowest or the highest corner of that box
-    lie outside, the rest are holes.
-    """
-    support = set(support)
-    if not support:
-        return []
-    d = len(next(iter(support)))
-    lo = tuple(min(p[a] for p in support) - 1 for a in range(d))
-    hi = tuple(max(p[a] for p in support) + 1 for a in range(d))
-    box = itertools.product(*[range(lo[a], hi[a] + 1) for a in range(d)])
-    free = [p for p in box if p not in support]
-    return [c for c in components(free, zd_neighbors) if lo not in c and hi not in c]
 
 
 class Torus:

@@ -306,13 +306,27 @@ class _Gas:
         """Per pair of classes (i, j), the sorted offsets a - b (a in support
         i, b in support j) at which class j placed relative to class i
         overlaps it."""
-        d = self.d
-        supports = [y.support for y in self.classes]
-        return [
-            [sorted({tuple(a[k] - b[k] for k in range(d)) for a in si for b in sj})
-             for sj in supports]
-            for si in supports
-        ]
+        if not self.classes:
+            return []
+        # with every coordinate in an interval of M values, a - b lies in
+        # (-M, M)^d; code (j, a - b) as one integer that sorts like the tuple
+        supports = [np.array(sorted(y.support)) for y in self.classes]
+        every = np.concatenate(supports)
+        owner = np.repeat(np.arange(len(supports)), [len(s) for s in supports])
+        M = int(every.max() - every.min()) + 1
+        radix = (2 * M - 1) ** np.arange(self.d - 1, -1, -1)
+        span = (2 * M - 1) ** self.d
+        out = []
+        for si in supports:
+            diff = (si[:, None, :] - every[None, :, :] + M - 1) @ radix
+            codes = np.sort(owner * span + diff, axis=None)
+            # distinct codes; np.unique would do, but it imports numpy.ma,
+            # which costs about 1 MiB of resident memory
+            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+            cuts = np.searchsorted(codes, np.arange(1, len(supports)) * span)
+            digits = (codes[:, None] % span // radix) % (2 * M - 1) - (M - 1)
+            out.append([list(map(tuple, part.tolist())) for part in np.split(digits, cuts)])
+        return out
 
     @cached_property
     def geometry(self) -> _CertificateGeometry:

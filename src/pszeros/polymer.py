@@ -403,25 +403,14 @@ def tail_bounds_check(system: PolymerSystem, gamma, max_norm: float = 8.0) -> di
 # -- contour entropy constant ---------------------------------------------------
 
 
-def estimate_c0(d: int, n_spins: int, R: int, size_cap: int) -> dict:
-    """Smallest c0 (within 0.1) for which the boundary-rooted contour sum
-    sum over contours with volume containing the origin of e^{(2-c0)|Y|}
-    stays below one, enumerating contour classes up to the support cap.
-
-    Returns the estimate together with the per-size class counts and a crude
-    geometric bound on the truncated remainder.
-    """
+@lru_cache(maxsize=None)
+def _counting_weights(d: int, n_spins: int, R: int, size_cap: int) -> dict:
+    """Per support size n, the number of (contour class, translate with
+    volume containing the origin) pairs of an n_spins-state model in Z^d
+    with range R, up to the support cap; built once per argument tuple."""
     from .contours import contour_classes
     from .models import SpinModel, InteractionTerm
 
-    if size_cap < (2 * R + 1) ** d:
-        return {
-            "c0": 0.0,
-            "vacuous": True,
-            "note": "size cap below the minimum contour size (2R+1)^d",
-            "weights": {},
-            "remainder": 0.0,
-        }
     # a structural stand-in model: energies are irrelevant for counting
     spins = tuple(range(n_spins))
     shape = ((0,) * d,)
@@ -431,12 +420,30 @@ def estimate_c0(d: int, n_spins: int, R: int, size_cap: int) -> dict:
     model = SpinModel(
         spins, d, R, (term,), tuple((s,) for s in spins), name="counting"
     )
-    classes = contour_classes(model, 0, size_cap)
     by_size = {}
-    for y in classes:
-        vol = len(y.volume)
+    for y in contour_classes(model, 0, size_cap):
         by_size.setdefault(y.size, 0.0)
-        by_size[y.size] += vol  # translates with volume containing the origin
+        by_size[y.size] += len(y.volume)  # translates with volume containing the origin
+    return by_size
+
+
+def estimate_c0(d: int, n_spins: int, R: int, size_cap: int) -> dict:
+    """Smallest c0 (within 0.1) for which the boundary-rooted contour sum
+    sum over contours with volume containing the origin of e^{(2-c0)|Y|}
+    stays below one, enumerating contour classes up to the support cap.
+
+    Returns the estimate together with the per-size class counts and a crude
+    geometric bound on the truncated remainder.
+    """
+    if size_cap < (2 * R + 1) ** d:
+        return {
+            "c0": 0.0,
+            "vacuous": True,
+            "note": "size cap below the minimum contour size (2R+1)^d",
+            "weights": {},
+            "remainder": 0.0,
+        }
+    by_size = dict(_counting_weights(d, n_spins, R, size_cap))
 
     def rooted_sum(c0):
         return sum(w * math.exp((2 - c0) * n) for n, w in by_size.items())

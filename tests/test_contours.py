@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from pszeros.contours import (
     torus_contour_identity_check,
     torus_region_partition_function,
 )
+from pszeros.errors import BudgetError
 from pszeros.lattice import chebyshev_ball, torus
 from pszeros.models import (
     TorusConfiguration,
@@ -409,6 +411,25 @@ def test_contour_classes_sizes():
 
 def test_contours_in_region_count():
     assert len(contours_in_region(ising(1.0), 1, [(i, j) for i in range(4) for j in range(4)])) == 15
+
+
+def test_contours_in_region_budget_before_allocating():
+    # a 3-state 9x9 region has a 49-site core: 3^49 assignments
+    region = [(i, j) for i in range(9) for j in range(9)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="49-site core"):
+            contours_in_region(blume_capel(1.4, 0.05), 1, region)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_contour_classes_budget():
+    # range 1 in d = 2: at most 2 (2R+1)^d = 18 support sites
+    with pytest.raises(BudgetError):
+        contour_classes(ising(1.0), 1, 19)
 
 
 def test_contour_json_roundtrip():

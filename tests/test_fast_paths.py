@@ -1,8 +1,9 @@
 """The fast certificate, the Newton zero solver, the block enumeration
-kernel, the independent-set kernel, the component search and the
-placement-table energy kernel against the bisection, Gray-code scan,
-recursion, union-find and per-placement loop code they replaced, kept here
-as oracles."""
+kernel, the independent-set kernel, the component search, the
+placement-table energy kernel, the batched contour builder and the overlap
+offsets against the bisection, Gray-code scan, recursion, union-find,
+per-placement loop, per-candidate builder and set comprehension code they
+replaced, kept here as oracles."""
 
 import cmath
 import itertools
@@ -15,16 +16,21 @@ import pytest
 import pszeros.contours as contours_module
 from pszeros.contours import (
     ContourSumEngine,
+    ZdContour,
+    _canon_contour,
     _canon_region,
+    _canon_sites,
+    contour_classes,
     contour_graph,
     contours_in_region,
 )
-from pszeros.lattice import chebyshev_ball, components, torus, zd_holes, zd_neighbors
+from pszeros.lattice import chebyshev_ball, components, torus, zd_neighbors
 from pszeros.metastable import (
     EXACT_PLACEMENT_BUDGET,
     Cutoffs,
     WeightEngine,
     _A_SCALES,
+    _Gas,
     _gas,
     _gas_certificate,
     _torus_placements_of_classes,
@@ -42,6 +48,7 @@ from pszeros.models import (
     ising,
     model_from_config,
     pair_weight,
+    perturbed_ising,
     potts,
     r_boundary,
 )
@@ -700,27 +707,6 @@ def oracle_torus_components(geom, sites):
     return out
 
 
-def oracle_zd_holes(support):
-    support = set(support)
-    if not support:
-        return []
-    d = len(next(iter(support)))
-    lo = [min(p[a] for p in support) - 1 for a in range(d)]
-    hi = [max(p[a] for p in support) + 1 for a in range(d)]
-    box = set(itertools.product(*[range(lo[a], hi[a] + 1) for a in range(d)]))
-    free = box - support
-    shell = {p for p in free if any(p[a] in (lo[a], hi[a]) for a in range(d))}
-    stack = list(shell)
-    outside = set(shell)
-    while stack:
-        x = stack.pop()
-        for y in zd_neighbors(x):
-            if y in free and y not in outside:
-                outside.add(y)
-                stack.append(y)
-    return oracle_zd_components(free - outside)
-
-
 def oracle_torus_union_find(config, R):
     """The bad-box scan and union-find of the old contour_graph, returning
     the components before classification."""
@@ -787,17 +773,23 @@ def oracle_placed_overlap(pa, pb, supports, d):
     )
 
 
+def oracle_overlap_offsets(classes, d):
+    """The set comprehension the gas record's offsets replaced."""
+    supports = [y.support for y in classes]
+    return [
+        [sorted({tuple(a[k] - b[k] for k in range(d)) for a in si for b in sj})
+         for sj in supports]
+        for si in supports
+    ]
+
+
 def oracle_gas_skeleton(model, q, size_cap, norm_cap):
     """The gas record's skeleton with the overlap of two placements tested
     on their translated supports."""
     classes = _gas(model, q, size_cap).classes
     d = model.dimension
     supports = [y.support for y in classes]
-    overlap_offsets = [
-        [sorted({tuple(a[k] - b[k] for k in range(d)) for a in si for b in sj})
-         for sj in supports]
-        for si in supports
-    ]
+    overlap_offsets = oracle_overlap_offsets(classes, d)
     placement_sets = set()
     min_size = min((y.size for y in classes), default=1)
     cap_parts = max(1, int(norm_cap // max(min_size, 1)))
@@ -963,7 +955,6 @@ def test_components_match_bfs_and_union_find_oracles():
         d = rng.choice((2, 3))
         sites = frozenset(_random_zd_sites(rng, d, 6 if d == 2 else 4, rng.uniform(0.2, 0.7)))
         assert components(sites, zd_neighbors) == oracle_zd_components(sites)
-        assert sorted(zd_holes(sites), key=min) == sorted(oracle_zd_holes(sites), key=min)
         R = rng.choice((1, 2))
         linked = components(sites, lambda x: chebyshev_ball(x, R))
         assert sorted(linked, key=min) == sorted(oracle_zd_union_find(sites, R), key=min)
@@ -989,6 +980,190 @@ def test_gas_skeleton_matches_placed_overlap_oracle(model):
     for q in model.orbit_representatives():
         gas = _gas(model, q, 12)
         assert (gas.classes, gas.skeleton(18.0)) == oracle_gas_skeleton(model, q, 12, 18.0)
+
+
+@pytest.mark.parametrize("model", [ising(1.5), blume_capel(1.5, 0.3), potts(3, 1.5),
+                                   potts(4, 1.5)], ids=lambda m: m.name)
+def test_overlap_offsets_match_set_oracle(model):
+    for q in model.orbit_representatives():
+        classes = contour_classes(model, q, 12)
+        assert _Gas(model, q, 12).offsets == oracle_overlap_offsets(classes, model.dimension)
+
+
+# -- oracles: the per-candidate contour builder replaced by the batched one
+# (contours._zd_contours) -------------------------------------------------------
+
+
+def oracle_zd_holes(support) -> list[frozenset]:
+    """Finite components of Z^d minus ``support`` (the holes of the set).
+
+    Splits the complement inside the bounding box inflated by one layer into
+    components: those holding the lowest or the highest corner of that box
+    lie outside, the rest are holes.
+    """
+    support = set(support)
+    if not support:
+        return []
+    d = len(next(iter(support)))
+    lo = tuple(min(p[a] for p in support) - 1 for a in range(d))
+    hi = tuple(max(p[a] for p in support) + 1 for a in range(d))
+    box = itertools.product(*[range(lo[a], hi[a] + 1) for a in range(d)])
+    free = [p for p in box if p not in support]
+    return [c for c in components(free, zd_neighbors) if lo not in c and hi not in c]
+
+
+def oracle_zd_contour_from_deviations(model, q, deviations):
+    """Build the contour of a background-q configuration with the given
+    deviations, or None if its bad region is not a single component."""
+    cfg = ZdConfiguration.make(q, deviations)
+    support = r_boundary(cfg, model.range)
+    if not support:
+        return None
+    # two boundary sites are linked when one non-constant box contains both
+    if len(components(support, lambda x: chebyshev_ball(x, model.range))) != 1:
+        return None
+    look = cfg.lookup()
+    holes = oracle_zd_holes(support)
+    interiors = []
+    for comp in sorted(holes, key=min):
+        vals = {look(x) for x in comp}
+        assert len(vals) == 1, "hole of a contour support is not constant"
+        interiors.append((comp, vals.pop()))
+    spins = {x: look(x) for x in support}
+    return ZdContour(q, support, spins, tuple(interiors))
+
+
+def oracle_contours_in_region(model, q, region):
+    region = frozenset(tuple(x) for x in region)
+    core = sorted(
+        x for x in region if all(tuple(y) in region for y in chebyshev_ball(x, model.range))
+    )
+    others = [s for s in model.spins if s != q]
+    out = []
+    for assignment in itertools.product([None] + others, repeat=len(core)):
+        dev = {core[i]: s for i, s in enumerate(assignment) if s is not None}
+        if not dev:
+            continue
+        y = oracle_zd_contour_from_deviations(model, q, dev)
+        if y is None:
+            continue
+        if not (y.support <= region and y.volume <= region):
+            continue
+        out.append(y)
+    out.sort(key=lambda y: y.key())
+    return out
+
+
+def oracle_contour_classes(model, q, max_support):
+    R = model.range
+    d = model.dimension
+    link = 2 * R + 1
+    max_dev = 1 + max(
+        0, (max_support - (2 * R + 1) ** d) // ((2 * R + 1) ** (d - 1))
+    )
+    others = [s for s in model.spins if s != q]
+    patterns = {frozenset([(0,) * d])}
+    frontier = list(patterns)
+    while frontier:
+        new = []
+        for pat in frontier:
+            if len(pat) >= max_dev:
+                continue
+            for x in pat:
+                for off in itertools.product(range(-link, link + 1), repeat=d):
+                    y = tuple(x[a] + off[a] for a in range(d))
+                    if y in pat:
+                        continue
+                    canon = _canon_sites(frozenset(pat | {y}))
+                    if canon not in patterns:
+                        patterns.add(canon)
+                        new.append(canon)
+        frontier = new
+    classes = []
+    seen = set()
+    for pat in sorted(patterns, key=sorted):
+        # fewer than (2R+1)^d deviations never fill a box, so the support is
+        # the union of their R-balls whatever the labels; testing its size
+        # first only saves time, the old loop built every candidate and
+        # dropped the large ones afterwards
+        if len({y for x in pat for y in chebyshev_ball(x, R)}) > max_support:
+            continue
+        for labs in itertools.product(others, repeat=len(pat)):
+            dev = dict(zip(sorted(pat), labs))
+            y = oracle_zd_contour_from_deviations(model, q, dev)
+            if y is None or y.size > max_support:
+                continue
+            yc = _canon_contour(y)
+            if yc.key() in seen:
+                continue
+            seen.add(yc.key())
+            classes.append(yc)
+    classes.sort(key=lambda y: (y.size, y.key()))
+    return classes
+
+
+def _contour_records(model, contours):
+    """Everything a contour carries, its energy pair to the last bit."""
+    return [
+        (y.q, y.key(), y.support, y.spins, y.interiors, repr(y.energy_pair(model)))
+        for y in contours
+    ]
+
+
+_CLASS_MODELS = {
+    "ising": lambda: ising(1.5),
+    "plaquette": lambda: model_from_config(PLAQUETTE_ISING),
+    "blume-capel": lambda: blume_capel(1.5, 0.3),
+    "potts3": lambda: potts(3, 1.5),
+    "potts4": lambda: potts(4, 1.5),
+    # the stand-in models of polymer.estimate_c0 (single-site term, zero
+    # energies), which enumerate phase 0 only
+    "counting2": lambda: free_field_model(spins=(0, 1)),
+    "counting3": lambda: free_field_model(spins=(0, 1, 2)),
+    "counting4": lambda: free_field_model(spins=(0, 1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLASS_MODELS))
+def test_contour_classes_match_per_candidate_oracle(name):
+    model = _CLASS_MODELS[name]()
+    phases = (0,) if name.startswith("counting") else model.spins
+    for size_cap in (9, 12, 16):
+        for q in phases:
+            assert _contour_records(model, contour_classes(model, q, size_cap)) == \
+                _contour_records(model, oracle_contour_classes(model, q, size_cap)), (size_cap, q)
+
+
+def test_range_two_contour_classes_match_per_candidate_oracle():
+    model = perturbed_ising({((0, 0), (0, 2)): 0.1, ((0, 0), (0, 1)): 1.0})
+    assert model.range == 2
+    for size_cap in (25, 30):
+        for q in model.spins:
+            new = contour_classes(model, q, size_cap)
+            assert new
+            assert _contour_records(model, new) == \
+                _contour_records(model, oracle_contour_classes(model, q, size_cap))
+
+
+def _box(a, b):
+    return [(i, j) for i in range(a) for j in range(b)]
+
+
+@pytest.mark.parametrize("model, region", [
+    (ising(1.1), _box(5, 5)),
+    (ising(1.1), _box(3, 6)),
+    (blume_capel(1.4, 0.05), _box(4, 5)),
+    (potts(3, 1.5), _box(4, 4)),
+    (ising(1.1), [x for x in _box(7, 7) if x[0] < 3 or x[1] < 3]),
+], ids=["ising-5x5", "ising-3x6", "blume-capel-4x5", "potts3-4x4", "ising-L"])
+def test_contours_in_region_match_per_candidate_oracle(model, region):
+    for q in model.spins:
+        new = contours_in_region(model, q, region)
+        assert _contour_records(model, new) == \
+            _contour_records(model, oracle_contours_in_region(model, q, region))
+    if len(region) == 25:
+        # the flipped 3x3 core leaves its centre as a hole
+        assert any(y.interiors for y in new)
 
 
 # -- oracles: the per-placement energy loops replaced by the placement-table

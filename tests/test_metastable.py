@@ -1,7 +1,11 @@
 import cmath
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -375,6 +379,25 @@ def test_gas_record_built_once_per_phase(monkeypatch):
     phases = sorted(model.orbit_representatives())
     assert sorted(classes_calls) == phases
     assert sorted(offset_calls) == phases
+
+
+def test_metastable_and_contour_paths_do_not_import_scipy():
+    # scipy.ndimage alone takes about 0.4 s to import; a fresh process
+    # running a free-energy table and a region contour sum needs none of it
+    code = (
+        "import sys\n"
+        "import pszeros as P\n"
+        "P.free_energy_table(P.blume_capel(1.5, 0.3), 0.9 + 0.3j)\n"
+        "P.contour_partition_function(P.blume_capel(1.4, 0.05),\n"
+        "    [(i, j) for i in range(3) for j in range(4)], 1, 0.9 + 0.3j)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_gas_record_is_freed_with_its_model():

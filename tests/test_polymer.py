@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+from pszeros import contours, polymer
 from pszeros.errors import BudgetError, ConvergenceError
+from pszeros.metastable import estimated_constants
+from pszeros.models import blume_capel
 from pszeros.polymer import (
     PolymerSystem,
     enumerate_clusters,
@@ -247,6 +250,28 @@ def test_estimate_c0_regression_and_monotonicity():
     # doubling the spin count never decreases c0
     rep4 = estimate_c0(2, 4, 1, 12)
     assert rep4["c0"] >= rep["c0"]
+
+
+def test_estimate_c0_counts_classes_once_per_value_key(monkeypatch):
+    # c0 depends on (d, spins, R, size cap) only: two fresh three-state
+    # models enumerate the counting model's classes once between them
+    calls = []
+    enumerate_classes = contours.contour_classes
+
+    def counted(model, q, max_support):
+        if model.name == "counting":
+            calls.append((len(model.spins), max_support))
+        return enumerate_classes(model, q, max_support)
+
+    monkeypatch.setattr(contours, "contour_classes", counted)
+    polymer._counting_weights.cache_clear()
+    first = estimated_constants(blume_capel(1.5, 0.1), [1.0])
+    second = estimated_constants(blume_capel(1.75, -0.3), [1.0])
+    assert calls == [(3, 12)]
+    assert first.c0 == second.c0
+    a, b = estimate_c0(2, 3, 1, 12), estimate_c0(2, 3, 1, 12)
+    assert a == b and a["weights"] is not b["weights"]
+    assert calls == [(3, 12)]
 
 
 def test_derivative_transport(rng):
