@@ -15,7 +15,6 @@ from .models import (
     EstimatedConstants,
     InteractionTerm,
     ModelError,
-    Regime,
     SpinModel,
     TorusConfiguration,
     ZdConfiguration,

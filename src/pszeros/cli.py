@@ -153,9 +153,9 @@ class Emitter:
         )
 
 
-def emit_plot(hollow=(), filled=(), curves=(), title: str = "", guide_circle=True) -> str:
+def emit_plot(hollow=(), filled=(), curves=(), title: str = "") -> str:
     """Deterministic SVG scatter: predicted zeros hollow, exact filled, with
-    an optional unit-circle guide and curve polylines."""
+    a unit-circle guide and curve polylines."""
     size = 600.0
     rmax = 1.45
     for group in (hollow, filled):
@@ -177,12 +177,11 @@ def emit_plot(hollow=(), filled=(), curves=(), title: str = "", guide_circle=Tru
         parts.append(
             f'<text x="10" y="20" font-family="monospace" font-size="14">{title}</text>'
         )
-    if guide_circle:
-        r = format(size / 2 / rmax, ".2f")
-        parts.append(
-            f'<circle cx="{int(size/2)}" cy="{int(size/2)}" r="{r}" fill="none" '
-            f'stroke="#bbbbbb" stroke-width="1"/>'
-        )
+    r = format(size / 2 / rmax, ".2f")
+    parts.append(
+        f'<circle cx="{int(size/2)}" cy="{int(size/2)}" r="{r}" fill="none" '
+        f'stroke="#bbbbbb" stroke-width="1"/>'
+    )
     for curve in curves:
         pts = " ".join(f"{X(z)},{Y(z)}" for z in curve)
         parts.append(

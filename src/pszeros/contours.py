@@ -181,18 +181,11 @@ class MatchingCollection:
 
     def region_sizes(self) -> dict:
         """|Lambda_m|: number of sites outside all supports carrying label m."""
+        if not self.objects():
+            return {self.vacuum_label: self.geom.n_sites}
         counts = {}
-        occupied = set()
-        for o in self.objects():
-            occupied.update(o.support)
-        for x in range(self.geom.n_sites):
-            if x in occupied:
-                continue
-            if not self.objects():
-                lab = self.vacuum_label
-            else:
-                lab = self.objects()[0].value_at(x)
-            counts[lab] = counts.get(lab, 0) + 1
+        for comp, lab in _complement_labels(self):
+            counts[lab] = counts.get(lab, 0) + len(comp)
         return counts
 
 
@@ -288,11 +281,37 @@ def extract(config: TorusConfiguration, R: int) -> MatchingCollection:
     return MatchingCollection(geom, tuple(contours), network, None)
 
 
-def reconstruct(collection: MatchingCollection, side: int | None = None) -> TorusConfiguration:
+def _complement_labels(collection: MatchingCollection):
+    """Each component of the complement of the (non-empty) collection's
+    supports, with the label that the objects whose supports it touches
+    induce on it; a ValueError where supports overlap or those labels
+    disagree."""
+    geom = collection.geom
+    objects = collection.objects()
+    union = set()
+    for o in objects:
+        if union & o.support:
+            raise ValueError("label mismatch: supports overlap")
+        union.update(o.support)
+    out = []
+    complement = [x for x in range(geom.n_sites) if x not in union]
+    for comp in sorted(geom.components(complement), key=min):
+        ring = {
+            y for x in comp for y in geom.neighbors[x] if y in union
+        }
+        values = {o.value_at(min(comp)) for o in objects if ring & o.support}
+        if len(values) != 1:
+            raise ValueError(
+                f"label mismatch on the complement component at site {min(comp)}: "
+                f"adjacent objects induce {sorted(map(repr, values))}"
+            )
+        out.append((comp, values.pop()))
+    return out
+
+
+def reconstruct(collection: MatchingCollection) -> TorusConfiguration:
     """The unique configuration whose extraction is ``collection``."""
     geom = collection.geom
-    if side is not None and side != geom.L:
-        raise ValueError("side disagrees with the collection's torus")
     objects = collection.objects()
     if not objects:
         if collection.vacuum_label is None:
@@ -301,28 +320,10 @@ def reconstruct(collection: MatchingCollection, side: int | None = None) -> Toru
             geom.L, geom.d, (collection.vacuum_label,) * geom.n_sites
         )
     arr = [None] * geom.n_sites
-    union = set()
     for o in objects:
-        if union & o.support:
-            raise ValueError("label mismatch: supports overlap")
-        union.update(o.support)
         for s in o.support:
             arr[s] = o.spins[s]
-    complement = [x for x in range(geom.n_sites) if x not in union]
-    for comp in sorted(geom.components(complement), key=min):
-        ring = {
-            y for x in comp for y in geom.neighbors[x] if y in union
-        }
-        values = set()
-        for o in objects:
-            if ring & o.support:
-                values.add(o.value_at(min(comp)))
-        if len(values) != 1:
-            raise ValueError(
-                f"label mismatch on the complement component at site {min(comp)}: "
-                f"adjacent objects induce {sorted(map(repr, values))}"
-            )
-        lab = values.pop()
+    for comp, lab in _complement_labels(collection):
         for x in comp:
             arr[x] = lab
     return TorusConfiguration(geom.L, geom.d, tuple(arr))

@@ -17,9 +17,10 @@ cap), built on first use and held on the model (``SpinModel.gas``), so
 that it is computed once per model and freed with it.
 
 Desk-scale note: the Peierls rate tau and the entropy constant c0 are
-estimated from the model and reported.  Certified asymptotic constants
-(tau >= 4 c0 + 16) can be supplied through a Regime; by default the engine
-runs with the estimated tau and c0 = 0, a choice recorded in every report.
+estimated from the model and reported.  The engine always runs with the
+measured tau and c0 = 0, so the cap is exp(-(tau/2)|Y|); the certified
+asymptotic constants (tau >= 4 c0 + 16) are only checked against, in
+``estimated_constants``, never assumed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .contours import (
 )
 from .errors import ConvergenceError
 from .lattice import torus
-from .models import Regime, SpinModel, pair_weight, theta, theta_max
+from .models import SpinModel, pair_weight, theta, theta_max
 from .polymer import (
     PolymerSystem,
     enumerate_clusters,
@@ -142,19 +143,15 @@ class WeightEngine:
 
     The induction over region volume is realized by memoized recursion: a
     weight calls truncated partition functions of strictly smaller regions.
-    The cap threshold is exp(-(c0 + tau/2)|Y|); whenever it would activate,
-    the weight is zeroed and the event recorded in ``activation_log``.
+    tau is the measured Peierls rate at z (``estimate_tau``) and the cap
+    threshold is exp(-(tau/2)|Y|); whenever it would activate, the weight is
+    zeroed and the event recorded in ``activation_log``.
     """
 
-    def __init__(self, model: SpinModel, z: complex, tau: float | None = None,
-                 c0: float = 0.0, regime: Regime | None = None,
-                 budget: int = ENUM_CORE_BUDGET):
+    def __init__(self, model: SpinModel, z: complex, budget: int = ENUM_CORE_BUDGET):
         self.model = model
         self.z = z
-        if regime is not None:
-            tau, c0 = regime.tau, regime.c0
-        self.tau = estimate_tau(model, z) if tau is None else tau
-        self.c0 = c0
+        self.tau = estimate_tau(model, z)
         self.budget = budget
         self.theta = {m: pair_weight(model.ground_pair(m), z) for m in model.spins}
         self.activation_log = []
@@ -244,7 +241,7 @@ class WeightEngine:
         for comp, lab in y.interiors:
             w *= self._untruncated.partition_function(comp, lab)
             w /= self.zprime(comp, q)
-        cap = math.exp(-(self.c0 + self.tau / 2.0) * y.size)
+        cap = math.exp(-(self.tau / 2.0) * y.size)
         if abs(w) > cap:
             self.activation_log.append(
                 {"contour": key, "size": y.size, "weight": abs(w), "cap": cap}
@@ -253,28 +250,25 @@ class WeightEngine:
         self._kprime[key] = w
         return w
 
-    def is_stable(self, y: ZdContour, rel_tol: float = 1e-9) -> bool:
+    def is_stable(self, y: ZdContour) -> bool:
         """Whether the truncation left the weight untouched: K' = K."""
         kp = self.weight_truncated(y)
         k = self.weight_plain(y)
         if k == 0:
             return kp == 0
-        return abs(kp - k) <= rel_tol * abs(k)
+        return abs(kp - k) <= 1e-9 * abs(k)
 
 
 def truncated_weight(model: SpinModel, y: ZdContour, z: complex,
-                     engine: WeightEngine | None = None, **kw) -> complex:
+                     engine: WeightEngine | None = None) -> complex:
     if engine is None:
-        engine = WeightEngine(model, z, **kw)
+        engine = WeightEngine(model, z)
     return engine.weight_truncated(y)
 
 
-def truncated_partition(model: SpinModel, region, q, z: complex,
-                        engine: WeightEngine | None = None, **kw) -> complex:
+def truncated_partition(model: SpinModel, region, q, z: complex) -> complex:
     """Z'_q over a finite Z^d region."""
-    if engine is None:
-        engine = WeightEngine(model, z, **kw)
-    return engine.zprime(region, q)
+    return WeightEngine(model, z).zprime(region, q)
 
 
 # -- infinite-volume pressure -----------------------------------------------------
@@ -427,14 +421,14 @@ class PressureResult:
 
 def polymer_pressure(
     model: SpinModel, q, z: complex, cutoffs: Cutoffs = Cutoffs(),
-    tau: float | None = None, c0: float = 0.0, engine: WeightEngine | None = None,
+    engine: WeightEngine | None = None,
 ) -> PressureResult:
     """The contour-gas pressure s_q at z: rooted cluster sum per site of the
     truncated weights, with the certified exponential tail bound."""
     gas = _gas(model, q, cutoffs.size_cap)
     entries = gas.skeleton(cutoffs.norm_cap)
     if engine is None:
-        engine = WeightEngine(model, z, tau=tau, c0=c0)
+        engine = WeightEngine(model, z)
     w = [engine.weight_truncated(y) for y in gas.classes]
 
     cert, eta = _gas_certificate(gas, w)
@@ -529,12 +523,11 @@ class FreeEnergyTable:
 
 
 def free_energy_table(
-    model: SpinModel, z: complex, cutoffs: Cutoffs = Cutoffs(),
-    tau: float | None = None, c0: float = 0.0,
+    model: SpinModel, z: complex, cutoffs: Cutoffs = Cutoffs()
 ) -> FreeEnergyTable:
     """zeta_m, f_m and a_m for every phase at one point, sharing one weight
     engine (and hence one activation log)."""
-    engine = WeightEngine(model, z, tau=tau, c0=c0)
+    engine = WeightEngine(model, z)
     entries = {}
     for m in model.orbit_representatives():
         th = engine.theta[m]
@@ -555,10 +548,10 @@ def free_energy_table(
     return FreeEnergyTable(z, out, stable, engine.tau, len(engine.activation_log))
 
 
-def zeta(model: SpinModel, m, z: complex, cutoffs: Cutoffs = Cutoffs(), **kw):
+def zeta(model: SpinModel, m, z: complex, cutoffs: Cutoffs = Cutoffs()):
     """The metastable entry for one phase (computing the full table so that
     the free-energy gap a_m is normalized against the stable phase)."""
-    return free_energy_table(model, z, cutoffs, **kw)[m]
+    return free_energy_table(model, z, cutoffs)[m]
 
 
 # -- finite-volume torus analogue ---------------------------------------------------
@@ -592,13 +585,12 @@ def _torus_placements_of_classes(model, classes, L):
 
 
 def finite_volume_zeta(
-    model: SpinModel, m, L: int, z: complex, cutoffs: Cutoffs = Cutoffs(),
-    tau: float | None = None, c0: float = 0.0,
+    model: SpinModel, m, L: int, z: complex, cutoffs: Cutoffs = Cutoffs()
 ) -> complex:
     """zeta_m^{(L)} = theta_m exp(s_m^{(L)}) with the pressure of the wrapped
     contour gas on the torus: exact logarithm of the placement sum for small
     tori, cluster expansion with torus (wrapped) incompatibility beyond."""
-    engine = WeightEngine(model, z, tau=tau, c0=c0)
+    engine = WeightEngine(model, z)
     th = engine.theta[m]
     if th == 0:
         return 0j
@@ -660,10 +652,7 @@ def _inside_hull(p, pts):
         return False
 
 
-def nondegeneracy_check(
-    model: SpinModel, zs, alpha: float | None = None,
-    cutoffs: Cutoffs = Cutoffs(),
-) -> dict:
+def nondegeneracy_check(model: SpinModel, zs, cutoffs: Cutoffs = Cutoffs()) -> dict:
     """Non-degeneracy diagnostics over a z sample.
 
     Wherever two (or more) phases are simultaneously within the almost-ground
@@ -679,11 +668,10 @@ def nondegeneracy_check(
     alpha_zeta = math.inf
     checked_pairs = 0
     checked_hulls = 0
-    window = alpha if alpha is not None else 1.0
     for z in zs:
         th = {m: abs(theta(model, m, z)) for m in reps}
         tmax = max(th.values())
-        active = [m for m in reps if th[m] >= tmax * math.exp(-window)]
+        active = [m for m in reps if th[m] >= tmax * math.exp(-1.0)]
         if len(active) < 2:
             continue
         v = {m: _theta_derivative(model, m, z) / theta(model, m, z) for m in active}

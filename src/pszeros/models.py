@@ -511,28 +511,7 @@ def potts(q: int, J: float, d: int = 2) -> SpinModel:
     )
 
 
-# -- regime constants ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Regime:
-    """Certified constants for the contour analysis.  The bound
-    tau >= 4 c0 + 16 is what the truncation and stability arguments assume."""
-
-    tau: float
-    M: float
-    alpha: float
-    c0: float
-
-    def __post_init__(self):
-        if min(self.tau, self.M, self.alpha) <= 0 or self.c0 < 0:
-            raise ModelError("regime constants must be positive")
-        if self.tau < 4 * self.c0 + 16:
-            raise ModelError("regime requires tau >= 4*c0 + 16")
-
-    @property
-    def eps(self) -> float:
-        return float(cmath.exp(-self.tau / 2).real)
+# -- measured constants -------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -291,37 +291,35 @@ class Certificate:
         return self.ok
 
 
-def kp_certificate(system: PolymerSystem, z0=None, a=None) -> Certificate:
+def kp_certificate(system: PolymerSystem, z0=None) -> Certificate:
     """Check the convergence condition: for every polymer g, the weighted
     neighbor sum of majorant weights z0 * e^a stays below a(g)."""
     per = {}
     worst = math.inf
     for g in system.polymers:
-        ag = a[g] if a is not None else system.a_of(g)
+        ag = system.a_of(g)
         s = 0.0
         for h in system.neighbors(g):
             z0h = z0[h] if z0 is not None else abs(system.weights[h])
-            ah = a[h] if a is not None else system.a_of(h)
-            s += z0h * math.exp(ah)
+            s += z0h * math.exp(system.a_of(h))
         per[g] = ag - s
         worst = min(worst, ag - s)
     return Certificate(worst >= 0.0, worst, per)
 
 
-def _best_eta(system: PolymerSystem, z0, a, eta_max: float = 8.0) -> float:
-    """Largest eta (within 1e-3) for which the boosted weights
-    z0 * e^{eta * size} still satisfy the convergence condition."""
+def _best_eta(system: PolymerSystem) -> float:
+    """Largest eta in [0, 8] (within 1e-3) for which the boosted weights
+    |w| e^{eta * size} still satisfy the convergence condition."""
     def ok(eta):
         boosted = {
-            g: (z0[g] if z0 is not None else abs(system.weights[g]))
-            * math.exp(eta * system.size(g))
+            g: abs(system.weights[g]) * math.exp(eta * system.size(g))
             for g in system.polymers
         }
-        return kp_certificate(system, boosted, a).ok
+        return kp_certificate(system, boosted).ok
 
     if not ok(0.0):
         return -1.0
-    lo, hi = 0.0, eta_max
+    lo, hi = 0.0, 8.0
     if ok(hi):
         return hi
     for _ in range(40):
@@ -342,7 +340,7 @@ class ExpansionResult:
 
 
 def log_partition_expansion(
-    system: PolymerSystem, subset=None, max_norm: float = 8.0, z0=None, a=None
+    system: PolymerSystem, subset=None, max_norm: float = 8.0
 ) -> ExpansionResult:
     """Cluster expansion of log Z over the subset, truncated by cluster norm,
     with a rigorous bound on the discarded tail.
@@ -353,19 +351,17 @@ def log_partition_expansion(
     certificate tolerates.
     """
     items = tuple(system.polymers if subset is None else subset)
-    cert = kp_certificate(system, z0, a)
+    cert = kp_certificate(system)
     if not cert.ok:
         raise ConvergenceError(
             f"no convergence certificate (worst margin {cert.worst_margin:.3g})"
         )
-    eta = _best_eta(system, z0, a)
+    eta = _best_eta(system)
     clusters = enumerate_clusters(system, items, max_norm)
     value = sum(c.value for c in clusters)
     mass = 0.0
     for g in items:
-        z0g = z0[g] if z0 is not None else abs(system.weights[g])
-        ag = a[g] if a is not None else system.a_of(g)
-        mass += z0g * math.exp(eta * system.size(g) + ag)
+        mass += abs(system.weights[g]) * math.exp(eta * system.size(g) + system.a_of(g))
     tail = math.exp(-eta * max_norm) * mass if eta > 0 else math.inf
     return ExpansionResult(value, tail, eta, len(clusters))
 

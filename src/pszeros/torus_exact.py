@@ -229,9 +229,10 @@ class ExactZeroSet:
         )
 
 
-def exact_zeros(poly: PartitionPolynomial, newton_steps: int = 5) -> ExactZeroSet:
+def exact_zeros(poly: PartitionPolynomial) -> ExactZeroSet:
     """All roots of the partition polynomial: companion-matrix eigenvalues
-    (with balancing, as in numpy's root finder) followed by Newton polish."""
+    (with balancing, as in numpy's root finder) followed by five Newton
+    steps of polish."""
     co = np.asarray(poly.coefficients, dtype=complex)
     if len(co) < 2:
         raise BudgetError("polynomial degree must be at least 1")
@@ -251,7 +252,7 @@ def exact_zeros(poly: PartitionPolynomial, newton_steps: int = 5) -> ExactZeroSe
     work = co[trail : lead + 1]
     r = np.roots(work[::-1])
     dwork = work[1:] * np.arange(1, len(work))
-    for _ in range(newton_steps):
+    for _ in range(5):
         pv = np.polyval(work[::-1], r)
         dv = np.polyval(dwork[::-1], r)
         ok = np.abs(dv) > 1e-30

@@ -35,19 +35,14 @@ class CurveError(RuntimeError):
 class PhaseEvaluator:
     """Cached free-energy tables over repeated z evaluations."""
 
-    def __init__(self, model: SpinModel, cutoffs: Cutoffs = Cutoffs(),
-                 tau: float | None = None, c0: float = 0.0):
+    def __init__(self, model: SpinModel, cutoffs: Cutoffs = Cutoffs()):
         self.model = model
         self.cutoffs = cutoffs
-        self.tau = tau
-        self.c0 = c0
         self._cache = {}
 
     def table(self, z: complex):
         if z not in self._cache:
-            self._cache[z] = free_energy_table(
-                self.model, z, self.cutoffs, tau=self.tau, c0=self.c0
-            )
+            self._cache[z] = free_energy_table(self.model, z, self.cutoffs)
         return self._cache[z]
 
     def f(self, m, z: complex) -> float:
@@ -73,7 +68,6 @@ class CoexistenceCurve:
     closed: bool
     winding: float | None  # (delta[-1] - delta[0]) / 2 pi when closed
     end_reason: str
-    offset: float = 0.0    # modulus-equation shift (log q_m - log q_n)/L^d
 
     def __len__(self):
         return len(self.points)
@@ -99,12 +93,11 @@ def _phase_near(ev, m, n, z, ref: float) -> float:
     return ref + _wrap_pi(ev.arg_ratio(m, n, z) - _wrap_pi(ref))
 
 
-def _correct(ev: PhaseEvaluator, m, n, z: complex, offset: float = 0.0,
-             tol: float = 1e-12, max_iter: int = 24):
+def _correct(ev: PhaseEvaluator, m, n, z: complex, offset: float = 0.0):
     """Newton correction transverse to the locus f_m - f_n = offset."""
-    for _ in range(max_iter):
+    for _ in range(24):
         F = ev.f(m, z) - ev.f(n, z) - offset
-        if abs(F) < tol:
+        if abs(F) < 1e-12:
             return z, abs(F)
         g = _gradient(ev, m, n, z)
         if abs(g) < 1e-14:
@@ -131,9 +124,7 @@ def _gradient(ev, m, n, z):
 def trace_coexistence(
     model: SpinModel, m, n, seed: complex, step: float = 0.02,
     max_points: int = 2000, cutoffs: Cutoffs = Cutoffs(),
-    tau: float | None = None, c0: float = 0.0, offset: float = 0.0,
-    multiple_tol: float = 1e-6, domain=(1e-3, 1e3),
-    evaluator: PhaseEvaluator | None = None, seed_window: float = 0.25,
+    multiple_tol: float = 1e-6, evaluator: PhaseEvaluator | None = None,
 ) -> CoexistenceCurve:
     """Predictor-corrector continuation of the locus |zeta_m| = |zeta_n|.
 
@@ -141,16 +132,17 @@ def trace_coexistence(
     the corrector is Newton transverse to the curve, and the phase difference
     is unwrapped along the way with steps kept below pi/4.  Tracing stops on
     loop closure, at a multiple point (a third phase's free-energy gap
-    vanishes), on leaving the modulus window, or at the point budget.
+    vanishes), on leaving the modulus window 1e-3 <= |z| <= 1e3, or at the
+    point budget.  The seed must lie within 0.25 of the locus in f_m - f_n.
     """
-    ev = evaluator or PhaseEvaluator(model, cutoffs, tau, c0)
-    f_seed = abs(ev.f(m, seed) - ev.f(n, seed) - offset)
-    if f_seed > seed_window:
+    ev = evaluator or PhaseEvaluator(model, cutoffs)
+    f_seed = abs(ev.f(m, seed) - ev.f(n, seed))
+    if f_seed > 0.25:
         raise CurveError(
             f"seed {seed} is far from the coexistence locus "
-            f"(residual {f_seed:.3e} > window {seed_window})"
+            f"(residual {f_seed:.3e} > window 0.25)"
         )
-    z0, res0 = _correct(ev, m, n, seed, offset)
+    z0, res0 = _correct(ev, m, n, seed)
     if res0 > 1e-9:
         raise CurveError(
             f"seed {seed} does not correct onto the coexistence locus "
@@ -176,7 +168,7 @@ def trace_coexistence(
             t = -t
         accepted = False
         for _ in range(12):
-            z_new, res = _correct(ev, m, n, z + h * t, offset)
+            z_new, res = _correct(ev, m, n, z + h * t)
             d_new = _phase_near(ev, m, n, z_new, delta[-1])
             if res < 1e-9 and abs(d_new - delta[-1]) < math.pi / 4 and abs(z_new - z) < 3 * h:
                 accepted = True
@@ -191,7 +183,7 @@ def trace_coexistence(
         residuals.append(res)
         arclength.append(arclength[-1] + abs(z_new - z))
         h = min(h * 1.4, step)
-        if not (domain[0] <= abs(z_new) <= domain[1]):
+        if not (1e-3 <= abs(z_new) <= 1e3):
             end_reason = "left domain"
             break
         if others and min(ev.a(p, z_new) for p in others) < multiple_tol:
@@ -210,7 +202,7 @@ def trace_coexistence(
     winding = (delta[-1] - delta[0]) / TWO_PI if closed else None
     return CoexistenceCurve(
         (m, n), tuple(points), tuple(delta), tuple(arclength),
-        tuple(residuals), closed, winding, end_reason, offset,
+        tuple(residuals), closed, winding, end_reason,
     )
 
 
@@ -255,14 +247,14 @@ class ZeroSet:
         return rows
 
 
-def _solve_crossing(ev, m, n, offset, target, bracket, Ld, phase_tol):
+def _solve_crossing(ev, m, n, offset, target, bracket, Ld):
     """The root of h = log(zeta_m / zeta_n) = -offset + i target between two
     locus points (z1, d1, z2, d2) whose unwrapped phases straddle target.
 
     Complex Newton from linear interpolation, with h' = r'/r and r' of
     r = zeta_m / zeta_n by central differences (r has no branch cut, log r
     does).  An iterate in the disk around the bracket is kept if it halves
-    |F| = |h - target| or makes L^d |F| < phase_tol, and is the root if the
+    |F| = |h - target| or makes L^d |F| < 1e-9, and is the root if the
     latter holds after a negligible step.  Any other iterate, or r' = 0,
     gives way to a bisection step on the bracket, so the loop converges also
     where the mollifier makes zeta non-holomorphic.
@@ -281,7 +273,7 @@ def _solve_crossing(ev, m, n, offset, target, bracket, Ld, phase_tol):
         z_new = z - F * r * 2 * eps / dr if dr else math.inf
         if abs(z_new - 0.5 * (z1 + z2)) <= abs(z2 - z1):
             F_new = at(z_new)[1]
-            small = Ld * abs(F_new) < phase_tol
+            small = Ld * abs(F_new) < 1e-9
             if small and abs(z_new - z) <= 1e-13 * (1.0 + abs(z)):
                 return z_new
             if small or abs(F_new) <= 0.5 * abs(F):
@@ -293,15 +285,14 @@ def _solve_crossing(ev, m, n, offset, target, bracket, Ld, phase_tol):
             z2, d2 = z, d
         else:
             z1, d1 = z, d
-        if abs(Ld * (d2 - d1)) < phase_tol and abs(z2 - z1) < 1e-13 * (1 + abs(z1)):
+        if abs(Ld * (d2 - d1)) < 1e-9 and abs(z2 - z1) < 1e-13 * (1 + abs(z1)):
             return _correct(ev, m, n, 0.5 * (z1 + z2), offset)[0]
     return z
 
 
 def solve_zero_equations(
     model: SpinModel, curve: CoexistenceCurve, L: int,
-    cutoffs: Cutoffs = Cutoffs(), tau: float | None = None, c0: float = 0.0,
-    evaluator: PhaseEvaluator | None = None, phase_tol: float = 1e-9,
+    cutoffs: Cutoffs = Cutoffs(), evaluator: PhaseEvaluator | None = None,
 ) -> ZeroSet:
     """Solve the modulus and phase equations along a traced curve.
 
@@ -312,17 +303,17 @@ def solve_zero_equations(
     whose phase crosses a target brackets one zero.  Together the two
     equations say L^d log(zeta_m / zeta_n) = log(q_n / q_m) + i pi (2j + 1),
     which ``_solve_crossing`` solves in the bracket by safeguarded complex
-    Newton; ``phase_tol`` bounds the scaled phase width of the bracket where
-    it falls back to bisection.
+    Newton; its bisection fallback stops once the bracket's scaled phase
+    width is below 1e-9.
     """
     m, n = curve.phases
-    ev = evaluator or PhaseEvaluator(model, cutoffs, tau, c0)
+    ev = evaluator or PhaseEvaluator(model, cutoffs)
     Ld = L**model.dimension
     qm, qn = model.orbit_size(m), model.orbit_size(n)
     offset = (math.log(qm) - math.log(qn)) / Ld
 
     pts = list(curve.points)
-    if abs(offset - curve.offset) > 1e-15:
+    if offset:
         corrected = []
         for z in pts:
             zc, res = _correct(ev, m, n, z, offset)
@@ -366,7 +357,7 @@ def solve_zero_equations(
             flagged.append((j, len(crossings)))
         for i in crossings:
             zsol = _solve_crossing(
-                ev, m, n, offset, target, fine[i] + fine[i + 1], Ld, phase_tol
+                ev, m, n, offset, target, fine[i] + fine[i + 1], Ld
             )
             dsol = _phase_near(ev, m, n, zsol, target)
             near_end = degraded_tail and (
@@ -518,8 +509,8 @@ class ResidualReport:
 
 def splitting_residual(
     model: SpinModel, L: int, z: complex, phases=None,
-    cutoffs: Cutoffs = Cutoffs(), tau: float | None = None, c0: float = 0.0,
-    use_orbit_factors: bool = True, exact_budget: int = 2**22,
+    cutoffs: Cutoffs = Cutoffs(), use_orbit_factors: bool = True,
+    exact_budget: int = 2**22,
 ) -> ResidualReport:
     """Xi = Z_L^per - sum over the selected phases of q_m [zeta_m^{(L)}]^{L^d},
     reported relative to zeta(z)^{L^d}.
@@ -528,7 +519,7 @@ def splitting_residual(
     excluded phase whose free-energy gap is below tau/(4L), where the
     finite-volume splitting is not expected to be accurate.
     """
-    table = free_energy_table(model, z, cutoffs, tau=tau, c0=c0)
+    table = free_energy_table(model, z, cutoffs)
     if phases is None:
         phases = table.stable
     phases = tuple(phases)
@@ -540,11 +531,11 @@ def splitting_residual(
     total = 0j
     for m in phases:
         q_m = model.orbit_size(m) if use_orbit_factors else 1
-        zl = finite_volume_zeta(model, m, L, z, cutoffs, tau=tau, c0=c0)
+        zl = finite_volume_zeta(model, m, L, z, cutoffs)
         total += q_m * zl**Ld
     xi = zex - total
     zscale = max(abs(e.zeta) for e in table.entries.values())
-    kappa = (table.tau if tau is None else tau) / 4.0
+    kappa = table.tau / 4.0
     warnings = tuple(
         f"phase {m!r} excluded but nearly stable (a={table[m].a:.3e} < {kappa / L:.3e})"
         for m in table.entries
@@ -565,20 +556,17 @@ class MultiplePoint:
     residual: float
 
 
-def find_multiple_points(
-    model: SpinModel, seeds, cutoffs: Cutoffs = Cutoffs(),
-    tau: float | None = None, c0: float = 0.0, gap_window: float = 0.5,
-    tol: float = 1e-10,
-) -> list:
+def find_multiple_points(model: SpinModel, seeds, cutoffs: Cutoffs = Cutoffs()) -> list:
     """Grid scan plus Newton iteration on the pair of free-energy
-    differences of each phase triple; returns points where three phases are
-    simultaneously stable."""
-    ev = PhaseEvaluator(model, cutoffs, tau, c0)
+    differences of each phase triple, from the seeds where all three gaps
+    are at most 0.5; returns points where three phases are simultaneously
+    stable."""
+    ev = PhaseEvaluator(model, cutoffs)
     reps = model.orbit_representatives()
     found = []
     for (m, n, p) in itertools.combinations(reps, 3):
         for seed in seeds:
-            if max(ev.a(m, seed), ev.a(n, seed), ev.a(p, seed)) > gap_window:
+            if max(ev.a(m, seed), ev.a(n, seed), ev.a(p, seed)) > 0.5:
                 continue
             z = seed
             ok = False
@@ -587,7 +575,7 @@ def find_multiple_points(
                     break
                 g1 = ev.f(m, z) - ev.f(n, z)
                 g2 = ev.f(n, z) - ev.f(p, z)
-                if abs(g1) + abs(g2) < tol:
+                if abs(g1) + abs(g2) < 1e-10:
                     ok = True
                     break
                 d1, d2 = _gradient(ev, m, n, z), _gradient(ev, n, p, z)

@@ -302,6 +302,25 @@ def test_energy_additivity_random(rng):
         assert total == pytest.approx(bh, rel=1e-10, abs=1e-10)
 
 
+def test_region_sizes_label_each_region_by_its_own_contour():
+    # a flipped spin, then a 3x3 droplet whose centre (7, 7) is a -1 region
+    # inside the second contour; tori with L <= 4R+2 hold no contours
+    L = 12
+    droplet = [r * L + c for r in range(6, 9) for c in range(6, 9)]
+    cfg = flip_config(L, [1 * L + 1] + droplet)
+    coll = extract(cfg, 1)
+    assert [y.size for y in coll.contours] == [9, 24]
+    assert coll.region_sizes() == {1: 110, -1: 1}
+    m = ising(1.0)
+    z = 0.9 + 0.3j
+    total = sum(cnt * ground_state_energy(m, lab, z)
+                for lab, cnt in coll.region_sizes().items())
+    for y in coll.contours:
+        c, p = y.energy_pair(m)
+        total += c - p * cmath.log(z)
+    assert total == pytest.approx(hamiltonian_torus(m, cfg, z), rel=1e-12)
+
+
 # -- contour partition functions -------------------------------------------------------
 
 

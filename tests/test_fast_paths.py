@@ -129,7 +129,7 @@ def oracle_solve(model, curve, L, ev, phase_tol=1e-9):
         return ref + _wrap_pi(ev.arg_ratio(m, n, z) - _wrap_pi(ref))
 
     pts = list(curve.points)
-    if abs(offset - curve.offset) > 1e-15:
+    if offset:
         pts = [_correct(ev, m, n, z, offset)[0] for z in pts]
     deltas = [ev.arg_ratio(m, n, pts[0])]
     for z in pts[1:]:
@@ -462,7 +462,7 @@ class _FlatInX(_NonHolomorphic):
     (_FlatInX(1e15), 0.25, (0.4j, 0.16, 0.8j, 0.64), 0.5j),
 ], ids=["non-holomorphic", "zero-derivative", "huge-derivative"])
 def test_newton_falls_back_to_bisection(ev, target, bracket, root):
-    z = _solve_crossing(ev, 1, -1, 0.0, target, bracket, 9, 1e-9)
+    z = _solve_crossing(ev, 1, -1, 0.0, target, bracket, 9)
     assert abs(z - root) < 1e-12
 
 

@@ -76,6 +76,34 @@ def test_truncated_weight_symmetric_point():
     assert eng.activation_log == []
 
 
+def test_hard_cap_zeroes_and_logs_weights_above_it(monkeypatch):
+    # tau = 16 is the smallest Peierls rate that tau >= 4 c0 + 16 admits;
+    # on the unit circle the mollifier stays inert (x = tau/4), so the
+    # uncapped weight is rho theta^{-|Y|}, and the cap exp(-8|Y|) lies below it
+    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z: 16.0)
+    m = ising(1.5)
+    z = cmath.exp(0.3j)
+    eng = WeightEngine(m, z)
+    assert eng.tau == 16.0
+    capped = 0
+    for q in m.orbit_representatives():
+        for y in contour_classes(m, q, 12):
+            plain = pair_weight(y.energy_pair(m), z) * theta(m, q, z) ** (-y.size)
+            cap = math.exp(-8.0 * y.size)
+            assert abs(plain) > cap
+            assert eng.weight_truncated(y) == 0j
+            capped += 1
+            entry = eng.activation_log[-1]
+            assert entry["contour"] == y.key() and entry["size"] == y.size
+            assert entry["weight"] == pytest.approx(abs(plain), rel=1e-12)
+            assert entry["cap"] == cap
+    assert capped > 0 and len(eng.activation_log) == capped
+    assert eng.weight_truncated(y) == 0j  # memoized: logged once
+    assert len(eng.activation_log) == capped
+    table = free_energy_table(m, z)
+    assert table.tau == 16.0 and table.activations == capped
+
+
 def test_truncated_weight_deep_instability_vanishes():
     # Blume-Capel with a strongly disfavored 0 phase: phi = 0 kills the
     # 0-contours entirely

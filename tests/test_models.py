@@ -6,7 +6,6 @@ import pytest
 from conftest import free_field_model, random_z, sparse_torus_config
 from pszeros.models import (
     ModelError,
-    Regime,
     TorusConfiguration,
     ZdConfiguration,
     blume_capel,
@@ -239,12 +238,6 @@ def test_peierls_suppression(rng):
                 continue
             rho = abs(pair_weight(excitation_energy_pair(model, cfg), z))
             assert rho <= (math.exp(-tau) * th) ** len(b) * (1 + 1e-9)
-
-
-def test_regime_validation():
-    Regime(tau=17.0, M=1.0, alpha=0.5, c0=0.25)
-    with pytest.raises(ModelError):
-        Regime(tau=10.0, M=1.0, alpha=0.5, c0=0.25)
 
 
 def test_model_from_config_roundtrip():
