@@ -251,7 +251,7 @@ def _pipeline_exact(scn: Scenario, em: Emitter) -> int:
 
 
 def _pipeline_contour_check(scn: Scenario, em: Emitter) -> int:
-    from .contours import extract, reconstruct, torus_contour_identity_check
+    from .contours import IDENTITY_BUDGET, extract, reconstruct, torus_contour_identity_check
     from .models import TorusConfiguration
     import itertools as it
 
@@ -259,7 +259,7 @@ def _pipeline_contour_check(scn: Scenario, em: Emitter) -> int:
     opts = scn.options.get("contour-check", {})
     L = _opt(opts, "l", 3, int)
     n_states = len(model.spins) ** (L**model.dimension)
-    if n_states > 2**22:
+    if n_states > IDENTITY_BUDGET:
         raise BudgetError(
             f"contour check over {n_states} configurations exceeds budget"
         )

@@ -36,96 +36,23 @@ from .polymer import independent_set_sum
 from .torus_exact import partition_function_exact
 
 ENUM_CORE_BUDGET = 2**21
+IDENTITY_BUDGET = 2**22  # configurations the torus identity check enumerates
 
 
 # -- objects -------------------------------------------------------------------
 
 
-class TorusContour:
-    """A contour on the torus: connected support of wrapped diameter < L/2
-    with its standardized configuration (support spins plus one label per
-    complement component)."""
-
-    __slots__ = ("geom", "support", "spins", "ext_component", "ext_label",
-                 "interiors", "_key", "_pair")
-
-    def __init__(self, geom, support, spins, ext_component, ext_label, interiors):
-        self.geom = geom
-        self.support = support            # frozenset of site indices
-        self.spins = spins                # dict site -> spin on the support
-        self.ext_component = ext_component
-        self.ext_label = ext_label
-        self.interiors = interiors        # tuple of (frozenset, label)
-        self._key = None
-        self._pair = None
-
-    @property
-    def size(self) -> int:
-        return len(self.support)
-
-    def key(self):
-        if self._key is None:
-            sup = tuple(sorted(self.support))
-            self._key = (
-                sup,
-                tuple(self.spins[s] for s in sup),
-                self.ext_label,
-                tuple(sorted((min(c), lab) for c, lab in self.interiors)),
-            )
-        return self._key
-
-    def value_at(self, x) -> object:
-        if x in self.support:
-            return self.spins[x]
-        if x in self.ext_component:
-            return self.ext_label
-        for comp, lab in self.interiors:
-            if x in comp:
-                return lab
-        raise KeyError(x)
-
-    def full_config(self) -> TorusConfiguration:
-        arr = [None] * self.geom.n_sites
-        for s in self.support:
-            arr[s] = self.spins[s]
-        for s in self.ext_component:
-            arr[s] = self.ext_label
-        for comp, lab in self.interiors:
-            for s in comp:
-                arr[s] = lab
-        return TorusConfiguration(self.geom.L, self.geom.d, tuple(arr))
-
-    def energy_pair(self, model: SpinModel):
-        if self._pair is None:
-            self._pair = _boundary_energy_pair(model, self.full_config(), self.support)
-        return self._pair
-
-    def to_json_dict(self):
-        return {
-            "kind": "contour",
-            "L": self.geom.L,
-            "d": self.geom.d,
-            "R": self.geom.R,
-            "support": sorted(self.geom.coords[s] for s in self.support),
-            "spins": [self.spins[s] for s in sorted(self.support)],
-            "ext_label": self.ext_label,
-            "interiors": [
-                {"sites": sorted(self.geom.coords[s] for s in comp), "label": lab}
-                for comp, lab in sorted(self.interiors, key=lambda cl: min(cl[0]))
-            ],
-        }
-
-
-class TorusNetwork:
-    """The union of the large R-boundary pieces, with its configuration."""
+class _TorusObject:
+    """A support on the torus with its standardized configuration: the
+    spins on the support and one label per complement component."""
 
     __slots__ = ("geom", "support", "spins", "labels", "_key", "_pair")
 
     def __init__(self, geom, support, spins, labels):
         self.geom = geom
-        self.support = support
-        self.spins = spins
-        self.labels = labels  # tuple of (frozenset component, label)
+        self.support = support            # frozenset of site indices
+        self.spins = spins                # dict site -> spin on the support
+        self.labels = labels              # tuple of (frozenset component, label)
         self._key = None
         self._pair = None
 
@@ -143,7 +70,7 @@ class TorusNetwork:
             )
         return self._key
 
-    def value_at(self, x):
+    def value_at(self, x) -> object:
         if x in self.support:
             return self.spins[x]
         for comp, lab in self.labels:
@@ -164,6 +91,49 @@ class TorusNetwork:
         if self._pair is None:
             self._pair = _boundary_energy_pair(model, self.full_config(), self.support)
         return self._pair
+
+
+class TorusContour(_TorusObject):
+    """A contour on the torus: connected support of wrapped diameter < L/2;
+    its exterior component comes first among the labels."""
+
+    __slots__ = ()
+
+    def __init__(self, geom, support, spins, ext_component, ext_label, interiors):
+        super().__init__(geom, support, spins, ((ext_component, ext_label),) + interiors)
+
+    @property
+    def ext_component(self) -> frozenset:
+        return self.labels[0][0]
+
+    @property
+    def ext_label(self):
+        return self.labels[0][1]
+
+    @property
+    def interiors(self) -> tuple:
+        return self.labels[1:]
+
+    def to_json_dict(self):
+        return {
+            "kind": "contour",
+            "L": self.geom.L,
+            "d": self.geom.d,
+            "R": self.geom.R,
+            "support": sorted(self.geom.coords[s] for s in self.support),
+            "spins": [self.spins[s] for s in sorted(self.support)],
+            "ext_label": self.ext_label,
+            "interiors": [
+                {"sites": sorted(self.geom.coords[s] for s in comp), "label": lab}
+                for comp, lab in sorted(self.interiors, key=lambda cl: min(cl[0]))
+            ],
+        }
+
+
+class TorusNetwork(_TorusObject):
+    """The union of the large R-boundary pieces, with its configuration."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,21 +180,21 @@ def contour_graph(config: TorusConfiguration, R: int):
 
 
 def _component_labels(geom: Torus, support: frozenset, spins):
-    """Label every component of the complement of ``support`` by the common
-    spin value on its outer boundary ring (which lies inside the support)."""
+    """Every component of the complement of ``support``, in order of its
+    smallest site, labelled by the common spin on its ring (the support
+    sites next to it); a ValueError where a ring is not constant.
+
+    Where the support is the R-boundary of the configuration behind
+    ``spins``, every box centred outside it is constant, so each ring site
+    carries the value of the component it touches."""
     complement = [x for x in range(geom.n_sites) if x not in support]
     out = []
     for comp in sorted(geom.components(complement), key=min):
-        values = {
-            spins[y]
-            for x in comp
-            for y in geom.neighbors[x]
-            if y in support
-        }
+        values = {spins[y] for x in comp for y in geom.neighbors[x] if y in support}
         if len(values) != 1:
-            raise AssertionError(
-                "boundary of a complement component is not constant; "
-                "extraction invariant violated"
+            raise ValueError(
+                f"label mismatch on the complement component at site {min(comp)}: "
+                f"its ring carries {sorted(map(repr, values))}"
             )
         out.append((comp, values.pop()))
     return out
@@ -242,11 +212,7 @@ def exterior_interior(geom: Torus, support: frozenset):
     comps = geom.components([x for x in range(geom.n_sites) if x not in support])
     big = [c for c in comps if 2 * len(c) > geom.n_sites]
     assert len(big) == 1, "no unique exterior; support violates the diameter bound"
-    ext = big[0]
-    interior = frozenset(
-        x for x in range(geom.n_sites) if x not in support and x not in ext
-    )
-    return ext, interior
+    return big[0], frozenset(range(geom.n_sites)) - support - big[0]
 
 
 def extract(config: TorusConfiguration, R: int) -> MatchingCollection:
@@ -257,56 +223,33 @@ def extract(config: TorusConfiguration, R: int) -> MatchingCollection:
         return MatchingCollection(geom, (), None, spins[0])
     contours = []
     for sup in small:
-        labels = _component_labels(geom, sup, spins)
-        ext, _ = exterior_interior(geom, sup)
-        ext_label = None
-        interiors = []
-        for comp, lab in labels:
-            if comp == ext:
-                ext_label = lab
-            else:
-                interiors.append((comp, lab))
-        contours.append(
-            TorusContour(
-                geom, sup, {s: spins[s] for s in sup}, ext, ext_label,
-                tuple(interiors),
-            )
+        # a support of diameter < L/2 leaves exactly one complement
+        # component with more than half of the sites: its exterior
+        (ext, ext_label), *interiors = sorted(
+            _component_labels(geom, sup, spins),
+            key=lambda cl: 2 * len(cl[0]) <= geom.n_sites,
         )
+        contours.append(TorusContour(geom, sup, {s: spins[s] for s in sup},
+                                     ext, ext_label, tuple(interiors)))
     network = None
     if large:
         sup = frozenset().union(*large)
-        labels = _component_labels(geom, sup, spins)
-        network = TorusNetwork(geom, sup, {s: spins[s] for s in sup}, tuple(labels))
-    contours.sort(key=lambda y: min(y.support))
+        network = TorusNetwork(geom, sup, {s: spins[s] for s in sup},
+                               tuple(_component_labels(geom, sup, spins)))
     return MatchingCollection(geom, tuple(contours), network, None)
 
 
 def _complement_labels(collection: MatchingCollection):
     """Each component of the complement of the (non-empty) collection's
-    supports, with the label that the objects whose supports it touches
-    induce on it; a ValueError where supports overlap or those labels
-    disagree."""
-    geom = collection.geom
-    objects = collection.objects()
-    union = set()
-    for o in objects:
+    supports, with the label that the spins of the objects around it induce
+    on it; a ValueError where supports overlap or those spins disagree."""
+    union, spins = set(), {}
+    for o in collection.objects():
         if union & o.support:
             raise ValueError("label mismatch: supports overlap")
         union.update(o.support)
-    out = []
-    complement = [x for x in range(geom.n_sites) if x not in union]
-    for comp in sorted(geom.components(complement), key=min):
-        ring = {
-            y for x in comp for y in geom.neighbors[x] if y in union
-        }
-        values = {o.value_at(min(comp)) for o in objects if ring & o.support}
-        if len(values) != 1:
-            raise ValueError(
-                f"label mismatch on the complement component at site {min(comp)}: "
-                f"adjacent objects induce {sorted(map(repr, values))}"
-            )
-        out.append((comp, values.pop()))
-    return out
+        spins.update(o.spins)
+    return _component_labels(collection.geom, union, spins)
 
 
 def reconstruct(collection: MatchingCollection) -> TorusConfiguration:
@@ -392,19 +335,13 @@ def nesting_order(collection: MatchingCollection) -> NestingForest:
     holds: one contains the other in its interior, or they are mutually
     external; a violation indicates a bug and raises.
     """
-    geom = collection.geom
     root = collection.network.support if collection.network is not None else frozenset()
     elems = [root] + [y.support for y in collection.contours]
-    full = frozenset(range(geom.n_sites))
-    vol, inte, exte = [], [], []
-    for i, e in enumerate(elems):
-        if i == 0:
-            ext, inner = frozenset(), full - e
-        else:
-            ext, inner = exterior_interior(geom, e)
-        vol.append(e | inner)
-        inte.append(inner)
-        exte.append(ext)
+    inte = [frozenset(range(collection.geom.n_sites)) - root] + [
+        frozenset().union(*(comp for comp, _ in y.interiors)) for y in collection.contours
+    ]
+    exte = [frozenset()] + [y.ext_component for y in collection.contours]
+    vol = [e | inner for e, inner in zip(elems, inte)]
     n = len(elems)
     below = [[False] * n for _ in range(n)]
     for i in range(1, n):
@@ -786,88 +723,47 @@ def contour_partition_function(
     return ContourSumEngine(model, z, budget).partition_function(region, q)
 
 
-def torus_region_partition_function(
-    model: SpinModel, geom: Torus, region, q, z: complex,
-    budget: int = ENUM_CORE_BUDGET,
-) -> complex:
-    """Z_q over a subset of the torus.  Tori with L <= 4R+2 admit no
-    contours at all (any bad region has diameter at least 2R+1 >= L/2), so
-    the sum collapses to the pure ground-state weight."""
-    region = frozenset(region)
-    if geom.L <= 4 * geom.R + 2:
-        return pair_weight(model.ground_pair(q), z) ** len(region)
-    # larger tori: embed each component into Z^d (diameter < L/2 fits)
-    total = 1.0 + 0j
-    engine = ContourSumEngine(model, z, budget)
-    for comp in geom.components(region):
-        if 2 * geom.diameter(comp) >= geom.L:
-            raise BudgetError(
-                "torus region component too large to embed into Z^d"
-            )
-        coords = _embed_component(geom, comp)
-        total *= engine.partition_function(coords, q)
-    return total
-
-
-def _embed_component(geom: Torus, comp: frozenset):
-    """Unwrap a small-diameter torus component to Z^d coordinates."""
-    L = geom.L
-    out = {}
-    seed = min(comp)
-    out[seed] = geom.coords[seed]
-    stack = [seed]
-    comp = set(comp)
-    while stack:
-        x = stack.pop()
-        cx = out[x]
-        for y in geom.neighbors[x]:
-            if y in comp and y not in out:
-                cy = geom.coords[y]
-                lifted = []
-                for a in range(geom.d):
-                    delta = (cy[a] - geom.coords[x][a]) % L
-                    if delta == L - 1:
-                        delta = -1
-                    lifted.append(cx[a] + delta)
-                out[y] = tuple(lifted)
-                stack.append(y)
-    return frozenset(out.values())
-
-
 # -- the torus identity --------------------------------------------------------
 
 
 def torus_contour_identity_check(
-    model: SpinModel, L: int, zs, budget: int = 2**22
+    model: SpinModel, L: int, zs, budget: int = IDENTITY_BUDGET
 ) -> dict:
     """Evaluate the two contour representations of the torus partition sum
     and compare both with direct enumeration.
 
     The first form sums over all matching collections the product of ground
     state weights and standardized contour/network weights; the second sums
-    over contour networks alone, with every label region resummed into a
-    contour partition function.  Both must reproduce the configuration sum
-    exactly.  Each side is summed per z in one numpy reduction over its
-    terms, each term one exponential of its energy pair, as in the
-    enumeration.
+    over contour networks alone, with every label region resummed.  Each
+    side is summed per z in one numpy reduction over its terms, each term
+    one exponential of its energy pair, as in the enumeration.
+
+    Only tori with L <= 4R+2 and q^(L^d) <= ``budget`` are admitted; the
+    rest raise a BudgetError.  On them a contour support (the R-boundary
+    around a deviation, at least 2R+1 sites wide) cannot have diameter
+    below L/2, so no contour fits: every label region resums to its ground
+    weight theta_m^|region|, which the second form takes directly.
     """
+    R = model.range
+    if L > 4 * R + 2:
+        raise BudgetError(f"torus identity check on L={L} > 4R+2={4 * R + 2}: "
+                          "its label regions may hold contours, which it does not resum")
     q = len(model.spins)
     n = L**model.dimension
     if q**n > budget:
         raise BudgetError("torus identity check exceeds enumeration budget")
-    geom = torus(L, model.dimension, model.range)
 
     ground = {m: model.ground_pair(m) for m in model.spins}
 
     collection = []  # (c, p) of the matching-collection term of each configuration
-    # the vacua and the networks with their label regions; the ground weight
-    # theta^|region| of a label region goes into the exponent of its term
-    resummed = [((gc * n, gp * n), ()) for gc, gp in ground.values()]
+    # the vacua and the networks with the ground weights theta^|region| of
+    # their label regions in the exponent
+    resummed = [(gc * n, gp * n) for gc, gp in ground.values()]
     vacuum_seen = set()
 
     for assignment in itertools.product(model.spins, repeat=n):
         cfg = TorusConfiguration(L, model.dimension, assignment)
-        coll = extract(cfg, model.range)
+        coll = extract(cfg, R)
         c, p = 0j, 0.0
         for m, cnt in coll.region_sizes().items():
             gc, gp = ground[m]
@@ -878,36 +774,26 @@ def torus_contour_identity_check(
             c += oc
             p += op
         collection.append((c, p))
-        if not coll.contours:
-            if coll.network is None:
-                vacuum_seen.add(coll.vacuum_label)
-            else:
-                c, p = coll.network.energy_pair(model)
-                for comp, lab in coll.network.labels:
-                    c += ground[lab][0] * len(comp)
-                    p += ground[lab][1] * len(comp)
-                resummed.append(((c, p), coll.network.labels))
+        if coll.network is None:  # a vacuum: no contour fits on these tori
+            vacuum_seen.add(coll.vacuum_label)
+        else:
+            c, p = coll.network.energy_pair(model)
+            for comp, lab in coll.network.labels:
+                c += ground[lab][0] * len(comp)
+                p += ground[lab][1] * len(comp)
+            resummed.append((c, p))
 
     assert vacuum_seen == set(model.spins)
 
     report = {"collection_max_rel": 0.0, "resummed_max_rel": 0.0,
               "n_configs": q**n, "n_networks": len(resummed) - q, "per_z": []}
     coll_c, coll_p = np.array(collection).T
-    res_c, res_p = np.array([pair for pair, _ in resummed]).T
-    regions = {r for _, labels in resummed for r in labels}
+    res_c, res_p = np.array(resummed).T
     for z in zs:
         logz = cmath.log(z)
         exact = partition_function_exact(model, L, z, budget)
         collection_sum = complex(np.exp(-coll_c + coll_p.real * logz).sum())
-        # a label region's contour sum enters as its ratio to theta^|region|
-        theta = {m: pair_weight(ground[m], z) for m in model.spins}
-        ratio = {
-            (comp, lab): torus_region_partition_function(model, geom, comp, lab, z)
-            / theta[lab] ** len(comp)
-            for comp, lab in regions
-        }
-        factors = [math.prod(ratio[r] for r in labels) for _, labels in resummed]
-        resummed_sum = complex((np.exp(-res_c + res_p.real * logz) * factors).sum())
+        resummed_sum = complex(np.exp(-res_c + res_p.real * logz).sum())
         r1 = abs(collection_sum - exact) / abs(exact)
         r2 = abs(resummed_sum - exact) / abs(exact)
         report["per_z"].append(
@@ -926,13 +812,26 @@ def contour_to_json(obj) -> str:
 
 
 def contour_from_json(text: str) -> TorusContour:
+    """The contour written by ``contour_to_json``; a ValueError unless every
+    support site has one spin and extracting the decoded contour's
+    standardized configuration gives back exactly that contour."""
     data = json.loads(text)
     geom = torus(data["L"], data["d"], data["R"])
-    support = frozenset(geom.index(tuple(c)) for c in data["support"])
-    spins = dict(zip((geom.index(tuple(c)) for c in data["support"]), data["spins"]))
+    sites = [geom.index(tuple(c)) for c in data["support"]]
+    support = frozenset(sites)
+    if len(support) != len(sites) or len(data["spins"]) != len(sites):
+        raise ValueError("malformed contour: each support site needs exactly one spin")
     ext, _ = exterior_interior(geom, support)
     interiors = tuple(
         (frozenset(geom.index(tuple(c)) for c in item["sites"]), item["label"])
         for item in data["interiors"]
     )
-    return TorusContour(geom, support, spins, ext, data["ext_label"], interiors)
+    y = TorusContour(geom, support, dict(zip(sites, data["spins"])), ext,
+                     data["ext_label"], interiors)
+    config = y.full_config()
+    back = extract(config, geom.R) if None not in config.spins else None
+    if back is None or back.network is not None or [
+        (c.spins, set(c.labels)) for c in back.contours
+    ] != [(y.spins, set(y.labels))]:
+        raise ValueError("malformed contour: its configuration does not extract to it")
+    return y

@@ -23,7 +23,6 @@ from pszeros.contours import (
     nesting_order,
     reconstruct,
     torus_contour_identity_check,
-    torus_region_partition_function,
 )
 from pszeros.errors import BudgetError
 from pszeros.lattice import chebyshev_ball, torus
@@ -184,8 +183,9 @@ def test_nesting_two_external():
     assert forest.parent == (-1, 0, 0)
 
 
-def test_nesting_chain_depth_two():
-    # a ring of flips at Chebyshev radius 4 encloses a separate center flip
+def nested_ring_config():
+    """A ring of flips at Chebyshev radius 4 around a separate center flip
+    on the 23x23 torus: two contours, one inside the other."""
     L = 23
     geom = torus(L, 2, 1)
     c = 11
@@ -195,7 +195,11 @@ def test_nesting_chain_depth_two():
         for dc in range(-4, 5)
         if max(abs(dr), abs(dc)) == 4
     ]
-    cfg = flip_config(L, ring + [geom.index((c, c))])
+    return flip_config(L, ring + [geom.index((c, c))])
+
+
+def test_nesting_chain_depth_two():
+    cfg = nested_ring_config()
     coll = extract(cfg, 1)
     assert len(coll.contours) == 2 and coll.network is None
     forest = nesting_order(coll)
@@ -208,6 +212,21 @@ def test_nesting_chain_depth_two():
     assert dict(outer.interiors)[
         next(comp for comp, _ in outer.interiors)
     ] == 1  # interior label stays the background
+
+
+def test_contour_exterior_matches_exterior_interior():
+    # extract keeps the complement component with more than half of the
+    # sites as the exterior; the interiors are the other components
+    bc = blume_capel(1.5, 0.3)
+    sparse = random.Random(29)
+    configs = [sparse_torus_config(sparse, bc, 7, sparse.randint(1, 4)) for _ in range(40)]
+    n = 0
+    for cfg in configs + [nested_ring_config()]:
+        for y in extract(cfg, 1).contours:
+            interior = frozenset().union(*(comp for comp, _ in y.interiors))
+            assert (y.ext_component, interior) == exterior_interior(y.geom, y.support)
+            n += 1
+    assert n > 2  # not only the two contours of the ring
 
 
 def test_nesting_empty_boundary_root():
@@ -389,16 +408,6 @@ def test_zq_with_interior_recursion(rng):
     assert abs(val - oracle) / abs(oracle) < 1e-10
 
 
-def test_small_torus_regions_have_no_contours():
-    m = ising(1.0)
-    geom = torus(5, 2, 1)
-    region = frozenset(range(12))
-    z = 0.8 + 0.1j
-    assert torus_region_partition_function(m, geom, region, 1, z) == pytest.approx(
-        theta(m, 1, z) ** 12, rel=1e-12
-    )
-
-
 # -- torus identity ---------------------------------------------------------------------
 
 
@@ -409,6 +418,13 @@ def test_torus_identity_trivial_model(rng):
     zs = [random_z(rng)]
     rep = torus_contour_identity_check(m, 3, zs)
     assert rep["collection_max_rel"] < 1e-12 and rep["resummed_max_rel"] < 1e-12
+
+
+def test_torus_identity_refuses_tori_that_hold_contours():
+    # L = 7 > 4R+2: a label region may hold contours; the guard must fire
+    # before 2^49 configurations are enumerated
+    with pytest.raises(BudgetError, match="4R\\+2"):
+        torus_contour_identity_check(ising(1.0), 7, [1.0], budget=2**60)
 
 
 def test_torus_identity_ising(rng):
@@ -459,3 +475,35 @@ def test_contour_json_roundtrip():
     y2 = contour_from_json(text)
     assert y2.support == y.support and y2.spins == y.spins
     assert y2.key() == y.key()
+
+
+def test_contour_json_rejects_malformed_contours():
+    y = extract(flip_config(7, [24]), 1).contours[0]
+    nested = extract(nested_ring_config(), 1).contours
+    assert len(nested) == 2
+    for contour in (y, *nested):
+        back = contour_from_json(contour_to_json(contour))
+        assert back.key() == contour.key()
+        assert back.ext_component == contour.ext_component
+        assert set(back.interiors) == set(contour.interiors)
+    geom = y.geom
+    column = [[r, 0] for r in range(7)]
+    rest = sorted(c for c in geom.coords if c[1] != 0)
+    one_flip = json.loads(contour_to_json(y))
+    malformed = [
+        # a wrapping column: no exterior
+        {"kind": "contour", "L": 7, "d": 2, "R": 1, "support": column,
+         "spins": [-1] * 7, "ext_label": 1,
+         "interiors": [{"sites": rest, "label": 1}]},
+        # a disconnected support
+        {"kind": "contour", "L": 7, "d": 2, "R": 1,
+         "support": [[0, 0], [0, 1], [3, 3], [3, 4]], "spins": [-1] * 4,
+         "ext_label": 1, "interiors": []},
+        # one spin for nine support sites
+        dict(one_flip, spins=one_flip["spins"][:1]),
+        # the exterior label of the other phase
+        dict(one_flip, ext_label=-1),
+    ]
+    for data in malformed:
+        with pytest.raises(ValueError, match="malformed contour"):
+            contour_from_json(json.dumps(data))
