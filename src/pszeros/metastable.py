@@ -10,11 +10,17 @@ consistent run) keeps the truncated weights inside the certified convergence
 region.  Finite-volume analogues on the torus sum the same gas over wrapped
 placements.
 
-The z-independent part of a phase's gas (its contour classes, the offsets
-at which two classes overlap, the certificate geometry and the cluster
-skeleton with its Ursell coefficients) is one record per (phase, support
-cap), built on first use and held on the model (``SpinModel.gas``), so
-that it is computed once per model and freed with it.
+The z-independent part of a phase's gas (its contour classes with their
+energy pairs as arrays, the offsets at which two classes overlap, the
+certificate geometry and the cluster skeleton with its Ursell coefficients,
+also as an index matrix) is one record per (phase, support cap), built on
+first use and held on the model (``SpinModel.gas``), so that it is
+computed once per model and freed with it.
+
+Where the mollifier leaves a phase's contours untouched, zeta_q is
+holomorphic, and the table also carries d log zeta_q / dz in closed form
+(``PhaseEntry.dlog``); elsewhere that entry is None and callers fall back
+to finite differences.
 
 Desk-scale note: the Peierls rate tau and the entropy constant c0 are
 estimated from the model and reported.  The engine always runs with the
@@ -28,6 +34,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,12 +99,12 @@ def estimate_tau(model: SpinModel, z: complex, size_cap: int = 12) -> float:
         return math.inf
     best = math.inf
     for q in model.orbit_representatives():
-        for y in _gas(model, q, size_cap).classes:
-            rho = abs(pair_weight(y.energy_pair(model), z))
-            if rho == 0:
-                continue
-            rate = -(math.log(rho) - y.size * math.log(th)) / y.size
-            best = min(best, rate)
+        arr = _gas(model, q, size_cap).arrays
+        rho = np.abs(arr.rho * complex(z) ** arr.power)
+        live = rho != 0
+        if live.any():
+            sizes = arr.sizes[live]
+            best = min(best, float((-(np.log(rho[live]) - sizes * math.log(th)) / sizes).min()))
     return best
 
 
@@ -201,15 +208,18 @@ class WeightEngine:
     def mollifier_factor(self, y: ZdContour) -> float:
         """phi_q(Y): the product over phases of the smooth cutoff applied to
         tau/4 plus the normalized interior free-energy difference."""
-        q = y.q
+        return self.phase_factor(y.q, frozenset().union(*[c for c, _ in y.interiors]), y.size)
+
+    def phase_factor(self, q, interior=frozenset(), size: int = 1) -> float:
+        """phi_q of a q-contour of the given size around the given interior;
+        without interiors it is the same for every q-contour."""
         thq = self.theta[q]
         if thq == 0:
             return 0.0
-        interior = frozenset().union(*[c for c, _ in y.interiors]) if y.interiors else frozenset()
         zq = self.zprime(interior, q) if interior else 1.0 + 0j
         if zq == 0:
             return 0.0
-        log_num = math.log(abs(zq)) / y.size + math.log(abs(thq))
+        log_num = math.log(abs(zq)) / size + math.log(abs(thq))
         out = 1.0
         for m in self.model.spins:
             if m == q:
@@ -220,7 +230,7 @@ class WeightEngine:
             zm = self.zprime(interior, m) if interior else 1.0 + 0j
             if zm == 0:
                 continue
-            log_den = math.log(abs(zm)) / y.size + math.log(abs(thm))
+            log_den = math.log(abs(zm)) / size + math.log(abs(thm))
             x = self.tau / 4.0 + log_num - log_den
             out *= mollifier_eval(x)[0]
             if out == 0.0:
@@ -282,18 +292,36 @@ _T_MAX = max(_A_SCALES) + _ETA_CAP
 
 
 _CertificateGeometry = namedtuple("_CertificateGeometry", "sizes volumes offsets rows grid_exp step")
+_ClassArrays = namedtuple("_ClassArrays", "rho power sizes bare ground_power")
 
 
 class _Gas:
     """Phase q's gas record at one support cap (see the module docstring);
-    each part is built on first use.  The overlap offsets are dropped once a
-    skeleton and the geometry are built (they take about 0.3 MiB for a
-    three-state phase), so another norm cap searches them again."""
+    each part is built on first use.  The overlap offsets are dropped once
+    the cluster arrays and the geometry are built (they take about 0.3 MiB
+    for a three-state phase), so another norm cap searches them again."""
 
     def __init__(self, model: SpinModel, q, size_cap: int):
         self.d = model.dimension
+        self.q = q
         self.classes = tuple(contour_classes(model, q, size_cap))
-        self._skeletons = {}
+        self._model = weakref.ref(model)  # the model holds the record
+        self._cluster_arrays = {}
+
+    @cached_property
+    def arrays(self) -> _ClassArrays:
+        """z-independent class data: per class, exp(-c) and p of its energy
+        pair (rho = exp(-c) z^p), its size |Y| and whether it has no
+        interiors; and the z power of theta_q."""
+        model = self._model()
+        pairs = [y.energy_pair(model) for y in self.classes]
+        return _ClassArrays(
+            np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex),
+            np.array([p for _, p in pairs], dtype=float),
+            np.array([y.size for y in self.classes], dtype=float),
+            np.array([not y.interiors for y in self.classes], dtype=bool),
+            model.ground_pair(self.q)[1],
+        )
 
     @cached_property
     def offsets(self):
@@ -348,10 +376,9 @@ class _Gas:
         Entries are (class multiplicities, ursell coefficient); summing the
         evaluated entries over translation classes of clusters equals the
         per-site rooted sum, since a cluster class has exactly |V| translates
-        whose volume covers the origin.
+        whose volume covers the origin.  Built anew on each call; the record
+        keeps it only as ``cluster_arrays``.
         """
-        if norm_cap in self._skeletons:
-            return self._skeletons[norm_cap]
         classes, d, overlap_offsets = self.classes, self.d, self.offsets
         # connected placement sets up to translation, rooted at class i0 at 0;
         # growth ends where every further class would pass the norm cap
@@ -394,10 +421,22 @@ class _Gas:
             sys_stub = PolymerSystem.build(ids, {i: 0j for i in ids}, incompat, sizes)
             for mult, _, u in multi_indices(sys_stub, ids, norm_cap):
                 entries.append((tuple((placements[i][0], mult[i]) for i in ids), u))
-        self._skeletons[norm_cap] = tuple(entries)
         self.geometry  # takes its counts from the offsets before they go
         del self.offsets
-        return self._skeletons[norm_cap]
+        return tuple(entries)
+
+    def cluster_arrays(self, norm_cap: float) -> tuple:
+        """The skeleton as an (entries x parts) index matrix and an Ursell
+        vector: a class of multiplicity k fills k parts of its entry's row,
+        and unused parts hold the index one past the last class."""
+        if norm_cap not in self._cluster_arrays:
+            entries = self.skeleton(norm_cap)
+            rows = [[ci for ci, k in mults for _ in range(k)] for mults, _ in entries]
+            index = np.full((len(rows), max(map(len, rows), default=0)), len(self.classes))
+            for r, row in enumerate(rows):
+                index[r, :len(row)] = row
+            self._cluster_arrays[norm_cap] = index, np.array([u for _, u in entries], dtype=float)
+        return self._cluster_arrays[norm_cap]
 
 
 def _gas(model: SpinModel, q, size_cap: int) -> _Gas:
@@ -417,6 +456,7 @@ class PressureResult:
     certified: bool
     truncation: Cutoffs
     activations: int = 0
+    derivative: complex | None = None  # ds/dz where exact, else None
 
 
 def polymer_pressure(
@@ -424,28 +464,58 @@ def polymer_pressure(
     engine: WeightEngine | None = None,
 ) -> PressureResult:
     """The contour-gas pressure s_q at z: rooted cluster sum per site of the
-    truncated weights, with the certified exponential tail bound."""
+    truncated weights, with the certified exponential tail bound.
+
+    Classes without interiors are weighed in one array pass:
+    K'(Y) = rho(Y) theta_q^{-|Y|} phi_q, where the mollifier factor phi_q
+    is the same for all of them.  Classes with interiors, and every class
+    once a cap activates, go through ``WeightEngine.weight_truncated``.
+    Where phi_q = 1, the engine has logged no cap activation and no class
+    with interiors has a nonzero weight, every weight is a monomial in z, so
+    d log K'(Y)/dz = (p_Y - |Y| p_q) / z and the derivative of the cluster
+    sum is exact."""
     gas = _gas(model, q, cutoffs.size_cap)
-    entries = gas.skeleton(cutoffs.norm_cap)
+    index, ursell = gas.cluster_arrays(cutoffs.norm_cap)
     if engine is None:
         engine = WeightEngine(model, z)
-    w = [engine.weight_truncated(y) for y in gas.classes]
+    w, dlog_w = _class_weights(engine, gas)
 
     cert, eta = _gas_certificate(gas, w)
     if not cert:
         raise ConvergenceError(
             "contour-gas convergence certificate failed; refuse to expand"
         )
-    value = 0j
-    for mults, u in entries:
-        term = u + 0j
-        for ci, m in mults:
-            term *= w[ci] ** m
-        value += term
+    terms = ursell * np.append(w, 1.0)[index].prod(axis=1)
+    derivative = None
+    if dlog_w is not None:
+        derivative = complex(terms @ np.append(dlog_w, 0.0)[index].sum(axis=1))
     bound = math.exp(-eta * cutoffs.norm_cap) if eta > 0 else math.inf
     return PressureResult(
-        value, eta, bound, len(entries), cert, cutoffs, len(engine.activation_log)
+        complex(terms.sum()), eta, bound, len(ursell), cert, cutoffs,
+        len(engine.activation_log), derivative,
     )
+
+
+def _class_weights(engine: WeightEngine, gas: _Gas):
+    """The truncated weights of a record's classes at the engine's z, and
+    their logarithmic z-derivatives where those are exact (else None)."""
+    z, arr = engine.z, gas.arrays
+    thq = engine.theta[gas.q]
+    if thq == 0:
+        return np.zeros(len(gas.classes), dtype=complex), None
+    factor = engine.phase_factor(gas.q)
+    # complex z: a real negative z with a half-integer power (field="plain")
+    # takes the principal branch, as pair_weight does
+    w = arr.rho * complex(z) ** arr.power * thq**-arr.sizes * factor
+    capped = arr.bare & (np.abs(w) > np.exp(-(engine.tau / 2.0) * arr.sizes))
+    if capped.any():
+        # the engine logs each activation, in class order, once
+        return np.array([engine.weight_truncated(y) for y in gas.classes], dtype=complex), None
+    for i in np.flatnonzero(~arr.bare):
+        w[i] = engine.weight_truncated(gas.classes[i])
+    if factor != 1.0 or z == 0 or engine.activation_log or w[~arr.bare].any():
+        return w, None
+    return w, (arr.power - arr.sizes * arr.ground_power) / z
 
 
 def _certificate_ok(geo, absw, alpha, eta):
@@ -472,7 +542,7 @@ def _gas_certificate(gas: _Gas, weights):
     a chord of the convex log row there bounds the root from below.  The
     predicate confirms the best scale.
     """
-    if not gas.classes or not any(weights):
+    if not np.any(weights):
         return True, _ETA_CAP
     geo = gas.geometry
     absw = np.abs(weights)
@@ -508,6 +578,7 @@ class PhaseEntry:
     f: float
     a: float
     pressure: PressureResult | None
+    dlog: complex | None = None  # d log zeta / dz where exact, else None
 
 
 @dataclass(frozen=True)
@@ -526,7 +597,8 @@ def free_energy_table(
     model: SpinModel, z: complex, cutoffs: Cutoffs = Cutoffs()
 ) -> FreeEnergyTable:
     """zeta_m, f_m and a_m for every phase at one point, sharing one weight
-    engine (and hence one activation log)."""
+    engine (and hence one activation log), with h'_m = d log zeta_m / dz =
+    p_m / z + ds_m/dz wherever ``polymer_pressure`` has the derivative."""
     engine = WeightEngine(model, z)
     entries = {}
     for m in model.orbit_representatives():
@@ -536,14 +608,17 @@ def free_energy_table(
             continue
         pres = polymer_pressure(model, m, z, cutoffs, engine=engine)
         zeta_m = th * cmath.exp(pres.value)
+        dlog = None
+        if pres.derivative is not None:
+            dlog = _gas(model, m, cutoffs.size_cap).arrays.ground_power / z + pres.derivative
         entries[m] = PhaseEntry(
-            m, th, pres.value, zeta_m, -math.log(abs(zeta_m)), 0.0, pres
+            m, th, pres.value, zeta_m, -math.log(abs(zeta_m)), 0.0, pres, dlog
         )
     fmin = min(e.f for e in entries.values())
     out = {}
     for m, e in entries.items():
         gap = e.f - fmin if e.f < math.inf else math.inf
-        out[m] = PhaseEntry(m, e.theta, e.s, e.zeta, e.f, gap, e.pressure)
+        out[m] = PhaseEntry(m, e.theta, e.s, e.zeta, e.f, gap, e.pressure, e.dlog)
     stable = tuple(sorted((m for m, e in out.items() if e.a < STABLE_TOL), key=str))
     return FreeEnergyTable(z, out, stable, engine.tau, len(engine.activation_log))
 
@@ -686,7 +761,8 @@ def nondegeneracy_check(model: SpinModel, zs, cutoffs: Cutoffs = Cutoffs()) -> d
                 )
             checked_hulls += 1
         # complex derivative of log zeta via central differences along the
-        # real axis
+        # real axis, also where the tables carry it exactly: alpha_zeta
+        # feeds the lambda-sweep artifacts
         eps = 1e-5 * (1.0 + abs(z))
         up = free_energy_table(model, z + eps, cutoffs)
         dn = free_energy_table(model, z - eps, cutoffs)

@@ -33,11 +33,14 @@ class CurveError(RuntimeError):
 
 
 class PhaseEvaluator:
-    """Cached free-energy tables over repeated z evaluations."""
+    """Cached free-energy tables over repeated z evaluations.  ``fd_fallbacks``
+    counts the derivatives taken by finite differences because a table had
+    no exact d log zeta."""
 
     def __init__(self, model: SpinModel, cutoffs: Cutoffs = Cutoffs()):
         self.model = model
         self.cutoffs = cutoffs
+        self.fd_fallbacks = 0
         self._cache = {}
 
     def table(self, z: complex):
@@ -53,6 +56,9 @@ class PhaseEvaluator:
 
     def zeta(self, m, z: complex) -> complex:
         return self.table(z)[m].zeta
+
+    def dlog(self, m, z: complex) -> complex | None:
+        return self.table(z)[m].dlog
 
     def arg_ratio(self, m, n, z: complex) -> float:
         return cmath.phase(self.zeta(m, z) / self.zeta(n, z))
@@ -107,8 +113,25 @@ def _correct(ev: PhaseEvaluator, m, n, z: complex, offset: float = 0.0):
     return z, abs(F)
 
 
+def _dlog_ratio(ev, m, n, z):
+    """h' = d log(zeta_m / zeta_n) / dz where both tables have it exactly;
+    else None, counted as a fallback.  An evaluator without ``dlog`` always
+    falls back."""
+    if not hasattr(ev, "dlog"):
+        return None
+    a, b = ev.dlog(m, z), ev.dlog(n, z)
+    if a is None or b is None:
+        ev.fd_fallbacks += 1
+        return None
+    return a - b
+
+
 def _gradient(ev, m, n, z):
-    """Gradient of f_m - f_n as a complex number, by central differences."""
+    """Gradient of f_m - f_n as a complex number: -conj(h') where h' is
+    exact, else by central differences."""
+    dh = _dlog_ratio(ev, m, n, z)
+    if dh is not None:
+        return -dh.conjugate()
     eps = 1e-7 * (1.0 + abs(z))
     gx = (
         (ev.f(m, z + eps) - ev.f(n, z + eps))
@@ -128,8 +151,10 @@ def trace_coexistence(
 ) -> CoexistenceCurve:
     """Predictor-corrector continuation of the locus |zeta_m| = |zeta_n|.
 
-    The tangent comes from the gradient of f_m - f_n (finite differences),
-    the corrector is Newton transverse to the curve, and the phase difference
+    The tangent comes from the gradient of f_m - f_n, -conj(h'_m - h'_n)
+    from the tables' d log zeta where the mollifier leaves both phases
+    untouched, else by central differences.  The corrector is Newton
+    transverse to the curve with the same gradient, and the phase difference
     is unwrapped along the way with steps kept below pi/4.  Tracing stops on
     loop closure, at a multiple point (a third phase's free-energy gap
     vanishes), on leaving the modulus window 1e-3 <= |z| <= 1e3, or at the
@@ -251,13 +276,14 @@ def _solve_crossing(ev, m, n, offset, target, bracket, Ld):
     """The root of h = log(zeta_m / zeta_n) = -offset + i target between two
     locus points (z1, d1, z2, d2) whose unwrapped phases straddle target.
 
-    Complex Newton from linear interpolation, with h' = r'/r and r' of
-    r = zeta_m / zeta_n by central differences (r has no branch cut, log r
-    does).  An iterate in the disk around the bracket is kept if it halves
-    |F| = |h - target| or makes L^d |F| < 1e-9, and is the root if the
-    latter holds after a negligible step.  Any other iterate, or r' = 0,
-    gives way to a bisection step on the bracket, so the loop converges also
-    where the mollifier makes zeta non-holomorphic.
+    Complex Newton from linear interpolation, with h' = r'/r.  Where both
+    tables carry d log zeta, r' = r (h'_m - h'_n), so h' = h'_m - h'_n;
+    else r' of r = zeta_m / zeta_n comes from central differences (r has no
+    branch cut, log r does).  An iterate in the disk around the bracket is
+    kept if it halves |F| = |h - target| or makes L^d |F| < 1e-9, and is
+    the root if the latter holds after a negligible step.  Any other
+    iterate, or r' = 0, gives way to a bisection step on the bracket, so the
+    loop converges also where the mollifier makes zeta non-holomorphic.
     """
     z1, d1, z2, d2 = bracket
 
@@ -268,9 +294,13 @@ def _solve_crossing(ev, m, n, offset, target, bracket, Ld):
     z = z1 + (z2 - z1) * ((target - d1) / (d2 - d1)) if d2 != d1 else z1
     for _ in range(80):
         r, F = at(z)
-        eps = 1e-6 * (1.0 + abs(z))
-        dr = at(z + eps)[0] - at(z - eps)[0]
-        z_new = z - F * r * 2 * eps / dr if dr else math.inf
+        dh = _dlog_ratio(ev, m, n, z)
+        if dh is not None:
+            z_new = z - F / dh if dh else math.inf
+        else:
+            eps = 1e-6 * (1.0 + abs(z))
+            dr = at(z + eps)[0] - at(z - eps)[0]
+            z_new = z - F * r * 2 * eps / dr if dr else math.inf
         if abs(z_new - 0.5 * (z1 + z2)) <= abs(z2 - z1):
             F_new = at(z_new)[1]
             small = Ld * abs(F_new) < 1e-9
@@ -437,8 +467,12 @@ def match_predicted_exact(
 
     Greedy matching on globally sorted distances, then verified against the
     optimal (Hungarian) assignment; the optimal pairing is reported if the
-    greedy one is beaten.  ``restrict`` optionally filters both sides (e.g.
-    to a shared unit-circle arc)."""
+    greedy one is beaten.  When every greedy pair is the nearest root of its
+    predicted zero (or, with more predicted zeros than roots, the nearest
+    predicted zero of its root), the greedy total is the sum of the row (or
+    column) minima, a lower bound on every assignment, so the greedy pairing
+    is optimal without the assignment solver.  ``restrict`` optionally
+    filters both sides (e.g. to a shared unit-circle arc)."""
     pred = [w.z for w in predicted.zeros]
     exa = list(exact.roots)
     if restrict is not None:
@@ -461,18 +495,24 @@ def match_predicted_exact(
         used_p.add(i)
         used_e.add(j)
         pairs.append((i, j, dist))
-    greedy_total = sum(p[2] for p in pairs)
-
-    from scipy.optimize import linear_sum_assignment
 
     cost = np.array([[abs(pred[i] - exa[j]) for j in exa_idx] for i in pred_idx])
-    rows, cols = linear_sum_assignment(cost)
-    opt_pairs = [
-        (pred_idx[r], exa_idx[c], float(cost[r, c])) for r, c in zip(rows, cols)
-    ]
-    opt_total = sum(p[2] for p in opt_pairs)
-    greedy_ok = greedy_total <= opt_total + 1e-12
-    final = pairs if greedy_ok else opt_pairs
+    if len(pred_idx) <= len(exa_idx):
+        nearest = dict(zip(pred_idx, cost.min(axis=1)))
+        greedy_ok = all(dist == nearest[i] for i, _, dist in pairs)
+    else:
+        nearest = dict(zip(exa_idx, cost.min(axis=0)))
+        greedy_ok = all(dist == nearest[j] for _, j, dist in pairs)
+    final = pairs
+    if not greedy_ok:
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(cost)
+        opt_pairs = [
+            (pred_idx[r], exa_idx[c], float(cost[r, c])) for r, c in zip(rows, cols)
+        ]
+        greedy_ok = sum(p[2] for p in pairs) <= sum(p[2] for p in opt_pairs) + 1e-12
+        final = pairs if greedy_ok else opt_pairs
     dists = [p[2] for p in final]
     annotated = []
     by_pred = {i: (j, dist) for i, j, dist in final}

@@ -1,9 +1,10 @@
-"""The fast certificate, the Newton zero solver, the block enumeration
-kernel, the independent-set kernel, the component search, the
-placement-table energy kernel, the batched contour builder and the overlap
-offsets against the bisection, Gray-code scan, recursion, union-find,
-per-placement loop, per-candidate builder and set comprehension code they
-replaced, kept here as oracles."""
+"""The fast certificate, the Newton zero solver, the array contour-gas
+pressure and its exact derivative, the block enumeration kernel, the
+independent-set kernel, the component search, the placement-table energy
+kernel, the batched contour builder and the overlap offsets against the
+bisection, scalar weight loop, finite differences, Gray-code scan,
+recursion, union-find, per-placement loop, per-candidate builder and set
+comprehension code they replaced, kept here as oracles."""
 
 import cmath
 import itertools
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import pszeros.contours as contours_module
+import pszeros.metastable as metastable
 from pszeros.contours import (
     ContourSumEngine,
     ZdContour,
@@ -35,7 +37,9 @@ from pszeros.metastable import (
     _gas_certificate,
     _torus_placements_of_classes,
     finite_volume_zeta,
+    free_energy_table,
 )
+from pszeros.errors import ConvergenceError
 from conftest import free_field_model, random_torus_config, sparse_torus_config
 from pszeros.models import (
     InteractionTerm,
@@ -65,6 +69,7 @@ from pszeros.zeros import (
     PredictedZero,
     ZeroSet,
     _correct,
+    _gradient,
     _solve_crossing,
     _sort_unique,
     _wrap_pi,
@@ -117,6 +122,51 @@ def oracle_certificate(model, q, classes, weights, size_cap=12):
         if best_eta >= 4.0:
             break
     return best_eta >= 0.0, max(best_eta, 0.0)
+
+
+def oracle_free_energy_table(model, z, skeletons, cutoffs=Cutoffs()):
+    """Per phase (s, zeta, eta), the stable set and the activation count,
+    with each class weighed by ``WeightEngine.weight_truncated`` and each
+    entry of the phase's skeleton multiplied out in turn, as
+    ``polymer_pressure`` did before its array form.  A phase whose
+    certificate fails raises."""
+    engine = WeightEngine(model, z)
+    out = {}
+    for q in model.orbit_representatives():
+        th = engine.theta[q]
+        if th == 0:
+            out[q] = (0j, 0j, None)
+            continue
+        gas = _gas(model, q, cutoffs.size_cap)
+        w = [engine.weight_truncated(y) for y in gas.classes]
+        cert, eta = _gas_certificate(gas, w)
+        if not cert:
+            raise ConvergenceError("oracle certificate failed")
+        value = 0j
+        for mults, u in skeletons[q]:
+            term = u + 0j
+            for ci, k in mults:
+                term *= w[ci] ** k
+            value += term
+        out[q] = (value, th * cmath.exp(value), eta)
+    f = {q: -math.log(abs(zeta)) if zeta else math.inf for q, (_, zeta, _) in out.items()}
+    fmin = min(f.values())
+    stable = tuple(sorted((q for q in f if f[q] < math.inf and f[q] - fmin < metastable.STABLE_TOL), key=str))
+    return out, stable, len(engine.activation_log)
+
+
+def oracle_gradient(ev, m, n, z):
+    """Gradient of f_m - f_n as a complex number, by central differences."""
+    eps = 1e-7 * (1.0 + abs(z))
+    gx = (
+        (ev.f(m, z + eps) - ev.f(n, z + eps))
+        - (ev.f(m, z - eps) - ev.f(n, z - eps))
+    ) / (2 * eps)
+    gy = (
+        (ev.f(m, z + 1j * eps) - ev.f(n, z + 1j * eps))
+        - (ev.f(m, z - 1j * eps) - ev.f(n, z - 1j * eps))
+    ) / (2 * eps)
+    return complex(gx, gy)
 
 
 def oracle_solve(model, curve, L, ev, phase_tol=1e-9):
@@ -340,6 +390,96 @@ def test_certificate_at_the_convergence_boundary():
     assert (True, 8.0) in flags
 
 
+# -- array pressure and its derivative ------------------------------------------------
+
+_PRESSURE_MODELS = [ising(1.5), blume_capel(1.5, 0.3), potts(3, 1.5), potts(4, 1.5)]
+
+
+def _check_pressure_against_oracle(model, zs):
+    """Tables at each z against the scalar oracle; returns how many z both
+    refuse with a failed certificate."""
+    skeletons = {q: _gas(model, q, 12).skeleton(18.0) for q in model.orbit_representatives()}
+    refused = 0
+    for z in zs:
+        try:
+            phases, stable, activations = oracle_free_energy_table(model, z, skeletons)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                free_energy_table(model, z)
+            refused += 1
+            continue
+        table = free_energy_table(model, z)
+        assert table.stable == stable
+        assert table.activations == activations
+        for q, (s_old, zeta_old, eta_old) in phases.items():
+            entry = table[q]
+            assert abs(entry.s - s_old) <= 1e-15
+            assert abs(entry.zeta - zeta_old) <= 1e-13 * abs(zeta_old)
+            if eta_old is not None:
+                assert entry.pressure.certified
+                assert abs(entry.pressure.eta - eta_old) <= 1e-12
+    return refused
+
+
+@pytest.mark.parametrize("model", _PRESSURE_MODELS, ids=lambda m: m.name)
+def test_array_pressure_matches_scalar_oracle(model):
+    rng = random.Random(f"pressure/{model.name}")
+    zs = [rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random()) for _ in range(300)]
+    assert _check_pressure_against_oracle(model, zs) < 300
+
+
+def test_array_pressure_at_real_negative_z_with_half_integer_powers():
+    # the unshifted Ising field gives theta_+- = e^3 z^{+-1/2}; at a real
+    # float z < 0 the powers take the principal branch, as pair_weight does
+    assert _check_pressure_against_oracle(ising(1.5, field="plain"), [-1.0, -0.9, -1.3]) == 0
+
+
+@pytest.mark.parametrize("model", _PRESSURE_MODELS[:3], ids=lambda m: m.name)
+def test_dlog_matches_central_differences(model):
+    # h' = d log zeta / dz against a central difference of log zeta along
+    # the real axis (of the ratio, so that no branch cut of log interferes)
+    rng = random.Random(f"dlog/{model.name}")
+    checked = {q: 0 for q in model.orbit_representatives()}
+    for _ in range(200):
+        if min(checked.values()) >= 30:
+            break
+        z = rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random())
+        eps = 1e-6
+        table = free_energy_table(model, z)
+        up, dn = free_energy_table(model, z + eps), free_energy_table(model, z - eps)
+        for q, n in checked.items():
+            if table[q].dlog is None or n >= 30:
+                continue
+            fd = cmath.log(up[q].zeta / dn[q].zeta) / (2 * eps)
+            assert abs(table[q].dlog - fd) <= 1e-8
+            checked[q] += 1
+    assert min(checked.values()) == 30
+
+
+def test_dlog_none_where_the_mollifier_acts():
+    # Blume-Capel at z = 0.45: phase 1's mollifier factor is about 0.68
+    model = blume_capel(1.5, 0.3)
+    z = 0.45
+    assert 0.0 < WeightEngine(model, z).phase_factor(1) < 1.0
+    ev = PhaseEvaluator(model)
+    assert ev.dlog(1, z) is None and ev.dlog(-1, z) is not None
+    assert _gradient(ev, 1, -1, z) == oracle_gradient(ev, 1, -1, z)
+    assert ev.fd_fallbacks == 1
+
+
+def test_dlog_none_where_a_cap_activates(monkeypatch):
+    # tau = 16 caps every class on the unit circle (see
+    # test_hard_cap_zeroes_and_logs_weights_above_it)
+    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z: 16.0)
+    model = ising(1.5)
+    z = cmath.exp(0.3j)
+    ev = PhaseEvaluator(model)
+    assert ev.table(z).activations > 0
+    assert ev.dlog(1, z) is None and ev.dlog(-1, z) is None
+    assert _gradient(ev, 1, -1, z) == oracle_gradient(ev, 1, -1, z)
+    assert ev.fd_fallbacks == 1
+
+
 # -- cluster supports ----------------------------------------------------------------
 
 
@@ -379,7 +519,7 @@ def test_pruned_cluster_growth_keeps_every_support():
 
 
 @pytest.fixture(scope="module", params=["ising", "blume-capel"])
-def solved_pair(request):
+def traced_pair(request):
     if request.param == "ising":
         model, phases, seed, step = ising(1.5), (1, -1), 1.04 + 0.06j, 0.06
     else:
@@ -387,6 +527,12 @@ def solved_pair(request):
     ev = PhaseEvaluator(model)
     curve = trace_coexistence(model, *phases, seed=seed, step=step,
                               max_points=400, evaluator=ev)
+    return model, ev, curve, len(ev._cache)
+
+
+@pytest.fixture(scope="module")
+def solved_pair(traced_pair):
+    model, ev, curve, _ = traced_pair
     before = len(ev._cache)
     new = solve_zero_equations(model, curve, 3, evaluator=ev)
     tables = len(ev._cache) - before
@@ -405,10 +551,25 @@ def test_newton_matches_bisection_oracle(solved_pair):
 
 
 def test_newton_solver_table_budget(solved_pair):
-    # a few Newton steps of three tables each per zero; one bisection
-    # fallback to the bracket tolerance alone would cost some 200 tables
+    # about four tables per zero (measured 3.9), one per Newton step and
+    # per refinement point, each with its exact derivative; finite
+    # differences would add two per Newton step, and one bisection fallback
+    # to the bracket tolerance alone would cost some 200 tables
     model, new, old, tables = solved_pair
-    assert tables <= 16 * len(new.zeros)
+    assert tables <= 4 * len(new.zeros)
+
+
+def test_tracer_table_budget(traced_pair):
+    # about four tables per curve point (measured 3.96 and 3.95): one per
+    # corrector step, each with its exact gradient; central differences
+    # would add four per corrector step
+    model, ev, curve, tables = traced_pair
+    assert tables <= 4 * len(curve)
+
+
+def test_solved_pair_takes_no_finite_differences(traced_pair, solved_pair):
+    model, ev, curve, tables = traced_pair
+    assert ev.fd_fallbacks == 0
 
 
 def test_branch_cut_zeros(solved_pair):

@@ -1,6 +1,12 @@
 import cmath
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pszeros.models import blume_capel, ising, potts
@@ -9,6 +15,7 @@ from pszeros.zeros import (
     CurveError,
     PhaseEvaluator,
     PredictedZero,
+    ZeroSet,
     _sort_unique,
     density_of_zeros,
     find_multiple_points,
@@ -170,6 +177,73 @@ def test_match_cardinality_mismatch_reported(ising_curve):
     rep = match_predicted_exact(zs, exact)
     assert rep.cardinality_mismatch
     assert rep.n_predicted == 9 and rep.n_exact == 5
+
+
+def _zero_set(zs):
+    return ZeroSet((1, -1), 3, tuple(PredictedZero(z, k, 0.0, 0.0) for k, z in enumerate(zs)))
+
+
+def test_match_reports_the_assignment_where_greedy_is_beaten():
+    # greedy takes the closest pair (1, 0.9) first and is left with (0, 2):
+    # 0.1 + 2.0 against the assignment's 0.9 + 1.0
+    rep = match_predicted_exact(_zero_set([0.0, 1.0]), ExactZeroSet((0.9, 2.0), 0.0, 2))
+    assert not rep.greedy_optimal
+    assert rep.pairs == ((0, 0, 0.9), (1, 1, 1.0))
+    assert rep.max_distance == 1.0 and rep.mean_distance == pytest.approx(0.95)
+    assert [w.nearest_exact for w in rep.zeros.zeros] == [0.9, 2.0]
+
+
+def test_match_equals_the_assignment_rule():
+    # the pairing, with or without the assignment solver, is the one the
+    # greedy-then-verify rule gives: greedy unless the assignment beats it
+    from scipy.optimize import linear_sum_assignment
+
+    rng = random.Random(5)
+    shortcut = 0
+    for _ in range(300):
+        pred = [complex(rng.random(), rng.random()) for _ in range(rng.randint(1, 6))]
+        exa = [complex(rng.random(), rng.random()) for _ in range(rng.randint(1, 6))]
+        rep = match_predicted_exact(_zero_set(pred), ExactZeroSet(tuple(exa), 0.0, len(exa)))
+        cand = sorted((abs(p - e), i, j) for i, p in enumerate(pred) for j, e in enumerate(exa))
+        used_p, used_e, greedy = set(), set(), []
+        for dist, i, j in cand:
+            if i not in used_p and j not in used_e:
+                used_p.add(i)
+                used_e.add(j)
+                greedy.append((i, j, dist))
+        cost = np.array([[abs(p - e) for e in exa] for p in pred])
+        rows, cols = linear_sum_assignment(cost)
+        opt = [(r, c, float(cost[r, c])) for r, c in zip(rows, cols)]
+        ok = sum(d for *_, d in greedy) <= sum(d for *_, d in opt) + 1e-12
+        assert rep.greedy_optimal == ok
+        assert rep.pairs == tuple(greedy if ok else opt)
+        if len(pred) <= len(exa):
+            shortcut += all(d == min(abs(pred[i] - e) for e in exa) for i, _, d in greedy)
+        else:
+            shortcut += all(d == min(abs(p - exa[j]) for p in pred) for _, j, d in greedy)
+    assert 0 < shortcut < 300  # both branches are taken
+
+
+def test_zero_prediction_does_not_import_scipy():
+    # scipy.optimize takes about 0.6 s and 47 MiB to import; a fresh process
+    # tracing, solving and matching Ising zeros needs none of it
+    code = (
+        "import sys\n"
+        "import pszeros as P\n"
+        "model = P.ising(1.5)\n"
+        "ev = P.PhaseEvaluator(model)\n"
+        "curve = P.trace_coexistence(model, 1, -1, 1.04 + 0.06j, step=0.06, evaluator=ev)\n"
+        "zs = P.solve_zero_equations(model, curve, 3, evaluator=ev)\n"
+        "rep = P.match_predicted_exact(zs, P.exact_zeros(P.partition_polynomial(model, 3)))\n"
+        "assert rep.n_predicted == rep.n_exact == 9 and rep.greedy_optimal\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_splitting_residual_decreases(ising_curve):
