@@ -29,8 +29,12 @@ from .models import (
     TorusConfiguration,
     ZdConfiguration,
     _boundary_energy_pair,
+    _digits,
+    boundary_energy_pairs,
+    box_placements,
     pair_weight,
     r_boundary,
+    torus_placements,
 )
 from .polymer import independent_set_sum
 from .torus_exact import partition_function_exact
@@ -379,12 +383,12 @@ class ZdContour:
 
     __slots__ = ("q", "support", "spins", "interiors", "_pair", "_key")
 
-    def __init__(self, q, support, spins, interiors):
+    def __init__(self, q, support, spins, interiors, pair=None):
         self.q = q
         self.support = support          # frozenset of coords
         self.spins = spins              # dict coord -> spin
         self.interiors = interiors      # tuple of (frozenset coords, label)
-        self._pair = None
+        self._pair = pair               # energy pair, computed on first use if None
         self._key = None
 
     @property
@@ -436,6 +440,7 @@ class ZdContour:
             frozenset(mv(c) for c in self.support),
             {mv(c): v for c, v in self.spins.items()},
             tuple((frozenset(mv(c) for c in comp), lab) for comp, lab in self.interiors),
+            self._pair,
         )
 
 
@@ -463,7 +468,8 @@ def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, regio
     the contour of every row whose R-boundary (its support) has at most
     ``max_support`` sites, lies in ``region`` (a boolean mask of the box)
     together with its holes, and is one component when two support sites
-    within Chebyshev distance R are linked.
+    within Chebyshev distance R are linked.  Each contour carries its
+    energy pair, from one call of the energy kernel per block.
     """
     R, d, n = model.range, len(shape), math.prod(shape)
     bg = model.spins.index(q)
@@ -472,6 +478,12 @@ def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, regio
     for axis in range(d):
         border[(slice(None),) * axis + ([0, -1],)] = True
     outside_region = None if region is None else ~region[..., None]
+    # a support lies at least one site inside the box, and every placement
+    # that meets it lies in bbox(support) inflated by R: the box padded by
+    # R - 1 holds them all
+    pad = [(R - 1, R - 1)] * d + [(0, 0)]
+    padded = tuple(s + 2 * (R - 1) for s in shape)
+    index = box_placements(model, padded)
     for D in blocks:
         digits = D.reshape(shape + (-1,))
         support = _window(digits, R, np.max, bg) != _window(digits, R, np.min, bg)
@@ -514,9 +526,16 @@ def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, regio
         if outside_region is not None:
             inside = ~(holes & outside_region).any(axis=tuple(range(d)))
             rows, support, holes = rows[inside], support[..., inside], holes[..., inside]
+        if not rows.size:  # nothing survives: no contours and no pairs
+            continue
+        c, p = boundary_energy_pairs(
+            model, index,
+            np.pad(digits[..., rows], pad, constant_values=bg).reshape(-1, len(rows)),
+            np.pad(support, pad).reshape(-1, len(rows)),
+        )
         row_digits = D[:, rows].T.tolist()
-        for sup, hol, dig in zip(support.reshape(n, -1).T, holes.reshape(n, -1).T,
-                                 row_digits):
+        for sup, hol, dig, pair in zip(support.reshape(n, -1).T, holes.reshape(n, -1).T,
+                                       row_digits, zip(c.tolist(), p.tolist())):
             interiors = []
             hole_sites = np.flatnonzero(hol).tolist()
             for comp in sorted(components([cells[i] for i in hole_sites], zd_neighbors),
@@ -527,7 +546,7 @@ def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, regio
             sites = np.flatnonzero(sup).tolist()
             yield ZdContour(
                 q, frozenset(cells[i] for i in sites),
-                {cells[i]: model.spins[dig[i]] for i in sites}, tuple(interiors),
+                {cells[i]: model.spins[dig[i]] for i in sites}, tuple(interiors), pair,
             )
 
 
@@ -726,6 +745,9 @@ def contour_partition_function(
 # -- the torus identity --------------------------------------------------------
 
 
+_IDENTITY_BLOCK = 1024  # networks per call of the energy kernel
+
+
 def torus_contour_identity_check(
     model: SpinModel, L: int, zs, budget: int = IDENTITY_BUDGET
 ) -> dict:
@@ -736,13 +758,18 @@ def torus_contour_identity_check(
     state weights and standardized contour/network weights; the second sums
     over contour networks alone, with every label region resummed.  Each
     side is summed per z in one numpy reduction over its terms, each term
-    one exponential of its energy pair, as in the enumeration.
+    one exponential of its energy pair, as in the enumeration.  The network
+    energy pairs come from the energy kernel in blocks of networks.
 
     Only tori with L <= 4R+2 and q^(L^d) <= ``budget`` are admitted; the
     rest raise a BudgetError.  On them a contour support (the R-boundary
     around a deviation, at least 2R+1 sites wide) cannot have diameter
-    below L/2, so no contour fits: every label region resums to its ground
-    weight theta_m^|region|, which the second form takes directly.
+    below L/2, so no contour fits, and the check asserts that extraction
+    finds none: every term is a vacuum or a network, and every label region
+    resums to its ground weight theta_m^|region|, which the second form
+    takes directly.  The two forms therefore sum the same terms; contours,
+    their interiors and their nesting are checked by the extraction tests
+    on larger tori.
     """
     R = model.range
     if L > 4 * R + 2:
@@ -754,41 +781,64 @@ def torus_contour_identity_check(
         raise BudgetError("torus identity check exceeds enumeration budget")
 
     ground = {m: model.ground_pair(m) for m in model.spins}
+    index = torus_placements(model, L)
 
-    collection = []  # (c, p) of the matching-collection term of each configuration
-    # the vacua and the networks with the ground weights theta^|region| of
-    # their label regions in the exponent
-    resummed = [(gc * n, gp * n) for gc, gp in ground.values()]
+    # each configuration's collection term gets its ground part here and
+    # its network's energy pair once the network's block is evaluated
+    coll_c, coll_p = np.zeros(q**n, dtype=complex), np.zeros(q**n)
+    net_config = []        # per network, the index of its configuration
+    res_c, res_p = [], []  # per network, the ground weights of its label regions
+    net_c, net_p = [], []  # per network, its energy pair
+    digits = np.empty((n, _IDENTITY_BLOCK), dtype=np.int8)
+    bad = np.zeros((n, _IDENTITY_BLOCK), dtype=bool)
     vacuum_seen = set()
 
-    for assignment in itertools.product(model.spins, repeat=n):
-        cfg = TorusConfiguration(L, model.dimension, assignment)
-        coll = extract(cfg, R)
+    def evaluate(cols):
+        c, p = boundary_energy_pairs(model, index, digits[:, :cols], bad[:, :cols])
+        net_c.extend(c.tolist())
+        net_p.extend(p.tolist())
+        bad[:] = False
+
+    for i, assignment in enumerate(itertools.product(model.spins, repeat=n)):
+        coll = extract(TorusConfiguration(L, model.dimension, assignment), R)
+        assert not coll.contours, "a contour on a torus with L <= 4R+2"
         c, p = 0j, 0.0
         for m, cnt in coll.region_sizes().items():
             gc, gp = ground[m]
             c += gc * cnt
             p += gp * cnt
-        for o in coll.objects():
-            oc, op = o.energy_pair(model)
-            c += oc
-            p += op
-        collection.append((c, p))
-        if coll.network is None:  # a vacuum: no contour fits on these tori
+        coll_c[i], coll_p[i] = c, p
+        network = coll.network
+        if network is None:
             vacuum_seen.add(coll.vacuum_label)
-        else:
-            c, p = coll.network.energy_pair(model)
-            for comp, lab in coll.network.labels:
-                c += ground[lab][0] * len(comp)
-                p += ground[lab][1] * len(comp)
-            resummed.append((c, p))
+            continue
+        c, p = 0j, 0.0
+        for comp, lab in network.labels:
+            c += ground[lab][0] * len(comp)
+            p += ground[lab][1] * len(comp)
+        res_c.append(c)
+        res_p.append(p)
+        col = len(net_config) % _IDENTITY_BLOCK
+        digits[:, col] = _digits(model, network.full_config().spins)
+        bad[list(network.support), col] = True
+        net_config.append(i)
+        if col == _IDENTITY_BLOCK - 1:
+            evaluate(_IDENTITY_BLOCK)
+    if len(net_config) % _IDENTITY_BLOCK:
+        evaluate(len(net_config) % _IDENTITY_BLOCK)
 
     assert vacuum_seen == set(model.spins)
 
+    net_c, net_p = np.array(net_c, dtype=complex), np.array(net_p)
+    coll_c[net_config] += net_c
+    coll_p[net_config] += net_p
+    # the vacua, then the networks with the ground weights theta^|region| of
+    # their label regions in the exponent
+    res_c = np.concatenate([[gc * n for gc, _ in ground.values()], net_c + res_c])
+    res_p = np.concatenate([[gp * n for _, gp in ground.values()], net_p + res_p])
+
     report = {"collection_max_rel": 0.0, "resummed_max_rel": 0.0,
-              "n_configs": q**n, "n_networks": len(resummed) - q, "per_z": []}
-    coll_c, coll_p = np.array(collection).T
-    res_c, res_p = np.array(resummed).T
+              "n_configs": q**n, "n_networks": len(net_config), "per_z": []}
     for z in zs:
         logz = cmath.log(z)
         exact = partition_function_exact(model, L, z, budget)

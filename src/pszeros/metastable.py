@@ -162,9 +162,14 @@ class WeightEngine:
         self.budget = budget
         self.theta = {m: pair_weight(model.ground_pair(m), z) for m in model.spins}
         self.activation_log = []
-        self._untruncated = ContourSumEngine(model, z, budget)
         self._zprime = {}
         self._kprime = {}
+
+    @cached_property
+    def _untruncated(self) -> ContourSumEngine:
+        """The untruncated interior sums, built on first use: only classes
+        with interiors need them."""
+        return ContourSumEngine(self.model, self.z, self.budget)
 
     # untruncated objects ------------------------------------------------
 

@@ -294,26 +294,44 @@ def box_placements(model: SpinModel, sides: tuple) -> list:
     return out
 
 
-def placement_energies(model: SpinModel, index, blocks, weights=None):
+def placement_energies(model: SpinModel, index, blocks):
     """The energy kernel: for each digit array ``D`` (sites x rows; a digit
     is the index of a spin in ``model.spins``) in ``blocks``, yield the
     energies and powers of z of its rows, summed over terms t and their
-    placements ``index[t]`` as ``weights[t] * table[code]`` (weight 1 when
-    ``weights`` is None).  A generator, so that a sweep keeps its frame and
-    the large per-block temporaries reuse the heap, rather than return it to
-    the system and fault it back in every block."""
+    placements ``index[t]``.  A generator, so that a sweep keeps its frame
+    and the large per-block temporaries reuse the heap, rather than return
+    it to the system and fault it back in every block."""
     for D in blocks:
         c = np.zeros(D.shape[1], dtype=complex)
         p = np.zeros(D.shape[1], dtype=float)
-        for ti, (radix, energy, zpower) in enumerate(model.tables):
-            code = radix @ D[index[ti]]  # (placements, rows)
-            if weights is None:
-                c += energy[code].sum(axis=0)
-                p += zpower[code].sum(axis=0)
-            else:
-                c += weights[ti] @ energy[code]
-                p += weights[ti] @ zpower[code]
+        for idx, (radix, energy, zpower) in zip(index, model.tables):
+            code = radix @ D[idx]  # (placements, rows)
+            c += energy[code].sum(axis=0)
+            p += zpower[code].sum(axis=0)
         yield c, p
+
+
+def boundary_energy_pairs(model: SpinModel, index, digits, bad):
+    """The energy pairs of R-boundaries, one per row: ``digits`` (sites x
+    rows) holds the configurations and ``bad`` (sites x rows, boolean) their
+    R-boundaries B, and every placement A in ``index[t]`` of each term t
+    counts with weight |A & B| / |A|.  Per term, placements are added one
+    at a time in anchor order (an accumulation, never a pairwise sum), so a
+    placement that misses the boundary adds an exact zero, and one that
+    misses every row's boundary is skipped: a box larger than bbox(B)
+    inflated by R gives the same bits."""
+    c = np.zeros(digits.shape[1], dtype=complex)
+    p = np.zeros(digits.shape[1], dtype=float)
+    for idx, (radix, energy, zpower) in zip(index, model.tables):
+        weight = bad[idx].sum(axis=1) / idx.shape[1]  # (placements, rows)
+        hit = weight.any(axis=1)
+        if not hit.any():
+            continue
+        idx, weight = idx[hit], weight[hit]
+        code = radix @ digits[idx]
+        c += np.add.accumulate(weight * energy[code], axis=0)[-1]
+        p += np.add.accumulate(weight * zpower[code], axis=0)[-1]
+    return c, p
 
 
 def _digits(model: SpinModel, spins) -> np.ndarray:
@@ -341,7 +359,8 @@ def excitation_energy_pair(model: SpinModel, config) -> Pair:
 
 def _boundary_energy_pair(model: SpinModel, config, boundary) -> Pair:
     """``excitation_energy_pair`` for a configuration whose R-boundary is
-    already known: a contour's is its support."""
+    already known (a contour's is its support): the one-row call of
+    ``boundary_energy_pairs``."""
     if not boundary:
         return ZERO_PAIR
     if isinstance(config, TorusConfiguration):
@@ -359,10 +378,9 @@ def _boundary_energy_pair(model: SpinModel, config, boundary) -> Pair:
             flat = np.ravel_multi_index(tuple((np.array(coords) - lo).T), sides)
             digits[flat] = _digits(model, spins)
         bad = np.ravel_multi_index(tuple((pts - lo).T), sides)
-    mask = np.zeros(len(digits), dtype=bool)
+    mask = np.zeros((len(digits), 1), dtype=bool)
     mask[bad] = True
-    weights = [mask[idx].sum(axis=1) / idx.shape[1] for idx in index]
-    (c, p), = placement_energies(model, index, [digits[:, None]], weights)
+    c, p = boundary_energy_pairs(model, index, digits[:, None], mask)
     return (complex(c[0]), float(p[0]))
 
 

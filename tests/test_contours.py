@@ -5,7 +5,9 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import all_configs, random_z, sparse_torus_config
 from pszeros.contours import (
@@ -28,13 +30,16 @@ from pszeros.errors import BudgetError
 from pszeros.lattice import chebyshev_ball, torus
 from pszeros.models import (
     TorusConfiguration,
-    ZdConfiguration,
     blume_capel,
+    boundary_energy_pairs,
+    box_placements,
     excitation_energy_pair,
     ground_state_energy,
     hamiltonian_torus,
     ising,
     pair_weight,
+    perturbed_ising,
+    potts,
     r_boundary,
     theta,
 )
@@ -251,24 +256,32 @@ def test_contour_weight_matches_energy_decomposition(rng):
     assert rho == pytest.approx(cmath.exp(-(bh - 40 * e_plus)), rel=1e-11)
 
 
+_RANGE_TWO = {((0, 0), (0, 2)): 0.1, ((0, 0), (0, 1)): 1.0}
+
+
 def test_contour_support_is_its_r_boundary():
     # contours, networks and Z^d contours hand their support to the energy
-    # kernel as the R-boundary of their standardized configuration
-    from pszeros.models import potts
-
+    # kernel as the R-boundary of their standardized configuration; the
+    # sweep that builds Z^d contours sets their energy pairs, on its own
+    # padded box and in blocks of rows
     def check(model, obj, config):
         assert r_boundary(config, model.range) == obj.support
         assert obj.energy_pair(model) == excitation_energy_pair(model, config)
 
-    for model in (ising(1.5), blume_capel(1.5, 0.3), potts(3, 1.5)):
+    for model, size_cap in ((ising(1.5), 12), (blume_capel(1.5, 0.3), 12),
+                            (potts(3, 1.5), 12), (potts(4, 1.5), 12),
+                            (perturbed_ising(_RANGE_TWO), 25)):
         for q in model.spins:
-            for y in contour_classes(model, q, 12):
+            for y in contour_classes(model, q, size_cap):
+                assert y._pair is not None
                 check(model, y, y.config())
     region_model = blume_capel(1.4, 0.05)
-    region = [(i, j) for i in range(4) for j in range(4)]
-    for q in region_model.spins:
-        for y in contours_in_region(region_model, q, region):
-            check(region_model, y, y.config())
+    for shape, phases in (((4, 4), region_model.spins), ((4, 5), (0, 1))):
+        region = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+        for q in phases:
+            for y in contours_in_region(region_model, q, region):
+                assert y._pair is not None
+                check(region_model, y, y.config())
     bc = blume_capel(1.5, 0.3)
     kinds = set()
     sparse = random.Random(17)
@@ -280,10 +293,49 @@ def test_contour_support_is_its_r_boundary():
     assert kinds == {"TorusContour", "TorusNetwork"}
 
 
+def _one_row_pair(model, y, pad):
+    """The energy pair of contour y, evaluated on bbox(support) padded by pad."""
+    pts = np.array(sorted(y.support))
+    lo = pts.min(axis=0) - pad
+    sides = tuple((pts.max(axis=0) + pad - lo + 1).tolist())
+    digits = np.full((math.prod(sides), 1), model.spins.index(y.q), dtype=np.int8)
+    bad = np.zeros((math.prod(sides), 1), dtype=bool)
+    cfg = y.config()
+    if cfg.deviations:
+        coords, spins = zip(*cfg.deviations)
+        flat = np.ravel_multi_index(tuple((np.array(coords) - lo).T), sides)
+        digits[flat, 0] = [model.spins.index(s) for s in spins]
+    bad[np.ravel_multi_index(tuple((pts - lo).T), sides), 0] = True
+    return boundary_energy_pairs(model, box_placements(model, sides), digits, bad)
+
+
+def test_boundary_energy_pairs_do_not_depend_on_the_box():
+    # placements of a larger box that miss the boundary add exact zeros
+    n = 0
+    for model, size_cap in ((blume_capel(1.5, 0.3), 12), (potts(3, 1.5), 12),
+                            (perturbed_ising(_RANGE_TWO), 25)):
+        R = model.range
+        for q in model.spins:
+            for y in contour_classes(model, q, size_cap):
+                c, p = _one_row_pair(model, y, R)
+                c2, p2 = _one_row_pair(model, y, R + 2)
+                assert (c.tobytes(), p.tobytes()) == (c2.tobytes(), p2.tobytes())
+                assert (complex(c[0]), float(p[0])) == excitation_energy_pair(model, y.config())
+                n += 1
+    assert n > 20
+
+
+def test_translate_keeps_the_energy_pair():
+    model = blume_capel(1.5, 0.3)
+    for y in contour_classes(model, 1, 12):
+        moved = y.translate((3, -2))
+        assert moved._pair is not None
+        assert moved.energy_pair(model) == y.energy_pair(model)
+        assert moved.energy_pair(model) == excitation_energy_pair(model, moved.config())
+
+
 def test_contour_weight_orbit_symmetry(rng):
     # Potts spins 2,3 are interchangeable: permuted contours weigh the same
-    from pszeros.models import potts
-
     m = potts(3, 2.0)
     y2 = extract(flip_config(7, [24], background=1, value=2), 1).contours[0]
     y3 = extract(flip_config(7, [24], background=1, value=3), 1).contours[0]
@@ -359,32 +411,50 @@ def test_zq_region_too_small_for_contours():
     )
 
 
+_ORACLE_ROWS = 2**12  # core assignments per block of the spin-sum oracle
+
+
 def _zq_spin_oracle(model, region, q, z):
     """Restricted spin sum: configurations equal to q outside the region with
-    every contour volume inside it."""
+    every R-boundary site inside it, weighted by the excitation energy of the
+    R-boundary plus the ground energies of the other region sites.  Every
+    assignment of the core (the region sites whose R-box lies in the region)
+    is one row of a digit array over the region's box padded by R, which
+    holds every placement that meets the region; the R-boundary of a row is
+    where the maximum and minimum over the R-box of a site differ."""
+    R, d = model.range, model.dimension
     region = [tuple(r) for r in region]
     rset = set(region)
-    core = [
-        x for x in region if all(tuple(y) in rset for y in chebyshev_ball(x, model.range))
-    ]
+    core = [x for x in region if all(tuple(y) in rset for y in chebyshev_ball(x, R))]
+    pts = np.array(region)
+    lo = pts.min(axis=0) - R
+    shape = tuple((pts.max(axis=0) + R + 1 - lo).tolist())
+    n = math.prod(shape)
+    inside = np.zeros(n, dtype=bool)
+    inside[np.ravel_multi_index(tuple((pts - lo).T), shape)] = True
+    flat_core = np.ravel_multi_index(tuple((np.array(core).reshape(-1, d) - lo).T), shape)
+    index = box_placements(model, shape)
+    ground = np.array([model.ground_pair(s) for s in model.spins])
+    bg, base = model.spins.index(q), len(model.spins)
+    powers = base ** np.arange(len(core) - 1, -1, -1)
     logz = cmath.log(z)
     total = 0j
-    for assign in itertools.product(model.spins, repeat=len(core)):
-        dev = {core[i]: s for i, s in enumerate(assign) if s != q}
-        cfg = ZdConfiguration.make(q, dev)
-        b = r_boundary(cfg, model.range)
-        if not set(b) <= rset:
-            continue
-        c, p = excitation_energy_pair(model, cfg)
-        look = cfg.lookup()
-        for x in region:
-            if x in b:
-                continue
-            gc, gp = model.ground_pair(look(x))
-            c += gc
-            p += gp
-        total += cmath.exp(-c + p * logz)
-    return total
+    for start in range(0, base ** len(core), _ORACLE_ROWS):
+        r = np.arange(start, min(base ** len(core), start + _ORACLE_ROWS))
+        D = np.full((n, len(r)), bg, dtype=np.int8)
+        D[flat_core] = (r // powers[:, None]) % base
+        box = np.pad(D.reshape(shape + (-1,)), [(R, R)] * d + [(0, 0)], constant_values=bg)
+        win = sliding_window_view(box, (2 * R + 1,) * d, axis=tuple(range(d)))
+        axes = tuple(range(-d, 0))
+        bad = (win.max(axis=axes) != win.min(axis=axes)).reshape(n, -1)
+        ok = ~(bad & ~inside[:, None]).any(axis=0)
+        D, bad = D[:, ok], bad[:, ok]
+        c, p = boundary_energy_pairs(model, index, D, bad)
+        rest = inside[:, None] & ~bad
+        c += (ground[D, 0] * rest).sum(axis=0)
+        p += (ground[D, 1].real * rest).sum(axis=0)
+        total += np.exp(-c + p * logz).sum()
+    return complex(total)
 
 
 @pytest.mark.parametrize("builder,q", [(lambda: ising(1.1), 1), (lambda: blume_capel(1.2, 0.08), 0)])
