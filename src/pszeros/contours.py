@@ -29,7 +29,6 @@ from .models import (
     TorusConfiguration,
     ZdConfiguration,
     _boundary_energy_pair,
-    _digits,
     boundary_energy_pairs,
     box_placements,
     pair_weight,
@@ -745,7 +744,47 @@ def contour_partition_function(
 # -- the torus identity --------------------------------------------------------
 
 
-_IDENTITY_BLOCK = 1024  # networks per call of the energy kernel
+_IDENTITY_BLOCK = 1024  # configurations per extraction pass
+
+
+def _spread_min(val, mask, nbrs):
+    """The minimum of ``val`` (sites x rows) over each component of ``mask``
+    in the graph linking x to ``nbrs[x]`` (x among them), at every site of
+    the component; values outside the mask stay, and exceed those inside."""
+    while True:
+        new = np.where(mask, val[nbrs].min(axis=1), val)
+        if np.array_equal(new, val):
+            return val
+        val = new
+
+
+def _extract_block(geom: Torus, D):
+    """``extract`` for a block of configurations, given as digits ``D``
+    (sites x rows).  Returns the R-boundaries (sites x rows, boolean), the
+    digit that labels each complement site (-1 on the R-boundary) and, per
+    row, whether some R-boundary component is a contour; a ValueError where
+    the ring of a complement component is not constant."""
+    n, L, big = geom.n_sites, geom.L, np.iinfo(np.intp).max
+    sites, boxes, D = np.arange(n), np.array(geom.boxes), D.astype(np.intp)
+    bad = D[boxes].max(axis=1) != D[boxes].min(axis=1)
+    # a contour fits in a cyclic window of (L-1)//2 < L/2 coordinates per axis
+    root = _spread_min(np.where(bad, sites[:, None], big), bad, boxes)
+    member = root == sites[:, None, None]  # (component, site, row)
+    fits = root == sites[:, None]
+    for axis in np.array(geom.coords).T:
+        outside = (axis[:, None] - np.arange(L)) % L >= (L - 1) // 2
+        fits &= (~(member[:, :, None] & outside[:, :, None]).any(axis=1)).any(axis=1)
+    # each complement component takes the least digit on its ring (big if
+    # it has none: it is the whole, constant torus), which the ring must carry
+    nn = np.column_stack([sites, geom.neighbors])
+    near = np.where(bad, D, big)[nn].min(axis=1)
+    label = _spread_min(np.where(bad, big, near), ~bad, nn)
+    clash = ~bad[:, None] & bad[nn] & (D[nn] != label[:, None])
+    if clash.any():
+        x, k, r = np.argwhere(clash)[0]
+        raise ValueError(f"label mismatch on the complement component at site {x}: "
+                         f"its ring carries digits {label[x, r]} and {D[nn[x, k], r]}")
+    return bad, np.where(bad, -1, np.where(label == big, D, label)), fits.any(axis=0)
 
 
 def torus_contour_identity_check(
@@ -756,20 +795,22 @@ def torus_contour_identity_check(
 
     The first form sums over all matching collections the product of ground
     state weights and standardized contour/network weights; the second sums
-    over contour networks alone, with every label region resummed.  Each
-    side is summed per z in one numpy reduction over its terms, each term
-    one exponential of its energy pair, as in the enumeration.  The network
-    energy pairs come from the energy kernel in blocks of networks.
+    over contour networks alone, with every label region resummed.
+    ``_extract_block`` extracts the configurations in blocks of 1024; each
+    network's energy pair comes from the energy kernel on its digits and
+    R-boundary, and the sizes of its label regions are counts of labels.
+    Each side is summed per z in one numpy reduction over its terms, each
+    term one exponential of its energy pair, as in the enumeration.
 
     Only tori with L <= 4R+2 and q^(L^d) <= ``budget`` are admitted; the
     rest raise a BudgetError.  On them a contour support (the R-boundary
     around a deviation, at least 2R+1 sites wide) cannot have diameter
-    below L/2, so no contour fits, and the check asserts that extraction
-    finds none: every term is a vacuum or a network, and every label region
-    resums to its ground weight theta_m^|region|, which the second form
-    takes directly.  The two forms therefore sum the same terms; contours,
-    their interiors and their nesting are checked by the extraction tests
-    on larger tori.
+    below L/2, and the check raises a RuntimeError if extraction finds a
+    contour or misses a vacuum.  So every term is a vacuum or a network,
+    and every label region resums to its ground weight theta_m^|region|,
+    which the second form takes directly: the two forms sum the same terms.
+    Contours, their interiors and their nesting are checked by the
+    extraction tests on larger tori.
     """
     R = model.range
     if L > 4 * R + 2:
@@ -780,65 +821,34 @@ def torus_contour_identity_check(
     if q**n > budget:
         raise BudgetError("torus identity check exceeds enumeration budget")
 
-    ground = {m: model.ground_pair(m) for m in model.spins}
+    ground = [model.ground_pair(m) for m in model.spins]
     index = torus_placements(model, L)
-
-    # each configuration's collection term gets its ground part here and
-    # its network's energy pair once the network's block is evaluated
-    coll_c, coll_p = np.zeros(q**n, dtype=complex), np.zeros(q**n)
-    net_config = []        # per network, the index of its configuration
-    res_c, res_p = [], []  # per network, the ground weights of its label regions
-    net_c, net_p = [], []  # per network, its energy pair
-    digits = np.empty((n, _IDENTITY_BLOCK), dtype=np.int8)
-    bad = np.zeros((n, _IDENTITY_BLOCK), dtype=bool)
-    vacuum_seen = set()
-
-    def evaluate(cols):
-        c, p = boundary_energy_pairs(model, index, digits[:, :cols], bad[:, :cols])
-        net_c.extend(c.tolist())
-        net_p.extend(p.tolist())
-        bad[:] = False
-
-    for i, assignment in enumerate(itertools.product(model.spins, repeat=n)):
-        coll = extract(TorusConfiguration(L, model.dimension, assignment), R)
-        assert not coll.contours, "a contour on a torus with L <= 4R+2"
-        c, p = 0j, 0.0
-        for m, cnt in coll.region_sizes().items():
-            gc, gp = ground[m]
-            c += gc * cnt
-            p += gp * cnt
-        coll_c[i], coll_p[i] = c, p
-        network = coll.network
-        if network is None:
-            vacuum_seen.add(coll.vacuum_label)
-            continue
-        c, p = 0j, 0.0
-        for comp, lab in network.labels:
-            c += ground[lab][0] * len(comp)
-            p += ground[lab][1] * len(comp)
-        res_c.append(c)
-        res_p.append(p)
-        col = len(net_config) % _IDENTITY_BLOCK
-        digits[:, col] = _digits(model, network.full_config().spins)
-        bad[list(network.support), col] = True
-        net_config.append(i)
-        if col == _IDENTITY_BLOCK - 1:
-            evaluate(_IDENTITY_BLOCK)
-    if len(net_config) % _IDENTITY_BLOCK:
-        evaluate(len(net_config) % _IDENTITY_BLOCK)
-
-    assert vacuum_seen == set(model.spins)
-
-    net_c, net_p = np.array(net_c, dtype=complex), np.array(net_p)
-    coll_c[net_config] += net_c
-    coll_p[net_config] += net_p
+    geom = torus(L, model.dimension, R)
+    place = q ** np.arange(n - 1, -1, -1)[:, None]  # digits in itertools.product order
+    terms = []
+    for start in range(0, q**n, _IDENTITY_BLOCK):
+        D = (np.arange(start, min(start + _IDENTITY_BLOCK, q**n)) // place % q).astype(np.int8)
+        bad, labels, contour = _extract_block(geom, D)
+        if contour.any():
+            raise RuntimeError("a contour on a torus with L <= 4R+2")
+        count = (labels == np.arange(q)[:, None, None]).sum(axis=1)  # region sizes
+        c = sum(gc * m for (gc, _), m in zip(ground, count))
+        p = sum(gp * m for (_, gp), m in zip(ground, count))
+        net = bad.any(axis=0)
+        ec, ep = boundary_energy_pairs(model, index, D[:, net], bad[:, net])
+        c[net] += ec
+        p[net] += ep
+        terms.append((c, p, net))
+    coll_c, coll_p, net = map(np.concatenate, zip(*terms))
+    if np.count_nonzero(~net) != q:  # the constant configurations
+        raise RuntimeError("not every vacuum seen")
     # the vacua, then the networks with the ground weights theta^|region| of
     # their label regions in the exponent
-    res_c = np.concatenate([[gc * n for gc, _ in ground.values()], net_c + res_c])
-    res_p = np.concatenate([[gp * n for _, gp in ground.values()], net_p + res_p])
+    res_c = np.concatenate([[gc * n for gc, _ in ground], coll_c[net]])
+    res_p = np.concatenate([[gp * n for _, gp in ground], coll_p[net]])
 
     report = {"collection_max_rel": 0.0, "resummed_max_rel": 0.0,
-              "n_configs": q**n, "n_networks": len(net_config), "per_z": []}
+              "n_configs": q**n, "n_networks": int(net.sum()), "per_z": []}
     for z in zs:
         logz = cmath.log(z)
         exact = partition_function_exact(model, L, z, budget)

@@ -11,6 +11,7 @@ are found by the batched contour builder in ``contours``, on digit arrays.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 Coord = tuple
@@ -62,7 +63,8 @@ class Torus:
     """Geometry tables for the torus of side L in dimension d.
 
     Precomputes neighbor lists and the Chebyshev boxes of diameter 2R+1 used
-    to detect where a configuration deviates from a ground state.  Requires
+    to detect where a configuration deviates from a ground state, with one
+    ``itemgetter`` per box that reads its values.  Requires
     L >= 2R+1 so that a box never wraps onto itself.
     """
 
@@ -84,6 +86,7 @@ class Torus:
             tuple(sorted(self.index(y) for y in chebyshev_ball(c, R)))
             for c in self.coords
         )
+        self.box_items = tuple(operator.itemgetter(*box) for box in self.boxes)
 
     def index(self, coord: Coord) -> int:
         return self._index[tuple(c % self.L for c in coord)]

@@ -219,14 +219,9 @@ def r_boundary(config, R: int):
     the (2R+1)^d-site box around x as its R-boundary.  Returns site indices
     on the torus and coordinate tuples on Z^d."""
     if isinstance(config, TorusConfiguration):
-        geom = config.torus(R)
         spins = config.spins
-        bad = set()
-        for c, box in enumerate(geom.boxes):
-            v0 = spins[box[0]]
-            if any(spins[i] != v0 for i in box):
-                bad.add(c)
-        return frozenset(bad)
+        return frozenset(c for c, items in enumerate(config.torus(R).box_items)
+                         if len(set(items(spins))) > 1)
     if isinstance(config, ZdConfiguration):
         look = config.lookup()
         bad = set()

@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import all_configs, random_z, sparse_torus_config
 from pszeros.contours import (
     ContourSumEngine,
+    _extract_block,
     contour_classes,
     contour_from_json,
     contour_graph,
@@ -126,6 +127,60 @@ def test_extract_wrapping_network():
     # a full column on T_5 wraps: it must come out as the network
     coll = extract(flip_config(5, [0, 5, 10, 15, 20]), 1)
     assert coll.contours == () and coll.network is not None
+
+
+def _block_digits(model, configs):
+    digit = {s: k for k, s in enumerate(model.spins)}
+    return np.array([[digit[s] for s in cfg.spins] for cfg in configs], dtype=np.int8).T
+
+
+def test_extract_block_matches_extract():
+    from conftest import free_field_model
+
+    for model, L in ((blume_capel(1.3, 0.1), 3), (ising(1.0), 3), (ising(1.0), 4),
+                     (potts(3, 1.5), 3), (free_field_model(), 3)):
+        geom = torus(L, model.dimension, model.range)
+        digit = {s: k for k, s in enumerate(model.spins)}
+        configs = list(all_configs(model, L))
+        want_bad, want_labels = [], []
+        for cfg in configs:
+            coll = extract(cfg, model.range)
+            assert not coll.contours
+            bad, labels = [False] * geom.n_sites, [-1] * geom.n_sites
+            if coll.network is None:
+                labels = [digit[coll.vacuum_label]] * geom.n_sites
+            else:
+                # the network's digits are the configuration's, and its
+                # labels are those that region_sizes counts
+                assert coll.network.full_config().spins == cfg.spins
+                for x in coll.network.support:
+                    bad[x] = True
+                for comp, lab in coll.network.labels:
+                    for x in comp:
+                        labels[x] = digit[lab]
+            want_bad.append(bad)
+            want_labels.append(labels)
+        for start in range(0, len(configs), 4096):
+            rows = slice(start, start + 4096)
+            D = _block_digits(model, configs[rows])
+            bad, labels, contour = _extract_block(geom, D)
+            assert not contour.any()
+            assert (bad.T == want_bad[rows]).all()
+            assert (labels.T == want_labels[rows]).all()
+            assert (np.where(bad, D, labels) == D).all()
+    # sparse configurations on a torus that holds contours: the flag is
+    # set exactly where extraction finds one
+    bc = blume_capel(1.3, 0.1)
+    sparse = random.Random(23)
+    configs = [sparse_torus_config(sparse, bc, 7, sparse.randint(1, 4)) for _ in range(40)]
+    _, _, contour = _extract_block(torus(7, 2, 1), _block_digits(bc, configs))
+    flags = [bool(extract(cfg, bc.range).contours) for cfg in configs]
+    assert contour.tolist() == flags and any(flags) and not all(flags)
+    # a single flip is a contour, so the identity check's guard can fire;
+    # two flips whose boxes touch at a corner are one network
+    configs = [flip_config(7, [24]), flip_config(7, [0, 24])]
+    _, _, contour = _extract_block(torus(7, 2, 1), _block_digits(ising(1.0), configs))
+    assert contour.tolist() == [bool(extract(cfg, 1).contours) for cfg in configs] == [True, False]
 
 
 def test_roundtrip_exhaustive_t3_ising():
