@@ -32,7 +32,6 @@ from .models import (
     boundary_energy_pairs,
     box_placements,
     pair_weight,
-    r_boundary,
     torus_placements,
 )
 from .polymer import independent_set_sum
@@ -155,14 +154,26 @@ class MatchingCollection:
     def region_sizes(self) -> dict:
         """|Lambda_m|: number of sites outside all supports carrying label m."""
         if not self.objects():
+            if self.vacuum_label is None:
+                raise ValueError("label mismatch: empty collection needs a vacuum label")
             return {self.vacuum_label: self.geom.n_sites}
         counts = {}
-        for comp, lab in _complement_labels(self):
-            counts[lab] = counts.get(lab, 0) + len(comp)
+        for comp, lab in _complement_labels(self)[1]:
+            counts[lab] = counts.get(lab, 0) + comp.bit_count()
         return counts
 
 
 # -- extraction ----------------------------------------------------------------
+
+
+def _boundary_components(config: TorusConfiguration, R: int):
+    """The geometry and the R-boundary components (masks in order of their
+    smallest site) of wrapped diameter below L/2 and above."""
+    geom = config.torus(R)
+    small, large = [], []
+    for c in geom.flood(geom.boundary(config.spins), geom.dilate_box):
+        (small if 2 * geom.diameter(c) < geom.L else large).append(c)
+    return geom, small, large
 
 
 def contour_graph(config: TorusConfiguration, R: int):
@@ -170,33 +181,26 @@ def contour_graph(config: TorusConfiguration, R: int):
     by wrapped diameter: two boundary sites are linked whenever one box of
     diameter 2R+1 contains both and is non-constant.  Returns (geometry,
     small components, large components)."""
-    geom = config.torus(R)
-    small, large = [], []
-    for c in components(r_boundary(config, R), geom.boxes.__getitem__):
-        if 2 * geom.diameter(c) < geom.L:
-            small.append(c)
-        else:
-            large.append(c)
-    small.sort(key=min)
-    large.sort(key=min)
-    return geom, small, large
+    geom, small, large = _boundary_components(config, R)
+    return (geom, [frozenset(geom.sites(c)) for c in small],
+            [frozenset(geom.sites(c)) for c in large])
 
 
-def _component_labels(geom: Torus, support: frozenset, spins):
-    """Every component of the complement of ``support``, in order of its
-    smallest site, labelled by the common spin on its ring (the support
-    sites next to it); a ValueError where a ring is not constant.
+def _component_labels(geom: Torus, support: int, spins):
+    """Every component of the complement of the ``support`` mask, as a mask
+    in order of its smallest site, labelled by the common spin on its ring
+    (the support sites next to it); a ValueError where a ring is not
+    constant.
 
     Where the support is the R-boundary of the configuration behind
     ``spins``, every box centred outside it is constant, so each ring site
     carries the value of the component it touches."""
-    complement = [x for x in range(geom.n_sites) if x not in support]
     out = []
-    for comp in sorted(geom.components(complement), key=min):
-        values = {spins[y] for x in comp for y in geom.neighbors[x] if y in support}
+    for comp in geom.flood(geom.full & ~support, geom.dilate_nn):
+        values = {spins[y] for y in geom.sites(geom.dilate_nn(comp) & support)}
         if len(values) != 1:
             raise ValueError(
-                f"label mismatch on the complement component at site {min(comp)}: "
+                f"label mismatch on the complement component at site {geom.sites(comp)[0]}: "
                 f"its ring carries {sorted(map(repr, values))}"
             )
         out.append((comp, values.pop()))
@@ -210,67 +214,66 @@ def exterior_interior(geom: Torus, support: frozenset):
     complement component with more than half of all sites; for a union of
     large components the exterior is empty by convention.
     """
-    if 2 * geom.diameter(support) >= geom.L:
-        return frozenset(), frozenset(range(geom.n_sites)) - support
-    comps = geom.components([x for x in range(geom.n_sites) if x not in support])
-    big = [c for c in comps if 2 * len(c) > geom.n_sites]
+    sup = geom.mask(support)
+    free = geom.full & ~sup
+    if 2 * geom.diameter(sup) >= geom.L:
+        return frozenset(), frozenset(geom.sites(free))
+    big = [c for c in geom.flood(free, geom.dilate_nn) if 2 * c.bit_count() > geom.n_sites]
     assert len(big) == 1, "no unique exterior; support violates the diameter bound"
-    return big[0], frozenset(range(geom.n_sites)) - support - big[0]
+    return frozenset(geom.sites(big[0])), frozenset(geom.sites(free & ~big[0]))
 
 
 def extract(config: TorusConfiguration, R: int) -> MatchingCollection:
     """Decompose a configuration into its unique matching collection."""
-    geom, small, large = contour_graph(config, R)
-    spins = config.spins
+    geom, small, large = _boundary_components(config, R)
+    spins, n = config.spins, geom.n_sites
     if not small and not large:
         return MatchingCollection(geom, (), None, spins[0])
     contours = []
     for sup in small:
         # a support of diameter < L/2 leaves exactly one complement
         # component with more than half of the sites: its exterior
-        (ext, ext_label), *interiors = sorted(
-            _component_labels(geom, sup, spins),
-            key=lambda cl: 2 * len(cl[0]) <= geom.n_sites,
-        )
-        contours.append(TorusContour(geom, sup, {s: spins[s] for s in sup},
-                                     ext, ext_label, tuple(interiors)))
+        (ext, ext_label), *interiors = [(frozenset(geom.sites(c)), lab) for c, lab in sorted(
+            _component_labels(geom, sup, spins), key=lambda cl: 2 * cl[0].bit_count() <= n)]
+        on = {s: spins[s] for s in geom.sites(sup)}
+        contours.append(TorusContour(geom, frozenset(on), on, ext, ext_label, tuple(interiors)))
     network = None
     if large:
-        sup = frozenset().union(*large)
-        network = TorusNetwork(geom, sup, {s: spins[s] for s in sup},
-                               tuple(_component_labels(geom, sup, spins)))
+        sup = sum(large)  # the components are disjoint
+        on = {s: spins[s] for s in geom.sites(sup)}
+        network = TorusNetwork(geom, frozenset(on), on, tuple(
+            (frozenset(geom.sites(c)), lab) for c, lab in _component_labels(geom, sup, spins)))
     return MatchingCollection(geom, tuple(contours), network, None)
 
 
 def _complement_labels(collection: MatchingCollection):
-    """Each component of the complement of the (non-empty) collection's
-    supports, with the label that the spins of the objects around it induce
-    on it; a ValueError where supports overlap or those spins disagree."""
-    union, spins = set(), {}
+    """The spins of the (non-empty) collection's objects by site (None off
+    the supports) and the labelled complement components; a ValueError
+    where supports overlap or the spins around a component disagree."""
+    geom = collection.geom
+    union, spins = 0, {}
     for o in collection.objects():
-        if union & o.support:
+        sup = geom.mask(o.support)
+        if union & sup:
             raise ValueError("label mismatch: supports overlap")
-        union.update(o.support)
+        union |= sup
         spins.update(o.spins)
-    return _component_labels(collection.geom, union, spins)
+    arr = list(map(spins.get, range(geom.n_sites)))
+    return arr, _component_labels(geom, union, arr)
 
 
 def reconstruct(collection: MatchingCollection) -> TorusConfiguration:
     """The unique configuration whose extraction is ``collection``."""
     geom = collection.geom
-    objects = collection.objects()
-    if not objects:
+    if not collection.objects():
         if collection.vacuum_label is None:
             raise ValueError("label mismatch: empty collection needs a vacuum label")
         return TorusConfiguration(
             geom.L, geom.d, (collection.vacuum_label,) * geom.n_sites
         )
-    arr = [None] * geom.n_sites
-    for o in objects:
-        for s in o.support:
-            arr[s] = o.spins[s]
-    for comp, lab in _complement_labels(collection):
-        for x in comp:
+    arr, labels = _complement_labels(collection)
+    for comp, lab in labels:
+        for x in geom.sites(comp):
             arr[x] = lab
     return TorusConfiguration(geom.L, geom.d, tuple(arr))
 
@@ -285,27 +288,22 @@ def is_matching(collection: MatchingCollection):
         if not ok:
             diagnostics.append("empty collection without a vacuum label")
         return ok, diagnostics
-    union = set()
-    for o in objects:
-        overlap = union & o.support
+    masks = [geom.mask(o.support) for o in objects]
+    union = shrunk = 0
+    for m in masks:
+        overlap = union & m
         if overlap:
-            diagnostics.append(f"supports overlap at sites {sorted(overlap)[:4]}")
-        union.update(o.support)
-    shrunk = set()
-    for o in objects:
-        shrunk.update(geom.shrink(o.support))
-    complement = [x for x in range(geom.n_sites) if x not in shrunk]
-    for comp in sorted(geom.components(complement), key=min):
-        touching = [o for o in objects if o.support & comp]
-        if len(touching) < 2:
-            continue
-        base = touching[0]
+            diagnostics.append(f"supports overlap at sites {geom.sites(overlap)[:4]}")
+        union |= m
+        shrunk |= geom.shrink(m)
+    for comp in geom.flood(geom.full & ~shrunk, geom.dilate_nn):
+        touching = [o for o, m in zip(objects, masks) if m & comp]
         for other in touching[1:]:
-            for x in comp:
-                if base.value_at(x) != other.value_at(x):
+            for x in geom.sites(comp):
+                if touching[0].value_at(x) != other.value_at(x):
                     diagnostics.append(
                         f"objects disagree at site {x}: "
-                        f"{base.value_at(x)!r} vs {other.value_at(x)!r}"
+                        f"{touching[0].value_at(x)!r} vs {other.value_at(x)!r}"
                     )
                     break
     return not diagnostics, diagnostics

@@ -62,9 +62,9 @@ def components(sites, neighbors) -> list[frozenset]:
 class Torus:
     """Geometry tables for the torus of side L in dimension d.
 
-    Precomputes neighbor lists and the Chebyshev boxes of diameter 2R+1 used
-    to detect where a configuration deviates from a ground state, with one
-    ``itemgetter`` per box that reads its values.  Requires
+    Precomputes neighbor lists, the Chebyshev boxes of diameter 2R+1 and,
+    per axis, the bitmask (bit i is site i) of each coordinate value, from
+    which site masks are shifted, dilated and measured.  Requires
     L >= 2R+1 so that a box never wraps onto itself.
     """
 
@@ -77,6 +77,7 @@ class Torus:
         self.d = d
         self.R = R
         self.n_sites = L**d
+        self.full = (1 << self.n_sites) - 1
         self.coords = [tuple(p) for p in itertools.product(range(L), repeat=d)]
         self._index = {c: i for i, c in enumerate(self.coords)}
         self.neighbors = tuple(
@@ -86,42 +87,83 @@ class Torus:
             tuple(sorted(self.index(y) for y in chebyshev_ball(c, R)))
             for c in self.coords
         )
-        self.box_items = tuple(operator.itemgetter(*box) for box in self.boxes)
+        self._coord_masks = [[self.mask(i for i, c in enumerate(self.coords) if c[a] == v)
+                              for v in range(L)] for a in range(d)]
+        # per axis, one cyclic step up and down: (stride, wrap, sites that step
+        # up without wrapping, top layer, the same two for a step down)
+        self._steps = [(L ** (d - 1 - a), (L - 1) * L ** (d - 1 - a), self.full ^ m[-1], m[-1],
+                        self.full ^ m[0], m[0]) for a, m in enumerate(self._coord_masks)]
+        self._box_steps = self._steps * R  # dilations along the axes commute
 
     def index(self, coord: Coord) -> int:
         return self._index[tuple(c % self.L for c in coord)]
 
     # -- set geometry -------------------------------------------------------
 
-    def diameter(self, sites) -> int:
-        """Diameter of a site set, allowing the enclosing box to wrap."""
-        sites = list(sites)
-        if not sites:
+    def mask(self, sites) -> int:
+        """The bitmask of a set of distinct site indices."""
+        return sum(map((1).__lshift__, sites))
+
+    def sites(self, mask: int) -> list:
+        """The sites of a bitmask, in increasing order."""
+        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+    def dilate_nn(self, mask: int) -> int:
+        """The mask together with the nearest neighbours of its sites."""
+        out = mask
+        for s, w, up, top, down, bottom in self._steps:
+            out |= (mask & up) << s | (mask & top) >> w | (mask & down) >> s | (mask & bottom) << w
+        return out
+
+    def dilate_box(self, mask: int) -> int:
+        """Every site within Chebyshev distance R of the mask."""
+        for s, w, up, top, down, bottom in self._box_steps:
+            mask |= (mask & up) << s | (mask & top) >> w | (mask & down) >> s | (mask & bottom) << w
+        return mask
+
+    def flood(self, mask: int, dilate) -> list:
+        """The components of a mask under the linking ``dilate``, each a
+        mask, in order of their smallest site."""
+        out = []
+        while mask:
+            comp, grown = 0, mask & -mask
+            while grown != comp and grown != mask:
+                comp, grown = grown, dilate(grown) & mask
+            out.append(grown)
+            mask ^= grown
+        return out
+
+    def diameter(self, mask: int) -> int:
+        """Diameter of a site mask, allowing the enclosing box to wrap."""
+        if not mask:
             return 0
-        L = self.L
         worst = 0
-        for a in range(self.d):
-            present = sorted({self.coords[i][a] for i in sites})
-            if len(present) == L:
-                worst = max(worst, L)
-                continue
-            gap = max(
-                (present[k + 1] - present[k] for k in range(len(present) - 1)),
-                default=0,
-            )
-            gap = max(gap, present[0] + L - present[-1])
-            worst = max(worst, L - gap + 1)
+        for values in self._coord_masks:
+            p = [v for v, m in enumerate(values) if mask & m]  # the coordinates present
+            if len(p) == self.L:
+                return self.L
+            gap = max(map(operator.sub, p[1:] + [p[0] + self.L], p))  # the widest cyclic gap
+            worst = max(worst, self.L + 1 - gap)
         return worst
+
+    def boundary(self, spins) -> int:
+        """The mask of the R-boundary of a configuration (``spins`` by site):
+        the sites that the box dilations of two or more value masks cover."""
+        values = {}
+        for i, s in enumerate(spins):
+            values[s] = values.get(s, 0) | 1 << i
+        seen = bad = 0
+        for m in map(self.dilate_box, values.values()):
+            bad, seen = bad | seen & m, seen | m
+        return bad
 
     def components(self, sites) -> list[frozenset]:
         """Nearest-neighbor components of a subset (given as indices)."""
         return components(sites, self.neighbors.__getitem__)
 
-    def shrink(self, sites: frozenset) -> frozenset:
-        """Remove from ``sites`` the layer adjacent to its complement."""
-        return frozenset(
-            x for x in sites if all(y in sites for y in self.neighbors[x])
-        )
+    def shrink(self, mask: int) -> int:
+        """Remove from a site mask the layer adjacent to its complement."""
+        return mask & ~self.dilate_nn(self.full & ~mask)
 
 
 @lru_cache(maxsize=None)

@@ -219,9 +219,8 @@ def r_boundary(config, R: int):
     the (2R+1)^d-site box around x as its R-boundary.  Returns site indices
     on the torus and coordinate tuples on Z^d."""
     if isinstance(config, TorusConfiguration):
-        spins = config.spins
-        return frozenset(c for c, items in enumerate(config.torus(R).box_items)
-                         if len(set(items(spins))) > 1)
+        geom = config.torus(R)
+        return frozenset(geom.sites(geom.boundary(config.spins)))
     if isinstance(config, ZdConfiguration):
         look = config.lookup()
         bad = set()

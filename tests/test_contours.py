@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import all_configs, random_z, sparse_torus_config
 from pszeros.contours import (
     ContourSumEngine,
+    MatchingCollection,
     _extract_block,
     contour_classes,
     contour_from_json,
@@ -445,6 +446,18 @@ def test_region_sizes_label_each_region_by_its_own_contour():
         c, p = y.energy_pair(m)
         total += c - p * cmath.log(z)
     assert total == pytest.approx(hamiltonian_torus(m, cfg, z), rel=1e-12)
+
+
+def test_region_sizes_of_an_empty_collection_need_a_vacuum_label():
+    # as reconstruct does: without contours, a network or a vacuum label the
+    # collection names no configuration
+    geom = torus(3, 2, 1)
+    empty = MatchingCollection(geom, (), None, None)
+    for f in (reconstruct, MatchingCollection.region_sizes):
+        with pytest.raises(ValueError) as err:
+            f(empty)
+        assert str(err.value) == "label mismatch: empty collection needs a vacuum label"
+    assert MatchingCollection(geom, (), None, -1).region_sizes() == {-1: 9}
 
 
 # -- contour partition functions -------------------------------------------------------

@@ -1,30 +1,37 @@
 """The fast certificate, the Newton zero solver, the array contour-gas
 pressure and its exact derivative, the block enumeration kernel, the
 independent-set kernel, the component search, the placement-table energy
-kernel, the batched contour builder and the overlap offsets against the
-bisection, scalar weight loop, finite differences, Gray-code scan,
-recursion, union-find, per-placement loop, per-candidate builder and set
-comprehension code they replaced, kept here as oracles."""
+kernel, the batched contour builder, the overlap offsets and the bitmask
+torus extraction against the bisection, scalar weight loop, finite
+differences, Gray-code scan, recursion, union-find, per-placement loop,
+per-candidate builder and set comprehension code they replaced, kept here
+as oracles."""
 
 import cmath
+import functools
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
 import pytest
 
-import pszeros.contours as contours_module
 import pszeros.metastable as metastable
 from pszeros.contours import (
-    ContourSumEngine,
+    MatchingCollection,
+    TorusContour,
+    TorusNetwork,
     ZdContour,
     _canon_contour,
-    _canon_region,
     _canon_sites,
     contour_classes,
     contour_graph,
     contours_in_region,
+    exterior_interior,
+    extract,
+    is_matching,
+    reconstruct,
 )
 from pszeros.lattice import chebyshev_ball, components, torus, zd_neighbors
 from pszeros.metastable import (
@@ -40,7 +47,7 @@ from pszeros.metastable import (
     free_energy_table,
 )
 from pszeros.errors import ConvergenceError
-from conftest import free_field_model, random_torus_config, sparse_torus_config
+from conftest import all_configs, free_field_model, random_torus_config, sparse_torus_config
 from pszeros.models import (
     InteractionTerm,
     SpinModel,
@@ -51,7 +58,6 @@ from pszeros.models import (
     hamiltonian_torus_pair,
     ising,
     model_from_config,
-    pair_weight,
     perturbed_ising,
     potts,
     r_boundary,
@@ -803,35 +809,6 @@ def oracle_finite_volume_zeta(model, m, L, z, cutoffs=Cutoffs()):
     return th * cmath.exp(s_L)
 
 
-class OracleContourSumEngine(ContourSumEngine):
-    def partition_function(self, region, q):
-        region = frozenset(tuple(x) for x in region)
-        key = (_canon_region(region)[0], q)
-        if key in self._memo:
-            return self._memo[key]
-        contours = contours_module.contours_in_region(self.model, q, region, self.budget)
-        vols = [y.volume for y in contours]
-        weights = []
-        for y in contours:
-            w = pair_weight(y.energy_pair(self.model), self.z)
-            for comp, lab in y.interiors:
-                w *= self.partition_function(comp, lab)
-            weights.append(w)
-        thq = self.theta[q]
-        total = 0j
-
-        def rec(i, free, acc):
-            nonlocal total
-            total += acc * thq ** len(free)
-            for j in range(i, len(contours)):
-                if vols[j] <= free:
-                    rec(j + 1, free - vols[j], acc * weights[j])
-
-        rec(0, region, 1.0 + 0j)
-        self._memo[key] = total
-        return total
-
-
 def oracle_zd_components(sites):
     todo = set(sites)
     out = []
@@ -1073,34 +1050,6 @@ def test_finite_volume_zeta_matches_recursion_oracle(model, L):
         for m in model.orbit_representatives():
             b = oracle_finite_volume_zeta(model, m, L, z)
             assert _rel(finite_volume_zeta(model, m, L, z), b) <= 1e-13
-
-
-def test_contour_partition_function_matches_recursion_oracle(monkeypatch):
-    # both engines read one contour list per region, so the oracle pays for
-    # its recursion only
-    cache = {}
-    enumerate_region = contours_module.contours_in_region
-
-    def cached(model, q, region, budget):
-        key = (model.name, q, frozenset(region))
-        if key not in cache:
-            cache[key] = enumerate_region(model, q, region, budget)
-        return cache[key]
-
-    monkeypatch.setattr(contours_module, "contours_in_region", cached)
-    rng = random.Random(43)
-    cases = [
-        (blume_capel(1.4, 0.05), (4, 5), 1),
-        (blume_capel(1.4, 0.05), (5, 5), 1),
-        (ising(1.1), (3, 6), 1),
-        (ising(1.1), (5, 6), 1),
-    ]
-    for model, (a, b), q in cases:
-        region = [(i, j) for i in range(a) for j in range(b)]
-        z = rng.uniform(0.6, 1.6) * cmath.exp(2j * math.pi * rng.random())
-        new = ContourSumEngine(model, z).partition_function(region, q)
-        old = OracleContourSumEngine(model, z).partition_function(region, q)
-        assert _rel(new, old) <= 1e-13, (model.name, a, b)
 
 
 def _random_zd_sites(rng, d, side, density):
@@ -1524,3 +1473,290 @@ def test_transfer_matrix_matches_per_term_kind_oracle(name):
             z = rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random())
             new, old = transfer_matrix_pf(model, L, z), oracle_transfer_matrix_pf(model, L, z)
             assert abs(new - old) <= 1e-12 * abs(old), (L, z)
+
+
+# -- oracles: the set-based torus extraction replaced by the bitmask one
+# (Torus.dilate_box, dilate_nn, flood and diameter) ---------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _box_items(geom):
+    return tuple(operator.itemgetter(*box) for box in geom.boxes)
+
+
+def oracle_torus_r_boundary(config, R):
+    spins = config.spins
+    return frozenset(c for c, items in enumerate(_box_items(config.torus(R)))
+                     if len(set(items(spins))) > 1)
+
+
+def oracle_torus_diameter(geom, sites):
+    sites = list(sites)
+    if not sites:
+        return 0
+    L = geom.L
+    worst = 0
+    for a in range(geom.d):
+        present = sorted({geom.coords[i][a] for i in sites})
+        if len(present) == L:
+            worst = max(worst, L)
+            continue
+        gap = max(
+            (present[k + 1] - present[k] for k in range(len(present) - 1)),
+            default=0,
+        )
+        gap = max(gap, present[0] + L - present[-1])
+        worst = max(worst, L - gap + 1)
+    return worst
+
+
+def oracle_component_labels(geom, support, spins):
+    complement = [x for x in range(geom.n_sites) if x not in support]
+    out = []
+    for comp in sorted(oracle_torus_components(geom, complement), key=min):
+        values = {spins[y] for x in comp for y in geom.neighbors[x] if y in support}
+        if len(values) != 1:
+            raise ValueError(
+                f"label mismatch on the complement component at site {min(comp)}: "
+                f"its ring carries {sorted(map(repr, values))}"
+            )
+        out.append((comp, values.pop()))
+    return out
+
+
+def oracle_extract(config, R):
+    geom = config.torus(R)
+    small, large = [], []
+    for c in components(oracle_torus_r_boundary(config, R), geom.boxes.__getitem__):
+        (small if 2 * oracle_torus_diameter(geom, c) < geom.L else large).append(c)
+    spins = config.spins
+    if not small and not large:
+        return MatchingCollection(geom, (), None, spins[0])
+    contours = []
+    for sup in sorted(small, key=min):
+        (ext, ext_label), *interiors = sorted(
+            oracle_component_labels(geom, sup, spins),
+            key=lambda cl: 2 * len(cl[0]) <= geom.n_sites,
+        )
+        contours.append(TorusContour(geom, sup, {s: spins[s] for s in sup},
+                                     ext, ext_label, tuple(interiors)))
+    network = None
+    if large:
+        sup = frozenset().union(*large)
+        network = TorusNetwork(geom, sup, {s: spins[s] for s in sup},
+                               tuple(oracle_component_labels(geom, sup, spins)))
+    return MatchingCollection(geom, tuple(contours), network, None)
+
+
+def oracle_complement_labels(collection):
+    union, spins = set(), {}
+    for o in collection.objects():
+        if union & o.support:
+            raise ValueError("label mismatch: supports overlap")
+        union.update(o.support)
+        spins.update(o.spins)
+    return oracle_component_labels(collection.geom, union, spins)
+
+
+def oracle_reconstruct(collection):
+    geom = collection.geom
+    objects = collection.objects()
+    if not objects:
+        if collection.vacuum_label is None:
+            raise ValueError("label mismatch: empty collection needs a vacuum label")
+        return TorusConfiguration(geom.L, geom.d, (collection.vacuum_label,) * geom.n_sites)
+    arr = [None] * geom.n_sites
+    for o in objects:
+        for s in o.support:
+            arr[s] = o.spins[s]
+    for comp, lab in oracle_complement_labels(collection):
+        for x in comp:
+            arr[x] = lab
+    return TorusConfiguration(geom.L, geom.d, tuple(arr))
+
+
+def oracle_region_sizes(collection):
+    counts = {}
+    for comp, lab in oracle_complement_labels(collection):
+        counts[lab] = counts.get(lab, 0) + len(comp)
+    return counts
+
+
+def oracle_exterior_interior(geom, support):
+    if 2 * oracle_torus_diameter(geom, support) >= geom.L:
+        return frozenset(), frozenset(range(geom.n_sites)) - support
+    comps = oracle_torus_components(geom, [x for x in range(geom.n_sites) if x not in support])
+    big = [c for c in comps if 2 * len(c) > geom.n_sites]
+    assert len(big) == 1
+    return big[0], frozenset(range(geom.n_sites)) - support - big[0]
+
+
+def oracle_is_matching(collection):
+    geom = collection.geom
+    objects = collection.objects()
+    diagnostics = []
+    union = set()
+    for o in objects:
+        overlap = union & o.support
+        if overlap:
+            diagnostics.append(f"supports overlap at sites {sorted(overlap)[:4]}")
+        union.update(o.support)
+    shrunk = set()
+    for o in objects:
+        shrunk.update(x for x in o.support if all(y in o.support for y in geom.neighbors[x]))
+    complement = [x for x in range(geom.n_sites) if x not in shrunk]
+    for comp in sorted(oracle_torus_components(geom, complement), key=min):
+        touching = [o for o in objects if o.support & comp]
+        if len(touching) < 2:
+            continue
+        base = touching[0]
+        for other in touching[1:]:
+            for x in sorted(comp):
+                if base.value_at(x) != other.value_at(x):
+                    diagnostics.append(
+                        f"objects disagree at site {x}: "
+                        f"{base.value_at(x)!r} vs {other.value_at(x)!r}"
+                    )
+                    break
+    return not diagnostics, diagnostics
+
+
+def _extraction(coll):
+    """Everything a matching collection holds, with the types of its sets."""
+    return (
+        type(coll), coll.vacuum_label, len(coll.contours),
+        [(type(o), type(o.support), o.support, o.spins, o.labels,
+          [type(comp) for comp, _ in o.labels]) for o in coll.objects()],
+    )
+
+
+def _check_against_set_oracles(model, L, configs):
+    R = model.range
+    geom = torus(L, model.dimension, R)
+    n_objects = 0
+    for cfg in configs:
+        new, old = extract(cfg, R), oracle_extract(cfg, R)
+        assert _extraction(new) == _extraction(old), cfg.spins
+        assert r_boundary(cfg, R) == frozenset().union(*(o.support for o in old.objects()))
+        back = reconstruct(new)
+        assert back == oracle_reconstruct(old) == cfg
+        assert type(back.spins) is tuple
+        if new.objects():
+            assert new.region_sizes() == oracle_region_sizes(old)
+        for y in new.contours:
+            assert exterior_interior(geom, y.support) == oracle_exterior_interior(geom, y.support)
+        n_objects += len(new.objects())
+    return n_objects
+
+
+_EXTRACTION_SETS = {
+    "blume-capel-L3": lambda: (blume_capel(1.3, 0.1), 3, list(all_configs(blume_capel(1.3, 0.1), 3))),
+    "potts3-L3": lambda: (potts(3, 1.5), 3, list(all_configs(potts(3, 1.5), 3))),
+    "ising-L4": lambda: (ising(1.0), 4, list(all_configs(ising(1.0), 4))),
+    "free-field-L3": lambda: (free_field_model(), 3, list(all_configs(free_field_model(), 3))),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXTRACTION_SETS))
+def test_extract_matches_set_oracle_on_every_configuration(name):
+    model, L, configs = _EXTRACTION_SETS[name]()
+    assert _check_against_set_oracles(model, L, configs) == len(configs) - len(model.spins)
+
+
+def test_extract_matches_set_oracle_on_sparse_and_wider_tori():
+    rng = random.Random(45)
+    bc = blume_capel(1.3, 0.1)
+    configs = [sparse_torus_config(rng, bc, 7, rng.randint(0, 8)) for _ in range(2000)]
+    _check_against_set_oracles(bc, 7, configs)
+    assert sum(bool(extract(cfg, 1).contours) for cfg in configs) > 100
+    # range 2: the boxes are 5x5 and the contours need L >= 11
+    model = perturbed_ising({((0, 0), (0, 2)): 0.1, ((0, 0), (0, 1)): 1.0})
+    for L, k in ((5, 300), (11, 60)):
+        configs = [random_torus_config(rng, model, L) for _ in range(k // 3)]
+        configs += [sparse_torus_config(rng, model, L, rng.randint(0, 4)) for _ in range(k)]
+        _check_against_set_oracles(model, L, configs)
+    assert any(extract(cfg, 2).contours for cfg in configs)
+    # three dimensions: on L=3 every box is the whole torus, on L=7 single
+    # flips are contours
+    model = ising(1.0, d=3)
+    for L, k in ((3, 300), (7, 30)):
+        configs = [random_torus_config(rng, model, L) for _ in range(k // 3)]
+        configs += [sparse_torus_config(rng, model, L, rng.randint(0, 3)) for _ in range(k)]
+        _check_against_set_oracles(model, L, configs)
+    assert any(extract(cfg, 1).contours for cfg in configs)
+
+
+def test_torus_masks_match_set_oracles():
+    rng = random.Random(46)
+    for L, d, R in ((3, 2, 1), (5, 2, 2), (6, 2, 1), (7, 2, 1), (3, 3, 1), (4, 3, 1)):
+        geom = torus(L, d, R)
+        for _ in range(30):
+            sub = [x for x in range(geom.n_sites) if rng.random() < rng.uniform(0.1, 0.7)]
+            mask = geom.mask(sub)
+            assert geom.sites(mask) == sub
+            assert [frozenset(geom.sites(c)) for c in geom.flood(mask, geom.dilate_nn)] == sorted(
+                oracle_torus_components(geom, sub), key=min)
+            assert [frozenset(geom.sites(c)) for c in geom.flood(mask, geom.dilate_box)] == sorted(
+                components(sub, geom.boxes.__getitem__), key=min)
+            assert geom.diameter(mask) == oracle_torus_diameter(geom, sub)
+            assert set(geom.sites(geom.dilate_box(mask))) == {y for x in sub for y in geom.boxes[x]}
+            assert set(geom.sites(geom.shrink(mask))) == {
+                x for x in sub if all(y in sub for y in geom.neighbors[x])}
+        assert geom.diameter(0) == 0 and geom.flood(0, geom.dilate_nn) == []
+
+
+def _raises_alike(new, old, *args):
+    with pytest.raises(ValueError) as got:
+        new(*args)
+    with pytest.raises(ValueError) as want:
+        old(*args)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def _bend(coll, y, x, value):
+    """``coll`` with the spin of object ``y`` at support site ``x`` set to ``value``."""
+    spins = {**y.spins, x: value}
+    if isinstance(y, TorusNetwork):
+        return MatchingCollection(coll.geom, coll.contours,
+                                  TorusNetwork(coll.geom, y.support, spins, y.labels), None)
+    bent = TorusContour(coll.geom, y.support, spins, y.ext_component, y.ext_label, y.interiors)
+    return MatchingCollection(coll.geom, tuple(bent if c is y else c for c in coll.contours),
+                              coll.network, None)
+
+
+def test_tampered_collections_fail_like_the_set_oracle():
+    rng = random.Random(47)
+    bc = blume_capel(1.3, 0.1)
+    colls = [extract(sparse_torus_config(rng, bc, L, rng.randint(2, 8)), 1)
+             for L in (9, 11) for _ in range(100)]
+    colls = [c for c in colls if len(c.objects()) >= 2]
+    assert len(colls) >= 20 and any(c.network is not None for c in colls)
+    n_corners = 0
+    for coll in colls:
+        geom = coll.geom
+        assert is_matching(coll) == oracle_is_matching(coll) == (True, [])
+        for y in (coll.objects()[0], coll.objects()[-1]):
+            twice = MatchingCollection(geom, (y, y), None, None)
+            assert (_raises_alike(reconstruct, oracle_reconstruct, twice)
+                    == "label mismatch: supports overlap")
+            _raises_alike(MatchingCollection.region_sizes, oracle_region_sizes, twice)
+            assert is_matching(twice) == oracle_is_matching(twice)
+            # a ring site of y takes another value, so its ring is not constant
+            x = rng.choice([x for x in sorted(y.support)
+                            if any(n not in y.support for n in geom.neighbors[x])])
+            bent = _bend(coll, y, x, rng.choice([s for s in bc.spins if s != y.spins[x]]))
+            msg = _raises_alike(reconstruct, oracle_reconstruct, bent)
+            assert msg.startswith("label mismatch on the complement component at site ")
+            _raises_alike(MatchingCollection.region_sizes, oracle_region_sizes, bent)
+            ok, diagnostics = is_matching(bent)
+            assert (ok, diagnostics) == oracle_is_matching(bent) and not ok
+            # a site next to the complement only across a corner is off the
+            # ring: its spin leaves the labels as they are
+            corners = [x for x in sorted(y.support)
+                       if set(geom.neighbors[x]) <= y.support and not set(geom.boxes[x]) <= y.support]
+            for x in corners[:1]:
+                bent = _bend(coll, y, x, rng.choice([s for s in bc.spins if s != y.spins[x]]))
+                assert reconstruct(bent) == oracle_reconstruct(bent)
+                n_corners += 1
+    assert n_corners >= 5
