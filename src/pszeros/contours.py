@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetError
-from .lattice import Torus, chebyshev_ball, components, torus, zd_neighbors
+from .lattice import Torus, chebyshev_ball, torus, zd_neighbors
 from .models import (
     SpinModel,
     TorusConfiguration,
@@ -444,15 +443,27 @@ class ZdContour:
 _BLOCK_CELLS = 2**20  # digits per block of candidate rows
 
 
-def _window(a, R: int, reduce, fill):
-    """``reduce`` (np.max or np.min) over the Chebyshev box of diameter
-    2R+1 around every site of the leading d = a.ndim - 1 axes (the last axis
-    holds the rows), with the outside read as ``fill``."""
-    d = a.ndim - 1
-    a = np.pad(a, [(R, R)] * d + [(0, 0)], constant_values=fill)
-    for axis in range(d):
-        a = reduce(sliding_window_view(a, 2 * R + 1, axis=axis), axis=-1)
-    return a
+def _spread_min(val, mask, nbrs):
+    """The minimum of ``val`` (sites x rows) over each component of ``mask``
+    in the graph linking x to ``nbrs[x]`` (x among them), at every site of
+    the component; values outside the mask stay, and exceed those inside."""
+    while True:
+        new = np.where(mask, val[nbrs].min(axis=1), val)
+        if np.array_equal(new, val):
+            return val
+        val = new
+
+
+def _box_table(shape, offsets):
+    """Per site of the open box of the given shape (row-major), the sites at
+    ``offsets`` from it, with n = prod(shape) where an offset leaves the
+    box; an extra last row n stands for the outside and links only to
+    itself."""
+    n, ext = math.prod(shape), np.array(shape)[:, None, None]
+    at = np.indices(shape).reshape(len(shape), -1, 1) + np.array(offsets).T[:, None, :]
+    inside = ((at >= 0) & (at < ext)).all(axis=0)
+    table = np.where(inside, np.ravel_multi_index(tuple(at), shape, mode="clip"), n)
+    return np.vstack([table, np.full(len(offsets), n)])
 
 
 def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, region=None):
@@ -467,14 +478,25 @@ def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, regio
     together with its holes, and is one component when two support sites
     within Chebyshev distance R are linked.  Each contour carries its
     energy pair, from one call of the energy kernel per block.
+
+    The box's sites and one more, n, for everything outside it (a digit row
+    of q appended to each block) are linked by two tables built once per
+    call: the Chebyshev boxes of radius R, over which the R-boundary is
+    read and its components spread, and the nearest neighbours, over which
+    the complement's spread.  Components come from ``_spread_min`` of site
+    indices, so a component is named by its least site, which is also its
+    least coordinate.
     """
     R, d, n = model.range, len(shape), math.prod(shape)
     bg = model.spins.index(q)
     cells = [tuple(c) for c in (np.indices(shape).reshape(d, -1).T + lo).tolist()]
-    border = np.zeros(shape + (1,), dtype=bool)
-    for axis in range(d):
-        border[(slice(None),) * axis + ([0, -1],)] = True
-    outside_region = None if region is None else ~region[..., None]
+    origin = (0,) * d
+    box = _box_table(shape, chebyshev_ball(origin, R))
+    nn = _box_table(shape, [origin, *zd_neighbors(origin)])
+    # the site indices and -1 on the outside row, in the least integer type
+    # that holds -1 to n
+    sites = np.append(np.arange(n), -1).astype(np.min_scalar_type(-n - 1))[:, None]
+    outside_region = None if region is None else np.append(~region.ravel(), True)[:, None]
     # a support lies at least one site inside the box, and every placement
     # that meets it lies in bbox(support) inflated by R: the box padded by
     # R - 1 holds them all
@@ -482,69 +504,58 @@ def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, regio
     padded = tuple(s + 2 * (R - 1) for s in shape)
     index = box_placements(model, padded)
     for D in blocks:
-        digits = D.reshape(shape + (-1,))
-        support = _window(digits, R, np.max, bg) != _window(digits, R, np.min, bg)
-        keep = np.ones(digits.shape[-1], dtype=bool)
+        D = np.vstack([D, np.full((1, D.shape[1]), bg, dtype=D.dtype)])
+        first = D[box[:, 0]]  # a box is not constant where a site differs from its first
+        support = np.zeros(first.shape, dtype=bool)
+        for col in box.T[1:]:
+            support |= D[col] != first
+        keep = np.ones(D.shape[1], dtype=bool)
         if max_support is not None:
-            keep &= support.sum(axis=tuple(range(d))) <= max_support
+            keep &= support.sum(axis=0) <= max_support
         if outside_region is not None:
-            keep &= ~(support & outside_region).any(axis=tuple(range(d)))
+            keep &= ~(support & outside_region).any(axis=0)
         rows = np.flatnonzero(keep)
-        support = support[..., rows]
-        # one component: a Chebyshev-R dilation inside the support from its
-        # first site reaches all of it
-        flat = support.reshape(n, len(rows))
-        reach = np.zeros_like(flat)
-        reach[flat.argmax(axis=0), np.arange(len(rows))] = True
-        reach = reach.reshape(support.shape)
-        while True:
-            grown = _window(reach, R, np.max, False) & support
-            if np.array_equal(grown, reach):
-                break
-            reach = grown
-        connected = (reach == support).all(axis=tuple(range(d)))
-        rows, support = rows[connected], support[..., connected]
-        # the outside: a nearest-neighbour dilation in the complement of the
-        # support from the box border; what it misses are holes
-        free = ~support
-        outside = border & free
-        while True:
-            grown = outside.copy()
-            for axis in range(d):
-                lower = (slice(None),) * axis + (slice(None, -1),)
-                upper = (slice(None),) * axis + (slice(1, None),)
-                grown[upper] |= outside[lower]
-                grown[lower] |= outside[upper]
-            grown &= free
-            if np.array_equal(grown, outside):
-                break
-            outside = grown
-        holes = free & ~outside
+        support = support[:, rows]
+        # one component: every support site has the least one as its root
+        root = _spread_min(np.where(support, sites, n), support, box)
+        connected = ((root == root.min(axis=0)) | ~support).all(axis=0)
+        rows, support = rows[connected], support[:, connected]
+        # each complement component takes its least site, and the outside,
+        # linked to the outside row, takes -1: what keeps a site is a hole
+        label = _spread_min(np.where(support, n, sites), ~support, nn)
+        holes = (label >= 0) & ~support
         if outside_region is not None:
-            inside = ~(holes & outside_region).any(axis=tuple(range(d)))
-            rows, support, holes = rows[inside], support[..., inside], holes[..., inside]
+            inside = ~(holes & outside_region).any(axis=0)
+            rows, support = rows[inside], support[:, inside]
+            holes, label = holes[:, inside], label[:, inside]
         if not rows.size:  # nothing survives: no contours and no pairs
             continue
+        D = D[:, rows]
+        if (holes & (np.take_along_axis(D, label, axis=0) != D)).any():
+            raise RuntimeError("hole of a contour support is not constant")
         c, p = boundary_energy_pairs(
             model, index,
-            np.pad(digits[..., rows], pad, constant_values=bg).reshape(-1, len(rows)),
-            np.pad(support, pad).reshape(-1, len(rows)),
+            np.pad(D[:n].reshape(shape + (-1,)), pad, constant_values=bg).reshape(-1, len(rows)),
+            np.pad(support[:n].reshape(shape + (-1,)), pad).reshape(-1, len(rows)),
         )
-        row_digits = D[:, rows].T.tolist()
-        for sup, hol, dig, pair in zip(support.reshape(n, -1).T, holes.reshape(n, -1).T,
-                                       row_digits, zip(c.tolist(), p.tolist())):
-            interiors = []
-            hole_sites = np.flatnonzero(hol).tolist()
-            for comp in sorted(components([cells[i] for i in hole_sites], zd_neighbors),
-                               key=min):
-                vals = {dig[i] for i in hole_sites if cells[i] in comp}
-                assert len(vals) == 1, "hole of a contour support is not constant"
-                interiors.append((comp, model.spins[vals.pop()]))
-            sites = np.flatnonzero(sup).tolist()
+        # the support sites and their spins, row after row
+        on = np.nonzero(support.T)
+        on_cells = [cells[i] for i in on[1].tolist()]
+        on_spins = [model.spins[k] for k in D.T[on].tolist()]
+        has_holes, start = holes.any(axis=0).tolist(), 0
+        for j, stop in enumerate(np.cumsum(support.sum(axis=0)).tolist()):
+            interiors = {}  # hole sites come in increasing order, so each hole first at its label
+            if has_holes[j]:
+                at = np.flatnonzero(holes[:, j])
+                for i, r in zip(at.tolist(), label[at, j].tolist()):
+                    interiors.setdefault(r, []).append(cells[i])
+            sup = on_cells[start:stop]
             yield ZdContour(
-                q, frozenset(cells[i] for i in sites),
-                {cells[i]: model.spins[dig[i]] for i in sites}, tuple(interiors), pair,
+                q, frozenset(sup), dict(zip(sup, on_spins[start:stop])),
+                tuple((frozenset(h), model.spins[D[r, j]]) for r, h in interiors.items()),
+                (complex(c[j]), float(p[j])),
             )
+            start = stop
 
 
 def _row_blocks(n_sites: int, n_rows: int, fill):
@@ -745,17 +756,6 @@ def contour_partition_function(
 _IDENTITY_BLOCK = 1024  # configurations per extraction pass
 
 
-def _spread_min(val, mask, nbrs):
-    """The minimum of ``val`` (sites x rows) over each component of ``mask``
-    in the graph linking x to ``nbrs[x]`` (x among them), at every site of
-    the component; values outside the mask stay, and exceed those inside."""
-    while True:
-        new = np.where(mask, val[nbrs].min(axis=1), val)
-        if np.array_equal(new, val):
-            return val
-        val = new
-
-
 def _extract_block(geom: Torus, D):
     """``extract`` for a block of configurations, given as digits ``D``
     (sites x rows).  Returns the R-boundaries (sites x rows, boolean), the
@@ -874,18 +874,23 @@ def contour_from_json(text: str) -> TorusContour:
     support site has one spin and extracting the decoded contour's
     standardized configuration gives back exactly that contour."""
     data = json.loads(text)
-    geom = torus(data["L"], data["d"], data["R"])
-    sites = [geom.index(tuple(c)) for c in data["support"]]
+    if not isinstance(data, dict) or data.get("kind") != "contour":
+        raise ValueError("malformed contour: not an object of kind 'contour'")
+    try:
+        geom = torus(data["L"], data["d"], data["R"])
+        sites = [geom.index(tuple(c)) for c in data["support"]]
+        spins, ext_label = list(data["spins"]), data["ext_label"]
+        interiors = tuple(
+            (frozenset(geom.index(tuple(c)) for c in item["sites"]), item["label"])
+            for item in data["interiors"]
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"malformed contour: {type(err).__name__} {err}") from err
     support = frozenset(sites)
-    if len(support) != len(sites) or len(data["spins"]) != len(sites):
+    if len(support) != len(sites) or len(spins) != len(sites):
         raise ValueError("malformed contour: each support site needs exactly one spin")
     ext, _ = exterior_interior(geom, support)
-    interiors = tuple(
-        (frozenset(geom.index(tuple(c)) for c in item["sites"]), item["label"])
-        for item in data["interiors"]
-    )
-    y = TorusContour(geom, support, dict(zip(sites, data["spins"])), ext,
-                     data["ext_label"], interiors)
+    y = TorusContour(geom, support, dict(zip(sites, spins)), ext, ext_label, interiors)
     config = y.full_config()
     back = extract(config, geom.R) if None not in config.spins else None
     if back is None or back.network is not None or [

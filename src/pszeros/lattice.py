@@ -4,8 +4,11 @@ Site addressing: torus sites are flat row-major indices (first axis slowest),
 Z^d sites are integer coordinate tuples.  The diameter of a finite set is the
 side of the smallest enclosing axis-aligned cubic box measured in sites, so a
 box of k x ... x k sites has diameter k and a single site has diameter 1.  On
-the torus the enclosing box may wrap.  The holes of a Z^d contour support
-are found by the batched contour builder in ``contours``, on digit arrays.
+the torus the enclosing box may wrap.  Site sets on the torus are integer
+bitmasks (bit i is site i), whose components ``Torus.flood`` grows by
+dilation.  Components of whole blocks of configurations, on the torus and
+in an open box of Z^d (the R-boundary's components, the holes of a contour
+support), are found on digit arrays by ``contours._spread_min``.
 """
 
 from __future__ import annotations
@@ -38,25 +41,6 @@ def zd_diameter(sites) -> int:
     return max(
         max(p[a] for p in sites) - min(p[a] for p in sites) + 1 for a in range(d)
     )
-
-
-def components(sites, neighbors) -> list[frozenset]:
-    """Connected components of a finite site set, where ``neighbors(x)``
-    yields the candidate neighbors of x (those outside the set are ignored)."""
-    todo = set(sites)
-    out = []
-    while todo:
-        seed = todo.pop()
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            for y in neighbors(stack.pop()):
-                if y in todo:
-                    todo.remove(y)
-                    comp.add(y)
-                    stack.append(y)
-        out.append(frozenset(comp))
-    return out
 
 
 class Torus:
@@ -156,10 +140,6 @@ class Torus:
         for m in map(self.dilate_box, values.values()):
             bad, seen = bad | seen & m, seen | m
         return bad
-
-    def components(self, sites) -> list[frozenset]:
-        """Nearest-neighbor components of a subset (given as indices)."""
-        return components(sites, self.neighbors.__getitem__)
 
     def shrink(self, mask: int) -> int:
         """Remove from a site mask the layer adjacent to its complement."""

@@ -641,6 +641,19 @@ def test_contour_json_rejects_malformed_contours():
         dict(one_flip, spins=one_flip["spins"][:1]),
         # the exterior label of the other phase
         dict(one_flip, ext_label=-1),
+        # missing keys
+        {k: v for k, v in one_flip.items() if k != "L"},
+        {k: v for k, v in one_flip.items() if k != "interiors"},
+        # not an object, or not a contour
+        [one_flip],
+        "contour",
+        dict(one_flip, kind="network"),
+        {k: v for k, v in one_flip.items() if k != "kind"},
+        # a support of bare site indices, sites off the dimension
+        dict(one_flip, support=[geom.index(tuple(c)) for c in one_flip["support"]]),
+        dict(one_flip, support=[c[:1] for c in one_flip["support"]]),
+        dict(one_flip, interiors=[[1]]),
+        dict(one_flip, L=2),
     ]
     for data in malformed:
         with pytest.raises(ValueError, match="malformed contour"):

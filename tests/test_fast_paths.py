@@ -33,7 +33,7 @@ from pszeros.contours import (
     is_matching,
     reconstruct,
 )
-from pszeros.lattice import chebyshev_ball, components, torus, zd_neighbors
+from pszeros.lattice import chebyshev_ball, torus, zd_neighbors
 from pszeros.metastable import (
     EXACT_PLACEMENT_BUDGET,
     Cutoffs,
@@ -809,7 +809,9 @@ def oracle_finite_volume_zeta(model, m, L, z, cutoffs=Cutoffs()):
     return th * cmath.exp(s_L)
 
 
-def oracle_zd_components(sites):
+def oracle_zd_components(sites, neighbors=zd_neighbors):
+    """Components of a finite site set, where ``neighbors(x)`` yields the
+    candidate neighbours of x (those outside the set are ignored)."""
     todo = set(sites)
     out = []
     while todo:
@@ -818,7 +820,7 @@ def oracle_zd_components(sites):
         stack = [seed]
         while stack:
             x = stack.pop()
-            for y in zd_neighbors(x):
+            for y in neighbors(x):
                 if y in todo:
                     todo.remove(y)
                     comp.add(y)
@@ -828,21 +830,7 @@ def oracle_zd_components(sites):
 
 
 def oracle_torus_components(geom, sites):
-    todo = set(sites)
-    out = []
-    while todo:
-        seed = todo.pop()
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for y in geom.neighbors[x]:
-                if y in todo:
-                    todo.remove(y)
-                    comp.add(y)
-                    stack.append(y)
-        out.append(frozenset(comp))
-    return out
+    return oracle_zd_components(sites, geom.neighbors.__getitem__)
 
 
 def oracle_torus_union_find(config, R):
@@ -1052,34 +1040,16 @@ def test_finite_volume_zeta_matches_recursion_oracle(model, L):
             assert _rel(finite_volume_zeta(model, m, L, z), b) <= 1e-13
 
 
-def _random_zd_sites(rng, d, side, density):
-    return [p for p in itertools.product(range(side), repeat=d) if rng.random() < density]
-
-
 def test_components_match_bfs_and_union_find_oracles():
-    # same order as the old BFS; the union-finds listed components in
-    # another order, which their callers sorted or only counted, so against
-    # them the partition is compared
+    # the union-find listed components in another order, which its callers
+    # sorted or only counted, so against it the partition is compared
     rng = random.Random(44)
     for _ in range(40):
-        d = rng.choice((2, 3))
-        sites = frozenset(_random_zd_sites(rng, d, 6 if d == 2 else 4, rng.uniform(0.2, 0.7)))
-        assert components(sites, zd_neighbors) == oracle_zd_components(sites)
-        R = rng.choice((1, 2))
-        linked = components(sites, lambda x: chebyshev_ball(x, R))
-        assert sorted(linked, key=min) == sorted(oracle_zd_union_find(sites, R), key=min)
-
         geom = torus(rng.choice((5, 6, 7)), 2)
-        sub = [x for x in range(geom.n_sites) if rng.random() < 0.5]
-        assert geom.components(sub) == oracle_torus_components(geom, sub)
-        assert geom.components(frozenset(sub)) == oracle_torus_components(geom, frozenset(sub))
-
         model = rng.choice((ising(1.0), blume_capel(1.0, 0.1)))
         cfg = sparse_torus_config(rng, model, geom.L, rng.randint(0, 6))
         bad, comps = oracle_torus_union_find(cfg, 1)
         assert r_boundary(cfg, 1) == bad
-        linked = components(bad, geom.boxes.__getitem__)
-        assert sorted(linked, key=min) == sorted(comps, key=min)
         _, small, large = contour_graph(cfg, 1)
         assert sorted(small + large, key=min) == sorted(comps, key=min)
 
@@ -1119,7 +1089,7 @@ def oracle_zd_holes(support) -> list[frozenset]:
     hi = tuple(max(p[a] for p in support) + 1 for a in range(d))
     box = itertools.product(*[range(lo[a], hi[a] + 1) for a in range(d)])
     free = [p for p in box if p not in support]
-    return [c for c in components(free, zd_neighbors) if lo not in c and hi not in c]
+    return [c for c in oracle_zd_components(free) if lo not in c and hi not in c]
 
 
 def oracle_zd_contour_from_deviations(model, q, deviations):
@@ -1130,7 +1100,7 @@ def oracle_zd_contour_from_deviations(model, q, deviations):
     if not support:
         return None
     # two boundary sites are linked when one non-constant box contains both
-    if len(components(support, lambda x: chebyshev_ball(x, model.range))) != 1:
+    if len(oracle_zd_union_find(support, model.range)) != 1:
         return None
     look = cfg.lookup()
     holes = oracle_zd_holes(support)
@@ -1265,7 +1235,8 @@ def _box(a, b):
     (blume_capel(1.4, 0.05), _box(4, 5)),
     (potts(3, 1.5), _box(4, 4)),
     (ising(1.1), [x for x in _box(7, 7) if x[0] < 3 or x[1] < 3]),
-], ids=["ising-5x5", "ising-3x6", "blume-capel-4x5", "potts3-4x4", "ising-L"])
+    (perturbed_ising({((0, 0), (0, 2)): 0.1, ((0, 0), (0, 1)): 1.0}), _box(7, 7)),
+], ids=["ising-5x5", "ising-3x6", "blume-capel-4x5", "potts3-4x4", "ising-L", "range2-7x7"])
 def test_contours_in_region_match_per_candidate_oracle(model, region):
     for q in model.spins:
         new = contours_in_region(model, q, region)
@@ -1527,7 +1498,7 @@ def oracle_component_labels(geom, support, spins):
 def oracle_extract(config, R):
     geom = config.torus(R)
     small, large = [], []
-    for c in components(oracle_torus_r_boundary(config, R), geom.boxes.__getitem__):
+    for c in oracle_zd_components(oracle_torus_r_boundary(config, R), geom.boxes.__getitem__):
         (small if 2 * oracle_torus_diameter(geom, c) < geom.L else large).append(c)
     spins = config.spins
     if not small and not large:
@@ -1697,7 +1668,7 @@ def test_torus_masks_match_set_oracles():
             assert [frozenset(geom.sites(c)) for c in geom.flood(mask, geom.dilate_nn)] == sorted(
                 oracle_torus_components(geom, sub), key=min)
             assert [frozenset(geom.sites(c)) for c in geom.flood(mask, geom.dilate_box)] == sorted(
-                components(sub, geom.boxes.__getitem__), key=min)
+                oracle_zd_components(sub, geom.boxes.__getitem__), key=min)
             assert geom.diameter(mask) == oracle_torus_diameter(geom, sub)
             assert set(geom.sites(geom.dilate_box(mask))) == {y for x in sub for y in geom.boxes[x]}
             assert set(geom.sites(geom.shrink(mask))) == {
