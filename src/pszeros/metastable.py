@@ -10,12 +10,18 @@ consistent run) keeps the truncated weights inside the certified convergence
 region.  Finite-volume analogues on the torus sum the same gas over wrapped
 placements.
 
-The z-independent part of a phase's gas (its contour classes with their
-energy pairs as arrays, the offsets at which two classes overlap, the
-certificate geometry and the cluster skeleton with its Ursell coefficients,
-also as an index matrix) is one record per (phase, support cap), built on
-first use and held on the model (``SpinModel.gas``), so that it is
-computed once per model and freed with it.
+The z-independent part of a phase's gas comes in two records.  The shape
+record depends on neither couplings nor z, only on the class geometry: d,
+R and, per class in class order, its support and its volume.  It holds the
+offsets at which two classes overlap, the certificate geometry, per norm
+cap the cluster skeleton with its Ursell coefficients as an index matrix,
+and per torus side the wrapped placements.  It is shared by every phase
+and model with that geometry (all phases of Blume-Capel and of Potts q=3
+have one), through a value-keyed cache built once per process.  The
+energies stay per model: the gas record of a (phase, support cap), built
+on first use and held on the model (``SpinModel.gas``), so that it is
+computed once per model and freed with it, holds the contour classes with
+their energy pairs as arrays and points at its shape record.
 
 Where the mollifier leaves a phase's contours untouched, zeta_q is
 holomorphic, and the table also carries d log zeta_q / dz in closed form
@@ -37,7 +43,7 @@ import math
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -99,11 +105,11 @@ def estimate_tau(model: SpinModel, z: complex, size_cap: int = 12) -> float:
         return math.inf
     best = math.inf
     for q in model.orbit_representatives():
-        arr = _gas(model, q, size_cap).arrays
-        rho = np.abs(arr.rho * complex(z) ** arr.power)
+        gas = _gas(model, q, size_cap)
+        rho = np.abs(gas.rho(z))
         live = rho != 0
         if live.any():
-            sizes = arr.sizes[live]
+            sizes = gas.arrays.sizes[live]
             best = min(best, float((-(np.log(rho[live]) - sizes * math.log(th)) / sizes).min()))
     return best
 
@@ -300,46 +306,36 @@ _CertificateGeometry = namedtuple("_CertificateGeometry", "sizes volumes offsets
 _ClassArrays = namedtuple("_ClassArrays", "rho power sizes bare ground_power")
 
 
-class _Gas:
-    """Phase q's gas record at one support cap (see the module docstring);
-    each part is built on first use.  The overlap offsets are dropped once
-    the cluster arrays and the geometry are built (they take about 0.3 MiB
-    for a three-state phase), so another norm cap searches them again."""
+class _Shape:
+    """The coupling- and z-free part of a contour gas, fixed by d, R and,
+    per class in class order, its sorted support and its sorted volume (see
+    the module docstring); each part is built on first use.  Classes enter
+    as their (support, volume) coordinate tuples, and no contour, model or
+    energy is held.  The overlap offsets are dropped once the cluster arrays
+    and the geometry are built (they take about 0.3 MiB for a three-state
+    shape), so another norm cap searches them again."""
 
-    def __init__(self, model: SpinModel, q, size_cap: int):
-        self.d = model.dimension
-        self.q = q
-        self.classes = tuple(contour_classes(model, q, size_cap))
-        self._model = weakref.ref(model)  # the model holds the record
+    def __init__(self, d: int, R: int, classes: tuple):
+        self.d = d
+        self.R = R
+        self.supports = [sup for sup, _ in classes]
+        self.volumes = [vol for _, vol in classes]
+        self.sizes = [len(sup) for sup in self.supports]
         self._cluster_arrays = {}
-
-    @cached_property
-    def arrays(self) -> _ClassArrays:
-        """z-independent class data: per class, exp(-c) and p of its energy
-        pair (rho = exp(-c) z^p), its size |Y| and whether it has no
-        interiors; and the z power of theta_q."""
-        model = self._model()
-        pairs = [y.energy_pair(model) for y in self.classes]
-        return _ClassArrays(
-            np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex),
-            np.array([p for _, p in pairs], dtype=float),
-            np.array([y.size for y in self.classes], dtype=float),
-            np.array([not y.interiors for y in self.classes], dtype=bool),
-            model.ground_pair(self.q)[1],
-        )
+        self._placements = {}
 
     @cached_property
     def offsets(self):
         """Per pair of classes (i, j), the sorted offsets a - b (a in support
         i, b in support j) at which class j placed relative to class i
         overlaps it."""
-        if not self.classes:
+        if not self.supports:
             return []
         # with every coordinate in an interval of M values, a - b lies in
         # (-M, M)^d; code (j, a - b) as one integer that sorts like the tuple
-        supports = [np.array(sorted(y.support)) for y in self.classes]
+        supports = [np.array(sup) for sup in self.supports]
         every = np.concatenate(supports)
-        owner = np.repeat(np.arange(len(supports)), [len(s) for s in supports])
+        owner = np.repeat(np.arange(len(supports)), self.sizes)
         M = int(every.max() - every.min()) + 1
         radix = (2 * M - 1) ** np.arange(self.d - 1, -1, -1)
         span = (2 * M - 1) ** self.d
@@ -365,8 +361,8 @@ class _Gas:
         (s_max - s_min)^2 step^2 / (32 s_min) for class sizes s; the step
         keeps that below _ETA_TOL."""
         offsets = np.array([[len(o) for o in row] for row in self.offsets], dtype=float)
-        sizes = np.array([y.size for y in self.classes], dtype=float)
-        volumes = np.array([len(y.volume) for y in self.classes], dtype=float)
+        sizes = np.array(self.sizes, dtype=float)
+        volumes = np.array([len(v) for v in self.volumes], dtype=float)
         spread = float(np.ptp(sizes)) if len(sizes) else 0.0
         step = math.sqrt(32.0 * sizes.min() * _ETA_TOL) / spread if spread else _T_MAX
         grid = np.linspace(0.0, _T_MAX, math.ceil(_T_MAX / step) + 1)
@@ -384,9 +380,11 @@ class _Gas:
         whose volume covers the origin.  Built anew on each call; the record
         keeps it only as ``cluster_arrays``.
         """
-        classes, d, overlap_offsets = self.classes, self.d, self.offsets
+        d, sizes, overlap_offsets = self.d, self.sizes, self.offsets
         # connected placement sets up to translation, rooted at class i0 at 0;
-        # growth ends where every further class would pass the norm cap
+        # growth ends where every further class would pass the norm cap.  The
+        # growths of translates are translates, so each set up to translation
+        # is grown once, from the first placement set that reaches it
         placement_sets = set()
 
         def canon(pset):
@@ -396,19 +394,24 @@ class _Gas:
             ))
 
         def grow(pset, base_norm):
-            placement_sets.add(canon(pset))
-            for cj in range(len(classes)):
-                if base_norm + classes[cj].size > norm_cap:
+            for cj, size in enumerate(sizes):
+                if base_norm + size > norm_cap:
                     continue
                 for (ci, oi) in pset:
                     for rel in overlap_offsets[ci][cj]:
                         cand = (cj, tuple(oi[k] + rel[k] for k in range(d)))
-                        if cand not in pset:
-                            grow(pset | {cand}, base_norm + classes[cj].size)
+                        if cand in pset:
+                            continue
+                        grown = pset | {cand}
+                        key = canon(grown)
+                        if key not in placement_sets:
+                            placement_sets.add(key)
+                            grow(grown, base_norm + size)
 
-        for i0 in range(len(classes)):
-            if classes[i0].size <= norm_cap:
-                grow(frozenset([(i0, (0,) * d)]), classes[i0].size)
+        for i0, size in enumerate(sizes):
+            if size <= norm_cap:
+                placement_sets.add(((i0, (0,) * d),))
+                grow(frozenset([(i0, (0,) * d)]), size)
 
         entries = []
         for pset in sorted(placement_sets):
@@ -422,8 +425,8 @@ class _Gas:
                 in itertools.combinations(enumerate(placements), 2)
                 if tuple(y - x for x, y in zip(oa, ob)) in overlap_offsets[ca][cb]
             ]
-            sizes = {i: classes[ci].size for i, (ci, _) in enumerate(placements)}
-            sys_stub = PolymerSystem.build(ids, {i: 0j for i in ids}, incompat, sizes)
+            part_sizes = {i: sizes[ci] for i, (ci, _) in enumerate(placements)}
+            sys_stub = PolymerSystem.build(ids, {i: 0j for i in ids}, incompat, part_sizes)
             for mult, _, u in multi_indices(sys_stub, ids, norm_cap):
                 entries.append((tuple((placements[i][0], mult[i]) for i in ids), u))
         self.geometry  # takes its counts from the offsets before they go
@@ -437,11 +440,80 @@ class _Gas:
         if norm_cap not in self._cluster_arrays:
             entries = self.skeleton(norm_cap)
             rows = [[ci for ci, k in mults for _ in range(k)] for mults, _ in entries]
-            index = np.full((len(rows), max(map(len, rows), default=0)), len(self.classes))
+            index = np.full((len(rows), max(map(len, rows), default=0)), len(self.sizes))
             for r, row in enumerate(rows):
                 index[r, :len(row)] = row
             self._cluster_arrays[norm_cap] = index, np.array([u for _, u in entries], dtype=float)
         return self._cluster_arrays[norm_cap]
+
+    def placements(self, L: int) -> tuple:
+        """The torus of side L's site count and the wrapped placements of
+        the classes, as (class, site bitmask) pairs in class order, then
+        anchor order.  A class fits when its volume extent is at most L
+        along every axis (so wrapping is injective); its support is then a
+        genuine subset of torus sites."""
+        if L not in self._placements:
+            geom = torus(L, self.d, self.R)
+            out = []
+            for ci, (sup, vol) in enumerate(zip(self.supports, self.volumes)):
+                if any(max(p[k] for p in vol) - min(p[k] for p in vol) + 1 > L
+                       for k in range(self.d)):
+                    continue
+                for base in geom.coords:
+                    out.append((ci, geom.mask(
+                        geom.index(tuple(b + x for b, x in zip(base, p))) for p in sup
+                    )))
+            self._placements[L] = geom.n_sites, tuple(out)
+        return self._placements[L]
+
+
+@lru_cache(maxsize=None)
+def _shape(key: tuple) -> _Shape:
+    """The shape record of a class geometry (d, R, per class its sorted
+    support and sorted volume), built once per process."""
+    return _Shape(*key)
+
+
+class _Gas:
+    """Phase q's gas record at one support cap (see the module docstring):
+    this model's contour classes, which carry its energy pairs, and their
+    arrays stay per model; ``shape`` is the record of their geometry, shared
+    with every phase and model whose classes have the same geometry."""
+
+    def __init__(self, model: SpinModel, q, size_cap: int):
+        self.q = q
+        self.classes = tuple(contour_classes(model, q, size_cap))
+        self.shape = _shape((model.dimension, model.range, tuple(
+            (tuple(sorted(y.support)), tuple(sorted(y.volume))) for y in self.classes
+        )))
+        self._model = weakref.ref(model)  # the model holds the record
+        self._rho = None
+
+    @cached_property
+    def arrays(self) -> _ClassArrays:
+        """z-independent class data: per class, exp(-c) and p of its energy
+        pair (rho = exp(-c) z^p), its size |Y| and whether it has no
+        interiors; and the z power of theta_q."""
+        model = self._model()
+        pairs = [y.energy_pair(model) for y in self.classes]
+        return _ClassArrays(
+            np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex),
+            np.array([p for _, p in pairs], dtype=float),
+            np.array(self.shape.sizes, dtype=float),
+            np.array([not y.interiors for y in self.classes], dtype=bool),
+            model.ground_pair(self.q)[1],
+        )
+
+    def rho(self, z) -> np.ndarray:
+        """rho(Y) = exp(-c) z^p of the classes, kept for the last z object
+        asked for, so that a table's tau estimate and its class weights
+        (both at the engine's z) evaluate it once.  Complex z: a real
+        negative z with a half-integer power (field="plain") takes the
+        principal branch, as pair_weight does."""
+        if self._rho is None or self._rho[0] is not z:
+            arr = self.arrays
+            self._rho = z, arr.rho * complex(z) ** arr.power
+        return self._rho[1]
 
 
 def _gas(model: SpinModel, q, size_cap: int) -> _Gas:
@@ -480,7 +552,7 @@ def polymer_pressure(
     d log K'(Y)/dz = (p_Y - |Y| p_q) / z and the derivative of the cluster
     sum is exact."""
     gas = _gas(model, q, cutoffs.size_cap)
-    index, ursell = gas.cluster_arrays(cutoffs.norm_cap)
+    index, ursell = gas.shape.cluster_arrays(cutoffs.norm_cap)
     if engine is None:
         engine = WeightEngine(model, z)
     w, dlog_w = _class_weights(engine, gas)
@@ -509,9 +581,7 @@ def _class_weights(engine: WeightEngine, gas: _Gas):
     if thq == 0:
         return np.zeros(len(gas.classes), dtype=complex), None
     factor = engine.phase_factor(gas.q)
-    # complex z: a real negative z with a half-integer power (field="plain")
-    # takes the principal branch, as pair_weight does
-    w = arr.rho * complex(z) ** arr.power * thq**-arr.sizes * factor
+    w = gas.rho(z) * thq**-arr.sizes * factor
     capped = arr.bare & (np.abs(w) > np.exp(-(engine.tau / 2.0) * arr.sizes))
     if capped.any():
         # the engine logs each activation, in class order, once
@@ -549,7 +619,7 @@ def _gas_certificate(gas: _Gas, weights):
     """
     if not np.any(weights):
         return True, _ETA_CAP
-    geo = gas.geometry
+    geo = gas.shape.geometry
     absw = np.abs(weights)
     rows = geo.rows * absw @ geo.grid_exp
     i = int(np.searchsorted(rows[0, 1:-1], 1.0, side="right"))
@@ -640,30 +710,6 @@ def zeta(model: SpinModel, m, z: complex, cutoffs: Cutoffs = Cutoffs()):
 EXACT_PLACEMENT_BUDGET = 120
 
 
-def _torus_placements_of_classes(model, classes, L):
-    """Wrapped placements of contour classes on the torus: a class fits when
-    its volume extent is at most L along every axis (so wrapping is
-    injective); its support is then a genuine subset of torus sites."""
-    geom = torus(L, model.dimension, model.range)
-    d = model.dimension
-    placements = []
-    for ci, y in enumerate(classes):
-        vol = y.volume
-        extent = [
-            max(p[k] for p in vol) - min(p[k] for p in vol) + 1 for k in range(d)
-        ]
-        if any(e > L for e in extent):
-            continue
-        for anchor in range(geom.n_sites):
-            base = geom.coords[anchor]
-            sup = frozenset(
-                geom.index(tuple(base[k] + p[k] for k in range(d)))
-                for p in y.support
-            )
-            placements.append((ci, anchor, sup))
-    return geom, placements
-
-
 def finite_volume_zeta(
     model: SpinModel, m, L: int, z: complex, cutoffs: Cutoffs = Cutoffs()
 ) -> complex:
@@ -674,24 +720,23 @@ def finite_volume_zeta(
     th = engine.theta[m]
     if th == 0:
         return 0j
-    classes = _gas(model, m, cutoffs.size_cap).classes
-    geom, placements = _torus_placements_of_classes(model, classes, L)
-    n = geom.n_sites
+    gas = _gas(model, m, cutoffs.size_cap)
+    n, placements = gas.shape.placements(L)
     if not placements:
         return th
-    w = [engine.weight_truncated(classes[ci]) for ci, _, _ in placements]
-    supports = [sup for (_, _, sup) in placements]
+    w = [engine.weight_truncated(gas.classes[ci]) for ci, _ in placements]
+    masks = [mask for _, mask in placements]
     if len(placements) <= EXACT_PLACEMENT_BUDGET:
-        zsum = independent_set_sum([sum(1 << s for s in sup) for sup in supports], w)
+        zsum = independent_set_sum(masks, w)
         return th * cmath.exp(cmath.log(zsum) / n)
     ids = tuple(range(len(placements)))
     edges = [
         (i, j)
         for i in ids
         for j in ids[i + 1:]
-        if supports[i] & supports[j]
+        if masks[i] & masks[j]
     ]
-    sizes = {i: classes[placements[i][0]].size for i in ids}
+    sizes = {i: gas.shape.sizes[placements[i][0]] for i in ids}
     system = PolymerSystem.build(ids, dict(enumerate(w)), edges, sizes)
     clusters = enumerate_clusters(system, ids, cutoffs.norm_cap)
     return th * cmath.exp(sum(c.value for c in clusters) / n)

@@ -39,10 +39,8 @@ from pszeros.metastable import (
     Cutoffs,
     WeightEngine,
     _A_SCALES,
-    _Gas,
     _gas,
     _gas_certificate,
-    _torus_placements_of_classes,
     finite_volume_zeta,
     free_energy_table,
 )
@@ -65,6 +63,7 @@ from pszeros.models import (
 from pszeros.polymer import (
     PolymerSystem,
     enumerate_clusters,
+    multi_indices,
     polymer_partition_function,
     ursell_coefficient,
 )
@@ -91,7 +90,7 @@ ETA_SLACK = 2.0**-13
 
 def oracle_predicate(model, q, weights, size_cap=12):
     """The certificate predicate ok(alpha, eta) for fixed weights."""
-    geo = _gas(model, q, size_cap).geometry
+    geo = _gas(model, q, size_cap).shape.geometry
     sz, vol, off = geo.sizes, geo.volumes, geo.offsets
     absw = np.array([abs(w) for w in weights])
 
@@ -404,7 +403,7 @@ _PRESSURE_MODELS = [ising(1.5), blume_capel(1.5, 0.3), potts(3, 1.5), potts(4, 1
 def _check_pressure_against_oracle(model, zs):
     """Tables at each z against the scalar oracle; returns how many z both
     refuse with a failed certificate."""
-    skeletons = {q: _gas(model, q, 12).skeleton(18.0) for q in model.orbit_representatives()}
+    skeletons = {q: _gas(model, q, 12).shape.skeleton(18.0) for q in model.orbit_representatives()}
     refused = 0
     for z in zs:
         try:
@@ -786,13 +785,30 @@ def oracle_independent_set_sum(system, ids):
     return rec(0, frozenset(), 1.0 + 0j)
 
 
+def oracle_wrapped_placements(model, classes, L):
+    """Wrapped placements (class, anchor, torus support) of the classes
+    whose volume extent is at most L along every axis, placed from each
+    contour's coordinates."""
+    geom = torus(L, model.dimension, model.range)
+    d = model.dimension
+    placements = []
+    for ci, y in enumerate(classes):
+        vol = y.volume
+        if any(max(p[k] for p in vol) - min(p[k] for p in vol) + 1 > L for k in range(d)):
+            continue
+        for anchor, base in enumerate(geom.coords):
+            sup = frozenset(geom.index(tuple(base[k] + p[k] for k in range(d))) for p in y.support)
+            placements.append((ci, anchor, sup))
+    return geom, placements
+
+
 def oracle_finite_volume_zeta(model, m, L, z, cutoffs=Cutoffs()):
     """finite_volume_zeta as it was: the polymer system built for both
     branches, the exact one summed by the old recursion."""
     engine = WeightEngine(model, z)
     th = engine.theta[m]
     classes = list(_gas(model, m, cutoffs.size_cap).classes)
-    geom, placements = _torus_placements_of_classes(model, classes, L)
+    geom, placements = oracle_wrapped_placements(model, classes, L)
     n = geom.n_sites
     if not placements:
         return th
@@ -1059,7 +1075,71 @@ def test_components_match_bfs_and_union_find_oracles():
 def test_gas_skeleton_matches_placed_overlap_oracle(model):
     for q in model.orbit_representatives():
         gas = _gas(model, q, 12)
-        assert (gas.classes, gas.skeleton(18.0)) == oracle_gas_skeleton(model, q, 12, 18.0)
+        assert (gas.classes, gas.shape.skeleton(18.0)) == oracle_gas_skeleton(model, q, 12, 18.0)
+
+
+def oracle_revisiting_skeleton(shape, norm_cap):
+    """The skeleton grown as before: each connected placement set is grown
+    again from every set that reaches it, and recorded on entry."""
+    d, sizes, overlap_offsets = shape.d, shape.sizes, shape.offsets
+    placement_sets = set()
+
+    def canon(pset):
+        t = min(pset, key=lambda p: (p[1], p[0]))[1]
+        return tuple(sorted(
+            (ci, tuple(o[k] - t[k] for k in range(d))) for ci, o in pset
+        ))
+
+    def grow(pset, base_norm):
+        placement_sets.add(canon(pset))
+        for cj in range(len(sizes)):
+            if base_norm + sizes[cj] > norm_cap:
+                continue
+            for (ci, oi) in pset:
+                for rel in overlap_offsets[ci][cj]:
+                    cand = (cj, tuple(oi[k] + rel[k] for k in range(d)))
+                    if cand not in pset:
+                        grow(pset | {cand}, base_norm + sizes[cj])
+
+    for i0 in range(len(sizes)):
+        if sizes[i0] <= norm_cap:
+            grow(frozenset([(i0, (0,) * d)]), sizes[i0])
+
+    entries = []
+    for pset in sorted(placement_sets):
+        placements = list(pset)
+        ids = tuple(range(len(placements)))
+        incompat = [
+            (a, b)
+            for (a, (ca, oa)), (b, (cb, ob))
+            in itertools.combinations(enumerate(placements), 2)
+            if tuple(y - x for x, y in zip(oa, ob)) in overlap_offsets[ca][cb]
+        ]
+        part_sizes = {i: sizes[ci] for i, (ci, _) in enumerate(placements)}
+        sys_stub = PolymerSystem.build(ids, {i: 0j for i in ids}, incompat, part_sizes)
+        for mult, _, u in multi_indices(sys_stub, ids, norm_cap):
+            entries.append((tuple((placements[i][0], mult[i]) for i in ids), u))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("model", [ising(1.5), blume_capel(1.5, 0.3), potts(3, 1.5)],
+                         ids=lambda m: m.name)
+def test_skeleton_matches_revisiting_growth_oracle(model):
+    shapes = {_gas(model, q, 12).shape for q in model.orbit_representatives()}
+    for shape in shapes:
+        for norm_cap in (18.0, 22.0, 26.0):
+            assert shape.skeleton(norm_cap) == oracle_revisiting_skeleton(shape, norm_cap)
+
+
+@pytest.mark.parametrize("model", [ising(1.5), blume_capel(1.5, 0.3), potts(4, 1.5)],
+                         ids=lambda m: m.name)
+def test_torus_placements_match_coordinate_oracle(model):
+    for q in model.orbit_representatives():
+        gas = _gas(model, q, 12)
+        for L in (3, 4, 5):
+            geom, placements = oracle_wrapped_placements(model, gas.classes, L)
+            assert gas.shape.placements(L) == (
+                geom.n_sites, tuple((ci, geom.mask(sup)) for ci, _, sup in placements))
 
 
 @pytest.mark.parametrize("model", [ising(1.5), blume_capel(1.5, 0.3), potts(3, 1.5),
@@ -1067,7 +1147,7 @@ def test_gas_skeleton_matches_placed_overlap_oracle(model):
 def test_overlap_offsets_match_set_oracle(model):
     for q in model.orbit_representatives():
         classes = contour_classes(model, q, 12)
-        assert _Gas(model, q, 12).offsets == oracle_overlap_offsets(classes, model.dimension)
+        assert _gas(model, q, 12).shape.offsets == oracle_overlap_offsets(classes, model.dimension)
 
 
 # -- oracles: the per-candidate contour builder replaced by the batched one

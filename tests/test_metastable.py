@@ -27,7 +27,7 @@ from pszeros.metastable import (
     truncated_weight,
     zeta,
 )
-from pszeros.models import blume_capel, ising, pair_weight, theta
+from pszeros.models import blume_capel, ising, pair_weight, potts, theta
 
 
 # -- mollifier ------------------------------------------------------------------
@@ -380,25 +380,32 @@ def test_zeta_all_theta_vanish_no_nan():
 # -- the gas record ------------------------------------------------------------------
 
 
-def test_gas_record_built_once_per_phase(monkeypatch):
+@pytest.fixture
+def cold_shapes():
+    """An empty shape cache, as in a fresh process."""
+    metastable._shape.cache_clear()
+
+
+def test_gas_record_built_once_per_phase(monkeypatch, cold_shapes):
     # whichever entry point asks first, a fresh model enumerates each phase's
-    # contour classes once and runs each phase's offset search once
+    # contour classes once, and its three phases, which share one class
+    # geometry, run one offset search
     model = blume_capel(1.5, 0.3)
     classes_calls, offset_calls = [], []
     enumerate_classes = metastable.contour_classes
-    offset_search = metastable._Gas.offsets.func
+    offset_search = metastable._Shape.offsets.func
 
     def counted_classes(m, q, size_cap):
         if m is model:
             classes_calls.append(q)
         return enumerate_classes(m, q, size_cap)
 
-    def counted_offsets(gas):
-        offset_calls.append(gas.classes[0].q)
-        return offset_search(gas)
+    def counted_offsets(shape):
+        offset_calls.append(shape)
+        return offset_search(shape)
 
     monkeypatch.setattr(metastable, "contour_classes", counted_classes)
-    monkeypatch.setattr(metastable._Gas.offsets, "func", counted_offsets)
+    monkeypatch.setattr(metastable._Shape.offsets, "func", counted_offsets)
     for z in (1.0, 0.9 + 0.3j, cmath.exp(2.0j)):
         free_energy_table(model, z)
     estimated_constants(model, [1.0, 0.9 + 0.3j])
@@ -406,7 +413,7 @@ def test_gas_record_built_once_per_phase(monkeypatch):
         finite_volume_zeta(model, m, 3, 1.1)
     phases = sorted(model.orbit_representatives())
     assert sorted(classes_calls) == phases
-    assert sorted(offset_calls) == phases
+    assert len(offset_calls) == 1
 
 
 def test_metastable_and_contour_paths_do_not_import_scipy():
@@ -435,3 +442,57 @@ def test_gas_record_is_freed_with_its_model():
     del model
     gc.collect()
     assert record() is None
+
+
+def _shapes(model):
+    return [metastable._gas(model, q, Cutoffs().size_cap).shape
+            for q in model.orbit_representatives()]
+
+
+def test_shape_record_shared_by_class_geometry(cold_shapes):
+    # couplings and phase labels leave the class geometry alone: both
+    # Blume-Capel models and the Potts q=3 model have one shape record
+    three_state = _shapes(blume_capel(1.5, 0.3)) + _shapes(blume_capel(1.3, -0.1))
+    three_state += _shapes(potts(3, 1.5))
+    assert len(three_state) == 8
+    assert all(s is three_state[0] for s in three_state)
+    q4, two_state = _shapes(potts(4, 1.5)), _shapes(ising(1.5))
+    assert q4[0] is q4[1] and two_state[0] is two_state[1]
+    assert len({id(three_state[0]), id(q4[0]), id(two_state[0])}) == 3
+
+
+def _outputs(model, zs=(1.0, 0.9 + 0.3j, cmath.exp(2.0j))):
+    """Every table entry's numbers and finite_volume_zeta at L = 3, 4, as
+    repr (which tells apart any two floats with different bits)."""
+    out = []
+    for z in zs:
+        tab = free_energy_table(model, z)
+        for m, e in sorted(tab.entries.items()):
+            p = e.pressure
+            out.append((m, e.theta, e.s, e.zeta, e.f, e.a, e.dlog, p.eta, p.error_bound,
+                        p.derivative, p.n_clusters, tab.stable, tab.tau))
+    out += [finite_volume_zeta(model, m, L, 0.95 + 0.2j)
+            for m in model.orbit_representatives() for L in (3, 4)]
+    return repr(out)
+
+
+def test_shared_shape_record_gives_the_same_bits(cold_shapes):
+    own = _outputs(blume_capel(1.5, 0.3))
+    metastable._shape.cache_clear()
+    other = potts(3, 1.5)
+    _outputs(other)
+    model = blume_capel(1.5, 0.3)
+    assert _shapes(model)[0] is _shapes(other)[0]
+    assert _outputs(model) == own
+
+
+def test_model_that_built_a_shared_shape_is_freed(cold_shapes):
+    model = blume_capel(1.75, -0.05)
+    free_energy_table(model, 0.9 + 0.3j)
+    finite_volume_zeta(model, 0, 3, 0.9 + 0.3j)
+    shape = _shapes(model)[0]
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+    assert _shapes(blume_capel(1.5, 0.3))[0] is shape
