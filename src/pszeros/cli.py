@@ -96,7 +96,8 @@ class Scenario:
             model_text = buf.getvalue()
         seed = _opt(sec, "seed", 0, int)
         caps = cp["cutoffs"] if "cutoffs" in cp else {}
-        cut = Cutoffs(_opt(caps, "size_cap", 12, int), _opt(caps, "norm_cap", 18.0))
+        cut = Cutoffs(_opt(caps, "size_cap", Cutoffs.size_cap, int),
+                      _opt(caps, "norm_cap", Cutoffs.norm_cap))
         options = {
             s: dict(cp[s])
             for s in cp.sections()

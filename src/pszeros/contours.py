@@ -17,7 +17,9 @@ import cmath
 import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -466,29 +468,39 @@ def _box_table(shape, offsets):
     return np.vstack([table, np.full(len(offsets), n)])
 
 
-def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, region=None):
-    """Batched contour construction on Z^d.
+def _padded(shape, R):
+    """The box that holds every placement meeting a support at least one
+    site inside a box of the given shape: each such placement lies in
+    bbox(support) inflated by R, so the box padded by R - 1."""
+    return tuple(s + 2 * (R - 1) for s in shape)
+
+
+def _zd_contours(R, bg, lo, shape, blocks, max_support=None, region=None):
+    """Batched contour construction on Z^d, free of any model.
 
     ``blocks`` yields digit arrays (sites x rows; a digit is the index of a
-    spin in ``model.spins``) over the box of the given shape whose lowest
-    corner is ``lo``; each row is a background-q configuration with its
-    deviations at least R+1 sites inside the box.  Yields, in row order,
-    the contour of every row whose R-boundary (its support) has at most
+    spin in a model's ``spins``) over the box of the given shape whose
+    lowest corner is ``lo``; each row is a configuration with background
+    digit ``bg`` and its deviations at least R+1 sites inside the box.  The
+    rows kept are those whose R-boundary (its support) has at most
     ``max_support`` sites, lies in ``region`` (a boolean mask of the box)
     together with its holes, and is one component when two support sites
-    within Chebyshev distance R are linked.  Each contour carries its
-    energy pair, from one call of the energy kernel per block.
+    within Chebyshev distance R are linked.  Yields, per block, their
+    contours in row order, as the support cells (in increasing order) and
+    their digits of all rows, each row's end in them, and each row's holes
+    as (cells, digit) in order of least cell (``_rows`` splits them), and
+    their digit and R-boundary columns over the box ``_padded(shape, R)``,
+    which ``_with_pairs`` reads a model's energy pairs from.
 
     The box's sites and one more, n, for everything outside it (a digit row
-    of q appended to each block) are linked by two tables built once per
+    of bg appended to each block) are linked by two tables built once per
     call: the Chebyshev boxes of radius R, over which the R-boundary is
     read and its components spread, and the nearest neighbours, over which
     the complement's spread.  Components come from ``_spread_min`` of site
     indices, so a component is named by its least site, which is also its
     least coordinate.
     """
-    R, d, n = model.range, len(shape), math.prod(shape)
-    bg = model.spins.index(q)
+    d, n = len(shape), math.prod(shape)
     cells = [tuple(c) for c in (np.indices(shape).reshape(d, -1).T + lo).tolist()]
     origin = (0,) * d
     box = _box_table(shape, chebyshev_ball(origin, R))
@@ -497,12 +509,7 @@ def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, regio
     # that holds -1 to n
     sites = np.append(np.arange(n), -1).astype(np.min_scalar_type(-n - 1))[:, None]
     outside_region = None if region is None else np.append(~region.ravel(), True)[:, None]
-    # a support lies at least one site inside the box, and every placement
-    # that meets it lies in bbox(support) inflated by R: the box padded by
-    # R - 1 holds them all
     pad = [(R - 1, R - 1)] * d + [(0, 0)]
-    padded = tuple(s + 2 * (R - 1) for s in shape)
-    index = box_placements(model, padded)
     for D in blocks:
         D = np.vstack([D, np.full((1, D.shape[1]), bg, dtype=D.dtype)])
         first = D[box[:, 0]]  # a box is not constant where a site differs from its first
@@ -528,34 +535,51 @@ def _zd_contours(model: SpinModel, q, lo, shape, blocks, max_support=None, regio
             inside = ~(holes & outside_region).any(axis=0)
             rows, support = rows[inside], support[:, inside]
             holes, label = holes[:, inside], label[:, inside]
-        if not rows.size:  # nothing survives: no contours and no pairs
+        if not rows.size:  # nothing survives: no contours
             continue
         D = D[:, rows]
         if (holes & (np.take_along_axis(D, label, axis=0) != D)).any():
             raise RuntimeError("hole of a contour support is not constant")
-        c, p = boundary_energy_pairs(
-            model, index,
+        # the support cells and their digits, row after row, and the holes
+        # of each row (hole sites come in increasing order, so each hole
+        # first at its label)
+        on = np.nonzero(support.T)
+        row_holes = [()] * len(rows)
+        for j in np.flatnonzero(holes.any(axis=0)).tolist():
+            at, interiors = np.flatnonzero(holes[:, j]), {}
+            for i, r in zip(at.tolist(), label[at, j].tolist()):
+                interiors.setdefault(r, []).append(cells[i])
+            row_holes[j] = tuple((frozenset(h), int(D[r, j])) for r, h in interiors.items())
+        yield (
+            [cells[i] for i in on[1].tolist()], D.T[on].tolist(),
+            np.cumsum(support.sum(axis=0)).tolist(), row_holes,
+        ), (
             np.pad(D[:n].reshape(shape + (-1,)), pad, constant_values=bg).reshape(-1, len(rows)),
             np.pad(support[:n].reshape(shape + (-1,)), pad).reshape(-1, len(rows)),
         )
-        # the support sites and their spins, row after row
-        on = np.nonzero(support.T)
-        on_cells = [cells[i] for i in on[1].tolist()]
-        on_spins = [model.spins[k] for k in D.T[on].tolist()]
-        has_holes, start = holes.any(axis=0).tolist(), 0
-        for j, stop in enumerate(np.cumsum(support.sum(axis=0)).tolist()):
-            interiors = {}  # hole sites come in increasing order, so each hole first at its label
-            if has_holes[j]:
-                at = np.flatnonzero(holes[:, j])
-                for i, r in zip(at.tolist(), label[at, j].tolist()):
-                    interiors.setdefault(r, []).append(cells[i])
-            sup = on_cells[start:stop]
-            yield ZdContour(
-                q, frozenset(sup), dict(zip(sup, on_spins[start:stop])),
-                tuple((frozenset(h), model.spins[D[r, j]]) for r, h in interiors.items()),
-                (complex(c[j]), float(p[j])),
-            )
-            start = stop
+
+
+def _rows(found):
+    """The contours of a block of ``_zd_contours``, one (support cells,
+    their digits, holes) each."""
+    cells, digits, stops, holes = found
+    start = 0
+    for stop, h in zip(stops, holes):
+        yield cells[start:stop], digits[start:stop], h
+        start = stop
+
+
+def _with_pairs(model: SpinModel, q, rows, columns, index):
+    """The q-contours of a model from (support cells, digits, holes) rows,
+    with their energy pairs from one energy kernel call over the rows'
+    columns (``index``: the model's placements in the columns' box)."""
+    c, p = boundary_energy_pairs(model, index, *columns)
+    spin = model.spins.__getitem__
+    return [
+        ZdContour(q, frozenset(sup), dict(zip(sup, map(spin, digits))),
+                  tuple((h, spin(k)) for h, k in holes), pair)
+        for (sup, digits, holes), pair in zip(rows, zip(c.tolist(), p.tolist()))
+    ]
 
 
 def _row_blocks(n_sites: int, n_rows: int, fill):
@@ -593,29 +617,44 @@ def contours_in_region(model: SpinModel, q, region, budget: int = ENUM_CORE_BUDG
     inbox = [x for x in region if all(0 <= x[a] - lo[a] < shape[a] for a in range(len(shape)))]
     mask[tuple((np.array(inbox) - lo).T)] = True
     flat_core = np.ravel_multi_index(tuple((pts - lo).T), shape)
+    bg = model.spins.index(q)
     choice = np.array([model.spins.index(s) for s in [q] + others], dtype=np.int8)
     base = len(choice)
     powers = base ** np.arange(len(core) - 1, -1, -1, dtype=np.int64)
 
     def blocks():
-        for start, stop, D in _row_blocks(math.prod(shape), total - 1, choice[0]):
+        for start, stop, D in _row_blocks(math.prod(shape), total - 1, bg):
             r = np.arange(start + 1, stop + 1, dtype=np.int64)
             D[flat_core] = choice[(r // powers[:, None]) % base]
             yield D
 
-    out = list(_zd_contours(model, q, tuple(lo.tolist()), shape, blocks(), region=mask))
+    index = box_placements(model, _padded(shape, model.range))
+    out = []
+    for found, columns in _zd_contours(
+        model.range, bg, tuple(lo.tolist()), shape, blocks(), region=mask
+    ):
+        out += _with_pairs(model, q, _rows(found), columns, index)
     out.sort(key=lambda y: y.key())
     return out
 
 
-def contour_classes(model: SpinModel, q, max_support: int):
-    """Translation classes of q-contours with support size <= max_support.
+_ClassGeometry = namedtuple("_ClassGeometry", "classes padded columns")
+
+
+@lru_cache(maxsize=None)
+def _class_geometry(d: int, R: int, n_spins: int, bg: int, max_support: int) -> _ClassGeometry:
+    """The translation classes of contours with support size <= max_support
+    of every model on Z^d with range R and ``n_spins`` spins, in the phase
+    of digit ``bg``: built once per process and holding no model and no
+    energy.  ``classes`` are (support cells, their digits, holes) rows with
+    least coordinate 0 on each axis, in order of size, cells, digits and
+    holes; ``columns``
+    the digit and R-boundary columns (sites of the box ``padded`` x
+    classes) of each class's first candidate row.
 
     Deviation patterns are grown under Chebyshev linkage 2R+1; for the
     support caps used here (a few boxes) this enumerates every class.
     """
-    R = model.range
-    d = model.dimension
     if max_support > 2 * (2 * R + 1) ** d:
         raise BudgetError("size cap too large for pattern enumeration")
     # deviations further apart than 2R+1 cannot share a non-constant box, and
@@ -624,7 +663,6 @@ def contour_classes(model: SpinModel, q, max_support: int):
     max_dev = 1 + max(
         0, (max_support - (2 * R + 1) ** d) // ((2 * R + 1) ** (d - 1))
     )
-    others = [s for s in model.spins if s != q]
 
     patterns = {frozenset([(0,) * d])}
     frontier = list(patterns)
@@ -645,32 +683,51 @@ def contour_classes(model: SpinModel, q, max_support: int):
                         new.append(canon)
         frontier = new
 
-    # every labelling of every pattern, one row each, in a common box
-    # padded by R+1
+    # every labelling of every pattern, one row each, in a common box padded
+    # by R+1.  A pattern's least coordinate on each axis is 0 and its
+    # support's is -R (the site R below a deviation there sees it and the
+    # background), so with the box's corner at -1 every support comes out
+    # with least coordinate 0
     side = (max_dev - 1) * link + 1 + 2 * (R + 1)
     shape = (side,) * d
-    labels = np.array([model.spins.index(s) for s in others], dtype=np.int8)
+    labels = np.array([k for k in range(n_spins) if k != bg], dtype=np.int8)
     rows = []  # (flat sites of a pattern, digits of one labelling)
     for pat in sorted(patterns, key=sorted):
         sites = np.ravel_multi_index(tuple((np.array(sorted(pat)) + R + 1).T), shape)
-        for labs in itertools.product(range(len(others)), repeat=len(pat)):
+        for labs in itertools.product(range(len(labels)), repeat=len(pat)):
             rows.append((sites, labels[list(labs)]))
 
     def blocks():
-        for start, stop, D in _row_blocks(side**d, len(rows), model.spins.index(q)):
+        for start, stop, D in _row_blocks(side**d, len(rows), bg):
             for col, (sites, digits) in enumerate(rows[start:stop]):
                 D[sites, col] = digits
             yield D
 
-    classes = []
-    seen = set()
-    lo = (-(R + 1),) * d
-    for y in _zd_contours(model, q, lo, shape, blocks(), max_support=max_support):
-        yc = _canon_contour(y)
-        if yc.key() in seen:
-            continue
-        seen.add(yc.key())
-        classes.append(yc)
+    first = {}  # per class: its first row and that row's two columns
+    for found, (digits, bad) in _zd_contours(R, bg, (-1,) * d, shape, blocks(), max_support):
+        for j, (cells, digs, holes) in enumerate(_rows(found)):
+            key = (len(cells), tuple(cells), tuple(digs),
+                   tuple(sorted((min(h), k) for h, k in holes)))
+            if key not in first:
+                first[key] = (key[1], key[2], holes), digits[:, j], bad[:, j]
+    order = sorted(first)
+    padded = _padded(shape, R)
+    digits = np.empty((math.prod(padded), len(order)), dtype=np.int8)
+    bad = np.empty(digits.shape, dtype=bool)
+    for j, key in enumerate(order):
+        _, digits[:, j], bad[:, j] = first[key]
+    digits.setflags(write=False)
+    bad.setflags(write=False)
+    return _ClassGeometry(tuple(first[key][0] for key in order), padded, (digits, bad))
+
+
+def contour_classes(model: SpinModel, q, max_support: int):
+    """Translation classes of q-contours with support size <= max_support,
+    in order of size, then ``key()``: the geometry record of the model's
+    alphabet and q's digit, with the model's spins and energy pairs."""
+    geo = _class_geometry(model.dimension, model.range, len(model.spins),
+                          model.spins.index(q), max_support)
+    classes = _with_pairs(model, q, geo.classes, geo.columns, box_placements(model, geo.padded))
     classes.sort(key=lambda y: (y.size, y.key()))
     return classes
 
@@ -679,12 +736,6 @@ def _canon_sites(sites: frozenset) -> frozenset:
     d = len(next(iter(sites)))
     lo = [min(p[a] for p in sites) for a in range(d)]
     return frozenset(tuple(p[a] - lo[a] for a in range(d)) for p in sites)
-
-
-def _canon_contour(y: ZdContour) -> ZdContour:
-    d = len(next(iter(y.support)))
-    lo = [min(p[a] for p in y.support) for a in range(d)]
-    return y.translate(tuple(-v for v in lo))
 
 
 # -- contour partition functions ---------------------------------------------

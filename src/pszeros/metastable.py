@@ -21,7 +21,8 @@ have one), through a value-keyed cache built once per process.  The
 energies stay per model: the gas record of a (phase, support cap), built
 on first use and held on the model (``SpinModel.gas``), so that it is
 computed once per model and freed with it, holds the contour classes with
-their energy pairs as arrays and points at its shape record.
+their energy pairs as arrays and points at its shape record; the classes'
+geometry comes from ``contours._class_geometry``, shared per alphabet.
 
 Where the mollifier leaves a phase's contours untouched, zeta_q is
 holomorphic, and the table also carries d log zeta_q / dz in closed form
@@ -97,7 +98,7 @@ class Cutoffs:
     norm_cap: float = 18.0
 
 
-def estimate_tau(model: SpinModel, z: complex, size_cap: int = 12) -> float:
+def estimate_tau(model: SpinModel, z: complex, size_cap: int = Cutoffs.size_cap) -> float:
     """Measured Peierls rate: the infimum over enumerated contours of
     -log(|rho(Y)| / theta(z)^{|Y|}) / |Y|."""
     th = theta_max(model, z)
@@ -130,7 +131,7 @@ def _theta_derivative(model, m, z):
     return (theta(model, m, z + eps) - theta(model, m, z - eps)) / (2 * eps)
 
 
-def estimated_constants(model: SpinModel, zs, size_cap: int = 12):
+def estimated_constants(model: SpinModel, zs, size_cap: int = Cutoffs.size_cap):
     from .models import EstimatedConstants
     from .polymer import estimate_c0
 

@@ -399,30 +399,6 @@ def tail_bounds_check(system: PolymerSystem, gamma, max_norm: float = 8.0) -> di
 # -- contour entropy constant ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _counting_weights(d: int, n_spins: int, R: int, size_cap: int) -> dict:
-    """Per support size n, the number of (contour class, translate with
-    volume containing the origin) pairs of an n_spins-state model in Z^d
-    with range R, up to the support cap; built once per argument tuple."""
-    from .contours import contour_classes
-    from .models import SpinModel, InteractionTerm
-
-    # a structural stand-in model: energies are irrelevant for counting
-    spins = tuple(range(n_spins))
-    shape = ((0,) * d,)
-    term = InteractionTerm(
-        shape, {(s,): 0j for s in spins}, {(s,): 0.0 for s in spins}
-    )
-    model = SpinModel(
-        spins, d, R, (term,), tuple((s,) for s in spins), name="counting"
-    )
-    by_size = {}
-    for y in contour_classes(model, 0, size_cap):
-        by_size.setdefault(y.size, 0.0)
-        by_size[y.size] += len(y.volume)  # translates with volume containing the origin
-    return by_size
-
-
 def estimate_c0(d: int, n_spins: int, R: int, size_cap: int) -> dict:
     """Smallest c0 (within 0.1) for which the boundary-rooted contour sum
     sum over contours with volume containing the origin of e^{(2-c0)|Y|}
@@ -439,7 +415,14 @@ def estimate_c0(d: int, n_spins: int, R: int, size_cap: int) -> dict:
             "weights": {},
             "remainder": 0.0,
         }
-    by_size = dict(_counting_weights(d, n_spins, R, size_cap))
+    from .contours import _class_geometry
+
+    # per support size n, the (contour class, translate with volume
+    # containing the origin) pairs of any n_spins-state model
+    by_size = {}
+    for cells, _, holes in _class_geometry(d, R, n_spins, 0, size_cap).classes:
+        n = len(cells)
+        by_size[n] = by_size.get(n, 0.0) + n + sum(len(h) for h, _ in holes)
 
     def rooted_sum(c0):
         return sum(w * math.exp((2 - c0) * n) for n, w in by_size.items())

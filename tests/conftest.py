@@ -9,6 +9,9 @@ from pszeros.models import (
     SpinModel,
     TorusConfiguration,
     ZdConfiguration,
+    blume_capel,
+    ising,
+    potts,
 )
 
 
@@ -25,6 +28,12 @@ def free_field_model(spins=(-1, 1), d=2, site_energy=None, site_zpower=None):
     return SpinModel(
         tuple(spins), d, 1, (term,), tuple((s,) for s in spins), name="free-field"
     )
+
+
+def sweep_models():
+    """The twelve fresh models of the benchmark's model-sweep workload."""
+    models = [blume_capel(J, lam) for J in (1.5, 1.75) for lam in (-0.3, -0.05, 0.1, 0.4)]
+    return models + [potts(3, 1.5), potts(4, 1.5), ising(1.25), ising(1.5)]
 
 
 def random_torus_config(rng, model, L):

@@ -8,6 +8,7 @@ per-candidate builder and set comprehension code they replaced, kept here
 as oracles."""
 
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -17,13 +18,13 @@ import random
 import numpy as np
 import pytest
 
+import pszeros.contours as contours
 import pszeros.metastable as metastable
 from pszeros.contours import (
     MatchingCollection,
     TorusContour,
     TorusNetwork,
     ZdContour,
-    _canon_contour,
     _canon_sites,
     contour_classes,
     contour_graph,
@@ -45,7 +46,9 @@ from pszeros.metastable import (
     free_energy_table,
 )
 from pszeros.errors import ConvergenceError
-from conftest import all_configs, free_field_model, random_torus_config, sparse_torus_config
+from conftest import (
+    all_configs, free_field_model, random_torus_config, sparse_torus_config, sweep_models,
+)
 from pszeros.models import (
     InteractionTerm,
     SpinModel,
@@ -1193,6 +1196,12 @@ def oracle_zd_contour_from_deviations(model, q, deviations):
     return ZdContour(q, support, spins, tuple(interiors))
 
 
+def _canon_contour(y):
+    """The translate of a contour whose least coordinate on each axis is 0."""
+    d = len(next(iter(y.support)))
+    return y.translate(tuple(-min(p[a] for p in y.support) for a in range(d)))
+
+
 def oracle_contours_in_region(model, q, region):
     region = frozenset(tuple(x) for x in region)
     core = sorted(
@@ -1276,8 +1285,8 @@ _CLASS_MODELS = {
     "blume-capel": lambda: blume_capel(1.5, 0.3),
     "potts3": lambda: potts(3, 1.5),
     "potts4": lambda: potts(4, 1.5),
-    # the stand-in models of polymer.estimate_c0 (single-site term, zero
-    # energies), which enumerate phase 0 only
+    # free models in phase 0, the class geometry that polymer.estimate_c0
+    # counts (single-site term, zero energies)
     "counting2": lambda: free_field_model(spins=(0, 1)),
     "counting3": lambda: free_field_model(spins=(0, 1, 2)),
     "counting4": lambda: free_field_model(spins=(0, 1, 2, 3)),
@@ -1303,6 +1312,79 @@ def test_range_two_contour_classes_match_per_candidate_oracle():
             assert new
             assert _contour_records(model, new) == \
                 _contour_records(model, oracle_contour_classes(model, q, size_cap))
+
+
+# Ising with its spins listed as 1, -1: digit 0 is spin 1, where in
+# ising(J) it is spin -1, so the two share digit records with the spins
+# mapped the other way round
+REVERSED_ISING = """\
+[model]
+name = custom
+spins = 1,-1
+
+[potential.site]
+shape = (0,0)
+table = 1 : 0.0 : 0
+    -1 : 0.0 : 1
+
+[potential.horizontal]
+shape = (0,0);(1,0)
+table = 1,1 : -1.5 : 0
+    1,-1 : 1.5 : 0
+    -1,1 : 1.5 : 0
+    -1,-1 : -1.5 : 0
+
+[potential.vertical]
+shape = (0,0);(0,1)
+table = 1,1 : -1.5 : 0
+    1,-1 : 1.5 : 0
+    -1,1 : 1.5 : 0
+    -1,-1 : -1.5 : 0
+"""
+
+
+def _shared_geometry_models(n_spins):
+    """(name, model, phases) of every class-test and model-sweep model with
+    n_spins spins; the counting models enumerate phase 0 only."""
+    makers = dict(
+        _CLASS_MODELS,
+        reversed=lambda: model_from_config(REVERSED_ISING),
+        # listed 1, 0, -1, Blume-Capel's class order is not its digit order
+        reversed3=lambda: dataclasses.replace(
+            blume_capel(1.5, 0.3), spins=(1, 0, -1), name="blume-capel, spins 1,0,-1"),
+    )
+    models = {}  # one entry per model name, for the models both lists hold
+    for name, make in makers.items():
+        m = make()
+        models[name if name.startswith("counting") else m.name] = m
+    models.update((m.name, m) for m in sweep_models())
+    return [
+        (name, m, (0,) if name.startswith("counting") else m.spins)
+        for name, m in models.items() if len(m.spins) == n_spins
+    ]
+
+
+@pytest.mark.parametrize("n_spins", [2, 3, 4])
+def test_shared_class_geometry_matches_fresh_enumeration(n_spins):
+    # every model of an alphabet size reads the geometry records that the
+    # first of them built, in one order and in the reverse one, and gets
+    # the classes, in order and with energy pairs to the bit, of the
+    # per-candidate oracle
+    models = _shared_geometry_models(n_spins)
+    digits = {m.spins.index(q) for _, m, phases in models for q in phases}
+    expected = {}
+    for order in (models, models[::-1]):
+        contours._class_geometry.cache_clear()
+        for name, model, phases in order:
+            for q in phases:
+                for size_cap in (9, 12, 16):
+                    key = (name, q, size_cap)
+                    if key not in expected:
+                        expected[key] = _contour_records(
+                            model, oracle_contour_classes(model, q, size_cap))
+                    assert _contour_records(model, contour_classes(model, q, size_cap)) == \
+                        expected[key], key
+        assert contours._class_geometry.cache_info().misses == 3 * len(digits)
 
 
 def _box(a, b):

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import pszeros.contours as contours
 import pszeros.metastable as metastable
-from conftest import random_z
+from conftest import random_z, sweep_models
 from pszeros.contours import contour_classes, contour_partition_function
 from pszeros.metastable import (
     Cutoffs,
@@ -496,3 +497,35 @@ def test_model_that_built_a_shared_shape_is_freed(cold_shapes):
     gc.collect()
     assert ref() is None
     assert _shapes(blume_capel(1.5, 0.3))[0] is shape
+
+
+@pytest.fixture
+def cold_geometry():
+    """An empty class-geometry cache, as in a fresh process."""
+    contours._class_geometry.cache_clear()
+
+
+def test_sweep_models_build_seven_class_geometries(cold_geometry):
+    # the twelve model-sweep models have 32 phases (two-, three- and
+    # four-state, two or three each) and three counting geometries for c0;
+    # they share seven records: (2 spins, digits 0 and 1), (3 spins, 0 to
+    # 2) and (4 spins, 0 and 1)
+    for model in sweep_models():
+        free_energy_table(model, 0.9 + 0.3j)
+        estimated_constants(model, [0.9 + 0.3j])
+    info = contours._class_geometry.cache_info()
+    assert (info.misses, info.currsize) == (7, 7)
+
+
+def test_model_that_built_a_class_geometry_is_freed(cold_geometry):
+    model = blume_capel(1.75, -0.05)
+    free_energy_table(model, 0.9 + 0.3j)
+    record = contours._class_geometry(2, 1, 3, 0, Cutoffs().size_cap)
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+    other = potts(3, 1.5)
+    free_energy_table(other, 0.9 + 0.3j)
+    assert contours._class_geometry.cache_info().misses == 3
+    assert contours._class_geometry(2, 1, 3, 0, Cutoffs().size_cap) is record

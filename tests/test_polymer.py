@@ -1,11 +1,12 @@
 import cmath
+import functools
 import itertools
 import math
 import random
 
 import pytest
 
-from pszeros import contours, polymer
+from pszeros import contours
 from pszeros.errors import BudgetError, ConvergenceError
 from pszeros.metastable import estimated_constants
 from pszeros.models import blume_capel
@@ -253,25 +254,25 @@ def test_estimate_c0_regression_and_monotonicity():
 
 
 def test_estimate_c0_counts_classes_once_per_value_key(monkeypatch):
-    # c0 depends on (d, spins, R, size cap) only: two fresh three-state
-    # models enumerate the counting model's classes once between them
-    calls = []
-    enumerate_classes = contours.contour_classes
+    # c0 depends on (d, spins, R, size cap) only and reads the class
+    # geometry records that the models' own phases share: two fresh
+    # three-state models build each record once between them, the counting
+    # one (background digit 0) among them
+    builds = []
+    build = contours._class_geometry.__wrapped__
 
-    def counted(model, q, max_support):
-        if model.name == "counting":
-            calls.append((len(model.spins), max_support))
-        return enumerate_classes(model, q, max_support)
+    def counted(*key):
+        builds.append(key)
+        return build(*key)
 
-    monkeypatch.setattr(contours, "contour_classes", counted)
-    polymer._counting_weights.cache_clear()
+    monkeypatch.setattr(contours, "_class_geometry", functools.lru_cache(maxsize=None)(counted))
     first = estimated_constants(blume_capel(1.5, 0.1), [1.0])
     second = estimated_constants(blume_capel(1.75, -0.3), [1.0])
-    assert calls == [(3, 12)]
+    assert sorted(builds) == [(2, 1, 3, bg, 12) for bg in range(3)]
     assert first.c0 == second.c0
     a, b = estimate_c0(2, 3, 1, 12), estimate_c0(2, 3, 1, 12)
     assert a == b and a["weights"] is not b["weights"]
-    assert calls == [(3, 12)]
+    assert len(builds) == 3
 
 
 def test_derivative_transport(rng):
