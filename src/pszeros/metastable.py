@@ -27,7 +27,8 @@ geometry comes from ``contours._class_geometry``, shared per alphabet.
 Where the mollifier leaves a phase's contours untouched, zeta_q is
 holomorphic, and the table also carries d log zeta_q / dz in closed form
 (``PhaseEntry.dlog``); elsewhere that entry is None and callers fall back
-to finite differences.
+to finite differences.  ``nondegeneracy_check`` measures Assumption B on
+these closed forms: theta_q' / theta_q = p_q / z, and the table's h'_q.
 
 Desk-scale note: the Peierls rate tau and the entropy constant c0 are
 estimated from the model and reported.  The engine always runs with the
@@ -58,7 +59,7 @@ from .contours import (
 )
 from .errors import ConvergenceError
 from .lattice import torus
-from .models import SpinModel, pair_weight, theta, theta_max
+from .models import SpinModel, pair_weight, theta_max
 from .polymer import (
     PolymerSystem,
     enumerate_clusters,
@@ -117,18 +118,19 @@ def estimate_tau(model: SpinModel, z: complex, size_cap: int = Cutoffs.size_cap)
 
 def estimate_M(model: SpinModel, zs) -> float:
     """Measured derivative constant: max over phases and sample points of
-    |d theta_m / dz| / theta(z), by central differences."""
-    out = 0.0
-    for z in zs:
-        th = theta_max(model, z)
-        for m in model.orbit_representatives():
-            out = max(out, abs(_theta_derivative(model, m, z)) / th)
-    return out
+    |d theta_m / dz| / theta(z), from ``_theta_prime``."""
+    return max(
+        (abs(_theta_prime(model, m, z)) / theta_max(model, z)
+         for z in zs for m in model.orbit_representatives()),
+        default=0.0,
+    )
 
 
-def _theta_derivative(model, m, z):
-    eps = 1e-6 * (1.0 + abs(z))
-    return (theta(model, m, z + eps) - theta(model, m, z - eps)) / (2 * eps)
+def _theta_prime(model: SpinModel, m, z) -> complex:
+    """d theta_m / dz = p_m exp(-c_m) z^{p_m - 1} = p_m theta_m / z exactly,
+    theta_m being a monomial; this form holds at z = 0 too."""
+    c, p = model.ground_pair(m)
+    return p * pair_weight((c, p - 1), z) if p else 0j
 
 
 def estimated_constants(model: SpinModel, zs, size_cap: int = Cutoffs.size_cap):
@@ -752,40 +754,50 @@ def _hull_distance(point, others):
     p = complex(point)
     if len(pts) == 1:
         return abs(p - pts[0])
+    if _inside_hull(p, pts):
+        return 0.0
     best = math.inf
     for a, b in itertools.combinations(pts, 2):
         ab = b - a
         t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / max(abs(ab) ** 2, 1e-300)
         t = min(1.0, max(0.0, t))
         best = min(best, abs(p - (a + t * ab)))
-    if _inside_hull(p, pts):
-        return 0.0
     return best
 
 
 def _inside_hull(p, pts):
-    if len(pts) < 3:
-        return False
-    from scipy.spatial import ConvexHull, QhullError  # type: ignore
+    """Whether p lies in some triangle of the points: in the plane their
+    hull is the union of those triangles (Caratheodory).  Triangles of
+    collinear points are skipped; ``_hull_distance`` measures segments."""
+    for a, b, c in itertools.combinations(pts, 3):
+        # twice the signed areas of the triangles p makes with each edge
+        s = [((w - v).conjugate() * (p - v)).imag for v, w in ((a, b), (b, c), (c, a))]
+        area = sum(s)
+        if abs(area) > 1e-12 and min(x * math.copysign(1.0, area) for x in s) >= -1e-12:
+            return True
+    return False
 
-    try:
-        arr = np.array([[q.real, q.imag] for q in pts])
-        hull = ConvexHull(arr)
-        eqs = hull.equations
-        v = np.array([p.real, p.imag, 1.0])
-        return bool(np.all(eqs @ v <= 1e-12))
-    except QhullError:
-        return False
+
+def _separations(v: dict):
+    """The least distance between two of the values, and the least distance
+    from one of them to the hull of the others (inf below three values)."""
+    pairs = min(abs(a - b) for a, b in itertools.combinations(v.values(), 2))
+    if len(v) < 3:
+        return pairs, math.inf
+    return pairs, min(_hull_distance(v[m], [v[x] for x in v if x != m]) for m in v)
 
 
 def nondegeneracy_check(model: SpinModel, zs, cutoffs: Cutoffs = Cutoffs()) -> dict:
-    """Non-degeneracy diagnostics over a z sample.
+    """Non-degeneracy diagnostics over a z sample, one free-energy table per z.
 
     Wherever two (or more) phases are simultaneously within the almost-ground
     comparison window, measure the pairwise separation of the logarithmic
-    theta derivatives, the convex-position margin for triples and beyond,
-    and the same separation for the dressed zeta functions (which the theory
-    lowers by at most 2 e^{-tau/2}).
+    theta derivatives p_m / z, the convex-position margin for triples and
+    beyond, and the same separation for the dressed zeta functions (which the
+    theory lowers by at most 2 e^{-tau/2}), from the table's h'_m.  An active
+    phase without an exact h'_m takes log(zeta(z+eps) / zeta(z-eps)) / (2 eps)
+    instead, counted in ``fd_fallbacks``; the ratio keeps the difference off
+    the branch cut of the logarithm.
     """
     reps = model.orbit_representatives()
     alpha_pairs = math.inf
@@ -794,41 +806,28 @@ def nondegeneracy_check(model: SpinModel, zs, cutoffs: Cutoffs = Cutoffs()) -> d
     alpha_zeta = math.inf
     checked_pairs = 0
     checked_hulls = 0
+    fd_fallbacks = 0
     for z in zs:
-        th = {m: abs(theta(model, m, z)) for m in reps}
-        tmax = max(th.values())
-        active = [m for m in reps if th[m] >= tmax * math.exp(-1.0)]
+        tab = free_energy_table(model, z, cutoffs)
+        tmax = max(abs(tab[m].theta) for m in reps)
+        active = [m for m in reps if abs(tab[m].theta) >= tmax * math.exp(-1.0)]
         if len(active) < 2:
             continue
-        v = {m: _theta_derivative(model, m, z) / theta(model, m, z) for m in active}
-        for a, b in itertools.combinations(active, 2):
-            alpha_pairs = min(alpha_pairs, abs(v[a] - v[b]))
-            checked_pairs += 1
-        if len(active) >= 3:
-            for m in active:
-                alpha_hull = min(
-                    alpha_hull,
-                    _hull_distance(v[m], [v[x] for x in active if x != m]),
-                )
-            checked_hulls += 1
-        # complex derivative of log zeta via central differences along the
-        # real axis, also where the tables carry it exactly: alpha_zeta
-        # feeds the lambda-sweep artifacts
-        eps = 1e-5 * (1.0 + abs(z))
-        up = free_energy_table(model, z + eps, cutoffs)
-        dn = free_energy_table(model, z - eps, cutoffs)
-        vzeta = {
-            mm: (cmath.log(up[mm].zeta) - cmath.log(dn[mm].zeta)) / (2 * eps)
-            for mm in active
-        }
-        for a, b in itertools.combinations(active, 2):
-            alpha_zeta = min(alpha_zeta, abs(vzeta[a] - vzeta[b]))
-        if len(active) >= 3:
-            for mm in active:
-                alpha_hull_zeta = min(
-                    alpha_hull_zeta,
-                    _hull_distance(vzeta[mm], [vzeta[x] for x in active if x != mm]),
-                )
+        vzeta = {m: tab[m].dlog for m in active}
+        missing = [m for m in active if vzeta[m] is None]
+        if missing:
+            eps = 1e-5 * (1.0 + abs(z))
+            up = free_energy_table(model, z + eps, cutoffs)
+            dn = free_energy_table(model, z - eps, cutoffs)
+            for m in missing:
+                vzeta[m] = cmath.log(up[m].zeta / dn[m].zeta) / (2 * eps)
+            fd_fallbacks += len(missing)
+        pairs, hull = _separations({m: _theta_prime(model, m, z) / tab[m].theta for m in active})
+        alpha_pairs, alpha_hull = min(alpha_pairs, pairs), min(alpha_hull, hull)
+        pairs, hull = _separations(vzeta)
+        alpha_zeta, alpha_hull_zeta = min(alpha_zeta, pairs), min(alpha_hull_zeta, hull)
+        checked_pairs += len(active) * (len(active) - 1) // 2
+        checked_hulls += len(active) >= 3
     return {
         "alpha_pairs": alpha_pairs,
         "alpha_hull": alpha_hull,
@@ -837,4 +836,5 @@ def nondegeneracy_check(model: SpinModel, zs, cutoffs: Cutoffs = Cutoffs()) -> d
         "pairs_checked": checked_pairs,
         "hulls_checked": checked_hulls,
         "vacuous": checked_pairs == 0,
+        "fd_fallbacks": fd_fallbacks,
     }

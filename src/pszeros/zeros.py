@@ -113,12 +113,9 @@ def _correct(ev: PhaseEvaluator, m, n, z: complex, offset: float = 0.0):
     return z, abs(F)
 
 
-def _dlog_ratio(ev, m, n, z):
+def _dlog_ratio(ev: PhaseEvaluator, m, n, z):
     """h' = d log(zeta_m / zeta_n) / dz where both tables have it exactly;
-    else None, counted as a fallback.  An evaluator without ``dlog`` always
-    falls back."""
-    if not hasattr(ev, "dlog"):
-        return None
+    else None, counted as a fallback."""
     a, b = ev.dlog(m, z), ev.dlog(n, z)
     if a is None or b is None:
         ev.fd_fallbacks += 1

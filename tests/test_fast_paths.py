@@ -1,11 +1,11 @@
 """The fast certificate, the Newton zero solver, the array contour-gas
 pressure and its exact derivative, the block enumeration kernel, the
 independent-set kernel, the component search, the placement-table energy
-kernel, the batched contour builder, the overlap offsets and the bitmask
-torus extraction against the bisection, scalar weight loop, finite
-differences, Gray-code scan, recursion, union-find, per-placement loop,
-per-candidate builder and set comprehension code they replaced, kept here
-as oracles."""
+kernel, the batched contour builder, the overlap offsets, the bitmask
+torus extraction and the closed forms of Assumption B against the
+bisection, scalar weight loop, finite differences, Gray-code scan,
+recursion, union-find, per-placement loop, per-candidate builder and set
+comprehension code they replaced, kept here as oracles."""
 
 import cmath
 import dataclasses
@@ -62,6 +62,8 @@ from pszeros.models import (
     perturbed_ising,
     potts,
     r_boundary,
+    theta,
+    theta_max,
 )
 from pszeros.polymer import (
     PolymerSystem,
@@ -161,6 +163,51 @@ def oracle_free_energy_table(model, z, skeletons, cutoffs=Cutoffs()):
     fmin = min(f.values())
     stable = tuple(sorted((q for q in f if f[q] < math.inf and f[q] - fmin < metastable.STABLE_TOL), key=str))
     return out, stable, len(engine.activation_log)
+
+
+def oracle_theta_derivative(model, m, z):
+    """d theta_m / dz by central differences, as ``estimate_M`` and
+    ``nondegeneracy_check`` took it before the closed form p_m theta_m / z."""
+    eps = 1e-6 * (1.0 + abs(z))
+    return (theta(model, m, z + eps) - theta(model, m, z - eps)) / (2 * eps)
+
+
+def oracle_nondegeneracy(model, z, eps=1e-6):
+    """nondegeneracy_check's alphas at one z from central differences: of
+    theta_m, and of log zeta_m in ratio form; None where fewer than two
+    phases are active."""
+    reps = model.orbit_representatives()
+    th = {m: abs(theta(model, m, z)) for m in reps}
+    active = [m for m in reps if th[m] >= max(th.values()) * math.exp(-1.0)]
+    if len(active) < 2:
+        return None
+
+    def separations(v):
+        pairs = min(abs(v[a] - v[b]) for a, b in itertools.combinations(active, 2))
+        if len(active) < 3:
+            return pairs, math.inf
+        return pairs, min(metastable._hull_distance(v[m], [v[x] for x in active if x != m])
+                          for m in active)
+
+    up, dn = free_energy_table(model, z + eps), free_energy_table(model, z - eps)
+    v = {m: oracle_theta_derivative(model, m, z) / theta(model, m, z) for m in active}
+    vzeta = {m: cmath.log(up[m].zeta / dn[m].zeta) / (2 * eps) for m in active}
+    out = dict(zip(("alpha_pairs", "alpha_hull"), separations(v)))
+    out.update(zip(("alpha_zeta", "alpha_hull_zeta"), separations(vzeta)))
+    return out
+
+
+def counted_tables(monkeypatch):
+    """Route ``metastable``'s own calls of free_energy_table through a
+    wrapper; returns the list of the z it is called at."""
+    calls = []
+
+    def counted(model, z, *args, **kwargs):
+        calls.append(z)
+        return free_energy_table(model, z, *args, **kwargs)
+
+    monkeypatch.setattr(metastable, "free_energy_table", counted)
+    return calls
 
 
 def oracle_gradient(ev, m, n, z):
@@ -488,6 +535,72 @@ def test_dlog_none_where_a_cap_activates(monkeypatch):
     assert ev.fd_fallbacks == 1
 
 
+# -- Assumption B from closed forms --------------------------------------------------
+
+
+@pytest.mark.parametrize("model", _PRESSURE_MODELS[:3], ids=lambda m: m.name)
+def test_assumption_b_closed_forms_match_differences(model, monkeypatch):
+    # theta_m' / theta_m = p_m / z and estimate_M against the central
+    # difference of theta_m; nondegeneracy_check's alphas against central
+    # differences; one table per z wherever every active phase has dlog
+    calls = counted_tables(monkeypatch)
+    rng = random.Random(f"assumption-b/{model.name}")
+    reps = model.orbit_representatives()
+    exact = 0
+    for _ in range(30):
+        z = rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random())
+        th = max(abs(theta(model, m, z)) for m in reps)
+        fd = {m: oracle_theta_derivative(model, m, z) for m in reps}
+        for m in reps:
+            closed = model.ground_pair(m)[1] / z
+            assert abs(closed - fd[m] / theta(model, m, z)) <= 1e-8 * max(abs(closed), 1.0)
+        M_fd = max(abs(d) for d in fd.values()) / th
+        assert metastable.estimate_M(model, [z]) == pytest.approx(M_fd, rel=1e-8, abs=1e-12)
+
+        try:
+            table = free_energy_table(model, z)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                metastable.nondegeneracy_check(model, [z])
+            continue
+        calls.clear()
+        rep = metastable.nondegeneracy_check(model, [z])
+        oracle = oracle_nondegeneracy(model, z)
+        if oracle is None:
+            assert rep["vacuous"] and calls == [z]
+            continue
+        active = [m for m in reps if abs(table[m].theta) >= th * math.exp(-1.0)]
+        missing = sum(table[m].dlog is None for m in active)
+        assert rep["fd_fallbacks"] == missing
+        assert len(calls) == (3 if missing else 1)
+        exact += not missing
+        assert rep["alpha_pairs"] == pytest.approx(oracle["alpha_pairs"], rel=1e-8)
+        assert rep["alpha_hull"] == pytest.approx(oracle["alpha_hull"], abs=1e-8)
+        for key in ("alpha_zeta", "alpha_hull_zeta"):
+            assert rep[key] == pytest.approx(oracle[key], rel=1e-8, abs=1e-8), key
+    assert exact >= 10
+    # at z = 0, where p_m / z has a pole, theta_m' is finite
+    M_fd = max(abs(oracle_theta_derivative(model, m, 0.0)) for m in reps) / theta_max(model, 0.0)
+    assert metastable.estimate_M(model, [0.0]) == pytest.approx(M_fd, rel=1e-8)
+
+
+def test_assumption_b_falls_back_where_a_cap_activates(monkeypatch):
+    # tau = 16 caps every class on the unit circle (see
+    # test_dlog_none_where_a_cap_activates): no phase has dlog, so both take
+    # the ratio-form difference from two more tables
+    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z: 16.0)
+    model = ising(1.5)
+    z = cmath.exp(0.3j)
+    assert free_energy_table(model, z)[1].dlog is None
+    calls = counted_tables(monkeypatch)
+    rep = metastable.nondegeneracy_check(model, [z])
+    assert rep["fd_fallbacks"] >= 1 and len(calls) == 3
+    eps = 1e-5 * (1.0 + abs(z))
+    up, dn = free_energy_table(model, z + eps), free_energy_table(model, z - eps)
+    fd = [cmath.log(up[m].zeta / dn[m].zeta) / (2 * eps) for m in (1, -1)]
+    assert rep["alpha_zeta"] == pytest.approx(abs(fd[0] - fd[1]), rel=1e-12)
+
+
 # -- cluster supports ----------------------------------------------------------------
 
 
@@ -598,7 +711,13 @@ def test_branch_cut_zeros(solved_pair):
 class _NonHolomorphic:
     """zeta_1 = conj(z), zeta_-1 = 1: the locus is the unit circle and the
     phase equation Arg conj(z) = t has its root at e^{-it}, but the
-    real-direction difference is not the derivative, so Newton stalls."""
+    real-direction difference is not the derivative, so Newton stalls.
+    Like a ``PhaseEvaluator`` whose tables lack h', it has no ``dlog``."""
+
+    fd_fallbacks = 0
+
+    def dlog(self, m, z):
+        return None
 
     def zeta(self, m, z):
         return z.conjugate() if m == 1 else 1.0 + 0j

@@ -317,6 +317,52 @@ def test_nondegeneracy_triple_point_convexity():
     assert rep["alpha_hull_zeta"] == pytest.approx(math.exp(-6), rel=0.2)
 
 
+def test_nondegeneracy_across_the_branch_cut_of_log_zeta():
+    # on the unit circle near arg z = pi/2, zeta_1 of Blume-Capel (1.5, 0.3)
+    # crosses the negative real axis; a difference of log zeta there jumps
+    # by 2 pi i, where the table's h' does not
+    m = blume_capel(1.5, 0.3)
+
+    def im_zeta1(t):
+        return free_energy_table(m, cmath.exp(1j * t))[1].zeta.imag
+
+    lo, hi = math.pi / 2 - 0.05, math.pi / 2 + 0.05
+    assert (im_zeta1(lo) > 0) != (im_zeta1(hi) > 0)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if (im_zeta1(mid) > 0) == (im_zeta1(lo) > 0):
+            lo = mid
+        else:
+            hi = mid
+    z = cmath.exp(1j * lo)
+    table = free_energy_table(m, z)
+    assert table[1].zeta.real < 0
+    h = {q: table[q].dlog for q in m.orbit_representatives()}
+    assert None not in h.values()
+    exact = min(metastable._hull_distance(h[q], [h[x] for x in h if x != q]) for q in h)
+    rep = nondegeneracy_check(m, [z])
+    assert rep["hulls_checked"] == 1
+    assert rep["alpha_hull_zeta"] == pytest.approx(exact, rel=1e-9)
+    assert rep["fd_fallbacks"] == 0
+
+
+def test_hull_distance_of_four_or_more_points():
+    square = [0, 2, 2 + 2j, 2j]
+    hexagon = [cmath.exp(1j * math.pi * k / 3) for k in range(6)]
+    for p in (1 + 0.5j, 1 + 1j, 0.3 + 1.7j):
+        assert metastable._hull_distance(p, square) == 0.0
+    assert metastable._hull_distance(0.1 - 0.2j, hexagon) == 0.0
+    # outside: the distance to the nearest edge
+    assert metastable._hull_distance(3 + 1j, square) == pytest.approx(1.0)
+    assert metastable._hull_distance(-1 - 1j, square) == pytest.approx(math.sqrt(2))
+    assert metastable._hull_distance(2.0, hexagon) == pytest.approx(1.0)
+    mid = (hexagon[0] + hexagon[1]) / 2
+    assert metastable._hull_distance(2 * mid, hexagon) == pytest.approx(abs(mid))
+    # collinear points: no triangle, the hull is their segment
+    assert metastable._hull_distance(5.0, [0, 1, 2, 3]) == pytest.approx(2.0)
+    assert metastable._hull_distance(1.5, [0, 1, 2, 3]) == 0.0
+
+
 def test_estimated_constants_flags_desk_scale():
     m = ising(1.5)
     c = estimated_constants(m, [1.0, cmath.exp(0.5j)])
