@@ -301,6 +301,8 @@ def _pipeline_free_energy(scn: Scenario, em: Emitter) -> int:
         ]
     else:
         grid = _opt(opts, "z_values", "1.0", _parse_complex_list)
+    if not grid:
+        raise ModelError("the free-energy grid is empty")
     reps = model.orbit_representatives()
     entries = []
     activations = 0
@@ -343,8 +345,10 @@ def _pipeline_zeros(scn: Scenario, em: Emitter) -> int:
     phases = opts.get("phases")
     reps = model.orbit_representatives()
     if phases:
-        want = [p.strip() for p in phases.split(",")]
+        want = {p.strip() for p in phases.split(",")}
         pair = tuple(m for m in reps if str(m) in want)
+        if len(want) != 2 or len(pair) != 2:
+            raise ModelError(f"phases = {phases!r} must name two distinct phases of {model.name}")
     else:
         pair = tuple(reps[:2])
     seed_pt = _opt(opts, "seed_point", "1.05+0.05j", lambda t: complex(t.replace(" ", "")))

@@ -592,7 +592,7 @@ def _row_blocks(n_sites: int, n_rows: int, fill):
         yield start, stop, np.full((n_sites, stop - start), fill, dtype=np.int8)
 
 
-def contours_in_region(model: SpinModel, q, region, budget: int = ENUM_CORE_BUDGET):
+def contours_in_region(model: SpinModel, q, region):
     """All q-contours whose support and interior fit inside ``region``
     (a finite set of Z^d coordinates)."""
     region = frozenset(tuple(x) for x in region)
@@ -601,7 +601,7 @@ def contours_in_region(model: SpinModel, q, region, budget: int = ENUM_CORE_BUDG
     )
     others = [s for s in model.spins if s != q]
     total = (len(others) + 1) ** len(core)
-    if total > budget:
+    if total > ENUM_CORE_BUDGET:
         raise BudgetError(
             f"contour enumeration over a {len(core)}-site core exceeds budget"
         )
@@ -766,10 +766,9 @@ class ContourSumEngine:
     compatible, although no configuration produces both; Ising regions from
     3x6 upward therefore miss the spin sum by about 1e-7."""
 
-    def __init__(self, model: SpinModel, z: complex, budget: int = ENUM_CORE_BUDGET):
+    def __init__(self, model: SpinModel, z: complex):
         self.model = model
         self.z = z
-        self.budget = budget
         self.theta = {
             m: pair_weight(model.ground_pair(m), z) for m in model.spins
         }
@@ -781,7 +780,7 @@ class ContourSumEngine:
         key = (key_sites, q)
         if key in self._memo:
             return self._memo[key]
-        contours = contours_in_region(self.model, q, region, self.budget)
+        contours = contours_in_region(self.model, q, region)
         weights = []
         for y in contours:
             w = pair_weight(y.energy_pair(self.model), self.z)
@@ -794,11 +793,9 @@ class ContourSumEngine:
         return total
 
 
-def contour_partition_function(
-    model: SpinModel, region, q, z: complex, budget: int = ENUM_CORE_BUDGET
-) -> complex:
+def contour_partition_function(model: SpinModel, region, q, z: complex) -> complex:
     """Z_q over a finite Z^d region (iterable of coordinate tuples)."""
-    return ContourSumEngine(model, z, budget).partition_function(region, q)
+    return ContourSumEngine(model, z).partition_function(region, q)
 
 
 # -- the torus identity --------------------------------------------------------

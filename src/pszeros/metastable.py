@@ -1,14 +1,14 @@
 """Truncated contour weights and metastable free energies.
 
 For each phase q the contour gas with weights K_q(Y) = rho(Y) theta_q^{-|Y|}
-(times interior partition-function ratios) is summed by cluster expansion to
-a polymer pressure s_q; the metastable weight is zeta_q = theta_q e^{s_q}
-and f_q = -log|zeta_q| its free energy.  Where a phase is unstable, large
-contours are suppressed by a smooth mollifier acting on interior free-energy
-differences, and a hard exponential cap (which must never activate in a
-consistent run) keeps the truncated weights inside the certified convergence
-region.  Finite-volume analogues on the torus sum the same gas over wrapped
-placements.
+is summed by cluster expansion to a polymer pressure s_q; the metastable
+weight is zeta_q = theta_q e^{s_q} and f_q = -log|zeta_q| its free energy.
+Where a phase is unstable, large contours are suppressed by a smooth
+mollifier of free-energy differences, and a hard cap exp(-(tau/2)|Y|) (which
+must never activate in a consistent run) keeps the weights inside the
+certified convergence region.  One array pass (``_class_weights``) weighs a
+gas, whose classes have no interiors, for the tables and for its analogue on
+the torus; ``WeightEngine`` weighs contours of finite regions with interiors.
 
 The z-independent part of a phase's gas comes in two records.  The shape
 record depends on neither couplings nor z, only on the class geometry: d,
@@ -24,17 +24,17 @@ computed once per model and freed with it, holds the contour classes with
 their energy pairs as arrays and points at its shape record; the classes'
 geometry comes from ``contours._class_geometry``, shared per alphabet.
 
-Where the mollifier leaves a phase's contours untouched, zeta_q is
-holomorphic, and the table also carries d log zeta_q / dz in closed form
+Where neither the mollifier nor the cap touches a phase's weights, zeta_q
+is holomorphic, and the table also carries d log zeta_q / dz in closed form
 (``PhaseEntry.dlog``); elsewhere that entry is None and callers fall back
 to finite differences.  ``nondegeneracy_check`` measures Assumption B on
 these closed forms: theta_q' / theta_q = p_q / z, and the table's h'_q.
 
 Desk-scale note: the Peierls rate tau and the entropy constant c0 are
-estimated from the model and reported.  The engine always runs with the
-measured tau and c0 = 0, so the cap is exp(-(tau/2)|Y|); the certified
-asymptotic constants (tau >= 4 c0 + 16) are only checked against, in
-``estimated_constants``, never assumed.
+estimated from the model and reported.  The engine runs with c0 = 0 and the
+tau measured on the gas being weighed, so the cap is exp(-(tau/2)|Y|); the
+certified asymptotic constants (tau >= 4 c0 + 16) are only checked against,
+in ``estimated_constants``, never assumed.
 """
 
 from __future__ import annotations
@@ -50,14 +50,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .contours import (
-    ENUM_CORE_BUDGET,
     ContourSumEngine,
     ZdContour,
     contour_classes,
     contours_in_region,
     region_masks,
 )
-from .errors import ConvergenceError
+from .errors import BudgetError, ConvergenceError
 from .lattice import torus
 from .models import SpinModel, pair_weight, theta_max
 from .polymer import (
@@ -159,16 +158,16 @@ class WeightEngine:
 
     The induction over region volume is realized by memoized recursion: a
     weight calls truncated partition functions of strictly smaller regions.
-    tau is the measured Peierls rate at z (``estimate_tau``) and the cap
-    threshold is exp(-(tau/2)|Y|); whenever it would activate, the weight is
-    zeroed and the event recorded in ``activation_log``.
+    tau is the Peierls rate measured at z on the classes up to ``size_cap``
+    (``estimate_tau``) and the cap threshold is exp(-(tau/2)|Y|); whenever it
+    would activate, the weight is zeroed and the event recorded in
+    ``activation_log``.
     """
 
-    def __init__(self, model: SpinModel, z: complex, budget: int = ENUM_CORE_BUDGET):
+    def __init__(self, model: SpinModel, z: complex, size_cap: int = Cutoffs.size_cap):
         self.model = model
         self.z = z
-        self.tau = estimate_tau(model, z)
-        self.budget = budget
+        self.tau = estimate_tau(model, z, size_cap)
         self.theta = {m: pair_weight(model.ground_pair(m), z) for m in model.spins}
         self.activation_log = []
         self._zprime = {}
@@ -176,9 +175,9 @@ class WeightEngine:
 
     @cached_property
     def _untruncated(self) -> ContourSumEngine:
-        """The untruncated interior sums, built on first use: only classes
+        """The untruncated interior sums, built on first use: only contours
         with interiors need them."""
-        return ContourSumEngine(self.model, self.z, self.budget)
+        return ContourSumEngine(self.model, self.z)
 
     # untruncated objects ------------------------------------------------
 
@@ -214,7 +213,7 @@ class WeightEngine:
         """Sum over support-disjoint families of q-contours in the region of
         the product of truncated weights."""
         region = frozenset(tuple(x) for x in region)
-        contours = contours_in_region(self.model, q, region, self.budget)
+        contours = contours_in_region(self.model, q, region)
         weights = [self.weight_truncated(y) for y in contours]
         masks, _ = region_masks(region, [y.support for y in contours])
         return independent_set_sum(masks, weights)
@@ -306,7 +305,7 @@ _T_MAX = max(_A_SCALES) + _ETA_CAP
 
 
 _CertificateGeometry = namedtuple("_CertificateGeometry", "sizes volumes offsets rows grid_exp step")
-_ClassArrays = namedtuple("_ClassArrays", "rho power sizes bare ground_power")
+_ClassArrays = namedtuple("_ClassArrays", "rho power sizes ground_power")
 
 
 class _Shape:
@@ -481,11 +480,14 @@ class _Gas:
     """Phase q's gas record at one support cap (see the module docstring):
     this model's contour classes, which carry its energy pairs, and their
     arrays stay per model; ``shape`` is the record of their geometry, shared
-    with every phase and model whose classes have the same geometry."""
+    with every phase and model whose classes have the same geometry.  The
+    weights have no interior ratios, so a class with interiors is refused."""
 
     def __init__(self, model: SpinModel, q, size_cap: int):
         self.q = q
         self.classes = tuple(contour_classes(model, q, size_cap))
+        if any(y.interiors for y in self.classes):
+            raise BudgetError(f"size cap {size_cap} admits contour classes with interiors")
         self.shape = _shape((model.dimension, model.range, tuple(
             (tuple(sorted(y.support)), tuple(sorted(y.volume))) for y in self.classes
         )))
@@ -495,15 +497,14 @@ class _Gas:
     @cached_property
     def arrays(self) -> _ClassArrays:
         """z-independent class data: per class, exp(-c) and p of its energy
-        pair (rho = exp(-c) z^p), its size |Y| and whether it has no
-        interiors; and the z power of theta_q."""
+        pair (rho = exp(-c) z^p) and its size |Y|; and the z power of
+        theta_q."""
         model = self._model()
         pairs = [y.energy_pair(model) for y in self.classes]
         return _ClassArrays(
             np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex),
             np.array([p for _, p in pairs], dtype=float),
             np.array(self.shape.sizes, dtype=float),
-            np.array([not y.interiors for y in self.classes], dtype=bool),
             model.ground_pair(self.q)[1],
         )
 
@@ -535,7 +536,7 @@ class PressureResult:
     n_clusters: int
     certified: bool
     truncation: Cutoffs
-    activations: int = 0
+    activations: int = 0  # weights of this phase that the cap zeroed
     derivative: complex | None = None  # ds/dz where exact, else None
 
 
@@ -546,19 +547,15 @@ def polymer_pressure(
     """The contour-gas pressure s_q at z: rooted cluster sum per site of the
     truncated weights, with the certified exponential tail bound.
 
-    Classes without interiors are weighed in one array pass:
-    K'(Y) = rho(Y) theta_q^{-|Y|} phi_q, where the mollifier factor phi_q
-    is the same for all of them.  Classes with interiors, and every class
-    once a cap activates, go through ``WeightEngine.weight_truncated``.
-    Where phi_q = 1, the engine has logged no cap activation and no class
-    with interiors has a nonzero weight, every weight is a monomial in z, so
-    d log K'(Y)/dz = (p_Y - |Y| p_q) / z and the derivative of the cluster
-    sum is exact."""
+    The classes are weighed by ``_class_weights``, and ``activations``
+    counts the weights its cap zeroed.  Where phi_q = 1 and the cap zeroed
+    none, every weight is a monomial in z, so d log K'(Y)/dz =
+    (p_Y - |Y| p_q) / z and the derivative of the cluster sum is exact."""
     gas = _gas(model, q, cutoffs.size_cap)
     index, ursell = gas.shape.cluster_arrays(cutoffs.norm_cap)
     if engine is None:
-        engine = WeightEngine(model, z)
-    w, dlog_w = _class_weights(engine, gas)
+        engine = WeightEngine(model, z, cutoffs.size_cap)
+    w, dlog_w, capped = _class_weights(engine, gas)
 
     cert, eta = _gas_certificate(gas, w)
     if not cert:
@@ -571,29 +568,26 @@ def polymer_pressure(
         derivative = complex(terms @ np.append(dlog_w, 0.0)[index].sum(axis=1))
     bound = math.exp(-eta * cutoffs.norm_cap) if eta > 0 else math.inf
     return PressureResult(
-        complex(terms.sum()), eta, bound, len(ursell), cert, cutoffs,
-        len(engine.activation_log), derivative,
+        complex(terms.sum()), eta, bound, len(ursell), cert, cutoffs, capped, derivative,
     )
 
 
 def _class_weights(engine: WeightEngine, gas: _Gas):
-    """The truncated weights of a record's classes at the engine's z, and
-    their logarithmic z-derivatives where those are exact (else None)."""
+    """The truncated weights K'(Y) = rho(Y) theta_q^{-|Y|} phi_q of a record's
+    classes at the engine's z (phi_q is one number: no class has interiors),
+    with those above the cap zeroed; their logarithmic z-derivatives where
+    exact (else None); and how many weights the cap zeroed."""
     z, arr = engine.z, gas.arrays
     thq = engine.theta[gas.q]
     if thq == 0:
-        return np.zeros(len(gas.classes), dtype=complex), None
+        return np.zeros(len(gas.classes), dtype=complex), None, 0
     factor = engine.phase_factor(gas.q)
     w = gas.rho(z) * thq**-arr.sizes * factor
-    capped = arr.bare & (np.abs(w) > np.exp(-(engine.tau / 2.0) * arr.sizes))
-    if capped.any():
-        # the engine logs each activation, in class order, once
-        return np.array([engine.weight_truncated(y) for y in gas.classes], dtype=complex), None
-    for i in np.flatnonzero(~arr.bare):
-        w[i] = engine.weight_truncated(gas.classes[i])
-    if factor != 1.0 or z == 0 or engine.activation_log or w[~arr.bare].any():
-        return w, None
-    return w, (arr.power - arr.sizes * arr.ground_power) / z
+    capped = np.abs(w) > np.exp(-(engine.tau / 2.0) * arr.sizes)
+    w[capped] = 0
+    if factor != 1.0 or z == 0 or capped.any():
+        return w, None, int(capped.sum())
+    return w, (arr.power - arr.sizes * arr.ground_power) / z, 0
 
 
 def _certificate_ok(geo, absw, alpha, eta):
@@ -675,9 +669,10 @@ def free_energy_table(
     model: SpinModel, z: complex, cutoffs: Cutoffs = Cutoffs()
 ) -> FreeEnergyTable:
     """zeta_m, f_m and a_m for every phase at one point, sharing one weight
-    engine (and hence one activation log), with h'_m = d log zeta_m / dz =
-    p_m / z + ds_m/dz wherever ``polymer_pressure`` has the derivative."""
-    engine = WeightEngine(model, z)
+    engine (and hence one tau), with h'_m = d log zeta_m / dz = p_m / z +
+    ds_m/dz wherever ``polymer_pressure`` has the derivative; ``activations``
+    sums the phases' capped weights."""
+    engine = WeightEngine(model, z, cutoffs.size_cap)
     entries = {}
     for m in model.orbit_representatives():
         th = engine.theta[m]
@@ -698,7 +693,8 @@ def free_energy_table(
         gap = e.f - fmin if e.f < math.inf else math.inf
         out[m] = PhaseEntry(m, e.theta, e.s, e.zeta, e.f, gap, e.pressure, e.dlog)
     stable = tuple(sorted((m for m, e in out.items() if e.a < STABLE_TOL), key=str))
-    return FreeEnergyTable(z, out, stable, engine.tau, len(engine.activation_log))
+    activations = sum(e.pressure.activations for e in out.values() if e.pressure)
+    return FreeEnergyTable(z, out, stable, engine.tau, activations)
 
 
 def zeta(model: SpinModel, m, z: complex, cutoffs: Cutoffs = Cutoffs()):
@@ -719,7 +715,7 @@ def finite_volume_zeta(
     """zeta_m^{(L)} = theta_m exp(s_m^{(L)}) with the pressure of the wrapped
     contour gas on the torus: exact logarithm of the placement sum for small
     tori, cluster expansion with torus (wrapped) incompatibility beyond."""
-    engine = WeightEngine(model, z)
+    engine = WeightEngine(model, z, cutoffs.size_cap)
     th = engine.theta[m]
     if th == 0:
         return 0j
@@ -727,7 +723,7 @@ def finite_volume_zeta(
     n, placements = gas.shape.placements(L)
     if not placements:
         return th
-    w = [engine.weight_truncated(gas.classes[ci]) for ci, _ in placements]
+    w = _class_weights(engine, gas)[0][[ci for ci, _ in placements]].tolist()
     masks = [mask for _, mask in placements]
     if len(placements) <= EXACT_PLACEMENT_BUDGET:
         zsum = independent_set_sum(masks, w)

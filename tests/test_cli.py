@@ -45,6 +45,9 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, scenario, model):
     ("zeros", "[zeros]\nseed_point = abc\n"),
     ("compare", "[compare]\nl_values = 3, x\n"),
     ("lambda-sweep", "[lambda-sweep]\nlambda_values = 0.1, y\n"),
+    ("zeros", "[zeros]\nphases = 1, 7\n"),
+    ("zeros", "[zeros]\nphases = 1, 1\n"),
+    ("free-energy", "[free-energy]\nn = 0\n"),
 ])
 def test_malformed_pipeline_option_is_a_config_error(tmp_path, capsys, pipeline, section):
     cfg = tmp_path / "bad.cfg"

@@ -13,6 +13,7 @@ from conftest import all_configs, random_z, sparse_torus_config
 from pszeros.contours import (
     ContourSumEngine,
     MatchingCollection,
+    _class_geometry,
     _extract_block,
     contour_classes,
     contour_from_json,
@@ -603,6 +604,18 @@ def test_contour_classes_budget():
     # range 1 in d = 2: at most 2 (2R+1)^d = 18 support sites
     with pytest.raises(BudgetError):
         contour_classes(ising(1.0), 1, 19)
+
+
+@pytest.mark.parametrize("d, R, n_spins, cap", [
+    (2, 1, 2, 12), (2, 1, 3, 12), (2, 1, 4, 12),
+    (2, 1, 2, 16), (2, 1, 3, 16), (2, 1, 4, 16),
+    (3, 1, 2, 36), (2, 2, 2, 35),
+])
+def test_contour_classes_have_no_interiors(d, R, n_spins, cap):
+    # the gas weighs its classes without interior ratios: below the support
+    # limit 2(2R+1)^d no class has a hole (one needs 24 sites for R=1 in 2D)
+    classes = _class_geometry(d, R, n_spins, 0, cap).classes
+    assert classes and not any(holes for _, _, holes in classes)
 
 
 def test_contour_json_roundtrip():

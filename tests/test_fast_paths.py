@@ -525,7 +525,7 @@ def test_dlog_none_where_the_mollifier_acts():
 def test_dlog_none_where_a_cap_activates(monkeypatch):
     # tau = 16 caps every class on the unit circle (see
     # test_hard_cap_zeroes_and_logs_weights_above_it)
-    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z: 16.0)
+    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z, size_cap: 16.0)
     model = ising(1.5)
     z = cmath.exp(0.3j)
     ev = PhaseEvaluator(model)
@@ -588,7 +588,7 @@ def test_assumption_b_falls_back_where_a_cap_activates(monkeypatch):
     # tau = 16 caps every class on the unit circle (see
     # test_dlog_none_where_a_cap_activates): no phase has dlog, so both take
     # the ratio-form difference from two more tables
-    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z: 16.0)
+    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z, size_cap: 16.0)
     model = ising(1.5)
     z = cmath.exp(0.3j)
     assert free_energy_table(model, z)[1].dlog is None
@@ -875,7 +875,7 @@ def oracle_polymer_partition_function(system, subset=None):
 class OracleWeightEngine(WeightEngine):
     def polymer_sum(self, region, q):
         region = frozenset(tuple(x) for x in region)
-        contours = contours_in_region(self.model, q, region, self.budget)
+        contours = contours_in_region(self.model, q, region)
         weights = [self.weight_truncated(y) for y in contours]
         supports = [y.support for y in contours]
 

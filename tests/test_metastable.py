@@ -12,7 +12,8 @@ import pytest
 import pszeros.contours as contours
 import pszeros.metastable as metastable
 from conftest import random_z, sweep_models
-from pszeros.contours import contour_classes, contour_partition_function
+from pszeros.contours import contour_classes, contour_partition_function, contours_in_region
+from pszeros.errors import BudgetError
 from pszeros.metastable import (
     Cutoffs,
     WeightEngine,
@@ -81,7 +82,7 @@ def test_hard_cap_zeroes_and_logs_weights_above_it(monkeypatch):
     # tau = 16 is the smallest Peierls rate that tau >= 4 c0 + 16 admits;
     # on the unit circle the mollifier stays inert (x = tau/4), so the
     # uncapped weight is rho theta^{-|Y|}, and the cap exp(-8|Y|) lies below it
-    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z: 16.0)
+    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z, size_cap: 16.0)
     m = ising(1.5)
     z = cmath.exp(0.3j)
     eng = WeightEngine(m, z)
@@ -188,6 +189,23 @@ def test_pressure_zero_budget():
     res = polymer_pressure(m, 1, 1.0, Cutoffs(size_cap=0, norm_cap=0.0))
     assert res.value == 0
     assert zeta(m, 1, 1.0, Cutoffs(size_cap=0, norm_cap=0.0)).zeta == theta(m, 1, 1.0)
+
+
+def test_tau_is_measured_on_the_gas_being_weighed():
+    # Ising d=3: the smallest contour has 27 sites, so a tau measured at the
+    # default size cap 12 sees no contour (tau = inf) and caps every weight
+    # of the cap-36 gas; measured on that gas, no weight is capped
+    m = ising(1.5, d=3)
+    z = cmath.exp(0.7j)
+    table = free_energy_table(m, z, Cutoffs(36, 72.0))
+    assert math.isfinite(table.tau) and table.tau == estimate_tau(m, z, 36)
+    assert table.activations == 0
+    for q in m.orbit_representatives():
+        assert table[q].s != 0 and table[q].dlog is not None
+        assert table[q].pressure.activations == 0
+    # in 2D a raised size cap enters tau too
+    m2 = ising(1.5)
+    assert free_energy_table(m2, z, Cutoffs(16, 18.0)).tau == estimate_tau(m2, z, 16)
 
 
 def test_pressure_error_bound_dominates_refinement():
@@ -431,6 +449,18 @@ def test_zeta_all_theta_vanish_no_nan():
 def cold_shapes():
     """An empty shape cache, as in a fresh process."""
     metastable._shape.cache_clear()
+
+
+def test_gas_refuses_classes_with_interiors(monkeypatch):
+    # the array weights carry no interior ratios; no class below the support
+    # limit has interiors (test_contours), and a gas handed one refuses it
+    m = ising(1.5)
+    region = [(i, j) for i in range(5) for j in range(5)]
+    holed = [y for y in contours_in_region(m, 1, region) if y.interiors]
+    assert len(holed) == 1  # the flipped 3x3 block around its centre
+    monkeypatch.setattr(metastable, "contour_classes", lambda model, q, cap: holed)
+    with pytest.raises(BudgetError, match="interiors"):
+        free_energy_table(m, cmath.exp(0.3j), Cutoffs(24, 48.0))
 
 
 def test_gas_record_built_once_per_phase(monkeypatch, cold_shapes):
