@@ -28,7 +28,7 @@ from pathlib import Path
 from .errors import BudgetError, ConvergenceError
 from .metastable import Cutoffs, nondegeneracy_check, estimated_constants, free_energy_table
 from .models import ModelError, SpinModel, blume_capel, model_from_config
-from .torus_exact import _sum_with_mass, exact_zeros, partition_polynomial, transfer_matrix_pf
+from .torus_exact import _density_of_states, exact_zeros, partition_polynomial, transfer_matrix_pf
 from .zeros import (
     PhaseEvaluator,
     density_of_zeros,
@@ -226,7 +226,8 @@ def _pipeline_exact(scn: Scenario, em: Emitter) -> int:
     model = scn.model()
     opts = scn.options.get("exact", {})
     L = _opt(opts, "l", 3, int)
-    poly = partition_polynomial(model, L)
+    states = _density_of_states(model, L)
+    poly = states.polynomial(model, L)
     zs = exact_zeros(poly)
     em.write_text(f"exact_polynomial_L{L}.json", poly.to_json() + "\n")
     em.write_text(f"exact_zeros_L{L}.json", zs.to_json() + "\n")
@@ -236,7 +237,7 @@ def _pipeline_exact(scn: Scenario, em: Emitter) -> int:
     worst = 0.0
     for z in spots:
         # near a zero of Z the terms cancel: compare against their moduli
-        ze, mass = _sum_with_mass(model, L, z)
+        ze, mass = states.sum_with_mass(z)
         try:
             zt = transfer_matrix_pf(model, L, z)
             dev = abs(ze - zt) / mass
@@ -252,36 +253,24 @@ def _pipeline_exact(scn: Scenario, em: Emitter) -> int:
 
 
 def _pipeline_contour_check(scn: Scenario, em: Emitter) -> int:
-    from .contours import IDENTITY_BUDGET, extract, reconstruct, torus_contour_identity_check
+    from .contours import extract, reconstruct, torus_contour_identity_check
     from .models import TorusConfiguration
     import itertools as it
 
     model = scn.model()
     opts = scn.options.get("contour-check", {})
     L = _opt(opts, "l", 3, int)
-    n_states = len(model.spins) ** (L**model.dimension)
-    if n_states > IDENTITY_BUDGET:
-        raise BudgetError(
-            f"contour check over {n_states} configurations exceeds budget"
-        )
     tol = _opt(opts, "tolerance", 1e-10)
     rng = random.Random(scn.seed)
     n_z = _opt(opts, "n_random_z", 10, int)
     radii = _opt(opts, "radii", "0.6, 1.6", _parse_list(float))
-    zs = [
-        rng.choice(radii) * cmath.exp(2j * math.pi * rng.random())
-        for _ in range(n_z)
-    ]
-    n = L**model.dimension
+    zs = [rng.choice(radii) * cmath.exp(2j * math.pi * rng.random()) for _ in range(n_z)]
+    report = torus_contour_identity_check(model, L, zs)  # a BudgetError past its budget
     failures = 0
-    total = 0
-    for assignment in it.product(model.spins, repeat=n):
+    for assignment in it.product(model.spins, repeat=L**model.dimension):
         cfg = TorusConfiguration(L, model.dimension, assignment)
-        total += 1
-        if reconstruct(extract(cfg, model.range)).spins != cfg.spins:
-            failures += 1
-    report = torus_contour_identity_check(model, L, zs)
-    report["bijection_total"] = total
+        failures += reconstruct(extract(cfg, model.range)).spins != cfg.spins
+    report["bijection_total"] = report["n_configs"]
     report["bijection_failures"] = failures
     em.write_json(f"contour_check_L{L}.json", _jsonable(report))
     if failures or report["collection_max_rel"] > tol or report["resummed_max_rel"] > tol:
@@ -359,8 +348,7 @@ def _pipeline_zeros(scn: Scenario, em: Emitter) -> int:
         evaluator=ev,
     )
     predicted = solve_zero_equations(model, curve, L, scn.cutoffs, evaluator=ev)
-    poly = partition_polynomial(model, L)
-    exact = exact_zeros(poly)
+    exact = exact_zeros(partition_polynomial(model, L))
     rep = match_predicted_exact(predicted, exact)
     dens = density_of_zeros(curve, L, model.dimension)
     em.write_json(f"curve_{pair[0]}_{pair[1]}.json", curve.to_json_dict())
@@ -578,6 +566,20 @@ seed = 2
 J = 1.3
 L = 3
 lambda_values = -0.3, -0.15, -0.05, 0.0, 0.05, 0.1, 0.2, 0.4
+""",
+    "exact-ising": """\
+[scenario]
+name = exact-ising
+pipelines = exact
+seed = 17
+
+[model]
+name = ising
+J = 1.5
+
+[exact]
+L = 4
+z_values = 0.6+0.8j; -1.1+0.2j
 """,
 }
 

@@ -3,6 +3,9 @@
 Everything here is ground truth for the contour machinery: full enumeration
 over spin configurations, a transfer-matrix evaluation for range-1 models,
 and companion matrix root finding for the partition polynomial in z.
+Enumeration runs once per torus, into its z-graded density of states
+(``_density_of_states``); Z(z), the summed moduli of its terms and the
+coefficients of the partition polynomial all read from that one record.
 
 Enumeration and the transfer matrix share the pattern tables of the energy
 kernel ``models.placement_energies``, not the sum over configurations:
@@ -18,6 +21,7 @@ import cmath
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,23 +61,60 @@ def _energy_blocks(model: SpinModel, L: int):
     return placement_energies(model, torus_placements(model, L), blocks())
 
 
-def _sum_with_mass(model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET):
-    """Z_L^per(z) by enumeration, and the summed moduli of its terms: the
-    scale against which Z is known when the terms cancel."""
-    q = len(model.spins)
-    n = L**model.dimension
+def _zpow(z: complex, p: np.ndarray) -> np.ndarray:
+    """z^p for real powers p on numpy's principal branch (repeated squaring
+    at integer p); at z = 0, 1 for p = 0, 0 for p > 0, a ValueError for p < 0."""
+    if z == 0 and (p < 0).any():
+        raise ValueError("z = 0 with a negative power of z: the weights diverge there")
+    return np.power(complex(z), p)
+
+
+class _DensityOfStates(NamedTuple):
+    """The z-graded density of states of a torus: its distinct powers p of z,
+    ascending, and per power the sums a_p of e^{-c} and m_p of |e^{-c}|."""
+
+    powers: np.ndarray
+    amplitudes: np.ndarray
+    moduli: np.ndarray
+
+    def sum_with_mass(self, z: complex) -> tuple:
+        """Z(z) = sum_p a_p z^p, and the summed moduli sum_p m_p |z|^p of its
+        terms: the scale against which Z is known when the terms cancel."""
+        zp = _zpow(z, self.powers)
+        return complex((self.amplitudes * zp).sum()), float((self.moduli * np.abs(zp)).sum())
+
+    def polynomial(self, model: SpinModel, L: int) -> PartitionPolynomial:
+        """The amplitudes as coefficients by power of z."""
+        k = np.rint(self.powers)
+        if (k != self.powers).any() or (k < 0).any():
+            raise BudgetError("not polynomial in z: fractional or negative powers")
+        co = np.zeros(int(k[-1]) + 1, dtype=complex)
+        co[k.astype(np.intp)] = self.amplitudes
+        return PartitionPolynomial(tuple(co.tolist()), L, tag=f"{model.name} L={L}")
+
+
+def _density_of_states(model: SpinModel, L: int, budget: int = ENUM_BUDGET) -> _DensityOfStates:
+    """The density of states of the L-torus from one pass of ``_energy_blocks``:
+    each block binned by power with ``bincount``, the block sums added in
+    block order, so the sums of a power do not depend on the other powers."""
+    q, n = len(model.spins), L**model.dimension
     if q**n > budget:
-        raise BudgetError(
-            f"enumeration of {q}^{n} states exceeds budget {budget}; "
-            "use transfer_matrix_pf for range-1 models"
-        )
-    logz = cmath.log(z)
-    total, mass = 0j, 0.0
+        raise BudgetError(f"enumeration of {q}^{n} states exceeds budget {budget}")
+    acc = {}
     for c, p in _energy_blocks(model, L):
-        w = np.exp(-c + p * logz)
-        total += complex(w.sum())
-        mass += float(np.abs(w).sum())
-    return total, mass
+        powers = sorted(set(p.tolist()))
+        k = np.searchsorted(powers, p)
+        w = np.exp(-c)
+        sums = np.stack([np.bincount(k, x, len(powers)) for x in (w.real, w.imag, np.abs(w))])
+        for power, s in zip(powers, sums.T):
+            acc[power] = acc.get(power, 0.0) + s
+    powers = sorted(acc)
+    re, im, moduli = np.array([acc[x] for x in powers]).T
+    return _DensityOfStates(np.array(powers), re + 1j * im, moduli)
+
+
+def _sum_with_mass(model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET):
+    return _density_of_states(model, L, budget).sum_with_mass(z)
 
 
 def partition_function_exact(
@@ -111,10 +152,9 @@ def transfer_matrix_pf(
             rows = layer[:, i0 : i0 + starts.step]
             yield np.concatenate([np.repeat(rows, n, axis=1), np.tile(layer, rows.shape[1])])
 
-    logz = cmath.log(z)
     T = np.empty((n, n), dtype=complex)
     for i0, (c, p) in zip(starts, placement_energies(model, strip_placements(model, L), blocks())):
-        T[i0 : i0 + starts.step] = np.exp(-c + p * logz).reshape(-1, n)
+        T[i0 : i0 + starts.step] = (np.exp(-c) * _zpow(z, p)).reshape(-1, n)
     return complex(np.trace(np.linalg.matrix_power(T, L)))
 
 
@@ -140,48 +180,17 @@ class PartitionPolynomial:
         return acc
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tag": self.tag,
-                "L": self.side,
-                "degree": self.degree,
-                "coefficients": [[c.real, c.imag] for c in self.coefficients],
-            },
-            indent=1,
-        )
+        coefficients = [[c.real, c.imag] for c in self.coefficients]
+        return json.dumps({"tag": self.tag, "L": self.side, "degree": self.degree,
+                           "coefficients": coefficients}, indent=1)
 
 
 def partition_polynomial(
     model: SpinModel, L: int, budget: int = ENUM_BUDGET
 ) -> PartitionPolynomial:
-    """Exact coefficients of Z_L^per in z.
-
-    Requires the normalization in which the z dependence sits entirely in
-    single-site weights with nonnegative integer powers, so each
-    configuration contributes a monomial z^k with k the total site power.
-    """
-    max_site_power = 0
-    for t in model.terms:
-        powers = set(t.zpower.values()) | {0.0}
-        if len(t.shape) > 1:
-            if powers != {0.0}:
-                raise BudgetError("not polynomial in z: multi-site z powers")
-        else:
-            if any(p < 0 or p != int(p) for p in powers):
-                raise BudgetError("not polynomial in z: fractional or negative powers")
-            max_site_power = max(max_site_power, int(max(powers)))
-    q = len(model.spins)
-    n = L**model.dimension
-    if q**n > budget:
-        raise BudgetError(f"enumeration of {q}^{n} states exceeds budget {budget}")
-    D = n * max_site_power
-    co = np.zeros(D + 1, dtype=complex)
-    for c, p in _energy_blocks(model, L):
-        k = np.rint(p).astype(np.intp)
-        w = np.exp(-c)
-        co.real += np.bincount(k, w.real, D + 1)
-        co.imag += np.bincount(k, w.imag, D + 1)
-    return PartitionPolynomial(tuple(co.tolist()), L, tag=f"{model.name} L={L}")
+    """Exact coefficients of Z_L^per in z: a BudgetError unless the power of z
+    of every configuration is a nonnegative integer."""
+    return _density_of_states(model, L, budget).polynomial(model, L)
 
 
 # -- zeros ---------------------------------------------------------------------
@@ -205,28 +214,15 @@ class ExactZeroSet:
     notes: tuple = field(default=())
 
     def to_csv_rows(self):
-        rows = [("re", "im", "abs", "arg")]
-        for r in sorted(self.roots, key=phase_key):
-            rows.append(
-                (
-                    format(r.real, ".17g"),
-                    format(r.imag, ".17g"),
-                    format(abs(r), ".17g"),
-                    format(cmath.phase(r), ".17g"),
-                )
-            )
-        return rows
+        return [("re", "im", "abs", "arg")] + [
+            tuple(format(v, ".17g") for v in (r.real, r.imag, abs(r), cmath.phase(r)))
+            for r in sorted(self.roots, key=phase_key)
+        ]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "degree": self.degree,
-                "residual": self.residual,
-                "roots": [[r.real, r.imag] for r in self.roots],
-                "notes": list(self.notes),
-            },
-            indent=1,
-        )
+        roots = [[r.real, r.imag] for r in self.roots]
+        return json.dumps({"degree": self.degree, "residual": self.residual,
+                           "roots": roots, "notes": list(self.notes)}, indent=1)
 
 
 def exact_zeros(poly: PartitionPolynomial) -> ExactZeroSet:

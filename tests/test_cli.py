@@ -76,6 +76,15 @@ def test_exact_spot_check_next_to_a_zero(tmp_path):
     assert float(rows[1].split(",")[-1]) < 1e-13
 
 
+def test_exact_preset(tmp_path):
+    out = tmp_path / "exact"
+    assert main(["--preset", "exact-ising", "--out", str(out)]) == 0
+    assert json.loads((out / "exact_polynomial_L4.json").read_text())["degree"] == 16
+    rows = (out / "exact_spot_checks_L4.csv").read_text().splitlines()
+    assert len(rows) == 3
+    assert all(float(row.split(",")[-1]) < 1e-13 for row in rows[1:])
+
+
 def test_budget_exit_code(tmp_path):
     cfg = tmp_path / "big.cfg"
     cfg.write_text(

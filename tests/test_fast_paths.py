@@ -73,7 +73,9 @@ from pszeros.polymer import (
     ursell_coefficient,
 )
 from test_polymer import _random_certified_system, two_polymer_system
-from pszeros.torus_exact import partition_function_exact, partition_polynomial, transfer_matrix_pf
+from pszeros.torus_exact import (
+    _sum_with_mass, partition_function_exact, partition_polynomial, transfer_matrix_pf,
+)
 from pszeros.zeros import (
     PhaseEvaluator,
     PredictedZero,
@@ -815,11 +817,13 @@ _ENUMERATION_CASES = {
     ),
     "asymmetric3-L3": (_asymmetric_model, 3),
 }
+# half-integer powers of z, so no polynomial: evaluated at z only
+_PLAIN_FIELD_CASES = {"plain-field-ising-L3": (lambda: ising(1.0, field="plain"), 3)}
 
 
 @pytest.fixture(scope="module", params=list(_ENUMERATION_CASES))
 def scanned(request):
-    make, L = _ENUMERATION_CASES[request.param]
+    make, L = {**_ENUMERATION_CASES, **_PLAIN_FIELD_CASES}[request.param]
     model = make()
     return model, L, oracle_scan(model, L)
 
@@ -838,18 +842,24 @@ def test_coefficients_match_gray_code_oracle(scanned):
         assert abs(a - b) <= 1e-13 * abs(b)
 
 
+@pytest.mark.parametrize(
+    "scanned", [*_ENUMERATION_CASES, *_PLAIN_FIELD_CASES], indirect=True
+)
 def test_partition_function_matches_gray_code_oracle(scanned):
     model, L, blocks = scanned
     rng = random.Random(f"{model.name}/{L}")
-    for _ in range(5):
-        z = rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random())
+    zs = [rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random()) for _ in range(5)]
+    # a negative real z pins the principal branch of z^p at fractional p
+    for z in zs + [-rng.uniform(0.5, 1.8)]:
         logz = cmath.log(z)
         terms = [[cmath.exp(-c + p * logz) for c, p in block] for block in blocks]
         old = sum(sum(block) for block in terms)
         # relative to the summed moduli: at complex z the terms cancel, and
-        # |Z| is known no better than rounding of the largest terms allows
-        mass = sum(abs(w) for block in terms for w in block)
+        # |Z| is known no better than rounding of the largest terms allows;
+        # fsum, since a running sum of 65536 moduli drifts by more than 1e-13
+        mass = math.fsum(abs(w) for block in terms for w in block)
         assert abs(partition_function_exact(model, L, z) - old) <= 1e-13 * mass
+        assert abs(_sum_with_mass(model, L, z)[1] - mass) <= 1e-13 * mass
 
 
 # -- oracles: the independent-set recursions and component searches replaced

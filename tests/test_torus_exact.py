@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import free_field_model, random_z
+import pszeros.torus_exact as torus_exact
+from pszeros.cli import Scenario, run
+from pszeros.contours import torus_contour_identity_check
 from pszeros.errors import BudgetError
 from pszeros.models import blume_capel, ising, perturbed_ising, potts
 from pszeros.torus_exact import (
@@ -96,9 +99,56 @@ def test_transfer_matrix_rejects_long_range():
         transfer_matrix_pf(m, 5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "model", [ising(1.5), blume_capel(1.3, 0.1)], ids=["ising", "blume-capel"]
+)
+def test_z_zero_is_the_constant_coefficient(model):
+    c0 = partition_polynomial(model, 3).coefficients[0]
+    for value in (
+        partition_function_exact(model, 3, 0),
+        _sum_with_mass(model, 3, 0)[0],
+        transfer_matrix_pf(model, 3, 0),
+    ):
+        assert abs(value - c0) <= 1e-13 * abs(c0)
+
+
+def test_z_zero_with_a_negative_power_is_an_error():
+    m = ising(1.0, field="plain")
+    for evaluate in (partition_function_exact, _sum_with_mass, transfer_matrix_pf):
+        with pytest.raises(ValueError, match="negative power"):
+            evaluate(m, 3, 0)
+
+
+def test_one_enumeration_per_torus(monkeypatch, tmp_path):
+    # the exact pipeline and the identity check enumerate the torus once,
+    # however many z they evaluate
+    passes = []
+    energy_blocks = torus_exact._energy_blocks
+
+    def counted(model, L):
+        passes.append((model.name, L))
+        return energy_blocks(model, L)
+
+    monkeypatch.setattr(torus_exact, "_energy_blocks", counted)
+    scenario = Scenario.from_text(
+        "[scenario]\nname = one-pass\npipelines = exact\n\n"
+        "[model]\nname = ising\nJ = 1.5\n\n"
+        "[exact]\nL = 3\nz_values = 0.6+0.8j; -1.1+0.2j\n"
+    )
+    assert run(scenario, tmp_path / "o") == 0
+    assert len((tmp_path / "o" / "exact_spot_checks_L3.csv").read_text().splitlines()) == 3
+    assert len(passes) == 1
+    passes.clear()
+    report = torus_contour_identity_check(ising(1.2), 3, [0.7 + 0.2j, -0.9 + 0.5j, 1.3j])
+    assert len(report["per_z"]) == 3
+    assert len(passes) == 1
+
+
 def test_enumeration_budget():
     with pytest.raises(BudgetError):
         partition_function_exact(ising(1.0), 6, 1.0, budget=2**20)
+    with pytest.raises(BudgetError):
+        torus_contour_identity_check(ising(1.0), 4, [1.0], budget=2**10)
 
 
 def test_repeated_calls_are_bit_reproducible():
