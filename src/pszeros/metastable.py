@@ -6,23 +6,31 @@ weight is zeta_q = theta_q e^{s_q} and f_q = -log|zeta_q| its free energy.
 Where a phase is unstable, large contours are suppressed by a smooth
 mollifier of free-energy differences, and a hard cap exp(-(tau/2)|Y|) (which
 must never activate in a consistent run) keeps the weights inside the
-certified convergence region.  One array pass (``_class_weights``) weighs a
-gas, whose classes have no interiors, for the tables and for its analogue on
-the torus; ``WeightEngine`` weighs contours of finite regions with interiors.
+certified convergence region.  One array pass (``_class_weights``) weighs
+the gases of a model's phases, whose classes have no interiors, for the
+tables and for their analogue on the torus; ``WeightEngine`` weighs contours
+of finite regions with interiors.
 
-The z-independent part of a phase's gas comes in two records.  The shape
+The z-independent part of the gases comes in three records.  The shape
 record depends on neither couplings nor z, only on the class geometry: d,
 R and, per class in class order, its support and its volume.  It holds the
 offsets at which two classes overlap, the certificate geometry, per norm
 cap the cluster skeleton with its Ursell coefficients as an index matrix,
-and per torus side the wrapped placements.  It is shared by every phase
-and model with that geometry (all phases of Blume-Capel and of Potts q=3
-have one), through a value-keyed cache built once per process.  The
-energies stay per model: the gas record of a (phase, support cap), built
-on first use and held on the model (``SpinModel.gas``), so that it is
-computed once per model and freed with it, holds the contour classes with
-their energy pairs as arrays and points at its shape record; the classes'
-geometry comes from ``contours._class_geometry``, shared per alphabet.
+and per torus side the wrapped placements.  A value-keyed cache, built
+once per process, shares it among every phase and model with that
+geometry: the phases of each built-in model have one, and Blume-Capel and
+Potts q=3 share theirs.  The energies stay per model, in two records built
+on first use and held on the model (``SpinModel.gas``), so that they are
+computed once per model and freed with it.  The gas record of a (phase,
+support cap) holds the phase's contour classes, with their energy pairs,
+and points at its shape record; the classes' geometry comes from
+``contours._class_geometry``, shared per alphabet.  The phase-stacked
+record of a support cap and a shape record holds, along a leading phase
+axis, exp(-c) and the z powers of the classes of every orbit
+representative whose gas has that shape.  A table weighs, certifies and
+sums all phases of a stacked record in one set of array operations
+(``_pressures``); ``polymer_pressure`` and ``finite_volume_zeta`` take one
+row of it.
 
 Where neither the mollifier nor the cap touches a phase's weights, zeta_q
 is holomorphic, and the table also carries d log zeta_q / dz in closed form
@@ -42,7 +50,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -105,13 +112,12 @@ def estimate_tau(model: SpinModel, z: complex, size_cap: int = Cutoffs.size_cap)
     if th == 0:
         return math.inf
     best = math.inf
-    for q in model.orbit_representatives():
-        gas = _gas(model, q, size_cap)
-        rho = np.abs(gas.rho(z))
-        live = rho != 0
-        if live.any():
-            sizes = gas.arrays.sizes[live]
-            best = min(best, float((-(np.log(rho[live]) - sizes * math.log(th)) / sizes).min()))
+    for group in _phase_groups(model, size_cap):
+        rho = np.abs(group.rho(z))
+        # rho = 0 gives +inf, which no minimum takes
+        log_rho = np.log(rho, out=np.full(rho.shape, -math.inf), where=rho != 0)
+        rates = (group.sizes * math.log(th) - log_rho) / group.sizes
+        best = min(best, float(rates.min(initial=math.inf)))
     return best
 
 
@@ -298,14 +304,15 @@ def truncated_partition(model: SpinModel, region, q, z: complex) -> complex:
 
 
 _A_SCALES = (1.0, 0.5, 0.25, 0.15, 0.111, 0.1, 0.083, 0.06, 0.05, 0.02, 0.01)
-_LOG_SCALES = np.log(_A_SCALES)
+_ALPHAS = np.array(_A_SCALES)
+_LOG_ALPHAS = np.log(_ALPHAS)[:, None]
+_ENDS = np.array([0, 1])  # of a cell of the t grid
 _ETA_CAP = 8.0
 _ETA_TOL = 2.0**-14  # largest loss of eta to the t grid's chords
 _T_MAX = max(_A_SCALES) + _ETA_CAP
 
 
 _CertificateGeometry = namedtuple("_CertificateGeometry", "sizes volumes offsets rows grid_exp step")
-_ClassArrays = namedtuple("_ClassArrays", "rho power sizes ground_power")
 
 
 class _Shape:
@@ -478,10 +485,10 @@ def _shape(key: tuple) -> _Shape:
 
 class _Gas:
     """Phase q's gas record at one support cap (see the module docstring):
-    this model's contour classes, which carry its energy pairs, and their
-    arrays stay per model; ``shape`` is the record of their geometry, shared
-    with every phase and model whose classes have the same geometry.  The
-    weights have no interior ratios, so a class with interiors is refused."""
+    this model's contour classes, which carry its energy pairs; ``shape`` is
+    the record of their geometry, shared with every phase and model whose
+    classes have the same geometry.  The weights have no interior ratios, so
+    a class with interiors is refused."""
 
     def __init__(self, model: SpinModel, q, size_cap: int):
         self.q = q
@@ -491,33 +498,6 @@ class _Gas:
         self.shape = _shape((model.dimension, model.range, tuple(
             (tuple(sorted(y.support)), tuple(sorted(y.volume))) for y in self.classes
         )))
-        self._model = weakref.ref(model)  # the model holds the record
-        self._rho = None
-
-    @cached_property
-    def arrays(self) -> _ClassArrays:
-        """z-independent class data: per class, exp(-c) and p of its energy
-        pair (rho = exp(-c) z^p) and its size |Y|; and the z power of
-        theta_q."""
-        model = self._model()
-        pairs = [y.energy_pair(model) for y in self.classes]
-        return _ClassArrays(
-            np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex),
-            np.array([p for _, p in pairs], dtype=float),
-            np.array(self.shape.sizes, dtype=float),
-            model.ground_pair(self.q)[1],
-        )
-
-    def rho(self, z) -> np.ndarray:
-        """rho(Y) = exp(-c) z^p of the classes, kept for the last z object
-        asked for, so that a table's tau estimate and its class weights
-        (both at the engine's z) evaluate it once.  Complex z: a real
-        negative z with a half-integer power (field="plain") takes the
-        principal branch, as pair_weight does."""
-        if self._rho is None or self._rho[0] is not z:
-            arr = self.arrays
-            self._rho = z, arr.rho * complex(z) ** arr.power
-        return self._rho[1]
 
 
 def _gas(model: SpinModel, q, size_cap: int) -> _Gas:
@@ -526,6 +506,59 @@ def _gas(model: SpinModel, q, size_cap: int) -> _Gas:
     if key not in model.gas:
         model.gas[key] = _Gas(model, q, size_cap)
     return model.gas[key]
+
+
+class _Phases:
+    """The phase-stacked record of the given gas records, which share one
+    shape record (see the module docstring): per phase (row) and class
+    (column), exp(-c) and p of the class's energy pair, so that rho(Y) =
+    exp(-c) z^p, and p_Y - |Y| p_q, the z power of K(Y); per class its size
+    |Y|."""
+
+    def __init__(self, model: SpinModel, gases):
+        self.phases = tuple(gas.q for gas in gases)
+        self.shape = gases[0].shape
+        pairs = [y.energy_pair(model) for gas in gases for y in gas.classes]
+        dims = (len(gases), len(self.shape.sizes))
+        self.rho0 = np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex).reshape(dims)
+        self.power = np.array([p for _, p in pairs], dtype=float).reshape(dims)
+        self.sizes = np.array(self.shape.sizes, dtype=float)
+        ground = np.array([model.ground_pair(q)[1] for q in self.phases])
+        self.dpower = self.power - self.sizes * ground[:, None]
+        self._rho = None
+
+    def rho(self, z) -> np.ndarray:
+        """rho(Y) = exp(-c) z^p per phase and class, kept for the last z
+        object asked for, so that a table's tau estimate and its class
+        weights (both at the engine's z) evaluate it once.  Complex z: a
+        real negative z with a half-integer power (field="plain") takes the
+        principal branch, as pair_weight does."""
+        if self._rho is None or self._rho[0] is not z:
+            self._rho = z, self.rho0 * complex(z) ** self.power
+        return self._rho[1]
+
+
+def _phase_groups(model: SpinModel, size_cap: int) -> tuple:
+    """The phase-stacked records of the model's orbit representatives at the
+    given support cap, one per shape record their gases share, built once
+    per model."""
+    if size_cap not in model.gas:
+        by_shape = {}
+        for q in model.orbit_representatives():
+            gas = _gas(model, q, size_cap)
+            by_shape.setdefault(gas.shape, []).append(gas)
+        model.gas[size_cap] = tuple(_Phases(model, gases) for gases in by_shape.values())
+    return model.gas[size_cap]
+
+
+def _phase_row(model: SpinModel, q, size_cap: int):
+    """Phase q's stacked record and its row there, as a slice; a phase that
+    represents no orbit gets a record of its own."""
+    for group in _phase_groups(model, size_cap):
+        if q in group.phases:
+            r = group.phases.index(q)
+            return group, slice(r, r + 1)
+    return _Phases(model, [_gas(model, q, size_cap)]), slice(0, 1)
 
 
 @dataclass(frozen=True)
@@ -545,49 +578,73 @@ def polymer_pressure(
     engine: WeightEngine | None = None,
 ) -> PressureResult:
     """The contour-gas pressure s_q at z: rooted cluster sum per site of the
-    truncated weights, with the certified exponential tail bound.
+    truncated weights, with the certified exponential tail bound; phase q's
+    row of ``_pressures``."""
+    group, row = _phase_row(model, q, cutoffs.size_cap)
+    if engine is None:
+        engine = WeightEngine(model, z, cutoffs.size_cap)
+    return _pressures(engine, group, row, cutoffs)[0]
+
+
+def _pressures(engine: WeightEngine, group: _Phases, rows: slice, cutoffs: Cutoffs) -> list:
+    """``PressureResult`` of the group's phases in the slice ``rows``,
+    weighed, certified and summed together.
 
     The classes are weighed by ``_class_weights``, and ``activations``
     counts the weights its cap zeroed.  Where phi_q = 1 and the cap zeroed
     none, every weight is a monomial in z, so d log K'(Y)/dz =
-    (p_Y - |Y| p_q) / z and the derivative of the cluster sum is exact."""
-    gas = _gas(model, q, cutoffs.size_cap)
-    index, ursell = gas.shape.cluster_arrays(cutoffs.norm_cap)
-    if engine is None:
-        engine = WeightEngine(model, z, cutoffs.size_cap)
-    w, dlog_w, capped = _class_weights(engine, gas)
+    (p_Y - |Y| p_q) / z and the derivative of the cluster sum is exact.
 
-    cert, eta = _gas_certificate(gas, w)
-    if not cert:
-        raise ConvergenceError(
-            "contour-gas convergence certificate failed; refuse to expand"
-        )
-    terms = ursell * np.append(w, 1.0)[index].prod(axis=1)
-    derivative = None
+    Each phase's numbers have the bits of its pressure on its own: the
+    products over an entry's parts run over a (phases x entries, parts)
+    array (a (phases, entries, parts) product takes another SIMD loop,
+    which rounds differently), and the derivative is one dot product per
+    phase (a stacked matmul)."""
+    index, ursell = group.shape.cluster_arrays(cutoffs.norm_cap)
+    w, dlog_w, capped, exact = _class_weights(engine, group, rows)
+    certs = _certificates(group.shape.geometry, np.abs(w))
+    if not all(ok for ok, _ in certs):
+        raise ConvergenceError("contour-gas convergence certificate failed; refuse to expand")
+    (P, C), (E, K) = w.shape, index.shape
+    # one column past the classes: the value of an unused part
+    parts = np.ones((P, C + 1), dtype=complex)
+    parts[:, :C] = w
+    terms = ursell * parts[:, index].reshape(P * E, K).prod(axis=1).reshape(P, E)
+    derivatives = [None] * P
     if dlog_w is not None:
-        derivative = complex(terms @ np.append(dlog_w, 0.0)[index].sum(axis=1))
-    bound = math.exp(-eta * cutoffs.norm_cap) if eta > 0 else math.inf
-    return PressureResult(
-        complex(terms.sum()), eta, bound, len(ursell), cert, cutoffs, capped, derivative,
-    )
+        parts[:, :C], parts[:, C] = dlog_w, 0.0
+        dsum = parts[:, index].reshape(P * E, K).sum(axis=1).reshape(P, E)
+        derivatives = np.matmul(terms[:, None, :], dsum[:, :, None]).ravel().tolist()
+    return [
+        PressureResult(
+            value, eta, math.exp(-eta * cutoffs.norm_cap) if eta > 0 else math.inf,
+            E, True, cutoffs, n, d if ok else None,
+        )
+        for value, (_, eta), n, d, ok in zip(
+            terms.sum(axis=1).tolist(), certs, capped, derivatives, exact
+        )
+    ]
 
 
-def _class_weights(engine: WeightEngine, gas: _Gas):
-    """The truncated weights K'(Y) = rho(Y) theta_q^{-|Y|} phi_q of a record's
-    classes at the engine's z (phi_q is one number: no class has interiors),
-    with those above the cap zeroed; their logarithmic z-derivatives where
-    exact (else None); and how many weights the cap zeroed."""
-    z, arr = engine.z, gas.arrays
-    thq = engine.theta[gas.q]
-    if thq == 0:
-        return np.zeros(len(gas.classes), dtype=complex), None, 0
-    factor = engine.phase_factor(gas.q)
-    w = gas.rho(z) * thq**-arr.sizes * factor
-    capped = np.abs(w) > np.exp(-(engine.tau / 2.0) * arr.sizes)
+def _class_weights(engine: WeightEngine, group: _Phases, rows: slice):
+    """The truncated weights K'(Y) = rho(Y) theta_q^{-|Y|} phi_q of the
+    classes of the group's phases in the slice ``rows`` at the engine's z,
+    one row per phase (phi_q is one number: no class has interiors), with
+    those above the cap zeroed; a phase with theta_q = 0 has phi_q = 0 and
+    no weight.  Also their logarithmic z-derivatives (None where no row is
+    exact), per row how many weights the cap zeroed, and per row whether
+    its derivatives are exact: phi_q = 1, none capped and z != 0."""
+    z, phases = engine.z, group.phases[rows]
+    factor = [engine.phase_factor(q) for q in phases]
+    # theta_q = 0 stands in as 1: phi_q = 0 zeroes the row all the same
+    th = np.array([engine.theta[q] or 1.0 for q in phases])[:, None]
+    w = group.rho(z)[rows] * th**-group.sizes * np.array(factor)[:, None]
+    capped = np.abs(w) > np.exp(-(engine.tau / 2.0) * group.sizes)
     w[capped] = 0
-    if factor != 1.0 or z == 0 or capped.any():
-        return w, None, int(capped.sum())
-    return w, (arr.power - arr.sizes * arr.ground_power) / z, 0
+    counts = capped.sum(axis=1).tolist()
+    exact = [f == 1.0 and not n and z != 0 for f, n in zip(factor, counts)]
+    dlog = group.dpower[rows] / z if any(exact) else None
+    return w, dlog, counts, exact
 
 
 def _certificate_ok(geo, absw, alpha, eta):
@@ -599,13 +656,20 @@ def _certificate_ok(geo, absw, alpha, eta):
 
 
 def _gas_certificate(gas: _Gas, weights):
-    """Convergence certificate for the contour gas of a record at the given
-    class weights.
+    """The convergence certificate of a gas record at the given class
+    weights: ``_certificates`` of one row."""
+    return _certificates(gas.shape.geometry, np.abs(weights)[None])[0]
+
+
+def _certificates(geo, absw) -> list:
+    """Convergence certificates of contour gases with one class geometry,
+    one per row of class weight moduli.
 
     Uses a(Y) = alpha |Y| (any positive scale is admissible) and requires
     both the neighbor-sum condition per contour class and the origin-rooted
     mass condition, which together turn the norm cutoff into an
-    exp(-eta * norm) tail bound.  Returns (ok, best eta over the scales <= 8).
+    exp(-eta * norm) tail bound.  Returns per row (ok, best eta over the
+    scales <= 8).
 
     Both conditions see eta only through t = alpha + eta: the mass sum
     A(t) <= 1 does not involve alpha, and the neighbor rows over |Y| give
@@ -613,29 +677,51 @@ def _gas_certificate(gas: _Gas, weights):
     On the t grid, searchsorted finds each root's cell (or an end cell) and
     a chord of the convex log row there bounds the root from below.  The
     predicate confirms the best scale.
+
+    Each gas's eta has the bits of its certificate on its own: the stacked
+    matmuls make one BLAS call per gas, with the shapes of a single gas.
     """
-    if not np.any(weights):
-        return True, _ETA_CAP
-    geo = gas.shape.geometry
-    absw = np.abs(weights)
-    rows = geo.rows * absw @ geo.grid_exp
-    i = int(np.searchsorted(rows[0, 1:-1], 1.0, side="right"))
-    a0, a1 = math.log(rows[0, i]), math.log(rows[0, i + 1])
-    t_mass = geo.step * (i - a0 / (a1 - a0))
-    # all neighbor rows, in the cell where their max crosses alpha
-    nb = rows[1:]
-    cell = np.searchsorted(nb.max(axis=0)[1:-1], _A_SCALES, side="right")
-    lo, hi = np.log(nb[:, cell]), np.log(nb[:, cell + 1])
-    t_nb = geo.step * (cell + ((_LOG_SCALES - lo) / (hi - lo)).min(axis=0))
-    etas = np.minimum(t_nb, t_mass) - _A_SCALES
-    k = int(etas.argmax())
-    eta = min(float(etas[k]) - 1e-9, _ETA_CAP)  # 1e-9: room for rounding
-    if eta < 0.0:
-        # within _ETA_TOL of the boundary only the predicate can decide
-        return any(_certificate_ok(geo, absw, a, 0.0) for a in _A_SCALES), 0.0
-    if not _certificate_ok(geo, absw, _A_SCALES[k], eta):
-        raise ConvergenceError(f"gas certificate: eta={eta!r} fails its predicate")
-    return True, eta
+    out = [(True, _ETA_CAP)] * len(absw)
+    live = [r for r, x in enumerate(absw.any(axis=1).tolist()) if x]
+    if not live:
+        return out
+    absw = absw[live]
+    rows = np.matmul(geo.rows * absw[:, None, :], geo.grid_exp)
+    nb = rows[:, 1:]
+    t_mass, cells = [], []
+    # per gas, the mass row's chord, and the cells where the max of the
+    # neighbor rows crosses each alpha
+    for mass, top in zip(rows[:, 0], nb.max(axis=1)):
+        i = int(mass[1:-1].searchsorted(1.0, side="right"))
+        # math.log, as in the one-gas oracle of tests/test_fast_paths.py:
+        # numpy's log differs from it in the last bit on about one argument
+        # in 10^4
+        a0, a1 = math.log(mass[i]), math.log(mass[i + 1])
+        t_mass.append(geo.step * (i - a0 / (a1 - a0)))
+        cells.append(top[1:-1].searchsorted(_ALPHAS, side="right"))
+    cell = np.array(cells)
+    at = np.arange(len(live))[:, None, None]
+    # per gas, both ends of each alpha's cell in every neighbor row
+    ends = np.log(nb.transpose(0, 2, 1)[at, cell[:, None, :] + _ENDS[:, None]])
+    lo, hi = ends[:, 0], ends[:, 1]
+    t_nb = geo.step * (cell + ((_LOG_ALPHAS - lo) / (hi - lo)).min(axis=2))
+    etas = np.minimum(t_nb, np.array(t_mass)[:, None]) - _ALPHAS
+    k = etas.argmax(axis=1)
+    eta = np.minimum(etas[at[:, 0, 0], k] - 1e-9, _ETA_CAP)  # 1e-9: room for rounding
+    alpha = _ALPHAS[k]
+    boost = absw * np.exp((alpha + eta)[:, None] * geo.sizes)
+    confirmed = np.matmul(boost[:, None, :], geo.volumes[:, None])[:, 0, 0] <= 1.0
+    confirmed &= (np.matmul(geo.offsets, boost[:, :, None])[:, :, 0]
+                  <= alpha[:, None] * geo.sizes).all(axis=1)
+    for j, r in enumerate(live):
+        if eta[j] < 0.0:
+            # within _ETA_TOL of the boundary only the predicate can decide
+            out[r] = any(_certificate_ok(geo, absw[j], a, 0.0) for a in _A_SCALES), 0.0
+        elif not confirmed[j]:
+            raise ConvergenceError(f"gas certificate: eta={float(eta[j])!r} fails its predicate")
+        else:
+            out[r] = True, float(eta[j])
+    return out
 
 
 # -- metastable free energies ------------------------------------------------------
@@ -670,31 +756,30 @@ def free_energy_table(
 ) -> FreeEnergyTable:
     """zeta_m, f_m and a_m for every phase at one point, sharing one weight
     engine (and hence one tau), with h'_m = d log zeta_m / dz = p_m / z +
-    ds_m/dz wherever ``polymer_pressure`` has the derivative; ``activations``
-    sums the phases' capped weights."""
+    ds_m/dz wherever ``_pressures`` has the derivative; ``activations``
+    sums the phases' capped weights.  The phases of a stacked record are
+    weighed, summed and certified together."""
     engine = WeightEngine(model, z, cutoffs.size_cap)
-    entries = {}
+    pressures = {}
+    for group in _phase_groups(model, cutoffs.size_cap):
+        pressures.update(zip(group.phases, _pressures(engine, group, slice(None), cutoffs)))
+    rows = []
     for m in model.orbit_representatives():
-        th = engine.theta[m]
+        th, pres = engine.theta[m], pressures[m]
         if th == 0:
-            entries[m] = PhaseEntry(m, th, 0j, 0j, math.inf, math.inf, None)
+            rows.append((m, th, 0j, 0j, math.inf, None, None))
             continue
-        pres = polymer_pressure(model, m, z, cutoffs, engine=engine)
         zeta_m = th * cmath.exp(pres.value)
-        dlog = None
-        if pres.derivative is not None:
-            dlog = _gas(model, m, cutoffs.size_cap).arrays.ground_power / z + pres.derivative
-        entries[m] = PhaseEntry(
-            m, th, pres.value, zeta_m, -math.log(abs(zeta_m)), 0.0, pres, dlog
-        )
-    fmin = min(e.f for e in entries.values())
-    out = {}
-    for m, e in entries.items():
-        gap = e.f - fmin if e.f < math.inf else math.inf
-        out[m] = PhaseEntry(m, e.theta, e.s, e.zeta, e.f, gap, e.pressure, e.dlog)
-    stable = tuple(sorted((m for m, e in out.items() if e.a < STABLE_TOL), key=str))
-    activations = sum(e.pressure.activations for e in out.values() if e.pressure)
-    return FreeEnergyTable(z, out, stable, engine.tau, activations)
+        dlog = None if pres.derivative is None else model.ground_pair(m)[1] / z + pres.derivative
+        rows.append((m, th, pres.value, zeta_m, -math.log(abs(zeta_m)), pres, dlog))
+    fmin = min(f for _, _, _, _, f, _, _ in rows)
+    entries = {
+        m: PhaseEntry(m, th, s, zeta_m, f, f - fmin if f < math.inf else math.inf, pres, dlog)
+        for m, th, s, zeta_m, f, pres, dlog in rows
+    }
+    stable = tuple(sorted((m for m, e in entries.items() if e.a < STABLE_TOL), key=str))
+    activations = sum(e.pressure.activations for e in entries.values() if e.pressure)
+    return FreeEnergyTable(z, entries, stable, engine.tau, activations)
 
 
 def zeta(model: SpinModel, m, z: complex, cutoffs: Cutoffs = Cutoffs()):
@@ -719,11 +804,11 @@ def finite_volume_zeta(
     th = engine.theta[m]
     if th == 0:
         return 0j
-    gas = _gas(model, m, cutoffs.size_cap)
-    n, placements = gas.shape.placements(L)
+    group, row = _phase_row(model, m, cutoffs.size_cap)
+    n, placements = group.shape.placements(L)
     if not placements:
         return th
-    w = _class_weights(engine, gas)[0][[ci for ci, _ in placements]].tolist()
+    w = _class_weights(engine, group, row)[0][0][[ci for ci, _ in placements]].tolist()
     masks = [mask for _, mask in placements]
     if len(placements) <= EXACT_PLACEMENT_BUDGET:
         zsum = independent_set_sum(masks, w)
@@ -735,7 +820,7 @@ def finite_volume_zeta(
         for j in ids[i + 1:]
         if masks[i] & masks[j]
     ]
-    sizes = {i: gas.shape.sizes[placements[i][0]] for i in ids}
+    sizes = {i: group.shape.sizes[placements[i][0]] for i in ids}
     system = PolymerSystem.build(ids, dict(enumerate(w)), edges, sizes)
     clusters = enumerate_clusters(system, ids, cutoffs.norm_cap)
     return th * cmath.exp(sum(c.value for c in clusters) / n)

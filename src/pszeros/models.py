@@ -107,12 +107,20 @@ class SpinModel:
 
     def ground_pair(self, m: Spin) -> Pair:
         """Energy pair of the dimensionless ground state energy density e_m."""
-        c, p = 0j, 0.0
-        for t in self.terms:
-            tc, tp = t.pair((m,) * len(t.shape))
-            c += tc
-            p += tp
-        return (c, p)
+        return self.ground_pairs[m]
+
+    @cached_property
+    def ground_pairs(self) -> dict:
+        """Per spin, ``ground_pair``, built once per model."""
+        out = {}
+        for m in self.spins:
+            c, p = 0j, 0.0
+            for t in self.terms:
+                tc, tp = t.pair((m,) * len(t.shape))
+                c += tc
+                p += tp
+            out[m] = (c, p)
+        return out
 
     def orbit_of(self, m: Spin) -> tuple:
         for orb in self.orbits:
@@ -147,8 +155,15 @@ class SpinModel:
 
     @cached_property
     def gas(self) -> dict:
-        """Per (phase, support cap), the contour-gas record that
-        ``metastable`` builds on first use; freed with the model."""
+        """The contour-gas records that ``metastable`` builds on first use:
+        per (phase, support cap) a phase's, per support cap the phase-stacked
+        ones; freed with the model."""
+        return {}
+
+    @cached_property
+    def density_of_states(self) -> dict:
+        """Per torus side L, the density-of-states record that
+        ``torus_exact`` builds on first use; freed with the model."""
         return {}
 
 

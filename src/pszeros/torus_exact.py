@@ -3,9 +3,10 @@
 Everything here is ground truth for the contour machinery: full enumeration
 over spin configurations, a transfer-matrix evaluation for range-1 models,
 and companion matrix root finding for the partition polynomial in z.
-Enumeration runs once per torus, into its z-graded density of states
-(``_density_of_states``); Z(z), the summed moduli of its terms and the
-coefficients of the partition polynomial all read from that one record.
+Enumeration runs once per model and torus, into its z-graded density of
+states (``_density_of_states``, held on the model); Z(z), the summed moduli
+of its terms and the coefficients of the partition polynomial all read from
+that one record.
 
 Enumeration and the transfer matrix share the pattern tables of the energy
 kernel ``models.placement_energies``, not the sum over configurations:
@@ -96,10 +97,14 @@ class _DensityOfStates(NamedTuple):
 def _density_of_states(model: SpinModel, L: int, budget: int = ENUM_BUDGET) -> _DensityOfStates:
     """The density of states of the L-torus from one pass of ``_energy_blocks``:
     each block binned by power with ``bincount``, the block sums added in
-    block order, so the sums of a power do not depend on the other powers."""
+    block order, so the sums of a power do not depend on the other powers.
+    Built once per model and L, after the budget check, and held on the
+    model (``SpinModel.density_of_states``)."""
     q, n = len(model.spins), L**model.dimension
     if q**n > budget:
         raise BudgetError(f"enumeration of {q}^{n} states exceeds budget {budget}")
+    if L in model.density_of_states:
+        return model.density_of_states[L]
     acc = {}
     for c, p in _energy_blocks(model, L):
         powers = sorted(set(p.tolist()))
@@ -110,7 +115,8 @@ def _density_of_states(model: SpinModel, L: int, budget: int = ENUM_BUDGET) -> _
             acc[power] = acc.get(power, 0.0) + s
     powers = sorted(acc)
     re, im, moduli = np.array([acc[x] for x in powers]).T
-    return _DensityOfStates(np.array(powers), re + 1j * im, moduli)
+    model.density_of_states[L] = _DensityOfStates(np.array(powers), re + 1j * im, moduli)
+    return model.density_of_states[L]
 
 
 def _sum_with_mass(model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET):

@@ -1,11 +1,12 @@
 """The fast certificate, the Newton zero solver, the array contour-gas
-pressure and its exact derivative, the block enumeration kernel, the
-independent-set kernel, the component search, the placement-table energy
-kernel, the batched contour builder, the overlap offsets, the bitmask
-torus extraction and the closed forms of Assumption B against the
-bisection, scalar weight loop, finite differences, Gray-code scan,
-recursion, union-find, per-placement loop, per-candidate builder and set
-comprehension code they replaced, kept here as oracles."""
+pressure and its exact derivative, the phase-stacked free-energy table,
+the block enumeration kernel, the independent-set kernel, the component
+search, the placement-table energy kernel, the batched contour builder,
+the overlap offsets, the bitmask torus extraction and the closed forms of
+Assumption B against the bisection, scalar weight loop, finite
+differences, phase-by-phase table, Gray-code scan, recursion, union-find,
+per-placement loop, per-candidate builder and set comprehension code they
+replaced, kept here as oracles."""
 
 import cmath
 import dataclasses
@@ -165,6 +166,115 @@ def oracle_free_energy_table(model, z, skeletons, cutoffs=Cutoffs()):
     fmin = min(f.values())
     stable = tuple(sorted((q for q in f if f[q] < math.inf and f[q] - fmin < metastable.STABLE_TOL), key=str))
     return out, stable, len(engine.activation_log)
+
+
+def oracle_class_arrays(model, gas):
+    """A gas record's class arrays as the phase-by-phase path kept them: per
+    class exp(-c) and p of its energy pair and its size; the z power of
+    theta_q."""
+    pairs = [y.energy_pair(model) for y in gas.classes]
+    return (
+        np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex),
+        np.array([p for _, p in pairs], dtype=float),
+        np.array(gas.shape.sizes, dtype=float),
+        model.ground_pair(gas.q)[1],
+    )
+
+
+def oracle_estimate_tau(model, z, size_cap):
+    """estimate_tau as a loop over the phases' gas records."""
+    th = theta_max(model, z)
+    if th == 0:
+        return math.inf
+    best = math.inf
+    for q in model.orbit_representatives():
+        rho0, power, sizes, _ = oracle_class_arrays(model, _gas(model, q, size_cap))
+        rho = np.abs(rho0 * complex(z) ** power)
+        live = rho != 0
+        if live.any():
+            s = sizes[live]
+            best = min(best, float((-(np.log(rho[live]) - s * math.log(th)) / s).min()))
+    return best
+
+
+def oracle_class_weights(model, engine, gas):
+    """One phase's truncated class weights, their exact log-derivatives (or
+    None) and the count the cap zeroed."""
+    z = engine.z
+    rho0, power, sizes, ground_power = oracle_class_arrays(model, gas)
+    thq = engine.theta[gas.q]
+    if thq == 0:
+        return np.zeros(len(gas.classes), dtype=complex), None, 0
+    factor = engine.phase_factor(gas.q)
+    w = rho0 * complex(z) ** power * thq**-sizes * factor
+    capped = np.abs(w) > np.exp(-(engine.tau / 2.0) * sizes)
+    w[capped] = 0
+    if factor != 1.0 or z == 0 or capped.any():
+        return w, None, int(capped.sum())
+    return w, (power - sizes * ground_power) / z, 0
+
+
+def oracle_gas_certificate(gas, weights):
+    """One gas's certificate: searchsorted on each row and a chord per
+    cell, confirmed by the predicate."""
+    if not np.any(weights):
+        return True, 8.0
+    geo = gas.shape.geometry
+    absw = np.abs(weights)
+    rows = geo.rows * absw @ geo.grid_exp
+    i = int(np.searchsorted(rows[0, 1:-1], 1.0, side="right"))
+    a0, a1 = math.log(rows[0, i]), math.log(rows[0, i + 1])
+    t_mass = geo.step * (i - a0 / (a1 - a0))
+    nb = rows[1:]
+    cell = np.searchsorted(nb.max(axis=0)[1:-1], _A_SCALES, side="right")
+    lo, hi = np.log(nb[:, cell]), np.log(nb[:, cell + 1])
+    t_nb = geo.step * (cell + ((np.log(_A_SCALES) - lo) / (hi - lo)).min(axis=0))
+    etas = np.minimum(t_nb, t_mass) - _A_SCALES
+    k = int(etas.argmax())
+    eta = min(float(etas[k]) - 1e-9, 8.0)
+    if eta < 0.0:
+        return any(metastable._certificate_ok(geo, absw, a, 0.0) for a in _A_SCALES), 0.0
+    if not metastable._certificate_ok(geo, absw, _A_SCALES[k], eta):
+        raise ConvergenceError(f"gas certificate: eta={eta!r} fails its predicate")
+    return True, eta
+
+
+def oracle_polymer_pressure(model, q, engine, cutoffs=Cutoffs()):
+    """One phase's pressure, certificate and exact derivative on its own."""
+    gas = _gas(model, q, cutoffs.size_cap)
+    index, ursell = gas.shape.cluster_arrays(cutoffs.norm_cap)
+    w, dlog_w, capped = oracle_class_weights(model, engine, gas)
+    cert, eta = oracle_gas_certificate(gas, w)
+    if not cert:
+        raise ConvergenceError("contour-gas convergence certificate failed; refuse to expand")
+    terms = ursell * np.append(w, 1.0)[index].prod(axis=1)
+    derivative = None
+    if dlog_w is not None:
+        derivative = complex(terms @ np.append(dlog_w, 0.0)[index].sum(axis=1))
+    bound = math.exp(-eta * cutoffs.norm_cap) if eta > 0 else math.inf
+    return complex(terms.sum()), eta, bound, capped, derivative
+
+
+def oracle_phase_by_phase_table(model, z, cutoffs=Cutoffs(), tau=None):
+    """free_energy_table one phase at a time: per phase (zeta, s, dlog, eta,
+    error bound), then tau, the activation count and the stable set.  tau
+    is ``oracle_estimate_tau`` unless given."""
+    engine = WeightEngine(model, z, cutoffs.size_cap)
+    engine.tau = oracle_estimate_tau(model, z, cutoffs.size_cap) if tau is None else tau
+    phases, f, activations = {}, {}, 0
+    for m in model.orbit_representatives():
+        th = engine.theta[m]
+        if th == 0:
+            phases[m], f[m] = (0j, 0j, None, None, None), math.inf
+            continue
+        s, eta, bound, capped, derivative = oracle_polymer_pressure(model, m, engine, cutoffs)
+        zeta_m = th * cmath.exp(s)
+        dlog = None if derivative is None else model.ground_pair(m)[1] / z + derivative
+        phases[m], f[m] = (zeta_m, s, dlog, eta, bound), -math.log(abs(zeta_m))
+        activations += capped
+    fmin = min(f.values())
+    stable = tuple(sorted((m for m in f if f[m] < math.inf and f[m] - fmin < metastable.STABLE_TOL), key=str))
+    return phases, engine.tau, activations, stable
 
 
 def oracle_theta_derivative(model, m, z):
@@ -489,6 +599,99 @@ def test_array_pressure_at_real_negative_z_with_half_integer_powers():
     # the unshifted Ising field gives theta_+- = e^3 z^{+-1/2}; at a real
     # float z < 0 the powers take the principal branch, as pair_weight does
     assert _check_pressure_against_oracle(ising(1.5, field="plain"), [-1.0, -0.9, -1.3]) == 0
+
+
+# -- phase-stacked table ----------------------------------------------------------
+
+
+def stacked_table(model, z, cutoffs=Cutoffs()):
+    """free_energy_table in the oracle's layout."""
+    table = free_energy_table(model, z, cutoffs)
+    phases = {}
+    for m, e in table.entries.items():
+        p = e.pressure
+        phases[m] = (e.zeta, e.s, e.dlog, None, None) if p is None else (
+            e.zeta, e.s, e.dlog, p.eta, p.error_bound)
+    return phases, table.tau, table.activations, table.stable
+
+
+def assert_bits_match_phase_by_phase(model, z, cutoffs=Cutoffs(), tau=None):
+    """The stacked table against the phase-by-phase oracle, bit for bit (repr
+    tells apart any two floats with different bits); both raise alike.
+    Returns whether the table exists."""
+    try:
+        want = oracle_phase_by_phase_table(model, z, cutoffs, tau)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as got:
+            free_energy_table(model, z, cutoffs)
+        assert str(got.value) == str(exc)
+        return False
+    assert repr(stacked_table(model, z, cutoffs)) == repr(want)
+    return True
+
+
+_STACKED_MODELS = [ising(1.5), blume_capel(1.5, 0.3), blume_capel(1.75, -0.3),
+                   potts(3, 2.5), potts(4, 1.5)]
+
+
+@pytest.mark.parametrize("model", _STACKED_MODELS, ids=lambda m: m.name)
+def test_stacked_table_matches_phase_by_phase_oracle(model):
+    rng = random.Random(f"stacked/{model.name}")
+    zs = [rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random()) for _ in range(30)]
+    built = [assert_bits_match_phase_by_phase(model, z) for z in zs + [0.0]]
+    assert sum(built) >= 20 and built[-1]
+    # z = 0: theta_q = 0 for a phase with p_q > 0, which gets no pressure
+    table = free_energy_table(model, 0.0)
+    assert any(e.pressure is None for e in table.entries.values())
+
+
+def test_stacked_table_refuses_where_the_oracle_does():
+    # Potts q=4 at 0.5 <= |z| <= 0.68: the certificate fails for some phase
+    model = potts(4, 1.5)
+    rng = random.Random("stacked/refused")
+    zs = [rng.uniform(0.5, 0.68) * cmath.exp(2j * math.pi * rng.random()) for _ in range(10)]
+    assert not any(assert_bits_match_phase_by_phase(model, z) for z in zs)
+
+
+def test_stacked_table_matches_where_dlog_is_none(monkeypatch):
+    # mollified: Blume-Capel's phase 1 at z = 0.45 (phi_1 about 0.68)
+    model = blume_capel(1.5, 0.3)
+    assert assert_bits_match_phase_by_phase(model, 0.45)
+    assert free_energy_table(model, 0.45)[1].dlog is None
+    # capped: tau = 16 caps every Ising class on the unit circle
+    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z, size_cap: 16.0)
+    model, z = ising(1.5), cmath.exp(0.3j)
+    assert assert_bits_match_phase_by_phase(model, z, tau=16.0)
+    table = free_energy_table(model, z)
+    assert table.activations > 0 and all(e.dlog is None for e in table.entries.values())
+
+
+def test_phases_with_distinct_shape_records_are_stacked_per_record(monkeypatch):
+    # the phases of every built-in model share one shape record; with the
+    # shared cache bypassed each phase has its own, and the table stacks
+    # each record's phases (here, one each) apart, with the same bits
+    zs = [0.9 + 0.3j, cmath.exp(2.0j), cmath.exp(0.3j)]
+    want = [repr(stacked_table(ising(1.5), z)) for z in zs]
+    monkeypatch.setattr(metastable, "_shape", lambda key: metastable._Shape(*key))
+    model = ising(1.5)
+    assert [g.phases for g in metastable._phase_groups(model, 12)] == [(-1,), (1,)]
+    assert [repr(stacked_table(model, z)) for z in zs] == want
+
+
+@pytest.mark.parametrize("model", _STACKED_MODELS[:2], ids=lambda m: m.name)
+def test_single_phase_rows_match_phase_by_phase_oracle(model):
+    # polymer_pressure and finite_volume_zeta read one row of the record
+    rng = random.Random(f"single/{model.name}")
+    for _ in range(10):
+        z = rng.uniform(0.8, 1.4) * cmath.exp(2j * math.pi * rng.random())
+        engine = WeightEngine(model, z)
+        for q in model.orbit_representatives():
+            s, eta, bound, capped, derivative = oracle_polymer_pressure(model, q, engine)
+            p = metastable.polymer_pressure(model, q, z, engine=engine)
+            assert repr((p.value, p.eta, p.error_bound, p.activations, p.derivative)) == repr(
+                (s, eta, bound, capped, derivative))
+            w = oracle_class_weights(model, engine, _gas(model, q, 12))[0]
+            assert repr(metastable._class_weights(engine, *metastable._phase_row(model, q, 12))[0][0]) == repr(w)
 
 
 @pytest.mark.parametrize("model", _PRESSURE_MODELS[:3], ids=lambda m: m.name)

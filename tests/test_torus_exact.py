@@ -7,7 +7,7 @@ import pytest
 
 from conftest import free_field_model, random_z
 import pszeros.torus_exact as torus_exact
-from pszeros.cli import Scenario, run
+from pszeros.cli import PRESETS, Scenario, run
 from pszeros.contours import torus_contour_identity_check
 from pszeros.errors import BudgetError
 from pszeros.models import blume_capel, ising, perturbed_ising, potts
@@ -120,8 +120,8 @@ def test_z_zero_with_a_negative_power_is_an_error():
 
 
 def test_one_enumeration_per_torus(monkeypatch, tmp_path):
-    # the exact pipeline and the identity check enumerate the torus once,
-    # however many z they evaluate
+    # the exact pipeline, the identity check and the compare pipeline
+    # enumerate each torus once, however many z they evaluate
     passes = []
     energy_blocks = torus_exact._energy_blocks
 
@@ -142,6 +142,10 @@ def test_one_enumeration_per_torus(monkeypatch, tmp_path):
     report = torus_contour_identity_check(ising(1.2), 3, [0.7 + 0.2j, -0.9 + 0.5j, 1.3j])
     assert len(report["per_z"]) == 3
     assert len(passes) == 1
+    # the compare pipeline: once per side, for all three z of each
+    passes.clear()
+    run(Scenario.from_text(PRESETS["residual-ising"]), tmp_path / "r")
+    assert passes == [("ising(J=1.5,shifted)", 3), ("ising(J=1.5,shifted)", 4)]
 
 
 def test_enumeration_budget():
