@@ -47,4 +47,7 @@ for z in (1.0, cmath.exp(0.2j)):
     print(f"\npressure of the plus-phase contour gas at z={z:.3f}:")
     print(f"  s_+ = {p.value:.6e}")
     print(f"  leading term exp(-8J)/z = {math.exp(-8 * 2.0) / z:.6e}")
-    print(f"  certified eta {p.eta:.2f}, cluster-norm tail bound {p.error_bound:.1e}")
+    # the certificate covers the annulus of |z| on a grid of width 0.01 in
+    # log |z|: eta is a lower bound over it, the tail bound an upper one
+    print(f"  eta {p.eta:.2f} and cluster-norm tail bound {p.error_bound:.1e}, "
+          "certified over the annulus of |z|")

@@ -27,10 +27,16 @@ and points at its shape record; the classes' geometry comes from
 ``contours._class_geometry``, shared per alphabet.  The phase-stacked
 record of a support cap and a shape record holds, along a leading phase
 axis, exp(-c) and the z powers of the classes of every orbit
-representative whose gas has that shape.  A table weighs, certifies and
-sums all phases of a stacked record in one set of array operations
-(``_pressures``); ``polymer_pressure`` and ``finite_volume_zeta`` take one
-row of it.
+representative whose gas has that shape.  A table weighs and sums all
+phases of a stacked record in one set of array operations (``_pressures``);
+``polymer_pressure`` and ``finite_volume_zeta`` take one row of it.
+
+The convergence certificate depends on |z| alone, as tau and the
+mollifier do, so a stacked record keeps one per annulus r1 <= |z| <= r2 of
+a grid in log |z|, made at bounds on the weights across the annulus, and a
+table takes its annulus's: ``eta`` and ``error_bound`` are a lower and an
+upper bound over the annulus, while tau, the weights and the sums stay
+pointwise.  A failed annulus is halved towards |z| before a refusal.
 
 Where neither the mollifier nor the cap touches a phase's weights, zeta_q
 is holomorphic, and the table also carries d log zeta_q / dz in closed form
@@ -65,7 +71,7 @@ from .contours import (
 )
 from .errors import BudgetError, ConvergenceError
 from .lattice import torus
-from .models import SpinModel, pair_weight, theta_max
+from .models import SpinModel, pair_weight, theta, theta_max
 from .polymer import (
     PolymerSystem,
     enumerate_clusters,
@@ -108,17 +114,22 @@ class Cutoffs:
 def estimate_tau(model: SpinModel, z: complex, size_cap: int = Cutoffs.size_cap) -> float:
     """Measured Peierls rate: the infimum over enumerated contours of
     -log(|rho(Y)| / theta(z)^{|Y|}) / |Y|."""
+    return min((float(r.min(initial=math.inf)) for r in _rates(model, z, size_cap)),
+               default=math.inf)
+
+
+def _rates(model: SpinModel, z: complex, size_cap: int) -> list:
+    """Per stacked record, the rates -log(|rho(Y)| / theta(z)^{|Y|}) / |Y| of
+    its classes; rho = 0 gives +inf, and theta(z) = 0 no record at all."""
     th = theta_max(model, z)
     if th == 0:
-        return math.inf
-    best = math.inf
+        return []
+    out = []
     for group in _phase_groups(model, size_cap):
         rho = np.abs(group.rho(z))
-        # rho = 0 gives +inf, which no minimum takes
         log_rho = np.log(rho, out=np.full(rho.shape, -math.inf), where=rho != 0)
-        rates = (group.sizes * math.log(th) - log_rho) / group.sizes
-        best = min(best, float(rates.min(initial=math.inf)))
-    return best
+        out.append((group.sizes * math.log(th) - log_rho) / group.sizes)
+    return out
 
 
 def estimate_M(model: SpinModel, zs) -> float:
@@ -513,7 +524,7 @@ class _Phases:
     shape record (see the module docstring): per phase (row) and class
     (column), exp(-c) and p of the class's energy pair, so that rho(Y) =
     exp(-c) z^p, and p_Y - |Y| p_q, the z power of K(Y); per class its size
-    |Y|."""
+    |Y|; and the certificates of its annuli of |z|, made on first use."""
 
     def __init__(self, model: SpinModel, gases):
         self.phases = tuple(gas.q for gas in gases)
@@ -526,6 +537,7 @@ class _Phases:
         ground = np.array([model.ground_pair(q)[1] for q in self.phases])
         self.dpower = self.power - self.sizes * ground[:, None]
         self._rho = None
+        self._annuli = {}
 
     def rho(self, z) -> np.ndarray:
         """rho(Y) = exp(-c) z^p per phase and class, kept for the last z
@@ -536,6 +548,27 @@ class _Phases:
         if self._rho is None or self._rho[0] is not z:
             self._rho = z, self.rho0 * complex(z) ** self.power
         return self._rho[1]
+
+    def certificates(self, model: SpinModel, size_cap: int, z, rows: slice) -> list:
+        """Per phase in the slice ``rows``, the eta certified on the annulus
+        of |z| (``_annulus``), halved where the phase fails, up to
+        _ANNULUS_SPLITS times; then a ConvergenceError names the annulus.
+        Each annulus is certified once, for every phase."""
+        out = []
+        for row in range(len(self.phases))[rows]:
+            for level in range(_ANNULUS_SPLITS + 1):
+                ends = _annulus(abs(z), level)
+                if ends not in self._annuli:
+                    bound = _annulus_bounds(model, self, size_cap, *ends)
+                    self._annuli[ends] = _certificates(self.shape.geometry, bound)
+                ok, eta = self._annuli[ends][row]
+                if ok:
+                    break
+            else:
+                raise ConvergenceError(f"contour-gas convergence certificate failed on the annulus "
+                                       f"{ends[0]!r} <= |z| <= {ends[1]!r}; refuse to expand")
+            out.append(eta)
+        return out
 
 
 def _phase_groups(model: SpinModel, size_cap: int) -> tuple:
@@ -564,8 +597,8 @@ def _phase_row(model: SpinModel, q, size_cap: int):
 @dataclass(frozen=True)
 class PressureResult:
     value: complex
-    eta: float
-    error_bound: float
+    eta: float  # certified on the annulus of |z|: a lower bound over it
+    error_bound: float  # exp(-eta * norm cap): an upper bound over the annulus
     n_clusters: int
     certified: bool
     truncation: Cutoffs
@@ -588,7 +621,7 @@ def polymer_pressure(
 
 def _pressures(engine: WeightEngine, group: _Phases, rows: slice, cutoffs: Cutoffs) -> list:
     """``PressureResult`` of the group's phases in the slice ``rows``,
-    weighed, certified and summed together.
+    weighed and summed together, with their annuli's certificates.
 
     The classes are weighed by ``_class_weights``, and ``activations``
     counts the weights its cap zeroed.  Where phi_q = 1 and the cap zeroed
@@ -602,9 +635,7 @@ def _pressures(engine: WeightEngine, group: _Phases, rows: slice, cutoffs: Cutof
     phase (a stacked matmul)."""
     index, ursell = group.shape.cluster_arrays(cutoffs.norm_cap)
     w, dlog_w, capped, exact = _class_weights(engine, group, rows)
-    certs = _certificates(group.shape.geometry, np.abs(w))
-    if not all(ok for ok, _ in certs):
-        raise ConvergenceError("contour-gas convergence certificate failed; refuse to expand")
+    etas = group.certificates(engine.model, cutoffs.size_cap, engine.z, rows)
     (P, C), (E, K) = w.shape, index.shape
     # one column past the classes: the value of an unused part
     parts = np.ones((P, C + 1), dtype=complex)
@@ -620,8 +651,8 @@ def _pressures(engine: WeightEngine, group: _Phases, rows: slice, cutoffs: Cutof
             value, eta, math.exp(-eta * cutoffs.norm_cap) if eta > 0 else math.inf,
             E, True, cutoffs, n, d if ok else None,
         )
-        for value, (_, eta), n, d, ok in zip(
-            terms.sum(axis=1).tolist(), certs, capped, derivatives, exact
+        for value, eta, n, d, ok in zip(
+            terms.sum(axis=1).tolist(), etas, capped, derivatives, exact
         )
     ]
 
@@ -655,15 +686,10 @@ def _certificate_ok(geo, absw, alpha, eta):
     return bool(np.all(geo.offsets @ boost <= alpha * geo.sizes))
 
 
-def _gas_certificate(gas: _Gas, weights):
-    """The convergence certificate of a gas record at the given class
-    weights: ``_certificates`` of one row."""
-    return _certificates(gas.shape.geometry, np.abs(weights)[None])[0]
-
-
 def _certificates(geo, absw) -> list:
     """Convergence certificates of contour gases with one class geometry,
-    one per row of class weight moduli.
+    one per row of class weight moduli; both conditions are monotone in
+    them, so a row of bounds (``_annulus_bounds``) certifies all below it.
 
     Uses a(Y) = alpha |Y| (any positive scale is admissible) and requires
     both the neighbor-sum condition per contour class and the origin-rooted
@@ -724,6 +750,46 @@ def _certificates(geo, absw) -> list:
     return out
 
 
+_ANNULUS_WIDTH = 0.01  # of the certificate grid, in log |z|
+_ANNULUS_SPLITS = 6  # halvings of a failed annulus before a refusal
+
+
+def _annulus(r: float, level: int) -> tuple:
+    """The annulus [e^{bW}, e^{(b+1)W}] that holds |z| = r, b = floor(log r /
+    W), on the grid of width W = _ANNULUS_WIDTH / 2^level; [0, 0] at r = 0."""
+    if r == 0:
+        return 0.0, 0.0
+    width = _ANNULUS_WIDTH / 2**level
+    b = math.floor(math.log(r) / width)
+    return math.exp(b * width), math.exp((b + 1) * width)
+
+
+def _annulus_bounds(model: SpinModel, group: _Phases, size_cap: int, r1: float, r2: float):
+    """Per phase q and class Y of the group, B_Y = |exp(-c_Y)|
+    |exp(-c_q)|^{-|Y|} max(r1^k, r2^k) phi_up >= |K'_q(Y)| at every r1 <=
+    |z| <= r2, with k = p_Y - |Y| p_q (a capped weight is 0).  A class's
+    rate (``_rates``) is log max|theta_m|, convex in log r, less a linear
+    function, so tau <= tau_up, the least over classes of the larger end
+    rate.  Each factor of phi_q (``phase_factor``) is nondecreasing in
+    tau/4 + log|theta_q / theta_m|, linear in log r, so phi_up takes each
+    at tau_up and its larger end.  Scalar powers: numpy's vector power and
+    modulus differ from libm's in the last bit."""
+    ends = [_rates(model, r, size_cap) for r in (r1, r2)]
+    tau = min((float(np.maximum(a, b).min(initial=math.inf)) for a, b in zip(*ends)),
+              default=math.inf)
+    th = {m: [abs(theta(model, m, r)) for r in (r1, r2)] for m in model.spins}
+    sizes, out = group.sizes.tolist(), []
+    for q, rho0, ks in zip(group.phases, group.rho0.tolist(), group.dpower.tolist()):
+        # theta_q = 0 (at r = 0) empties the row, and theta_m = 0 gives 1
+        f = 0.0 if not all(th[q]) else math.prod(
+            mollifier_eval(max(tau / 4.0 + math.log(a) - math.log(b) for a, b in zip(th[q], th[m])))[0]
+            for m in model.spins if m != q and all(th[m]))
+        t = abs(theta(model, q, 1.0))  # |exp(-c_q)|; r = 0 with k < 0 gives inf
+        out.append([f and abs(a) * t**-s * (max(r1**k, r2**k) if r2 or k >= 0 else math.inf) * f
+                    for a, s, k in zip(rho0, sizes, ks)])
+    return np.array(out)
+
+
 # -- metastable free energies ------------------------------------------------------
 
 
@@ -758,7 +824,7 @@ def free_energy_table(
     engine (and hence one tau), with h'_m = d log zeta_m / dz = p_m / z +
     ds_m/dz wherever ``_pressures`` has the derivative; ``activations``
     sums the phases' capped weights.  The phases of a stacked record are
-    weighed, summed and certified together."""
+    weighed and summed together."""
     engine = WeightEngine(model, z, cutoffs.size_cap)
     pressures = {}
     for group in _phase_groups(model, cutoffs.size_cap):

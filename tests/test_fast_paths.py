@@ -6,7 +6,8 @@ the overlap offsets, the bitmask torus extraction and the closed forms of
 Assumption B against the bisection, scalar weight loop, finite
 differences, phase-by-phase table, Gray-code scan, recursion, union-find,
 per-placement loop, per-candidate builder and set comprehension code they
-replaced, kept here as oracles."""
+replaced, kept here as oracles; and the annulus certificates against
+bounds from a loop over classes and the pointwise certificates inside."""
 
 import cmath
 import dataclasses
@@ -15,12 +16,14 @@ import itertools
 import math
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
 
 import pszeros.contours as contours
 import pszeros.metastable as metastable
+import pszeros.zeros as zeros_module
 from pszeros.contours import (
     MatchingCollection,
     TorusContour,
@@ -42,7 +45,6 @@ from pszeros.metastable import (
     WeightEngine,
     _A_SCALES,
     _gas,
-    _gas_certificate,
     finite_volume_zeta,
     free_energy_table,
 )
@@ -142,7 +144,7 @@ def oracle_free_energy_table(model, z, skeletons, cutoffs=Cutoffs()):
     with each class weighed by ``WeightEngine.weight_truncated`` and each
     entry of the phase's skeleton multiplied out in turn, as
     ``polymer_pressure`` did before its array form.  A phase whose
-    certificate fails raises."""
+    certificate fails at z raises; eta is ``oracle_annulus_certificate``'s."""
     engine = WeightEngine(model, z)
     out = {}
     for q in model.orbit_representatives():
@@ -152,9 +154,9 @@ def oracle_free_energy_table(model, z, skeletons, cutoffs=Cutoffs()):
             continue
         gas = _gas(model, q, cutoffs.size_cap)
         w = [engine.weight_truncated(y) for y in gas.classes]
-        cert, eta = _gas_certificate(gas, w)
-        if not cert:
+        if not gas_certificate(gas, w)[0]:
             raise ConvergenceError("oracle certificate failed")
+        eta = covering_annulus_eta(model, q, z, cutoffs.size_cap)
         value = 0j
         for mults, u in skeletons[q]:
             term = u + 0j
@@ -239,14 +241,95 @@ def oracle_gas_certificate(gas, weights):
     return True, eta
 
 
+def gas_certificate(gas, weights):
+    """The convergence certificate of a gas record at the given class
+    weights: ``_certificates`` of one row."""
+    return metastable._certificates(gas.shape.geometry, np.abs(weights)[None])[0]
+
+
+def oracle_rates(model, r, size_cap):
+    """The rates -log(|rho(Y)| / theta^{|Y|}) / |Y| at |z| = r of every class
+    of the orbit representatives' gases; inf where rho = 0 or theta = 0."""
+    th = theta_max(model, r)
+    out = []
+    for q in model.orbit_representatives():
+        rho0, power, sizes, _ = oracle_class_arrays(model, _gas(model, q, size_cap))
+        with np.errstate(divide="ignore"):
+            log_rho = np.log(np.abs(rho0 * complex(r) ** power))
+        out.append(-(log_rho - sizes * math.log(th)) / sizes if th else np.full(len(sizes), math.inf))
+    return np.concatenate(out)
+
+
+def oracle_mollifier_bound(model, q, tau, radii):
+    """phi_q over an annulus, bounded factor by factor: the larger of each
+    factor of ``phase_factor`` at the two end radii, at the given tau."""
+    out = 1.0
+    for m in model.spins:
+        if m == q:
+            continue
+        ends = []
+        for r in radii:
+            thq, thm = abs(theta(model, q, r)), abs(theta(model, m, r))
+            if thq == 0:
+                return 0.0
+            ends.append(metastable.mollifier_eval(tau / 4.0 + math.log(thq) - math.log(thm))[0]
+                        if thm else 1.0)
+        out *= max(ends)
+    return out
+
+
+def oracle_annulus_certificate(model, q, z, size_cap=12):
+    """Phase q's certificate over the grid annulus of |z|, halved where it
+    fails: per class, B_Y = |exp(-c_Y)| |exp(-c_q)|^{-|Y|} max(r1^k, r2^k)
+    phi_up with k = p_Y - |Y| p_q, from a loop over the classes, then
+    ``oracle_gas_certificate``.  tau_up is the least over classes of the
+    larger end rate.  Returns (eta, (r1, r2)) with the annulus that
+    certified, or (None, (r1, r2)) with the finest one, which failed."""
+    gas = _gas(model, q, size_cap)
+    c_q, p_q = model.ground_pair(q)
+    for level in range(metastable._ANNULUS_SPLITS + 1):
+        r1 = r2 = 0.0
+        if z != 0:
+            width = metastable._ANNULUS_WIDTH / 2**level
+            b = math.floor(math.log(abs(z)) / width)
+            r1, r2 = math.exp(b * width), math.exp((b + 1) * width)
+        tau = float(np.maximum(oracle_rates(model, r1, size_cap),
+                               oracle_rates(model, r2, size_cap)).min(initial=math.inf))
+        phi = oracle_mollifier_bound(model, q, tau, (r1, r2))
+        bound = []
+        for y in gas.classes:
+            c, p = y.energy_pair(model)
+            k = p - y.size * p_q
+            bound.append(0.0 if phi == 0 else abs(cmath.exp(-c)) * abs(cmath.exp(-c_q)) ** -y.size
+                         * max(r1**k, r2**k) * phi)
+        ok, eta = oracle_gas_certificate(gas, np.array(bound))
+        if ok:
+            return eta, (r1, r2)
+    return None, (r1, r2)
+
+
+def covering_annulus_eta(model, q, z, size_cap=12):
+    """``oracle_annulus_certificate``'s eta, for a phase whose certificate
+    holds at z: its annulus must then hold too, or the z is named."""
+    eta, (r1, r2) = oracle_annulus_certificate(model, q, z, size_cap)
+    assert eta is not None, f"z={z!r}: certified at z, refused on {r1!r} <= |z| <= {r2!r}"
+    return eta
+
+
+def refused_annulus(exc):
+    """The ends of the annulus a refusal names."""
+    return tuple(map(float, re.search(r"annulus (\S+) <= \|z\| <= (\S+);", str(exc)).groups()))
+
+
 def oracle_polymer_pressure(model, q, engine, cutoffs=Cutoffs()):
-    """One phase's pressure, certificate and exact derivative on its own."""
+    """One phase's pressure, certificate and exact derivative on its own;
+    eta is its annulus's (``covering_annulus_eta``)."""
     gas = _gas(model, q, cutoffs.size_cap)
     index, ursell = gas.shape.cluster_arrays(cutoffs.norm_cap)
     w, dlog_w, capped = oracle_class_weights(model, engine, gas)
-    cert, eta = oracle_gas_certificate(gas, w)
-    if not cert:
+    if not oracle_gas_certificate(gas, w)[0]:
         raise ConvergenceError("contour-gas convergence certificate failed; refuse to expand")
+    eta = covering_annulus_eta(model, q, engine.z, cutoffs.size_cap)
     terms = ursell * np.append(w, 1.0)[index].prod(axis=1)
     derivative = None
     if dlog_w is not None:
@@ -521,7 +604,7 @@ def _certificate_cases(model, n_z, seed):
 
 
 def _check_certificate(model, q, classes, weights):
-    cert, eta = _gas_certificate(_gas(model, q, 12), weights)
+    cert, eta = gas_certificate(_gas(model, q, 12), weights)
     cert_old, eta_old = oracle_certificate(model, q, classes, weights)
     assert cert == cert_old
     if cert:
@@ -552,7 +635,7 @@ def test_certificate_at_the_convergence_boundary():
         for scale in np.logspace(-60, 0, 120):
             w = scale * rng.random(len(classes)) * np.exp(2j * np.pi * rng.random(len(classes)))
             _check_certificate(model, q, classes, list(w))
-            flags.add(_gas_certificate(_gas(model, q, 12), list(w)))
+            flags.add(gas_certificate(_gas(model, q, 12), list(w)))
     assert {c for c, _ in flags} == {True, False}
     assert (True, 8.0) in flags
 
@@ -617,14 +700,16 @@ def stacked_table(model, z, cutoffs=Cutoffs()):
 
 def assert_bits_match_phase_by_phase(model, z, cutoffs=Cutoffs(), tau=None):
     """The stacked table against the phase-by-phase oracle, bit for bit (repr
-    tells apart any two floats with different bits); both raise alike.
-    Returns whether the table exists."""
+    tells apart any two floats with different bits); where the oracle
+    refuses, the table refuses with an annulus that holds |z|.  Returns
+    whether the table exists."""
     try:
         want = oracle_phase_by_phase_table(model, z, cutoffs, tau)
-    except ConvergenceError as exc:
+    except ConvergenceError:
         with pytest.raises(ConvergenceError) as got:
             free_energy_table(model, z, cutoffs)
-        assert str(got.value) == str(exc)
+        r1, r2 = refused_annulus(got.value)
+        assert r1 <= abs(z) <= r2
         return False
     assert repr(stacked_table(model, z, cutoffs)) == repr(want)
     return True
@@ -738,6 +823,109 @@ def test_dlog_none_where_a_cap_activates(monkeypatch):
     assert ev.dlog(1, z) is None and ev.dlog(-1, z) is None
     assert _gradient(ev, 1, -1, z) == oracle_gradient(ev, 1, -1, z)
     assert ev.fd_fallbacks == 1
+
+
+# -- annulus certificates ------------------------------------------------------------
+
+ANNULUS_ROUNDING = 1e-12  # room for rounding where B_Y meets |K'(Y)| at an end
+ANNULUS_ETA_BUDGET = 1e-3  # eta an annulus may lose to its least pointwise eta
+
+
+def annulus_and_pointwise_etas(model, q, z, n_radii=9, n_args=3):
+    """Phase q's annulus eta at z, from the table, and the pointwise etas
+    of ``oracle_gas_certificate`` at n_radii radii across its annulus (ends
+    included), each at n_args arguments."""
+    eta = free_energy_table(model, z)[q].pressure.eta
+    r1, r2 = oracle_annulus_certificate(model, q, z)[1]
+    gas = _gas(model, q, 12)
+    points = []
+    for r in np.linspace(r1, r2, n_radii):
+        for arg in np.linspace(0.0, 2 * math.pi, n_args, endpoint=False):
+            w = oracle_class_weights(model, WeightEngine(model, r * cmath.exp(1j * arg)), gas)[0]
+            points.append(oracle_gas_certificate(gas, w)[1])
+    return eta, points
+
+
+_ANNULUS_MODELS = [ising(1.5), blume_capel(1.5, 0.3), potts(3, 2.5)]
+
+
+def _annulus_cases(model):
+    rng = random.Random(f"annulus/{model.name}")
+    zs = [cmath.exp(0.7j), cmath.exp(-2.2j) * (1 - 1e-15)]  # on the traced curves
+    zs += [rng.uniform(0.8, 1.25) * cmath.exp(2j * math.pi * rng.random()) for _ in range(4)]
+    return [(q, z) for z in zs for q in model.orbit_representatives()]
+
+
+@pytest.mark.parametrize("model", _ANNULUS_MODELS + [potts(4, 1.5)], ids=lambda m: m.name)
+def test_annulus_eta_is_a_lower_bound_inside_its_annulus(model):
+    for q, z in _annulus_cases(model):
+        eta, points = annulus_and_pointwise_etas(model, q, z)
+        assert eta <= min(points) + ANNULUS_ROUNDING, (q, z)
+
+
+@pytest.mark.parametrize("model", _ANNULUS_MODELS, ids=lambda m: m.name)
+def test_annulus_loses_little_eta(model):
+    for q, z in _annulus_cases(model):
+        eta, points = annulus_and_pointwise_etas(model, q, z)
+        assert min(points) - eta <= ANNULUS_ETA_BUDGET, (q, z)
+
+
+def test_annulus_tables_do_not_depend_on_build_order():
+    # Potts q=4 at 0.682 and 0.683 takes annuli halved 5 and 2 times
+    zs = [0.682 * cmath.exp(0.4j), 0.683, 0.69j, 0.6, cmath.exp(1.1j), 0.0]
+
+    def built(order):
+        model = potts(4, 1.5)
+        out = {}
+        for z in order:
+            try:
+                out[z] = repr(stacked_table(model, z))
+            except ConvergenceError as exc:
+                out[z] = repr(exc)
+        return out
+
+    assert built(zs) == built(zs[::-1])
+
+
+def test_potts4_refused_annuli_cover_its_refused_radii():
+    # the chain of refused annuli from |z| = 0.50 on, each starting where the
+    # last one ends, reaches past 0.68
+    model = potts(4, 1.5)
+    r, chain = 0.50, []
+    while not chain or chain[-1][1] < 0.68:
+        with pytest.raises(ConvergenceError) as got:
+            free_energy_table(model, r * cmath.exp(0.9j))
+        r1, r2 = refused_annulus(got.value)
+        assert r1 <= r <= r2 and (not chain or r1 == chain[-1][1])
+        chain.append((r1, r2))
+        r = r2 * (1 + 1e-9)
+    assert chain[0][0] <= 0.50
+
+
+def test_predict_zeros_makes_a_few_certificates(monkeypatch):
+    # the Ising J=1.5 and Blume-Capel (1.5, 0.3) tasks of the predict-zeros
+    # benchmark at L=3, seeded at e^{i}: 295 and 514 tables, which made one
+    # certificate each before tables took their annulus's
+    calls = {"certificates": 0, "tables": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metastable, "_certificates", counted("certificates", metastable._certificates))
+    monkeypatch.setattr(zeros_module, "free_energy_table", counted("tables", free_energy_table))
+    tables = []
+    for model, phases, step, max_points in [(ising(1.5), (-1, 1), 0.2, 2000),
+                                            (blume_capel(1.5, 0.3), (1, -1), 0.1, 400)]:
+        ev = PhaseEvaluator(model)
+        curve = trace_coexistence(model, *phases, seed=cmath.exp(1j), step=step,
+                                  max_points=max_points, evaluator=ev)
+        solve_zero_equations(model, curve, 3, evaluator=ev)
+        tables.append(calls["tables"] - sum(tables))
+    assert tables == [295, 514]
+    assert calls["certificates"] <= 10
 
 
 # -- Assumption B from closed forms --------------------------------------------------
