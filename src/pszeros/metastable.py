@@ -4,51 +4,45 @@ For each phase q the contour gas with weights K_q(Y) = rho(Y) theta_q^{-|Y|}
 is summed by cluster expansion to a polymer pressure s_q; the metastable
 weight is zeta_q = theta_q e^{s_q} and f_q = -log|zeta_q| its free energy.
 Where a phase is unstable, large contours are suppressed by a smooth
-mollifier of free-energy differences, and a hard cap exp(-(tau/2)|Y|) (which
-must never activate in a consistent run) keeps the weights inside the
-certified convergence region.  One array pass (``_class_weights``) weighs
-the gases of a model's phases, whose classes have no interiors, for the
-tables and for their analogue on the torus; ``WeightEngine`` weighs contours
-of finite regions with interiors.
+mollifier phi_q of free-energy differences, and a hard cap exp(-(tau/2)|Y|)
+(which must never activate in a consistent run) keeps the weights inside
+the certified convergence region.  ``WeightEngine`` weighs contours of
+finite regions, with interiors.
 
-The z-independent part of the gases comes in three records.  The shape
-record depends on neither couplings nor z, only on the class geometry: d,
-R and, per class in class order, its support and its volume.  It holds the
-offsets at which two classes overlap, the certificate geometry, per norm
-cap the cluster skeleton with its Ursell coefficients as an index matrix,
-and per torus side the wrapped placements.  A value-keyed cache, built
-once per process, shares it among every phase and model with that
-geometry: the phases of each built-in model have one, and Blume-Capel and
-Potts q=3 share theirs.  The energies stay per model, in two records built
-on first use and held on the model (``SpinModel.gas``), so that they are
-computed once per model and freed with it.  The gas record of a (phase,
-support cap) holds the phase's contour classes, with their energy pairs,
-and points at its shape record; the classes' geometry comes from
-``contours._class_geometry``, shared per alphabet.  The phase-stacked
-record of a support cap and a shape record holds, along a leading phase
-axis, exp(-c) and the z powers of the classes of every orbit
-representative whose gas has that shape.  A table weighs and sums all
-phases of a stacked record in one set of array operations (``_pressures``);
-``polymer_pressure`` and ``finite_volume_zeta`` take one row of it.
+The gases of a model's phases have no interiors, so each truncated weight
+is A_Y z^{n_Y} phi_q and each s_q a Laurent polynomial sum a z^n phi_q^k of
+a few terms.  What does not depend on z is kept in three records.  The
+shape record holds the class geometry (d, R, per class its support and
+volume): the overlap offsets, the certificate geometry, per norm cap the
+cluster skeleton as an index matrix, and per torus side the wrapped
+placements; a value-keyed cache shares it among the phases and models with
+that geometry.  Held on the model (``SpinModel.gas``), the gas record of a
+(phase, support cap) holds the phase's contour classes with their energy
+pairs, and the phase-stacked record of the orbit representatives whose
+gases share a shape holds, per phase and class, exp(-c), its log-modulus
+and the z powers, and one polynomial per (norm cap, phase, capped classes),
+built on first use.  A table (``_pressures``) then takes per phase
+log|theta_q| and phi_q, the capped classes from the real log-moduli
+log|rho(Y)| = log|exp(-c)| + p log|z| (the pass that ``estimate_tau``
+reads), and the polynomial's terms; ``polymer_pressure`` reads one phase,
+and ``finite_volume_zeta`` weighs the classes on the torus.
 
-The convergence certificate depends on |z| alone, as tau and the
-mollifier do, so a stacked record keeps one per annulus r1 <= |z| <= r2 of
-a grid in log |z|, made at bounds on the weights across the annulus, and a
-table takes its annulus's: ``eta`` and ``error_bound`` are a lower and an
-upper bound over the annulus, while tau, the weights and the sums stay
+The convergence certificate depends on |z| alone, as tau and phi_q do, so a
+stacked record keeps one per annulus r1 <= |z| <= r2 of a grid in log |z|,
+made at bounds on the weights across it: ``eta`` and ``error_bound`` are a
+lower and an upper bound over the annulus, while tau and the sums stay
 pointwise.  A failed annulus is halved towards |z| before a refusal.
 
-Where neither the mollifier nor the cap touches a phase's weights, zeta_q
-is holomorphic, and the table also carries d log zeta_q / dz in closed form
+Where neither phi_q nor the cap touches a phase's weights, zeta_q is
+holomorphic, and the table carries d log zeta_q / dz in closed form
 (``PhaseEntry.dlog``); elsewhere that entry is None and callers fall back
 to finite differences.  ``nondegeneracy_check`` measures Assumption B on
 these closed forms: theta_q' / theta_q = p_q / z, and the table's h'_q.
 
-Desk-scale note: the Peierls rate tau and the entropy constant c0 are
-estimated from the model and reported.  The engine runs with c0 = 0 and the
-tau measured on the gas being weighed, so the cap is exp(-(tau/2)|Y|); the
-certified asymptotic constants (tau >= 4 c0 + 16) are only checked against,
-in ``estimated_constants``, never assumed.
+Desk-scale note: tau and the entropy constant c0 are estimated from the
+model and reported.  The engine runs with c0 = 0 and the tau measured on
+the gas being weighed; the certified asymptotic constants (tau >= 4 c0 +
+16) are only checked against, in ``estimated_constants``, never assumed.
 """
 
 from __future__ import annotations
@@ -113,23 +107,19 @@ class Cutoffs:
 
 def estimate_tau(model: SpinModel, z: complex, size_cap: int = Cutoffs.size_cap) -> float:
     """Measured Peierls rate: the infimum over enumerated contours of
-    -log(|rho(Y)| / theta(z)^{|Y|}) / |Y|."""
-    return min((float(r.min(initial=math.inf)) for r in _rates(model, z, size_cap)),
+    -log(|rho(Y)| / theta(z)^{|Y|}) / |Y|; it depends on |z| alone."""
+    return min((float(r.min(initial=math.inf)) for r in _rates(model, abs(z), size_cap)),
                default=math.inf)
 
 
-def _rates(model: SpinModel, z: complex, size_cap: int) -> list:
-    """Per stacked record, the rates -log(|rho(Y)| / theta(z)^{|Y|}) / |Y| of
-    its classes; rho = 0 gives +inf, and theta(z) = 0 no record at all."""
-    th = theta_max(model, z)
+def _rates(model: SpinModel, r: float, size_cap: int) -> list:
+    """Per stacked record, the rates log max|theta| - log|rho(Y)| / |Y| of
+    its classes at |z| = r, from real log-moduli (``_Phases.log_moduli``);
+    rho = 0 gives +inf, and theta = 0 no record at all."""
+    th = theta_max(model, r)
     if th == 0:
         return []
-    out = []
-    for group in _phase_groups(model, size_cap):
-        rho = np.abs(group.rho(z))
-        log_rho = np.log(rho, out=np.full(rho.shape, -math.inf), where=rho != 0)
-        out.append((group.sizes * math.log(th) - log_rho) / group.sizes)
-    return out
+    return [math.log(th) - g.log_moduli(r) / g.sizes for g in _phase_groups(model, size_cap)]
 
 
 def estimate_M(model: SpinModel, zs) -> float:
@@ -186,6 +176,7 @@ class WeightEngine:
         self.z = z
         self.tau = estimate_tau(model, z, size_cap)
         self.theta = {m: pair_weight(model.ground_pair(m), z) for m in model.spins}
+        self.log_theta = {m: math.log(abs(th)) for m, th in self.theta.items() if th}
         self.activation_log = []
         self._zprime = {}
         self._kprime = {}
@@ -243,25 +234,20 @@ class WeightEngine:
     def phase_factor(self, q, interior=frozenset(), size: int = 1) -> float:
         """phi_q of a q-contour of the given size around the given interior;
         without interiors it is the same for every q-contour."""
-        thq = self.theta[q]
-        if thq == 0:
+        if q not in self.log_theta:  # theta_q = 0
             return 0.0
         zq = self.zprime(interior, q) if interior else 1.0 + 0j
         if zq == 0:
             return 0.0
-        log_num = math.log(abs(zq)) / size + math.log(abs(thq))
+        log_num = math.log(abs(zq)) / size + self.log_theta[q]
         out = 1.0
-        for m in self.model.spins:
+        for m, log_thm in self.log_theta.items():  # theta_m = 0: interpreted as chi = 1
             if m == q:
                 continue
-            thm = self.theta[m]
-            if thm == 0:
-                continue  # interpreted as chi = 1
             zm = self.zprime(interior, m) if interior else 1.0 + 0j
             if zm == 0:
                 continue
-            log_den = math.log(abs(zm)) / size + math.log(abs(thm))
-            x = self.tau / 4.0 + log_num - log_den
+            x = self.tau / 4.0 + log_num - (math.log(abs(zm)) / size + log_thm)
             out *= mollifier_eval(x)[0]
             if out == 0.0:
                 return 0.0
@@ -520,11 +506,11 @@ def _gas(model: SpinModel, q, size_cap: int) -> _Gas:
 
 
 class _Phases:
-    """The phase-stacked record of the given gas records, which share one
-    shape record (see the module docstring): per phase (row) and class
-    (column), exp(-c) and p of the class's energy pair, so that rho(Y) =
-    exp(-c) z^p, and p_Y - |Y| p_q, the z power of K(Y); per class its size
-    |Y|; and the certificates of its annuli of |z|, made on first use."""
+    """The phase-stacked record of gas records sharing a shape record: per
+    phase (row) and class (column), exp(-c), its log-modulus and p of the
+    energy pair (rho(Y) = exp(-c) z^p), and A_Y = exp(-c_Y) exp(-c_q)^{-|Y|}
+    and n_Y = p_Y - |Y| p_q (K(Y) = A_Y z^{n_Y}); per class |Y|; and, made
+    on first use, its annuli's certificates and the pressure polynomials."""
 
     def __init__(self, model: SpinModel, gases):
         self.phases = tuple(gas.q for gas in gases)
@@ -532,43 +518,59 @@ class _Phases:
         pairs = [y.energy_pair(model) for gas in gases for y in gas.classes]
         dims = (len(gases), len(self.shape.sizes))
         self.rho0 = np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex).reshape(dims)
+        self.log_rho0 = -np.array([c.real for c, _ in pairs]).reshape(dims)
         self.power = np.array([p for _, p in pairs], dtype=float).reshape(dims)
         self.sizes = np.array(self.shape.sizes, dtype=float)
-        ground = np.array([model.ground_pair(q)[1] for q in self.phases])
-        self.dpower = self.power - self.sizes * ground[:, None]
-        self._rho = None
-        self._annuli = {}
+        c_q, p_q = np.array([model.ground_pair(m) for m in self.phases], complex).T[:, :, None]
+        self.coef = self.rho0 * np.exp(c_q * self.sizes)
+        self.dpower = self.power - self.sizes * p_q.real
+        self._annuli, self._polynomials = {}, {}
 
-    def rho(self, z) -> np.ndarray:
-        """rho(Y) = exp(-c) z^p per phase and class, kept for the last z
-        object asked for, so that a table's tau estimate and its class
-        weights (both at the engine's z) evaluate it once.  Complex z: a
-        real negative z with a half-integer power (field="plain") takes the
-        principal branch, as pair_weight does."""
-        if self._rho is None or self._rho[0] is not z:
-            self._rho = z, self.rho0 * complex(z) ** self.power
-        return self._rho[1]
+    def log_moduli(self, r: float) -> np.ndarray:
+        """log|rho(Y)| = log|exp(-c)| + p log r per phase and class at |z| =
+        r; at r = 0, -inf for p > 0 and log|exp(-c)| for p = 0."""
+        if r:
+            return self.log_rho0 + self.power * math.log(r)
+        return np.where(self.power == 0, self.log_rho0, np.copysign(math.inf, -self.power))
+
+    def polynomial(self, norm_cap: float, row: int, capped: tuple = ()) -> tuple:
+        """Phase ``row``'s truncated pressure s = sum a z^n phi^k with the
+        classes in ``capped`` zeroed, as (a, n, k) triples, built once per
+        key: an entry u prod A_Y z^{sum n_Y} phi^{parts} of the skeleton,
+        summed per (n, k).  z^n = e^{n Log z} is the product of the parts'
+        principal powers, half-integer n included."""
+        key = (norm_cap, row, capped)
+        if key not in self._polynomials:
+            index, ursell = self.shape.cluster_arrays(norm_cap)
+            # one column past the classes: the value of an unused part
+            coef = np.append(self.coef[row], 1.0)
+            coef[list(capped)] = 0.0
+            n = np.append(self.dpower[row], 0.0)[index].sum(axis=1)
+            terms = {}
+            for a, nk in zip((ursell * coef[index].prod(axis=1)).tolist(),
+                             zip(n.tolist(), (index < len(self.sizes)).sum(axis=1).tolist())):
+                terms[nk] = terms.get(nk, 0.0) + a
+            self._polynomials[key] = tuple((a, n, k) for (n, k), a in terms.items() if a)
+        return self._polynomials[key]
 
     def certificates(self, model: SpinModel, size_cap: int, z, rows: slice) -> list:
         """Per phase in the slice ``rows``, the eta certified on the annulus
         of |z| (``_annulus``), halved where the phase fails, up to
         _ANNULUS_SPLITS times; then a ConvergenceError names the annulus.
         Each annulus is certified once, for every phase."""
-        out = []
-        for row in range(len(self.phases))[rows]:
-            for level in range(_ANNULUS_SPLITS + 1):
-                ends = _annulus(abs(z), level)
-                if ends not in self._annuli:
-                    bound = _annulus_bounds(model, self, size_cap, *ends)
-                    self._annuli[ends] = _certificates(self.shape.geometry, bound)
-                ok, eta = self._annuli[ends][row]
-                if ok:
-                    break
-            else:
-                raise ConvergenceError(f"contour-gas convergence certificate failed on the annulus "
-                                       f"{ends[0]!r} <= |z| <= {ends[1]!r}; refuse to expand")
-            out.append(eta)
-        return out
+        etas, pending = {}, range(len(self.phases))[rows]
+        for level in range(_ANNULUS_SPLITS + 1):
+            ends = _annulus(abs(z), level)
+            if ends not in self._annuli:
+                bound = _annulus_bounds(model, self, size_cap, *ends)
+                self._annuli[ends] = _certificates(self.shape.geometry, bound)
+            certified = self._annuli[ends]
+            etas.update({row: certified[row][1] for row in pending if certified[row][0]})
+            pending = [row for row in pending if row not in etas]
+            if not pending:
+                return [etas[row] for row in range(len(self.phases))[rows]]
+        raise ConvergenceError(f"contour-gas convergence certificate failed on the annulus "
+                               f"{ends[0]!r} <= |z| <= {ends[1]!r}; refuse to expand")
 
 
 def _phase_groups(model: SpinModel, size_cap: int) -> tuple:
@@ -620,62 +622,57 @@ def polymer_pressure(
 
 
 def _pressures(engine: WeightEngine, group: _Phases, rows: slice, cutoffs: Cutoffs) -> list:
-    """``PressureResult`` of the group's phases in the slice ``rows``,
-    weighed and summed together, with their annuli's certificates.
-
-    The classes are weighed by ``_class_weights``, and ``activations``
-    counts the weights its cap zeroed.  Where phi_q = 1 and the cap zeroed
-    none, every weight is a monomial in z, so d log K'(Y)/dz =
-    (p_Y - |Y| p_q) / z and the derivative of the cluster sum is exact.
-
-    Each phase's numbers have the bits of its pressure on its own: the
-    products over an entry's parts run over a (phases x entries, parts)
-    array (a (phases, entries, parts) product takes another SIMD loop,
-    which rounds differently), and the derivative is one dot product per
-    phase (a stacked matmul)."""
-    index, ursell = group.shape.cluster_arrays(cutoffs.norm_cap)
-    w, dlog_w, capped, exact = _class_weights(engine, group, rows)
+    """``PressureResult`` of the group's phases in the slice ``rows`` at the
+    engine's z, with their annuli's certificates: each phase's polynomial
+    (``_Phases.polynomial``) without the classes the cap zeroed (``_caps``;
+    ``activations`` counts them) at z and phi_q, and where phi_q = 1 and
+    none is capped, the exact ds/dz = sum n a z^n / z.  z^n is Python's
+    complex power: products for integer n, e^{n Log z} otherwise, and 1 at z
+    = 0 for n = 0, so z = 0 takes the same code."""
+    z = complex(engine.z)
+    phi, capped = _caps(engine, group, rows)
     etas = group.certificates(engine.model, cutoffs.size_cap, engine.z, rows)
-    (P, C), (E, K) = w.shape, index.shape
-    # one column past the classes: the value of an unused part
-    parts = np.ones((P, C + 1), dtype=complex)
-    parts[:, :C] = w
-    terms = ursell * parts[:, index].reshape(P * E, K).prod(axis=1).reshape(P, E)
-    derivatives = [None] * P
-    if dlog_w is not None:
-        parts[:, :C], parts[:, C] = dlog_w, 0.0
-        dsum = parts[:, index].reshape(P * E, K).sum(axis=1).reshape(P, E)
-        derivatives = np.matmul(terms[:, None, :], dsum[:, :, None]).ravel().tolist()
-    return [
-        PressureResult(
-            value, eta, math.exp(-eta * cutoffs.norm_cap) if eta > 0 else math.inf,
-            E, True, cutoffs, n, d if ok else None,
-        )
-        for value, eta, n, d, ok in zip(
-            terms.sum(axis=1).tolist(), etas, capped, derivatives, exact
-        )
-    ]
+    n_clusters = len(group.shape.cluster_arrays(cutoffs.norm_cap)[1])
+    out = []
+    for row, f, cap, eta in zip(range(len(group.phases))[rows], phi, capped, etas):
+        # phi_q = 0 zeroes every term: each has a part
+        poly = group.polynomial(cutoffs.norm_cap, row, cap) if f else ()
+        value = slope = 0j
+        for a, n, k in poly:
+            term = a * z**n * f**k
+            value += term
+            slope += n * term
+        derivative = slope / z if f == 1.0 and not cap and z != 0 else None
+        bound = math.exp(-eta * cutoffs.norm_cap) if eta > 0 else math.inf
+        out.append(PressureResult(value, eta, bound, n_clusters, True, cutoffs, len(cap),
+                                  derivative))
+    return out
 
 
-def _class_weights(engine: WeightEngine, group: _Phases, rows: slice):
-    """The truncated weights K'(Y) = rho(Y) theta_q^{-|Y|} phi_q of the
-    classes of the group's phases in the slice ``rows`` at the engine's z,
-    one row per phase (phi_q is one number: no class has interiors), with
-    those above the cap zeroed; a phase with theta_q = 0 has phi_q = 0 and
-    no weight.  Also their logarithmic z-derivatives (None where no row is
-    exact), per row how many weights the cap zeroed, and per row whether
-    its derivatives are exact: phi_q = 1, none capped and z != 0."""
-    z, phases = engine.z, group.phases[rows]
-    factor = [engine.phase_factor(q) for q in phases]
-    # theta_q = 0 stands in as 1: phi_q = 0 zeroes the row all the same
-    th = np.array([engine.theta[q] or 1.0 for q in phases])[:, None]
-    w = group.rho(z)[rows] * th**-group.sizes * np.array(factor)[:, None]
-    capped = np.abs(w) > np.exp(-(engine.tau / 2.0) * group.sizes)
-    w[capped] = 0
-    counts = capped.sum(axis=1).tolist()
-    exact = [f == 1.0 and not n and z != 0 for f, n in zip(factor, counts)]
-    dlog = group.dpower[rows] / z if any(exact) else None
-    return w, dlog, counts, exact
+def _caps(engine: WeightEngine, group: _Phases, rows: slice):
+    """Per phase of the group in the slice ``rows``, phi_q (``phase_factor``)
+    and the classes whose weights the cap zeroes, from real log-moduli:
+    log|rho(Y)| - |Y| log|theta_q| + log phi_q > -(tau/2)|Y|."""
+    phases = group.phases[rows]
+    phi = [engine.phase_factor(q) for q in phases]
+    # per phase (tau/2 - log|theta_q|, -log phi_q); phi_q = 0 caps nothing
+    c = np.array([(engine.tau / 2.0 - engine.log_theta[q], -math.log(f)) if f else (0.0, math.inf)
+                  for q, f in zip(phases, phi)])
+    capped = group.log_moduli(abs(engine.z))[rows] - c[:, 1:] > -c[:, :1] * group.sizes
+    if not capped.any():
+        return phi, [()] * len(phi)
+    return phi, [tuple(np.flatnonzero(row).tolist()) for row in capped]
+
+
+def _class_weights(engine: WeightEngine, group: _Phases, rows: slice) -> np.ndarray:
+    """The truncated weights K'(Y) = A_Y z^{n_Y} phi_q of the classes of the
+    group's phases in the slice ``rows`` at the engine's z, one row per
+    phase, with those that ``_caps`` names zeroed."""
+    phi, capped = _caps(engine, group, rows)
+    w = group.coef[rows] * complex(engine.z) ** group.dpower[rows] * np.array(phi)[:, None]
+    for row, cap in zip(w, capped):
+        row[list(cap)] = 0
+    return w
 
 
 def _certificate_ok(geo, absw, alpha, eta):
@@ -823,8 +820,7 @@ def free_energy_table(
     """zeta_m, f_m and a_m for every phase at one point, sharing one weight
     engine (and hence one tau), with h'_m = d log zeta_m / dz = p_m / z +
     ds_m/dz wherever ``_pressures`` has the derivative; ``activations``
-    sums the phases' capped weights.  The phases of a stacked record are
-    weighed and summed together."""
+    sums the phases' capped weights."""
     engine = WeightEngine(model, z, cutoffs.size_cap)
     pressures = {}
     for group in _phase_groups(model, cutoffs.size_cap):
@@ -874,7 +870,7 @@ def finite_volume_zeta(
     n, placements = group.shape.placements(L)
     if not placements:
         return th
-    w = _class_weights(engine, group, row)[0][0][[ci for ci, _ in placements]].tolist()
+    w = _class_weights(engine, group, row)[0][[ci for ci, _ in placements]].tolist()
     masks = [mask for _, mask in placements]
     if len(placements) <= EXACT_PLACEMENT_BUDGET:
         zsum = independent_set_sum(masks, w)

@@ -1,5 +1,5 @@
-"""The fast certificate, the Newton zero solver, the array contour-gas
-pressure and its exact derivative, the phase-stacked free-energy table,
+"""The fast certificate, the Newton zero solver, the contour-gas pressure
+polynomials and their exact derivative, the phase-stacked free-energy table,
 the block enumeration kernel, the independent-set kernel, the component
 search, the placement-table energy kernel, the batched contour builder,
 the overlap offsets, the bitmask torus extraction and the closed forms of
@@ -698,20 +698,46 @@ def stacked_table(model, z, cutoffs=Cutoffs()):
     return phases, table.tau, table.activations, table.stable
 
 
-def assert_bits_match_phase_by_phase(model, z, cutoffs=Cutoffs(), tau=None):
-    """The stacked table against the phase-by-phase oracle, bit for bit (repr
-    tells apart any two floats with different bits); where the oracle
-    refuses, the table refuses with an annulus that holds |z|.  Returns
-    whether the table exists."""
+REL_VALUES = 1e-13  # s, zeta and dlog of a table against the entries x parts oracle
+REL_RATES = 1e-14  # tau and eta
+
+
+def _close(a, b, rel):
+    """Whether a and b agree to rel relative; None only matches None."""
+    if a is None or b is None:
+        return a is b
+    return a == b or abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def assert_matches_phase_by_phase(model, z, cutoffs=Cutoffs(), tau=None):
+    """The stacked table against the phase-by-phase oracle, which multiplies
+    out every entry of the skeleton: s, zeta and dlog to REL_VALUES, tau and
+    eta to REL_RATES, and the activations, the stable set and which dlog are
+    None exactly; error_bound is exp(-eta * norm cap) of the table's own eta.
+    Where the oracle refuses, the table refuses with an annulus that holds
+    |z|.  Returns whether the table exists."""
     try:
-        want = oracle_phase_by_phase_table(model, z, cutoffs, tau)
+        want, tau_want, activations, stable = oracle_phase_by_phase_table(model, z, cutoffs, tau)
     except ConvergenceError:
         with pytest.raises(ConvergenceError) as got:
             free_energy_table(model, z, cutoffs)
         r1, r2 = refused_annulus(got.value)
         assert r1 <= abs(z) <= r2
         return False
-    assert repr(stacked_table(model, z, cutoffs)) == repr(want)
+    table = free_energy_table(model, z, cutoffs)
+    assert (table.activations, table.stable) == (activations, stable), z
+    assert _close(table.tau, tau_want, REL_RATES), z
+    assert table.entries.keys() == want.keys()
+    for m, (zeta_m, s, dlog, eta, _) in want.items():
+        e = table[m]
+        for got, expected in ((e.zeta, zeta_m), (e.s, s), (e.dlog, dlog)):
+            assert _close(got, expected, REL_VALUES), (z, m, got, expected)
+        if eta is None:
+            assert e.pressure is None, (z, m)
+            continue
+        assert _close(e.pressure.eta, eta, REL_RATES), (z, m)
+        assert e.pressure.error_bound == (
+            math.exp(-e.pressure.eta * cutoffs.norm_cap) if e.pressure.eta > 0 else math.inf)
     return True
 
 
@@ -723,11 +749,69 @@ _STACKED_MODELS = [ising(1.5), blume_capel(1.5, 0.3), blume_capel(1.75, -0.3),
 def test_stacked_table_matches_phase_by_phase_oracle(model):
     rng = random.Random(f"stacked/{model.name}")
     zs = [rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random()) for _ in range(30)]
-    built = [assert_bits_match_phase_by_phase(model, z) for z in zs + [0.0]]
+    built = [assert_matches_phase_by_phase(model, z) for z in zs + [0.0]]
     assert sum(built) >= 20 and built[-1]
     # z = 0: theta_q = 0 for a phase with p_q > 0, which gets no pressure
     table = free_energy_table(model, 0.0)
     assert any(e.pressure is None for e in table.entries.values())
+
+
+def test_table_matches_oracle_in_the_plain_field_at_negative_real_z():
+    # theta_+- = e^3 z^{+-1/2}: at a real z < 0 both the oracle's powers
+    # and the table's z^n take the principal branch
+    model = ising(1.5, field="plain")
+    rng = random.Random(f"stacked/{model.name}")
+    zs = [rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random()) for _ in range(30)]
+    built = [assert_matches_phase_by_phase(model, z) for z in zs + [-1.0, -0.9, -1.3, -0.6]]
+    assert sum(built) >= 20 and all(built[-4:])
+
+
+def test_table_matches_oracle_at_larger_cutoffs():
+    # Blume-Capel at Cutoffs(16, 24): 6225 skeleton entries, at most 16
+    # polynomial terms per phase
+    model, cutoffs = blume_capel(1.5, 0.3), Cutoffs(16, 24.0)
+    rng = random.Random(f"stacked/{model.name}/16")
+    zs = [rng.uniform(0.5, 1.8) * cmath.exp(2j * math.pi * rng.random()) for _ in range(30)]
+    assert sum(assert_matches_phase_by_phase(model, z, cutoffs) for z in zs) >= 20
+
+
+@pytest.mark.parametrize("model, counts", [
+    (ising(1.5), [3, 3]), (blume_capel(1.5, 0.3), [7, 8, 7]),
+    (potts(3, 2.5), [3, 6]), (potts(4, 1.5), [3, 6]),
+], ids=lambda x: getattr(x, "name", ""))
+def test_pressure_polynomial_has_a_few_terms(model, counts):
+    (group,) = metastable._phase_groups(model, 12)
+    assert [len(group.polynomial(18.0, row)) for row in range(len(group.phases))] == counts
+    (group,) = metastable._phase_groups(model, 16)
+    assert all(len(group.polynomial(24.0, row)) <= 16 for row in range(len(group.phases)))
+
+
+def test_pressure_polynomials_are_built_once_per_mask(monkeypatch):
+    # one record per (cutoffs, phase row, capped classes), however many
+    # tables read it; the capped mask comes from the tau = 16 patch
+    builds = []
+
+    class Counted(dict):
+        def __setitem__(self, key, value):
+            builds.append(key)
+            super().__setitem__(key, value)
+
+    def tables(model, cutoffs):
+        (group,) = metastable._phase_groups(model, cutoffs.size_cap)
+        group._polynomials = Counted()
+        for t in np.linspace(0.3, 2.8, 12):
+            free_energy_table(model, cmath.exp(1j * t), cutoffs)
+        return len(group.phases)
+
+    model = blume_capel(1.5, 0.3)
+    for cutoffs in (Cutoffs(), Cutoffs(16, 24.0)):
+        builds.clear()
+        n = tables(model, cutoffs)
+        assert builds == [(cutoffs.norm_cap, row, ()) for row in range(n)]
+    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z, size_cap: 16.0)
+    builds.clear()
+    n = tables(ising(1.5), Cutoffs())
+    assert builds == [(18.0, row, (0, 1, 2)) for row in range(n)]
 
 
 def test_stacked_table_refuses_where_the_oracle_does():
@@ -735,18 +819,18 @@ def test_stacked_table_refuses_where_the_oracle_does():
     model = potts(4, 1.5)
     rng = random.Random("stacked/refused")
     zs = [rng.uniform(0.5, 0.68) * cmath.exp(2j * math.pi * rng.random()) for _ in range(10)]
-    assert not any(assert_bits_match_phase_by_phase(model, z) for z in zs)
+    assert not any(assert_matches_phase_by_phase(model, z) for z in zs)
 
 
 def test_stacked_table_matches_where_dlog_is_none(monkeypatch):
     # mollified: Blume-Capel's phase 1 at z = 0.45 (phi_1 about 0.68)
     model = blume_capel(1.5, 0.3)
-    assert assert_bits_match_phase_by_phase(model, 0.45)
+    assert assert_matches_phase_by_phase(model, 0.45)
     assert free_energy_table(model, 0.45)[1].dlog is None
     # capped: tau = 16 caps every Ising class on the unit circle
     monkeypatch.setattr(metastable, "estimate_tau", lambda model, z, size_cap: 16.0)
     model, z = ising(1.5), cmath.exp(0.3j)
-    assert assert_bits_match_phase_by_phase(model, z, tau=16.0)
+    assert assert_matches_phase_by_phase(model, z, tau=16.0)
     table = free_energy_table(model, z)
     assert table.activations > 0 and all(e.dlog is None for e in table.entries.values())
 
@@ -773,10 +857,13 @@ def test_single_phase_rows_match_phase_by_phase_oracle(model):
         for q in model.orbit_representatives():
             s, eta, bound, capped, derivative = oracle_polymer_pressure(model, q, engine)
             p = metastable.polymer_pressure(model, q, z, engine=engine)
-            assert repr((p.value, p.eta, p.error_bound, p.activations, p.derivative)) == repr(
-                (s, eta, bound, capped, derivative))
+            assert _close(p.value, s, REL_VALUES) and _close(p.derivative, derivative, REL_VALUES)
+            assert _close(p.eta, eta, REL_RATES) and p.activations == capped
+            assert p.error_bound == math.exp(-p.eta * Cutoffs().norm_cap)
             w = oracle_class_weights(model, engine, _gas(model, q, 12))[0]
-            assert repr(metastable._class_weights(engine, *metastable._phase_row(model, q, 12))[0][0]) == repr(w)
+            got = metastable._class_weights(engine, *metastable._phase_row(model, q, 12))[0]
+            assert got.shape == w.shape
+            assert all(_close(a, b, REL_VALUES) for a, b in zip(got.tolist(), w.tolist()))
 
 
 @pytest.mark.parametrize("model", _PRESSURE_MODELS[:3], ids=lambda m: m.name)
