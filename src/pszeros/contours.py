@@ -8,7 +8,9 @@ Extraction and reconstruction are mutually inverse bijections between
 configurations and matching collections, and the induced rewriting of the
 Boltzmann weight turns the spin sum into contour sums that this module also
 evaluates directly (an independent-set sum over contour volumes, recursing
-into interiors) for cross-checks.
+into interiors) for cross-checks.  Torus contours and networks are held as
+site masks, on which extraction, reconstruction, matching and nesting work;
+their frozenset and dict views are built on first read.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,47 +48,66 @@ IDENTITY_BUDGET = 2**22  # configurations the torus identity check enumerates
 
 
 class _TorusObject:
-    """A support on the torus with its standardized configuration: the
-    spins on the support and one label per complement component."""
+    """A support on the torus with its standardized configuration, held as
+    masks: ``mask`` (the support), ``by_site`` (the spins by site: its
+    configuration's for an extracted object, None off the support for one
+    built from the public form) and ``comps``, one (mask, label) per
+    complement component.  The views ``support`` (a frozenset), ``spins``
+    (a dict by site) and ``labels`` ((frozenset, label) pairs) are built on
+    first read."""
 
-    __slots__ = ("geom", "support", "spins", "labels", "_key", "_pair")
+    _key = _pair = None  # set on first use
 
     def __init__(self, geom, support, spins, labels):
-        self.geom = geom
-        self.support = support            # frozenset of site indices
-        self.spins = spins                # dict site -> spin on the support
-        self.labels = labels              # tuple of (frozenset component, label)
-        self._key = None
-        self._pair = None
+        # the public form (frozensets and a dict), held as masks
+        self.geom, self.mask = geom, geom.mask(support)
+        self.by_site = list(map({s: spins[s] for s in support}.get, range(geom.n_sites)))
+        self.comps = tuple((geom.mask(comp), lab) for comp, lab in labels)
+
+    @classmethod
+    def _of(cls, geom, mask, by_site, comps):
+        obj = cls.__new__(cls)
+        obj.geom, obj.mask, obj.by_site, obj.comps = geom, mask, by_site, comps
+        return obj
+
+    @cached_property
+    def support(self) -> frozenset:
+        return frozenset(self.geom.sites(self.mask))
+
+    @cached_property
+    def spins(self) -> dict:
+        return {s: self.by_site[s] for s in self.geom.sites(self.mask)}
+
+    @cached_property
+    def labels(self) -> tuple:
+        return tuple((frozenset(self.geom.sites(c)), lab) for c, lab in self.comps)
 
     @property
     def size(self) -> int:
-        return len(self.support)
+        return self.mask.bit_count()
 
     def key(self):
         if self._key is None:
-            sup = tuple(sorted(self.support))
+            sup = tuple(self.geom.sites(self.mask))
             self._key = (
                 sup,
-                tuple(self.spins[s] for s in sup),
-                tuple(sorted((min(c), lab) for c, lab in self.labels)),
+                tuple(map(self.by_site.__getitem__, sup)),
+                tuple(sorted((self.geom.sites(c)[0], lab) for c, lab in self.comps)),
             )
         return self._key
 
     def value_at(self, x) -> object:
-        if x in self.support:
-            return self.spins[x]
-        for comp, lab in self.labels:
-            if x in comp:
+        if self.mask >> x & 1:
+            return self.by_site[x]
+        for comp, lab in self.comps:
+            if comp >> x & 1:
                 return lab
         raise KeyError(x)
 
     def full_config(self) -> TorusConfiguration:
-        arr = [None] * self.geom.n_sites
-        for s in self.support:
-            arr[s] = self.spins[s]
-        for comp, lab in self.labels:
-            for s in comp:
+        arr = list(self.by_site)
+        for comp, lab in self.comps:
+            for s in self.geom.sites(comp):
                 arr[s] = lab
         return TorusConfiguration(self.geom.L, self.geom.d, tuple(arr))
 
@@ -100,8 +121,6 @@ class TorusContour(_TorusObject):
     """A contour on the torus: connected support of wrapped diameter < L/2;
     its exterior component comes first among the labels."""
 
-    __slots__ = ()
-
     def __init__(self, geom, support, spins, ext_component, ext_label, interiors):
         super().__init__(geom, support, spins, ((ext_component, ext_label),) + interiors)
 
@@ -111,7 +130,7 @@ class TorusContour(_TorusObject):
 
     @property
     def ext_label(self):
-        return self.labels[0][1]
+        return self.comps[0][1]
 
     @property
     def interiors(self) -> tuple:
@@ -136,10 +155,8 @@ class TorusContour(_TorusObject):
 class TorusNetwork(_TorusObject):
     """The union of the large R-boundary pieces, with its configuration."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class MatchingCollection:
     geom: Torus
     contours: tuple
@@ -154,10 +171,6 @@ class MatchingCollection:
 
     def region_sizes(self) -> dict:
         """|Lambda_m|: number of sites outside all supports carrying label m."""
-        if not self.objects():
-            if self.vacuum_label is None:
-                raise ValueError("label mismatch: empty collection needs a vacuum label")
-            return {self.vacuum_label: self.geom.n_sites}
         counts = {}
         for comp, lab in _complement_labels(self)[1]:
             counts[lab] = counts.get(lab, 0) + comp.bit_count()
@@ -230,48 +243,42 @@ def extract(config: TorusConfiguration, R: int) -> MatchingCollection:
     spins, n = config.spins, geom.n_sites
     if not small and not large:
         return MatchingCollection(geom, (), None, spins[0])
-    contours = []
-    for sup in small:
-        # a support of diameter < L/2 leaves exactly one complement
-        # component with more than half of the sites: its exterior
-        (ext, ext_label), *interiors = [(frozenset(geom.sites(c)), lab) for c, lab in sorted(
-            _component_labels(geom, sup, spins), key=lambda cl: 2 * cl[0].bit_count() <= n)]
-        on = {s: spins[s] for s in geom.sites(sup)}
-        contours.append(TorusContour(geom, frozenset(on), on, ext, ext_label, tuple(interiors)))
+    # a support of diameter < L/2 leaves exactly one complement component
+    # with more than half of the sites: its exterior, put first
+    contours = tuple(TorusContour._of(geom, sup, spins, tuple(sorted(
+        _component_labels(geom, sup, spins), key=lambda cl: 2 * cl[0].bit_count() <= n)))
+        for sup in small)
     network = None
     if large:
         sup = sum(large)  # the components are disjoint
-        on = {s: spins[s] for s in geom.sites(sup)}
-        network = TorusNetwork(geom, frozenset(on), on, tuple(
-            (frozenset(geom.sites(c)), lab) for c, lab in _component_labels(geom, sup, spins)))
-    return MatchingCollection(geom, tuple(contours), network, None)
+        network = TorusNetwork._of(geom, sup, spins, tuple(_component_labels(geom, sup, spins)))
+    return MatchingCollection(geom, contours, network, None)
 
 
 def _complement_labels(collection: MatchingCollection):
-    """The spins of the (non-empty) collection's objects by site (None off
-    the supports) and the labelled complement components; a ValueError
-    where supports overlap or the spins around a component disagree."""
-    geom = collection.geom
-    union, spins = 0, {}
-    for o in collection.objects():
-        sup = geom.mask(o.support)
-        if union & sup:
+    """The spins of the collection's objects by site (the first object's
+    sequence off the supports) and the labelled complement components; a
+    ValueError where supports overlap, the spins around a component
+    disagree or an empty collection has no vacuum label."""
+    geom, objects = collection.geom, collection.objects()
+    if not objects:
+        if collection.vacuum_label is None:
+            raise ValueError("label mismatch: empty collection needs a vacuum label")
+        return [None] * geom.n_sites, [(geom.full, collection.vacuum_label)]
+    first, *rest = objects
+    union, arr = first.mask, list(first.by_site)
+    for o in rest:
+        if union & o.mask:
             raise ValueError("label mismatch: supports overlap")
-        union |= sup
-        spins.update(o.spins)
-    arr = list(map(spins.get, range(geom.n_sites)))
+        union |= o.mask
+        for s in geom.sites(o.mask):
+            arr[s] = o.by_site[s]
     return arr, _component_labels(geom, union, arr)
 
 
 def reconstruct(collection: MatchingCollection) -> TorusConfiguration:
     """The unique configuration whose extraction is ``collection``."""
     geom = collection.geom
-    if not collection.objects():
-        if collection.vacuum_label is None:
-            raise ValueError("label mismatch: empty collection needs a vacuum label")
-        return TorusConfiguration(
-            geom.L, geom.d, (collection.vacuum_label,) * geom.n_sites
-        )
     arr, labels = _complement_labels(collection)
     for comp, lab in labels:
         for x in geom.sites(comp):
@@ -289,16 +296,15 @@ def is_matching(collection: MatchingCollection):
         if not ok:
             diagnostics.append("empty collection without a vacuum label")
         return ok, diagnostics
-    masks = [geom.mask(o.support) for o in objects]
     union = shrunk = 0
-    for m in masks:
-        overlap = union & m
+    for o in objects:
+        overlap = union & o.mask
         if overlap:
             diagnostics.append(f"supports overlap at sites {geom.sites(overlap)[:4]}")
-        union |= m
-        shrunk |= geom.shrink(m)
+        union |= o.mask
+        shrunk |= geom.shrink(o.mask)
     for comp in geom.flood(geom.full & ~shrunk, geom.dilate_nn):
-        touching = [o for o, m in zip(objects, masks) if m & comp]
+        touching = [o for o in objects if o.mask & comp]
         for other in touching[1:]:
             for x in geom.sites(comp):
                 if touching[0].value_at(x) != other.value_at(x):
@@ -318,9 +324,6 @@ class NestingForest:
     elements: tuple      # frozensets; elements[0] is the root
     parent: tuple        # parent[i] = index of parent, -1 for the root
 
-    def children(self, i: int):
-        return [j for j, p in enumerate(self.parent) if p == i]
-
     def depth(self, i: int) -> int:
         d = 0
         while self.parent[i] >= 0:
@@ -337,22 +340,21 @@ def nesting_order(collection: MatchingCollection) -> NestingForest:
     holds: one contains the other in its interior, or they are mutually
     external; a violation indicates a bug and raises.
     """
-    root = collection.network.support if collection.network is not None else frozenset()
-    elems = [root] + [y.support for y in collection.contours]
-    inte = [frozenset(range(collection.geom.n_sites)) - root] + [
-        frozenset().union(*(comp for comp, _ in y.interiors)) for y in collection.contours
-    ]
-    exte = [frozenset()] + [y.ext_component for y in collection.contours]
-    vol = [e | inner for e, inner in zip(elems, inte)]
+    geom = collection.geom
+    root = collection.network.mask if collection.network is not None else 0
+    elems = [root] + [y.mask for y in collection.contours]
+    exte = [0] + [y.comps[0][0] for y in collection.contours]
+    vol = [geom.full & ~e for e in exte]  # a contour's volume is all but its exterior
+    inte = [v & ~e for v, e in zip(vol, elems)]
     n = len(elems)
     below = [[False] * n for _ in range(n)]
     for i in range(1, n):
         for j in range(n):
             if i == j:
                 continue
-            a_in_b = vol[i] <= inte[j]
-            b_in_a = vol[j] <= inte[i]
-            mutual = vol[i] <= exte[j] and vol[j] <= exte[i] if j else False
+            a_in_b = not vol[i] & ~inte[j]
+            b_in_a = not vol[j] & ~inte[i]
+            mutual = not vol[i] & ~exte[j] and not vol[j] & ~exte[i] if j else False
             if sum((a_in_b, b_in_a, mutual)) != 1:
                 raise RuntimeError(
                     "nesting trichotomy violated; contour bookkeeping is broken"
@@ -361,8 +363,8 @@ def nesting_order(collection: MatchingCollection) -> NestingForest:
     parent = [-1] * n
     for i in range(1, n):
         ancestors = [j for j in range(n) if below[i][j]]
-        parent[i] = min(ancestors, key=lambda j: len(vol[j]))
-    return NestingForest(tuple(elems), tuple(parent))
+        parent[i] = min(ancestors, key=lambda j: vol[j].bit_count())
+    return NestingForest(tuple(frozenset(geom.sites(e)) for e in elems), tuple(parent))
 
 
 # -- weights ---------------------------------------------------------------------
@@ -381,13 +383,13 @@ class ZdContour:
 
     __slots__ = ("q", "support", "spins", "interiors", "_pair", "_key")
 
-    def __init__(self, q, support, spins, interiors, pair=None):
+    def __init__(self, q, support, spins, interiors, pair=None, key=None):
         self.q = q
         self.support = support          # frozenset of coords
         self.spins = spins              # dict coord -> spin
         self.interiors = interiors      # tuple of (frozenset coords, label)
         self._pair = pair               # energy pair, computed on first use if None
-        self._key = None
+        self._key = key                 # the key, computed on first use if None
 
     @property
     def size(self) -> int:
@@ -575,11 +577,15 @@ def _with_pairs(model: SpinModel, q, rows, columns, index):
     columns (``index``: the model's placements in the columns' box)."""
     c, p = boundary_energy_pairs(model, index, *columns)
     spin = model.spins.__getitem__
-    return [
-        ZdContour(q, frozenset(sup), dict(zip(sup, map(spin, digits))),
-                  tuple((h, spin(k)) for h, k in holes), pair)
-        for (sup, digits, holes), pair in zip(rows, zip(c.tolist(), p.tolist()))
-    ]
+    out = []
+    for (sup, digits, holes), pair in zip(rows, zip(c.tolist(), p.tolist())):
+        sup, spins = tuple(sup), tuple(map(spin, digits))
+        holes = tuple((h, spin(k)) for h, k in holes)
+        # the cells come in row-major order, which is sorted, and the holes
+        # in order of their least cell: the key ``key()`` would compute
+        out.append(ZdContour(q, frozenset(sup), dict(zip(sup, spins)), holes, pair,
+                             (q, sup, spins, tuple((min(h), lab) for h, lab in holes))))
+    return out
 
 
 def _row_blocks(n_sites: int, n_rows: int, fill):
@@ -748,14 +754,6 @@ def region_masks(region, subsets):
     return [sum(bit[x] for x in s) for s in subsets], (1 << len(bit)) - 1
 
 
-def _canon_region(region: frozenset):
-    if not region:
-        return (), (0,)
-    d = len(next(iter(region)))
-    lo = tuple(min(p[a] for p in region) for a in range(d))
-    return tuple(sorted(tuple(p[a] - lo[a] for a in range(d)) for p in region)), lo
-
-
 class ContourSumEngine:
     """Evaluates Z_q(region) = sum over matching collections with external
     q-contours: an independent-set sum over families of volume-disjoint
@@ -776,8 +774,7 @@ class ContourSumEngine:
 
     def partition_function(self, region, q) -> complex:
         region = frozenset(tuple(x) for x in region)
-        key_sites, _ = _canon_region(region)
-        key = (key_sites, q)
+        key = (tuple(sorted(_canon_sites(region))) if region else (), q)
         if key in self._memo:
             return self._memo[key]
         contours = contours_in_region(self.model, q, region)
@@ -941,7 +938,7 @@ def contour_from_json(text: str) -> TorusContour:
     config = y.full_config()
     back = extract(config, geom.R) if None not in config.spins else None
     if back is None or back.network is not None or [
-        (c.spins, set(c.labels)) for c in back.contours
-    ] != [(y.spins, set(y.labels))]:
+        (c.spins, set(c.comps)) for c in back.contours
+    ] != [(y.spins, set(y.comps))]:
         raise ValueError("malformed contour: its configuration does not extract to it")
     return y

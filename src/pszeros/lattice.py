@@ -6,9 +6,11 @@ side of the smallest enclosing axis-aligned cubic box measured in sites, so a
 box of k x ... x k sites has diameter k and a single site has diameter 1.  On
 the torus the enclosing box may wrap.  Site sets on the torus are integer
 bitmasks (bit i is site i), whose components ``Torus.flood`` grows by
-dilation.  Components of whole blocks of configurations, on the torus and
-in an open box of Z^d (the R-boundary's components, the holes of a contour
-support), are found on digit arrays by ``contours._spread_min``.
+dilation; the torus contours and networks of ``contours`` hold their
+supports and complement components as such masks.  Components of whole
+blocks of configurations, on the torus and in an open box of Z^d (the
+R-boundary's components, the holes of a contour support), are found on
+digit arrays by ``contours._spread_min``.
 """
 
 from __future__ import annotations

@@ -13,8 +13,13 @@ from conftest import all_configs, random_z, sparse_torus_config
 from pszeros.contours import (
     ContourSumEngine,
     MatchingCollection,
+    ZdContour,
     _class_geometry,
     _extract_block,
+    _padded,
+    _rows,
+    _with_pairs,
+    _zd_contours,
     contour_classes,
     contour_from_json,
     contour_graph,
@@ -585,6 +590,20 @@ def test_contour_classes_sizes():
 
 def test_contours_in_region_count():
     assert len(contours_in_region(ising(1.0), 1, [(i, j) for i in range(4) for j in range(4)])) == 15
+
+
+def test_zd_contour_key_with_a_hole_of_two_cells():
+    # the builder sets each contour's key from its rows; a ring of flips
+    # around a 3x4 block of the background leaves the block's middle 1x2
+    # cells with constant boxes, one hole of two cells
+    model = ising(1.0)
+    bg, shape = model.spins.index(1), (9, 10)
+    D = np.full((90, 1), bg, dtype=np.int8)
+    D[[10 * i + j for i in range(2, 7) for j in range(2, 8) if i in (2, 6) or j in (2, 7)]] = 1 - bg
+    (found, columns), = _zd_contours(1, bg, (0, 0), shape, [D])
+    y, = _with_pairs(model, 1, list(_rows(found)), columns, box_placements(model, _padded(shape, 1)))
+    assert [(sorted(h), lab) for h, lab in y.interiors] == [([(4, 4), (4, 5)], 1)]
+    assert y.key() == ZdContour(y.q, y.support, y.spins, y.interiors).key()
 
 
 def test_contours_in_region_budget_before_allocating():

@@ -36,6 +36,7 @@ from pszeros.contours import (
     exterior_interior,
     extract,
     is_matching,
+    nesting_order,
     reconstruct,
 )
 from pszeros.lattice import chebyshev_ball, torus, zd_neighbors
@@ -75,6 +76,7 @@ from pszeros.polymer import (
     polymer_partition_function,
     ursell_coefficient,
 )
+from test_contours import nested_ring_config
 from test_polymer import _random_certified_system, two_polymer_system
 from pszeros.torus_exact import (
     _sum_with_mass, partition_function_exact, partition_polynomial, transfer_matrix_pf,
@@ -2216,7 +2218,8 @@ def test_transfer_matrix_matches_per_term_kind_oracle(name):
 
 
 # -- oracles: the set-based torus extraction replaced by the bitmask one
-# (Torus.dilate_box, dilate_nn, flood and diameter) ---------------------------
+# (Torus.dilate_box, dilate_nn, flood and diameter), and the frozenset
+# bookkeeping of the collections replaced by their site masks ----------------
 
 
 @functools.lru_cache(maxsize=None)
@@ -2331,6 +2334,20 @@ def oracle_exterior_interior(geom, support):
     return big[0], frozenset(range(geom.n_sites)) - support - big[0]
 
 
+def oracle_value_at(o, x):
+    if x in o.support:
+        return o.spins[x]
+    for comp, lab in o.labels:
+        if x in comp:
+            return lab
+    raise KeyError(x)
+
+
+def oracle_key(o):
+    sup = tuple(sorted(o.support))
+    return sup, tuple(o.spins[s] for s in sup), tuple(sorted((min(c), lab) for c, lab in o.labels))
+
+
 def oracle_is_matching(collection):
     geom = collection.geom
     objects = collection.objects()
@@ -2352,13 +2369,40 @@ def oracle_is_matching(collection):
         base = touching[0]
         for other in touching[1:]:
             for x in sorted(comp):
-                if base.value_at(x) != other.value_at(x):
+                if oracle_value_at(base, x) != oracle_value_at(other, x):
                     diagnostics.append(
                         f"objects disagree at site {x}: "
-                        f"{base.value_at(x)!r} vs {other.value_at(x)!r}"
+                        f"{oracle_value_at(base, x)!r} vs {oracle_value_at(other, x)!r}"
                     )
                     break
     return not diagnostics, diagnostics
+
+
+def oracle_nesting_order(collection):
+    root = collection.network.support if collection.network is not None else frozenset()
+    elems = [root] + [y.support for y in collection.contours]
+    inte = [frozenset(range(collection.geom.n_sites)) - root] + [
+        frozenset().union(*(comp for comp, _ in y.interiors)) for y in collection.contours
+    ]
+    exte = [frozenset()] + [y.ext_component for y in collection.contours]
+    vol = [e | inner for e, inner in zip(elems, inte)]
+    n = len(elems)
+    below = [[False] * n for _ in range(n)]
+    for i in range(1, n):
+        for j in range(n):
+            if i == j:
+                continue
+            a_in_b = vol[i] <= inte[j]
+            b_in_a = vol[j] <= inte[i]
+            mutual = vol[i] <= exte[j] and vol[j] <= exte[i] if j else False
+            if sum((a_in_b, b_in_a, mutual)) != 1:
+                raise RuntimeError("nesting trichotomy violated; contour bookkeeping is broken")
+            below[i][j] = a_in_b
+    parent = [-1] * n
+    for i in range(1, n):
+        ancestors = [j for j in range(n) if below[i][j]]
+        parent[i] = min(ancestors, key=lambda j: len(vol[j]))
+    return contours.NestingForest(tuple(elems), tuple(parent))
 
 
 def _extraction(coll):
@@ -2367,7 +2411,12 @@ def _extraction(coll):
         type(coll), coll.vacuum_label, len(coll.contours),
         [(type(o), type(o.support), o.support, o.spins, o.labels,
           [type(comp) for comp, _ in o.labels]) for o in coll.objects()],
+        [(y.ext_component, y.ext_label, y.interiors, y.to_json_dict()) for y in coll.contours],
     )
+
+
+def _views_unread(coll):
+    return not any({"support", "spins", "labels"} & vars(o).keys() for o in coll.objects())
 
 
 def _check_against_set_oracles(model, L, configs):
@@ -2376,15 +2425,27 @@ def _check_against_set_oracles(model, L, configs):
     n_objects = 0
     for cfg in configs:
         new, old = extract(cfg, R), oracle_extract(cfg, R)
-        assert _extraction(new) == _extraction(old), cfg.spins
-        assert r_boundary(cfg, R) == frozenset().union(*(o.support for o in old.objects()))
-        back = reconstruct(new)
+        # the mask path first, on objects whose frozenset and dict views
+        # were never read, and without reading them
+        back, matching, forest = reconstruct(new), is_matching(new), nesting_order(new)
+        sizes = new.region_sizes()
+        assert _views_unread(new)
         assert back == oracle_reconstruct(old) == cfg
         assert type(back.spins) is tuple
+        assert matching == (True, [])
+        assert forest == oracle_nesting_order(old)
         if new.objects():
-            assert new.region_sizes() == oracle_region_sizes(old)
+            assert sizes == oracle_region_sizes(old)
+        assert _extraction(new) == _extraction(old), cfg.spins
+        assert [(o.key(), o.size) for o in new.objects()] == [
+            (oracle_key(o), len(o.support)) for o in old.objects()]
+        assert r_boundary(cfg, R) == frozenset().union(*(o.support for o in old.objects()))
         for y in new.contours:
             assert exterior_interior(geom, y.support) == oracle_exterior_interior(geom, y.support)
+        if new.contours:  # the sets of every configuration hold none, and are large
+            for o, o_old in zip(new.objects(), old.objects()):
+                assert [o.value_at(x) for x in range(geom.n_sites)] == [
+                    oracle_value_at(o_old, x) for x in range(geom.n_sites)]
         n_objects += len(new.objects())
     return n_objects
 
@@ -2424,6 +2485,18 @@ def test_extract_matches_set_oracle_on_sparse_and_wider_tori():
         configs += [sparse_torus_config(rng, model, L, rng.randint(0, 3)) for _ in range(k)]
         _check_against_set_oracles(model, L, configs)
     assert any(extract(cfg, 1).contours for cfg in configs)
+    # several contours per torus, and a contour with a contour in its
+    # interior, for the matching check and the nesting
+    rng = random.Random(48)
+    configs = [sparse_torus_config(rng, bc, 9, rng.randint(2, 8)) for _ in range(300)]
+    _check_against_set_oracles(bc, 9, configs)
+    assert sum(len(extract(cfg, 1).contours) >= 2 for cfg in configs) > 10
+    assert _check_against_set_oracles(ising(1.0), 23, [nested_ring_config()]) == 2
+    # a ring of 0 around a block of -1: an interior labelled unlike the exterior
+    geom, spins = torus(23, 2, 1), [1] * 529
+    for dr, dc in itertools.product(range(-4, 5), repeat=2):
+        spins[geom.index((11 + dr, 11 + dc))] = 0 if max(abs(dr), abs(dc)) == 4 else -1
+    assert _check_against_set_oracles(bc, 23, [TorusConfiguration(23, 2, tuple(spins))]) == 1
 
 
 def test_torus_masks_match_set_oracles():
