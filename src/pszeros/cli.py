@@ -7,7 +7,8 @@ reductions run in a fixed order, and every produced file is listed with its
 checksum in a manifest.  ``--workers`` and the scenario key ``workers`` are
 accepted and have no effect; every run is single-process.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error, 3 budget
+Exit codes: 0 success, 1 check failure, 2 configuration error or a refused
+computation (no convergence certificate, no coexistence curve), 3 budget
 exceeded.
 """
 
@@ -30,6 +31,7 @@ from .metastable import Cutoffs, nondegeneracy_check, estimated_constants, free_
 from .models import ModelError, SpinModel, blume_capel, model_from_config
 from .torus_exact import _density_of_states, exact_zeros, partition_polynomial, transfer_matrix_pf
 from .zeros import (
+    CurveError,
     PhaseEvaluator,
     density_of_zeros,
     match_predicted_exact,
@@ -342,6 +344,8 @@ def _pipeline_zeros(scn: Scenario, em: Emitter) -> int:
         pair = tuple(reps[:2])
     seed_pt = _opt(opts, "seed_point", "1.05+0.05j", lambda t: complex(t.replace(" ", "")))
     step = _opt(opts, "step", 0.05)
+    if not 0.0 < step < math.inf:
+        raise ModelError(f"step = {step!r} must be positive and finite")
     ev = PhaseEvaluator(model, scn.cutoffs)
     curve = trace_coexistence(
         model, pair[0], pair[1], seed_pt, step=step, cutoffs=scn.cutoffs,
@@ -470,7 +474,7 @@ def run(scenario: Scenario, outdir) -> int:
         em.write_json("error.json", {"stage": name, "budget_error": str(exc)})
         em.manifest(scenario)
         return 3
-    except (ModelError, ConvergenceError) as exc:
+    except (ModelError, ConvergenceError, CurveError) as exc:
         if isinstance(exc, ModelError):
             print(f"config error: {exc}", file=sys.stderr)
         em.write_json("error.json", {"stage": name, "error": str(exc)})

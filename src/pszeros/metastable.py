@@ -18,14 +18,17 @@ cluster skeleton as an index matrix, and per torus side the wrapped
 placements; a value-keyed cache shares it among the phases and models with
 that geometry.  Held on the model (``SpinModel.gas``), the gas record of a
 (phase, support cap) holds the phase's contour classes with their energy
-pairs, and the phase-stacked record of the orbit representatives whose
-gases share a shape holds, per phase and class, exp(-c), its log-modulus
-and the z powers, and one polynomial per (norm cap, phase, capped classes),
-built on first use.  A table (``_pressures``) then takes per phase
-log|theta_q| and phi_q, the capped classes from the real log-moduli
-log|rho(Y)| = log|exp(-c)| + p log|z| (the pass that ``estimate_tau``
-reads), and the polynomial's terms; ``polymer_pressure`` reads one phase,
-and ``finite_volume_zeta`` weighs the classes on the torus.
+pairs, and the phase-stacked record of some phases (``_record``) holds, per
+phase and class, exp(-c), its log-modulus and the z powers, and one
+polynomial per (norm cap, phase, capped classes), built on first use.  A
+permutation of the spins maps one phase's classes onto another's with the
+same supports, so the phases share one shape record, which the stacked
+record checks.  A table (``_pressures``) of the orbit representatives'
+record takes per phase log|theta_q| and phi_q, the capped classes from the
+real log-moduli log|rho(Y)| = log|exp(-c)| + p log|z| (the pass that
+``estimate_tau`` reads), and the polynomial's terms; ``polymer_pressure``
+reads a phase's own one-phase record, so only that phase's certificate
+decides; ``finite_volume_zeta`` weighs a ``_phase_row``'s classes on the torus.
 
 The convergence certificate depends on |z| alone, as tau and phi_q do, so a
 stacked record keeps one per annulus r1 <= |z| <= r2 of a grid in log |z|,
@@ -108,18 +111,17 @@ class Cutoffs:
 def estimate_tau(model: SpinModel, z: complex, size_cap: int = Cutoffs.size_cap) -> float:
     """Measured Peierls rate: the infimum over enumerated contours of
     -log(|rho(Y)| / theta(z)^{|Y|}) / |Y|; it depends on |z| alone."""
-    return min((float(r.min(initial=math.inf)) for r in _rates(model, abs(z), size_cap)),
-               default=math.inf)
+    return float(_rates(model, abs(z), size_cap).min(initial=math.inf))
 
 
-def _rates(model: SpinModel, r: float, size_cap: int) -> list:
-    """Per stacked record, the rates log max|theta| - log|rho(Y)| / |Y| of
-    its classes at |z| = r, from real log-moduli (``_Phases.log_moduli``);
-    rho = 0 gives +inf, and theta = 0 no record at all."""
-    th = theta_max(model, r)
+def _rates(model: SpinModel, r: float, size_cap: int) -> np.ndarray:
+    """The rates log max|theta| - log|rho(Y)| / |Y| at |z| = r per phase and
+    class of the orbit representatives' record, from real log-moduli
+    (``_Phases.log_moduli``); rho = 0 or theta = 0 gives +inf."""
+    record, th = _record(model, size_cap, model.orbit_representatives()), theta_max(model, r)
     if th == 0:
-        return []
-    return [math.log(th) - g.log_moduli(r) / g.sizes for g in _phase_groups(model, size_cap)]
+        return np.full(record.power.shape, math.inf)
+    return math.log(th) - record.log_moduli(r) / record.sizes
 
 
 def estimate_M(model: SpinModel, zs) -> float:
@@ -301,9 +303,6 @@ def truncated_partition(model: SpinModel, region, q, z: complex) -> complex:
 
 
 _A_SCALES = (1.0, 0.5, 0.25, 0.15, 0.111, 0.1, 0.083, 0.06, 0.05, 0.02, 0.01)
-_ALPHAS = np.array(_A_SCALES)
-_LOG_ALPHAS = np.log(_ALPHAS)[:, None]
-_ENDS = np.array([0, 1])  # of a cell of the t grid
 _ETA_CAP = 8.0
 _ETA_TOL = 2.0**-14  # largest loss of eta to the t grid's chords
 _T_MAX = max(_A_SCALES) + _ETA_CAP
@@ -506,15 +505,18 @@ def _gas(model: SpinModel, q, size_cap: int) -> _Gas:
 
 
 class _Phases:
-    """The phase-stacked record of gas records sharing a shape record: per
-    phase (row) and class (column), exp(-c), its log-modulus and p of the
-    energy pair (rho(Y) = exp(-c) z^p), and A_Y = exp(-c_Y) exp(-c_q)^{-|Y|}
-    and n_Y = p_Y - |Y| p_q (K(Y) = A_Y z^{n_Y}); per class |Y|; and, made
-    on first use, its annuli's certificates and the pressure polynomials."""
+    """The phase-stacked record of some phases' gas records, which share
+    one shape record (a RuntimeError otherwise): per phase (row) and class
+    (column), exp(-c), its log-modulus and p of the energy pair (rho(Y) =
+    exp(-c) z^p), and A_Y = exp(-c_Y) exp(-c_q)^{-|Y|} and n_Y = p_Y - |Y|
+    p_q (K(Y) = A_Y z^{n_Y}); per class |Y|; and, made on first use, its
+    annuli's certificates and the pressure polynomials."""
 
     def __init__(self, model: SpinModel, gases):
         self.phases = tuple(gas.q for gas in gases)
         self.shape = gases[0].shape
+        if any(gas.shape is not self.shape for gas in gases):
+            raise RuntimeError(f"the gases of phases {self.phases} have distinct shape records")
         pairs = [y.energy_pair(model) for gas in gases for y in gas.classes]
         dims = (len(gases), len(self.shape.sizes))
         self.rho0 = np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex).reshape(dims)
@@ -553,47 +555,41 @@ class _Phases:
             self._polynomials[key] = tuple((a, n, k) for (n, k), a in terms.items() if a)
         return self._polynomials[key]
 
-    def certificates(self, model: SpinModel, size_cap: int, z, rows: slice) -> list:
-        """Per phase in the slice ``rows``, the eta certified on the annulus
-        of |z| (``_annulus``), halved where the phase fails, up to
-        _ANNULUS_SPLITS times; then a ConvergenceError names the annulus.
-        Each annulus is certified once, for every phase."""
-        etas, pending = {}, range(len(self.phases))[rows]
+    def certificates(self, model: SpinModel, size_cap: int, z) -> list:
+        """Per phase, the eta certified on the annulus of |z| (``_annulus``),
+        halved where the phase fails, up to _ANNULUS_SPLITS times; then a
+        ConvergenceError names the annulus.  Each annulus is certified once,
+        for every phase."""
+        etas = {}
         for level in range(_ANNULUS_SPLITS + 1):
             ends = _annulus(abs(z), level)
             if ends not in self._annuli:
                 bound = _annulus_bounds(model, self, size_cap, *ends)
                 self._annuli[ends] = _certificates(self.shape.geometry, bound)
-            certified = self._annuli[ends]
-            etas.update({row: certified[row][1] for row in pending if certified[row][0]})
-            pending = [row for row in pending if row not in etas]
-            if not pending:
-                return [etas[row] for row in range(len(self.phases))[rows]]
+            for row, (ok, eta) in enumerate(self._annuli[ends]):
+                if ok:
+                    etas.setdefault(row, eta)
+            if len(etas) == len(self.phases):
+                return [etas[row] for row in range(len(self.phases))]
         raise ConvergenceError(f"contour-gas convergence certificate failed on the annulus "
                                f"{ends[0]!r} <= |z| <= {ends[1]!r}; refuse to expand")
 
 
-def _phase_groups(model: SpinModel, size_cap: int) -> tuple:
-    """The phase-stacked records of the model's orbit representatives at the
-    given support cap, one per shape record their gases share, built once
-    per model."""
-    if size_cap not in model.gas:
-        by_shape = {}
-        for q in model.orbit_representatives():
-            gas = _gas(model, q, size_cap)
-            by_shape.setdefault(gas.shape, []).append(gas)
-        model.gas[size_cap] = tuple(_Phases(model, gases) for gases in by_shape.values())
-    return model.gas[size_cap]
+def _record(model: SpinModel, size_cap: int, phases: tuple) -> _Phases:
+    """The phase-stacked record of the given phases at the given support
+    cap, built once per model."""
+    key = (size_cap, phases)
+    if key not in model.gas:
+        model.gas[key] = _Phases(model, [_gas(model, q, size_cap) for q in phases])
+    return model.gas[key]
 
 
-def _phase_row(model: SpinModel, q, size_cap: int):
-    """Phase q's stacked record and its row there, as a slice; a phase that
-    represents no orbit gets a record of its own."""
-    for group in _phase_groups(model, size_cap):
-        if q in group.phases:
-            r = group.phases.index(q)
-            return group, slice(r, r + 1)
-    return _Phases(model, [_gas(model, q, size_cap)]), slice(0, 1)
+def _phase_row(model: SpinModel, q, size_cap: int) -> tuple:
+    """Phase q's record and its row index there: the orbit representatives'
+    record, or for a phase that represents no orbit its one-phase record."""
+    reps = model.orbit_representatives()
+    phases = reps if q in reps else (q,)
+    return _record(model, size_cap, phases), phases.index(q)
 
 
 @dataclass(frozen=True)
@@ -609,34 +605,31 @@ class PressureResult:
 
 
 def polymer_pressure(
-    model: SpinModel, q, z: complex, cutoffs: Cutoffs = Cutoffs(),
-    engine: WeightEngine | None = None,
+    model: SpinModel, q, z: complex, cutoffs: Cutoffs = Cutoffs()
 ) -> PressureResult:
     """The contour-gas pressure s_q at z: rooted cluster sum per site of the
-    truncated weights, with the certified exponential tail bound; phase q's
-    row of ``_pressures``."""
-    group, row = _phase_row(model, q, cutoffs.size_cap)
-    if engine is None:
-        engine = WeightEngine(model, z, cutoffs.size_cap)
-    return _pressures(engine, group, row, cutoffs)[0]
+    truncated weights, with the certified exponential tail bound;
+    ``_pressures`` of phase q's one-phase record."""
+    engine = WeightEngine(model, z, cutoffs.size_cap)
+    return _pressures(engine, _record(model, cutoffs.size_cap, (q,)), cutoffs)[0]
 
 
-def _pressures(engine: WeightEngine, group: _Phases, rows: slice, cutoffs: Cutoffs) -> list:
-    """``PressureResult`` of the group's phases in the slice ``rows`` at the
-    engine's z, with their annuli's certificates: each phase's polynomial
+def _pressures(engine: WeightEngine, record: _Phases, cutoffs: Cutoffs) -> list:
+    """``PressureResult`` of the record's phases at the engine's z, with
+    their annuli's certificates: each phase's polynomial
     (``_Phases.polynomial``) without the classes the cap zeroed (``_caps``;
     ``activations`` counts them) at z and phi_q, and where phi_q = 1 and
     none is capped, the exact ds/dz = sum n a z^n / z.  z^n is Python's
     complex power: products for integer n, e^{n Log z} otherwise, and 1 at z
     = 0 for n = 0, so z = 0 takes the same code."""
     z = complex(engine.z)
-    phi, capped = _caps(engine, group, rows)
-    etas = group.certificates(engine.model, cutoffs.size_cap, engine.z, rows)
-    n_clusters = len(group.shape.cluster_arrays(cutoffs.norm_cap)[1])
+    phi, capped = _caps(engine, record)
+    etas = record.certificates(engine.model, cutoffs.size_cap, engine.z)
+    n_clusters = len(record.shape.cluster_arrays(cutoffs.norm_cap)[1])
     out = []
-    for row, f, cap, eta in zip(range(len(group.phases))[rows], phi, capped, etas):
+    for row, (f, cap, eta) in enumerate(zip(phi, capped, etas)):
         # phi_q = 0 zeroes every term: each has a part
-        poly = group.polynomial(cutoffs.norm_cap, row, cap) if f else ()
+        poly = record.polynomial(cutoffs.norm_cap, row, cap) if f else ()
         value = slope = 0j
         for a, n, k in poly:
             term = a * z**n * f**k
@@ -649,27 +642,26 @@ def _pressures(engine: WeightEngine, group: _Phases, rows: slice, cutoffs: Cutof
     return out
 
 
-def _caps(engine: WeightEngine, group: _Phases, rows: slice):
-    """Per phase of the group in the slice ``rows``, phi_q (``phase_factor``)
-    and the classes whose weights the cap zeroes, from real log-moduli:
-    log|rho(Y)| - |Y| log|theta_q| + log phi_q > -(tau/2)|Y|."""
-    phases = group.phases[rows]
-    phi = [engine.phase_factor(q) for q in phases]
+def _caps(engine: WeightEngine, record: _Phases):
+    """Per phase of the record, phi_q (``phase_factor``) and the classes
+    whose weights the cap zeroes, from real log-moduli: log|rho(Y)| - |Y|
+    log|theta_q| + log phi_q > -(tau/2)|Y|."""
+    phi = [engine.phase_factor(q) for q in record.phases]
     # per phase (tau/2 - log|theta_q|, -log phi_q); phi_q = 0 caps nothing
     c = np.array([(engine.tau / 2.0 - engine.log_theta[q], -math.log(f)) if f else (0.0, math.inf)
-                  for q, f in zip(phases, phi)])
-    capped = group.log_moduli(abs(engine.z))[rows] - c[:, 1:] > -c[:, :1] * group.sizes
+                  for q, f in zip(record.phases, phi)])
+    capped = record.log_moduli(abs(engine.z)) - c[:, 1:] > -c[:, :1] * record.sizes
     if not capped.any():
         return phi, [()] * len(phi)
     return phi, [tuple(np.flatnonzero(row).tolist()) for row in capped]
 
 
-def _class_weights(engine: WeightEngine, group: _Phases, rows: slice) -> np.ndarray:
+def _class_weights(engine: WeightEngine, record: _Phases) -> np.ndarray:
     """The truncated weights K'(Y) = A_Y z^{n_Y} phi_q of the classes of the
-    group's phases in the slice ``rows`` at the engine's z, one row per
-    phase, with those that ``_caps`` names zeroed."""
-    phi, capped = _caps(engine, group, rows)
-    w = group.coef[rows] * complex(engine.z) ** group.dpower[rows] * np.array(phi)[:, None]
+    record's phases at the engine's z, one row per phase, with those that
+    ``_caps`` names zeroed."""
+    phi, capped = _caps(engine, record)
+    w = record.coef * complex(engine.z) ** record.dpower * np.array(phi)[:, None]
     for row, cap in zip(w, capped):
         row[list(cap)] = 0
     return w
@@ -697,53 +689,38 @@ def _certificates(geo, absw) -> list:
     Both conditions see eta only through t = alpha + eta: the mass sum
     A(t) <= 1 does not involve alpha, and the neighbor rows over |Y| give
     psi(t) <= alpha, so eta(alpha) = min(A^{-1}(1), psi^{-1}(alpha)) - alpha.
-    On the t grid, searchsorted finds each root's cell (or an end cell) and
-    a chord of the convex log row there bounds the root from below.  The
-    predicate confirms the best scale.
-
-    Each gas's eta has the bits of its certificate on its own: the stacked
-    matmuls make one BLAS call per gas, with the shapes of a single gas.
+    Per row, one matmul takes the mass row and the neighbor rows over the t
+    grid; searchsorted finds each root's cell (or an end cell) and a chord
+    of the convex log row there bounds the root from below.  The predicate
+    confirms the best scale.
     """
-    out = [(True, _ETA_CAP)] * len(absw)
-    live = [r for r, x in enumerate(absw.any(axis=1).tolist()) if x]
-    if not live:
-        return out
-    absw = absw[live]
-    rows = np.matmul(geo.rows * absw[:, None, :], geo.grid_exp)
-    nb = rows[:, 1:]
-    t_mass, cells = [], []
-    # per gas, the mass row's chord, and the cells where the max of the
-    # neighbor rows crosses each alpha
-    for mass, top in zip(rows[:, 0], nb.max(axis=1)):
-        i = int(mass[1:-1].searchsorted(1.0, side="right"))
+    out = []
+    for w in absw:
+        if not w.any():
+            out.append((True, _ETA_CAP))
+            continue
+        rows = geo.rows * w @ geo.grid_exp
+        i = int(rows[0, 1:-1].searchsorted(1.0, side="right"))
         # math.log, as in the one-gas oracle of tests/test_fast_paths.py:
         # numpy's log differs from it in the last bit on about one argument
         # in 10^4
-        a0, a1 = math.log(mass[i]), math.log(mass[i + 1])
-        t_mass.append(geo.step * (i - a0 / (a1 - a0)))
-        cells.append(top[1:-1].searchsorted(_ALPHAS, side="right"))
-    cell = np.array(cells)
-    at = np.arange(len(live))[:, None, None]
-    # per gas, both ends of each alpha's cell in every neighbor row
-    ends = np.log(nb.transpose(0, 2, 1)[at, cell[:, None, :] + _ENDS[:, None]])
-    lo, hi = ends[:, 0], ends[:, 1]
-    t_nb = geo.step * (cell + ((_LOG_ALPHAS - lo) / (hi - lo)).min(axis=2))
-    etas = np.minimum(t_nb, np.array(t_mass)[:, None]) - _ALPHAS
-    k = etas.argmax(axis=1)
-    eta = np.minimum(etas[at[:, 0, 0], k] - 1e-9, _ETA_CAP)  # 1e-9: room for rounding
-    alpha = _ALPHAS[k]
-    boost = absw * np.exp((alpha + eta)[:, None] * geo.sizes)
-    confirmed = np.matmul(boost[:, None, :], geo.volumes[:, None])[:, 0, 0] <= 1.0
-    confirmed &= (np.matmul(geo.offsets, boost[:, :, None])[:, :, 0]
-                  <= alpha[:, None] * geo.sizes).all(axis=1)
-    for j, r in enumerate(live):
-        if eta[j] < 0.0:
+        a0, a1 = math.log(rows[0, i]), math.log(rows[0, i + 1])
+        t_mass = geo.step * (i - a0 / (a1 - a0))
+        # the cells where the max of the neighbor rows crosses each alpha
+        nb = rows[1:]
+        cell = nb.max(axis=0)[1:-1].searchsorted(_A_SCALES, side="right")
+        lo, hi = np.log(nb[:, cell]), np.log(nb[:, cell + 1])
+        t_nb = geo.step * (cell + ((np.log(_A_SCALES) - lo) / (hi - lo)).min(axis=0))
+        etas = np.minimum(t_nb, t_mass) - _A_SCALES
+        k = int(etas.argmax())
+        eta = min(float(etas[k]) - 1e-9, _ETA_CAP)  # 1e-9: room for rounding
+        if eta < 0.0:
             # within _ETA_TOL of the boundary only the predicate can decide
-            out[r] = any(_certificate_ok(geo, absw[j], a, 0.0) for a in _A_SCALES), 0.0
-        elif not confirmed[j]:
-            raise ConvergenceError(f"gas certificate: eta={float(eta[j])!r} fails its predicate")
+            out.append((any(_certificate_ok(geo, w, a, 0.0) for a in _A_SCALES), 0.0))
+        elif not _certificate_ok(geo, w, _A_SCALES[k], eta):
+            raise ConvergenceError(f"gas certificate: eta={eta!r} fails its predicate")
         else:
-            out[r] = True, float(eta[j])
+            out.append((True, eta))
     return out
 
 
@@ -761,8 +738,8 @@ def _annulus(r: float, level: int) -> tuple:
     return math.exp(b * width), math.exp((b + 1) * width)
 
 
-def _annulus_bounds(model: SpinModel, group: _Phases, size_cap: int, r1: float, r2: float):
-    """Per phase q and class Y of the group, B_Y = |exp(-c_Y)|
+def _annulus_bounds(model: SpinModel, record: _Phases, size_cap: int, r1: float, r2: float):
+    """Per phase q and class Y of the record, B_Y = |exp(-c_Y)|
     |exp(-c_q)|^{-|Y|} max(r1^k, r2^k) phi_up >= |K'_q(Y)| at every r1 <=
     |z| <= r2, with k = p_Y - |Y| p_q (a capped weight is 0).  A class's
     rate (``_rates``) is log max|theta_m|, convex in log r, less a linear
@@ -772,11 +749,10 @@ def _annulus_bounds(model: SpinModel, group: _Phases, size_cap: int, r1: float, 
     at tau_up and its larger end.  Scalar powers: numpy's vector power and
     modulus differ from libm's in the last bit."""
     ends = [_rates(model, r, size_cap) for r in (r1, r2)]
-    tau = min((float(np.maximum(a, b).min(initial=math.inf)) for a, b in zip(*ends)),
-              default=math.inf)
+    tau = float(np.maximum(*ends).min(initial=math.inf))
     th = {m: [abs(theta(model, m, r)) for r in (r1, r2)] for m in model.spins}
-    sizes, out = group.sizes.tolist(), []
-    for q, rho0, ks in zip(group.phases, group.rho0.tolist(), group.dpower.tolist()):
+    sizes, out = record.sizes.tolist(), []
+    for q, rho0, ks in zip(record.phases, record.rho0.tolist(), record.dpower.tolist()):
         # theta_q = 0 (at r = 0) empties the row, and theta_m = 0 gives 1
         f = 0.0 if not all(th[q]) else math.prod(
             mollifier_eval(max(tau / 4.0 + math.log(a) - math.log(b) for a, b in zip(th[q], th[m])))[0]
@@ -822,9 +798,8 @@ def free_energy_table(
     ds_m/dz wherever ``_pressures`` has the derivative; ``activations``
     sums the phases' capped weights."""
     engine = WeightEngine(model, z, cutoffs.size_cap)
-    pressures = {}
-    for group in _phase_groups(model, cutoffs.size_cap):
-        pressures.update(zip(group.phases, _pressures(engine, group, slice(None), cutoffs)))
+    record = _record(model, cutoffs.size_cap, model.orbit_representatives())
+    pressures = dict(zip(record.phases, _pressures(engine, record, cutoffs)))
     rows = []
     for m in model.orbit_representatives():
         th, pres = engine.theta[m], pressures[m]
@@ -866,11 +841,11 @@ def finite_volume_zeta(
     th = engine.theta[m]
     if th == 0:
         return 0j
-    group, row = _phase_row(model, m, cutoffs.size_cap)
-    n, placements = group.shape.placements(L)
+    record, row = _phase_row(model, m, cutoffs.size_cap)
+    n, placements = record.shape.placements(L)
     if not placements:
         return th
-    w = _class_weights(engine, group, row)[0][[ci for ci, _ in placements]].tolist()
+    w = _class_weights(engine, record)[row][[ci for ci, _ in placements]].tolist()
     masks = [mask for _, mask in placements]
     if len(placements) <= EXACT_PLACEMENT_BUDGET:
         zsum = independent_set_sum(masks, w)
@@ -882,7 +857,7 @@ def finite_volume_zeta(
         for j in ids[i + 1:]
         if masks[i] & masks[j]
     ]
-    sizes = {i: group.shape.sizes[placements[i][0]] for i in ids}
+    sizes = {i: record.shape.sizes[placements[i][0]] for i in ids}
     system = PolymerSystem.build(ids, dict(enumerate(w)), edges, sizes)
     clusters = enumerate_clusters(system, ids, cutoffs.norm_cap)
     return th * cmath.exp(sum(c.value for c in clusters) / n)

@@ -48,6 +48,8 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, scenario, model):
     ("zeros", "[zeros]\nphases = 1, 7\n"),
     ("zeros", "[zeros]\nphases = 1, 1\n"),
     ("free-energy", "[free-energy]\nn = 0\n"),
+    ("zeros", "[zeros]\nstep = 0\n"),
+    ("zeros", "[zeros]\nstep = -0.05\n"),
 ])
 def test_malformed_pipeline_option_is_a_config_error(tmp_path, capsys, pipeline, section):
     cfg = tmp_path / "bad.cfg"
@@ -93,6 +95,20 @@ def test_budget_exit_code(tmp_path):
     )
     assert main(["--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert (tmp_path / "o" / "error.json").exists()
+
+
+def test_curve_error_exit_code(tmp_path):
+    # far from the coexistence curve the tracer refuses its seed: a refused
+    # computation, reported like a failed certificate
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(
+        "[scenario]\nname = far\npipelines = zeros\n\n"
+        "[model]\nname = ising\nJ = 1.5\n\n[zeros]\nseed_point = 3.5+0.2j\n"
+    )
+    out = tmp_path / "o"
+    assert main(["--scenario", str(cfg), "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["stage"] == "zeros"
+    assert "error.json" in json.loads((out / "manifest.json").read_text())["files"]
 
 
 def test_scenario_parsing_options():

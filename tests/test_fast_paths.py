@@ -782,9 +782,9 @@ def test_table_matches_oracle_at_larger_cutoffs():
     (potts(3, 2.5), [3, 6]), (potts(4, 1.5), [3, 6]),
 ], ids=lambda x: getattr(x, "name", ""))
 def test_pressure_polynomial_has_a_few_terms(model, counts):
-    (group,) = metastable._phase_groups(model, 12)
+    group = metastable._record(model, 12, model.orbit_representatives())
     assert [len(group.polynomial(18.0, row)) for row in range(len(group.phases))] == counts
-    (group,) = metastable._phase_groups(model, 16)
+    group = metastable._record(model, 16, model.orbit_representatives())
     assert all(len(group.polynomial(24.0, row)) <= 16 for row in range(len(group.phases)))
 
 
@@ -799,7 +799,7 @@ def test_pressure_polynomials_are_built_once_per_mask(monkeypatch):
             super().__setitem__(key, value)
 
     def tables(model, cutoffs):
-        (group,) = metastable._phase_groups(model, cutoffs.size_cap)
+        group = metastable._record(model, cutoffs.size_cap, model.orbit_representatives())
         group._polynomials = Counted()
         for t in np.linspace(0.3, 2.8, 12):
             free_energy_table(model, cmath.exp(1j * t), cutoffs)
@@ -837,16 +837,24 @@ def test_stacked_table_matches_where_dlog_is_none(monkeypatch):
     assert table.activations > 0 and all(e.dlog is None for e in table.entries.values())
 
 
-def test_phases_with_distinct_shape_records_are_stacked_per_record(monkeypatch):
-    # the phases of every built-in model share one shape record; with the
-    # shared cache bypassed each phase has its own, and the table stacks
-    # each record's phases (here, one each) apart, with the same bits
-    zs = [0.9 + 0.3j, cmath.exp(2.0j), cmath.exp(0.3j)]
-    want = [repr(stacked_table(ising(1.5), z)) for z in zs]
+@pytest.mark.parametrize("model, cap", [
+    (ising(1.5), 12), (ising(1.5), 16), (blume_capel(1.5, 0.3), 12), (blume_capel(1.5, 0.3), 16),
+    (potts(3, 2.5), 12), (potts(4, 1.5), 12), (ising(1.5, d=3), 27), (ising(1.5, d=3), 36),
+    (perturbed_ising({((0, 0), (0, 2)): 0.1, ((0, 0), (0, 1)): 1.0}), 25),
+], ids=lambda x: getattr(x, "name", x))
+def test_every_phase_shares_one_shape_record(model, cap):
+    # a permutation of the spins maps one phase's classes onto another's
+    # with the same supports, representatives or not
+    shapes = {_gas(model, q, cap).shape for q in model.spins}
+    assert len(shapes) == 1
+    assert metastable._record(model, cap, model.orbit_representatives()).shape in shapes
+
+
+def test_record_refuses_gases_with_distinct_shape_records(monkeypatch):
+    # with the shared cache bypassed each phase's gas has a shape of its own
     monkeypatch.setattr(metastable, "_shape", lambda key: metastable._Shape(*key))
-    model = ising(1.5)
-    assert [g.phases for g in metastable._phase_groups(model, 12)] == [(-1,), (1,)]
-    assert [repr(stacked_table(model, z)) for z in zs] == want
+    with pytest.raises(RuntimeError, match="distinct shape records"):
+        metastable._record(ising(1.5), 12, (-1, 1))
 
 
 @pytest.mark.parametrize("model", _STACKED_MODELS[:2], ids=lambda m: m.name)
@@ -858,14 +866,44 @@ def test_single_phase_rows_match_phase_by_phase_oracle(model):
         engine = WeightEngine(model, z)
         for q in model.orbit_representatives():
             s, eta, bound, capped, derivative = oracle_polymer_pressure(model, q, engine)
-            p = metastable.polymer_pressure(model, q, z, engine=engine)
+            p = metastable.polymer_pressure(model, q, z)
             assert _close(p.value, s, REL_VALUES) and _close(p.derivative, derivative, REL_VALUES)
             assert _close(p.eta, eta, REL_RATES) and p.activations == capped
             assert p.error_bound == math.exp(-p.eta * Cutoffs().norm_cap)
             w = oracle_class_weights(model, engine, _gas(model, q, 12))[0]
-            got = metastable._class_weights(engine, *metastable._phase_row(model, q, 12))[0]
+            record, row = metastable._phase_row(model, q, 12)
+            got = metastable._class_weights(engine, record)[row]
             assert got.shape == w.shape
             assert all(_close(a, b, REL_VALUES) for a, b in zip(got.tolist(), w.tolist()))
+
+
+def test_one_phase_record_is_built_once(monkeypatch):
+    # Potts q=3's phase 3 represents no orbit; its record is kept on the
+    # model like the representatives' one, and reads as phase 2's does
+    built = []
+
+    class Counted(metastable._Phases):
+        def __init__(self, model, gases):
+            built.append(tuple(gas.q for gas in gases))
+            super().__init__(model, gases)
+
+    monkeypatch.setattr(metastable, "_Phases", Counted)
+    model = potts(3, 2.5)
+    for t in (0.3, 1.1, 2.0):
+        z = 1.02 * cmath.exp(1j * t)
+        assert metastable.polymer_pressure(model, 3, z) == metastable.polymer_pressure(model, 2, z)
+        assert finite_volume_zeta(model, 3, 3, z) == finite_volume_zeta(model, 2, 3, z)
+    assert built.count((3,)) == 1 and built.count((2,)) == 1
+
+
+def test_polymer_pressure_refuses_only_on_its_own_certificate():
+    # Potts q=4 at |z| = 0.3: phase 1's certificate fails and phase 2's holds
+    model, z = potts(4, 1.5), 0.3 * cmath.exp(0.9j)
+    with pytest.raises(ConvergenceError):
+        free_energy_table(model, z)
+    with pytest.raises(ConvergenceError):
+        metastable.polymer_pressure(model, 1, z)
+    assert metastable.polymer_pressure(model, 2, z).eta > 0
 
 
 @pytest.mark.parametrize("model", _PRESSURE_MODELS[:3], ids=lambda m: m.name)
