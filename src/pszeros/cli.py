@@ -76,13 +76,9 @@ class Scenario:
         pipelines = tuple(
             p.strip() for p in sec.get("pipelines", "").split(",") if p.strip()
         )
-        known = {
-            "exact", "contour-check", "free-energy", "zeros", "compare",
-            "lambda-sweep",
-        }
         for p in pipelines:
-            if p not in known:
-                raise ModelError(f"unknown pipeline {p!r} (known: {sorted(known)})")
+            if p not in _PIPELINES:
+                raise ModelError(f"unknown pipeline {p!r} (known: {sorted(_PIPELINES)})")
         if not pipelines:
             raise ModelError("scenario declares no pipelines")
         if "model" not in cp and not (set(pipelines) <= {"lambda-sweep"}):

@@ -6,29 +6,31 @@ weight is zeta_q = theta_q e^{s_q} and f_q = -log|zeta_q| its free energy.
 Where a phase is unstable, large contours are suppressed by a smooth
 mollifier phi_q of free-energy differences, and a hard cap exp(-(tau/2)|Y|)
 (which must never activate in a consistent run) keeps the weights inside
-the certified convergence region.  ``WeightEngine`` weighs contours of
-finite regions, with interiors.
+the certified convergence region.  phi_q is one formula (``_phi``) for a
+point, an annulus of |z| and a contour of a finite region.
+``WeightEngine`` weighs contours of finite regions, with interiors; the
+gases below need no engine.
 
 The gases of a model's phases have no interiors, so each truncated weight
 is A_Y z^{n_Y} phi_q and each s_q a Laurent polynomial sum a z^n phi_q^k of
-a few terms.  What does not depend on z is kept in three records.  The
+a few terms.  What does not depend on z is kept in two records.  The
 shape record holds the class geometry (d, R, per class its support and
 volume): the overlap offsets, the certificate geometry, per norm cap the
 cluster skeleton as an index matrix, and per torus side the wrapped
 placements; a value-keyed cache shares it among the phases and models with
-that geometry.  Held on the model (``SpinModel.gas``), the gas record of a
-(phase, support cap) holds the phase's contour classes with their energy
-pairs, and the phase-stacked record of some phases (``_record``) holds, per
-phase and class, exp(-c), its log-modulus and the z powers, and one
-polynomial per (norm cap, phase, capped classes), built on first use.  A
-permutation of the spins maps one phase's classes onto another's with the
-same supports, so the phases share one shape record, which the stacked
-record checks.  A table (``_pressures``) of the orbit representatives'
-record takes per phase log|theta_q| and phi_q, the capped classes from the
-real log-moduli log|rho(Y)| = log|exp(-c)| + p log|z| (the pass that
-``estimate_tau`` reads), and the polynomial's terms; ``polymer_pressure``
-reads a phase's own one-phase record, so only that phase's certificate
-decides; ``finite_volume_zeta`` weighs a ``_phase_row``'s classes on the torus.
+that geometry.  Held on the model (``SpinModel.gas``), the phase-stacked
+record of some phases at a support cap (``_record``) is built from their
+contour classes and holds, per phase and class, exp(-c), its log-modulus
+and the z powers, and one polynomial per (norm cap, phase, capped
+classes), built on first use.  A permutation of the spins maps one phase's
+classes onto another's with the same supports, so the phases share one
+shape record, which the stacked record checks.  A table (``_pressures``) of
+the orbit representatives' record takes tau from ``estimate_tau``, per
+phase log|theta_q| and phi_q, the capped classes from the real log-moduli
+log|rho(Y)| = log|exp(-c)| + p log|z| (the pass that ``estimate_tau``
+reads), and the polynomial's terms; ``polymer_pressure`` reads a phase's
+own one-phase record, so only that phase's certificate decides;
+``finite_volume_zeta`` weighs a ``_phase_row``'s classes on the torus.
 
 The convergence certificate depends on |z| alone, as tau and phi_q do, so a
 stacked record keeps one per annulus r1 <= |z| <= r2 of a grid in log |z|,
@@ -43,7 +45,7 @@ to finite differences.  ``nondegeneracy_check`` measures Assumption B on
 these closed forms: theta_q' / theta_q = p_q / z, and the table's h'_q.
 
 Desk-scale note: tau and the entropy constant c0 are estimated from the
-model and reported.  The engine runs with c0 = 0 and the tau measured on
+model and reported.  The weights take c0 = 0 and the tau measured on
 the gas being weighed; the certified asymptotic constants (tau >= 4 c0 +
 16) are only checked against, in ``estimated_constants``, never assumed.
 """
@@ -94,6 +96,28 @@ def mollifier_eval(x: float):
     dv = 30.0 * t * t * (1.0 - t) ** 2
     ddv = 60.0 * t * (1.0 - 3.0 * t + 2.0 * t * t)
     return v, dv, ddv
+
+
+def _phi(tau: float, logs: dict, q) -> float:
+    """phi_q: the product over the phases m != q in ``logs`` of the cutoff
+    at tau/4 + l_q - l_m.  ``logs`` holds per phase its log-values l at a
+    point, or at both ends of an annulus, and each factor then takes the
+    larger end.  A phase absent from ``logs`` (theta_m = 0) gives the
+    factor 1; phi_q = 0 when q is absent."""
+    if q not in logs:
+        return 0.0
+    out = 1.0
+    for m, ends in logs.items():
+        if m != q:
+            out *= mollifier_eval(max(tau / 4.0 + a - b for a, b in zip(logs[q], ends)))[0]
+    return out
+
+
+def _log_thetas(model: SpinModel, points) -> dict:
+    """Per phase m with theta_m != 0 at every point, log|theta_m| there: the
+    ``logs`` of ``_phi`` for contours without interiors."""
+    th = {m: [abs(theta(model, m, z)) for z in points] for m in model.spins}
+    return {m: [math.log(t) for t in ts] for m, ts in th.items() if all(ts)}
 
 
 # -- cutoffs and estimated constants --------------------------------------------
@@ -165,7 +189,10 @@ def estimated_constants(model: SpinModel, zs, size_cap: int = Cutoffs.size_cap):
 class WeightEngine:
     """Truncated contour weights over finite Z^d regions at one fixed z.
 
-    The induction over region volume is realized by memoized recursion: a
+    Its one job is finite regions, whose contours have interiors; the gases
+    of tables, ``polymer_pressure`` and ``finite_volume_zeta`` have none and
+    are weighed without an engine (``_class_weights``).  The induction over
+    region volume is realized by memoized recursion: a
     weight calls truncated partition functions of strictly smaller regions.
     tau is the Peierls rate measured at z on the classes up to ``size_cap``
     (``estimate_tau``) and the cap threshold is exp(-(tau/2)|Y|); whenever it
@@ -234,26 +261,16 @@ class WeightEngine:
         return self.phase_factor(y.q, frozenset().union(*[c for c, _ in y.interiors]), y.size)
 
     def phase_factor(self, q, interior=frozenset(), size: int = 1) -> float:
-        """phi_q of a q-contour of the given size around the given interior;
-        without interiors it is the same for every q-contour."""
-        if q not in self.log_theta:  # theta_q = 0
-            return 0.0
-        zq = self.zprime(interior, q) if interior else 1.0 + 0j
-        if zq == 0:
-            return 0.0
-        log_num = math.log(abs(zq)) / size + self.log_theta[q]
-        out = 1.0
-        for m, log_thm in self.log_theta.items():  # theta_m = 0: interpreted as chi = 1
-            if m == q:
-                continue
-            zm = self.zprime(interior, m) if interior else 1.0 + 0j
-            if zm == 0:
-                continue
-            x = self.tau / 4.0 + log_num - (math.log(abs(zm)) / size + log_thm)
-            out *= mollifier_eval(x)[0]
-            if out == 0.0:
-                return 0.0
-        return out
+        """phi_q (``_phi``) of a q-contour of the given size around the given
+        interior, at log|Z'_m(interior)| / size + log|theta_m| per phase m
+        (Z'_m = 0 drops m, like theta_m = 0); without interiors it is the
+        same for every q-contour."""
+        logs = {}
+        for m, log_thm in self.log_theta.items():
+            zm = self.zprime(interior, m) if interior else 1.0
+            if zm:
+                logs[m] = (math.log(abs(zm)) / size + log_thm,)
+        return _phi(self.tau, logs, q)
 
     def weight_truncated(self, y: ZdContour) -> complex:
         key = y.key()
@@ -479,46 +496,30 @@ def _shape(key: tuple) -> _Shape:
     return _Shape(*key)
 
 
-class _Gas:
-    """Phase q's gas record at one support cap (see the module docstring):
-    this model's contour classes, which carry its energy pairs; ``shape`` is
-    the record of their geometry, shared with every phase and model whose
-    classes have the same geometry.  The weights have no interior ratios, so
-    a class with interiors is refused."""
-
-    def __init__(self, model: SpinModel, q, size_cap: int):
-        self.q = q
-        self.classes = tuple(contour_classes(model, q, size_cap))
-        if any(y.interiors for y in self.classes):
-            raise BudgetError(f"size cap {size_cap} admits contour classes with interiors")
-        self.shape = _shape((model.dimension, model.range, tuple(
-            (tuple(sorted(y.support)), tuple(sorted(y.volume))) for y in self.classes
-        )))
-
-
-def _gas(model: SpinModel, q, size_cap: int) -> _Gas:
-    """Phase q's gas record at the given support cap, built once per model."""
-    key = (q, size_cap)
-    if key not in model.gas:
-        model.gas[key] = _Gas(model, q, size_cap)
-    return model.gas[key]
-
-
 class _Phases:
-    """The phase-stacked record of some phases' gas records, which share
-    one shape record (a RuntimeError otherwise): per phase (row) and class
-    (column), exp(-c), its log-modulus and p of the energy pair (rho(Y) =
-    exp(-c) z^p), and A_Y = exp(-c_Y) exp(-c_q)^{-|Y|} and n_Y = p_Y - |Y|
-    p_q (K(Y) = A_Y z^{n_Y}); per class |Y|; and, made on first use, its
-    annuli's certificates and the pressure polynomials."""
+    """The phase-stacked record of some phases' contour classes at one
+    support cap (see the module docstring).  The weights have no interior
+    ratios, so a class with interiors is refused (a BudgetError), and the
+    phases' class geometries must share one shape record (a RuntimeError
+    otherwise).  Only arrays are kept: per phase (row) and class (column),
+    exp(-c), its log-modulus and p of the energy pair (rho(Y) = exp(-c)
+    z^p), and A_Y = exp(-c_Y) exp(-c_q)^{-|Y|} and n_Y = p_Y - |Y| p_q (K(Y)
+    = A_Y z^{n_Y}); per class |Y|; and, made on first use, its annuli's
+    certificates and the pressure polynomials."""
 
-    def __init__(self, model: SpinModel, gases):
-        self.phases = tuple(gas.q for gas in gases)
-        self.shape = gases[0].shape
-        if any(gas.shape is not self.shape for gas in gases):
+    def __init__(self, model: SpinModel, phases: tuple, size_cap: int):
+        self.phases = phases
+        classes = [contour_classes(model, q, size_cap) for q in phases]
+        if any(y.interiors for row in classes for y in row):
+            raise BudgetError(f"size cap {size_cap} admits contour classes with interiors")
+        shapes = [_shape((model.dimension, model.range, tuple(
+            (tuple(sorted(y.support)), tuple(sorted(y.volume))) for y in row
+        ))) for row in classes]
+        self.shape = shapes[0]
+        if any(shape is not self.shape for shape in shapes):
             raise RuntimeError(f"the gases of phases {self.phases} have distinct shape records")
-        pairs = [y.energy_pair(model) for gas in gases for y in gas.classes]
-        dims = (len(gases), len(self.shape.sizes))
+        pairs = [y.energy_pair(model) for row in classes for y in row]
+        dims = (len(phases), len(self.shape.sizes))
         self.rho0 = np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex).reshape(dims)
         self.log_rho0 = -np.array([c.real for c, _ in pairs]).reshape(dims)
         self.power = np.array([p for _, p in pairs], dtype=float).reshape(dims)
@@ -580,7 +581,7 @@ def _record(model: SpinModel, size_cap: int, phases: tuple) -> _Phases:
     cap, built once per model."""
     key = (size_cap, phases)
     if key not in model.gas:
-        model.gas[key] = _Phases(model, [_gas(model, q, size_cap) for q in phases])
+        model.gas[key] = _Phases(model, phases, size_cap)
     return model.gas[key]
 
 
@@ -598,8 +599,6 @@ class PressureResult:
     eta: float  # certified on the annulus of |z|: a lower bound over it
     error_bound: float  # exp(-eta * norm cap): an upper bound over the annulus
     n_clusters: int
-    certified: bool
-    truncation: Cutoffs
     activations: int = 0  # weights of this phase that the cap zeroed
     derivative: complex | None = None  # ds/dz where exact, else None
 
@@ -610,22 +609,22 @@ def polymer_pressure(
     """The contour-gas pressure s_q at z: rooted cluster sum per site of the
     truncated weights, with the certified exponential tail bound;
     ``_pressures`` of phase q's one-phase record."""
-    engine = WeightEngine(model, z, cutoffs.size_cap)
-    return _pressures(engine, _record(model, cutoffs.size_cap, (q,)), cutoffs)[0]
+    tau = estimate_tau(model, z, cutoffs.size_cap)
+    return _pressures(model, _record(model, cutoffs.size_cap, (q,)), z, tau, cutoffs)[0]
 
 
-def _pressures(engine: WeightEngine, record: _Phases, cutoffs: Cutoffs) -> list:
-    """``PressureResult`` of the record's phases at the engine's z, with
-    their annuli's certificates: each phase's polynomial
-    (``_Phases.polynomial``) without the classes the cap zeroed (``_caps``;
-    ``activations`` counts them) at z and phi_q, and where phi_q = 1 and
-    none is capped, the exact ds/dz = sum n a z^n / z.  z^n is Python's
-    complex power: products for integer n, e^{n Log z} otherwise, and 1 at z
-    = 0 for n = 0, so z = 0 takes the same code."""
-    z = complex(engine.z)
-    phi, capped = _caps(engine, record)
-    etas = record.certificates(engine.model, cutoffs.size_cap, engine.z)
+def _pressures(model: SpinModel, record: _Phases, z, tau: float, cutoffs: Cutoffs) -> list:
+    """``PressureResult`` of the record's phases at z and tau, with their
+    annuli's certificates: each phase's polynomial (``_Phases.polynomial``)
+    without the classes the cap zeroed (``_caps``; ``activations`` counts
+    them) at z and phi_q, and where phi_q = 1 and none is capped, the exact
+    ds/dz = sum n a z^n / z.  z^n is Python's complex power: products for
+    integer n, e^{n Log z} otherwise, and 1 at z = 0 for n = 0, so z = 0
+    takes the same code."""
+    phi, capped = _caps(model, record, z, tau)
+    etas = record.certificates(model, cutoffs.size_cap, z)
     n_clusters = len(record.shape.cluster_arrays(cutoffs.norm_cap)[1])
+    z = complex(z)
     out = []
     for row, (f, cap, eta) in enumerate(zip(phi, capped, etas)):
         # phi_q = 0 zeroes every term: each has a part
@@ -637,31 +636,31 @@ def _pressures(engine: WeightEngine, record: _Phases, cutoffs: Cutoffs) -> list:
             slope += n * term
         derivative = slope / z if f == 1.0 and not cap and z != 0 else None
         bound = math.exp(-eta * cutoffs.norm_cap) if eta > 0 else math.inf
-        out.append(PressureResult(value, eta, bound, n_clusters, True, cutoffs, len(cap),
-                                  derivative))
+        out.append(PressureResult(value, eta, bound, n_clusters, len(cap), derivative))
     return out
 
 
-def _caps(engine: WeightEngine, record: _Phases):
-    """Per phase of the record, phi_q (``phase_factor``) and the classes
-    whose weights the cap zeroes, from real log-moduli: log|rho(Y)| - |Y|
-    log|theta_q| + log phi_q > -(tau/2)|Y|."""
-    phi = [engine.phase_factor(q) for q in record.phases]
+def _caps(model: SpinModel, record: _Phases, z, tau: float):
+    """Per phase of the record, phi_q (``_phi``) at z and tau and the
+    classes whose weights the cap zeroes, from real log-moduli: log|rho(Y)|
+    - |Y| log|theta_q| + log phi_q > -(tau/2)|Y|."""
+    logs = _log_thetas(model, (z,))
+    phi = [_phi(tau, logs, q) for q in record.phases]
     # per phase (tau/2 - log|theta_q|, -log phi_q); phi_q = 0 caps nothing
-    c = np.array([(engine.tau / 2.0 - engine.log_theta[q], -math.log(f)) if f else (0.0, math.inf)
+    c = np.array([(tau / 2.0 - logs[q][0], -math.log(f)) if f else (0.0, math.inf)
                   for q, f in zip(record.phases, phi)])
-    capped = record.log_moduli(abs(engine.z)) - c[:, 1:] > -c[:, :1] * record.sizes
+    capped = record.log_moduli(abs(z)) - c[:, 1:] > -c[:, :1] * record.sizes
     if not capped.any():
         return phi, [()] * len(phi)
     return phi, [tuple(np.flatnonzero(row).tolist()) for row in capped]
 
 
-def _class_weights(engine: WeightEngine, record: _Phases) -> np.ndarray:
+def _class_weights(model: SpinModel, record: _Phases, z, tau: float) -> np.ndarray:
     """The truncated weights K'(Y) = A_Y z^{n_Y} phi_q of the classes of the
-    record's phases at the engine's z, one row per phase, with those that
+    record's phases at z and tau, one row per phase, with those that
     ``_caps`` names zeroed."""
-    phi, capped = _caps(engine, record)
-    w = record.coef * complex(engine.z) ** record.dpower * np.array(phi)[:, None]
+    phi, capped = _caps(model, record, z, tau)
+    w = record.coef * complex(z) ** record.dpower * np.array(phi)[:, None]
     for row, cap in zip(w, capped):
         row[list(cap)] = 0
     return w
@@ -744,19 +743,16 @@ def _annulus_bounds(model: SpinModel, record: _Phases, size_cap: int, r1: float,
     |z| <= r2, with k = p_Y - |Y| p_q (a capped weight is 0).  A class's
     rate (``_rates``) is log max|theta_m|, convex in log r, less a linear
     function, so tau <= tau_up, the least over classes of the larger end
-    rate.  Each factor of phi_q (``phase_factor``) is nondecreasing in
-    tau/4 + log|theta_q / theta_m|, linear in log r, so phi_up takes each
-    at tau_up and its larger end.  Scalar powers: numpy's vector power and
-    modulus differ from libm's in the last bit."""
+    rate.  Each factor of phi_q (``_phi``) is nondecreasing in tau/4 +
+    log|theta_q / theta_m|, linear in log r, so phi_up takes each at tau_up
+    and its larger end.  Scalar powers: numpy's vector power and modulus
+    differ from libm's in the last bit."""
     ends = [_rates(model, r, size_cap) for r in (r1, r2)]
     tau = float(np.maximum(*ends).min(initial=math.inf))
-    th = {m: [abs(theta(model, m, r)) for r in (r1, r2)] for m in model.spins}
+    logs = _log_thetas(model, (r1, r2))
     sizes, out = record.sizes.tolist(), []
     for q, rho0, ks in zip(record.phases, record.rho0.tolist(), record.dpower.tolist()):
-        # theta_q = 0 (at r = 0) empties the row, and theta_m = 0 gives 1
-        f = 0.0 if not all(th[q]) else math.prod(
-            mollifier_eval(max(tau / 4.0 + math.log(a) - math.log(b) for a, b in zip(th[q], th[m])))[0]
-            for m in model.spins if m != q and all(th[m]))
+        f = _phi(tau, logs, q)  # theta_q = 0 (at r = 0) empties the row
         t = abs(theta(model, q, 1.0))  # |exp(-c_q)|; r = 0 with k < 0 gives inf
         out.append([f and abs(a) * t**-s * (max(r1**k, r2**k) if r2 or k >= 0 else math.inf) * f
                     for a, s, k in zip(rho0, sizes, ks)])
@@ -793,16 +789,16 @@ class FreeEnergyTable:
 def free_energy_table(
     model: SpinModel, z: complex, cutoffs: Cutoffs = Cutoffs()
 ) -> FreeEnergyTable:
-    """zeta_m, f_m and a_m for every phase at one point, sharing one weight
-    engine (and hence one tau), with h'_m = d log zeta_m / dz = p_m / z +
-    ds_m/dz wherever ``_pressures`` has the derivative; ``activations``
-    sums the phases' capped weights."""
-    engine = WeightEngine(model, z, cutoffs.size_cap)
+    """zeta_m, f_m and a_m for every phase at one point, sharing one tau,
+    with h'_m = d log zeta_m / dz = p_m / z + ds_m/dz wherever
+    ``_pressures`` has the derivative; ``activations`` sums the phases'
+    capped weights."""
+    tau = estimate_tau(model, z, cutoffs.size_cap)
     record = _record(model, cutoffs.size_cap, model.orbit_representatives())
-    pressures = dict(zip(record.phases, _pressures(engine, record, cutoffs)))
+    pressures = dict(zip(record.phases, _pressures(model, record, z, tau, cutoffs)))
     rows = []
     for m in model.orbit_representatives():
-        th, pres = engine.theta[m], pressures[m]
+        th, pres = theta(model, m, z), pressures[m]
         if th == 0:
             rows.append((m, th, 0j, 0j, math.inf, None, None))
             continue
@@ -816,7 +812,7 @@ def free_energy_table(
     }
     stable = tuple(sorted((m for m, e in entries.items() if e.a < STABLE_TOL), key=str))
     activations = sum(e.pressure.activations for e in entries.values() if e.pressure)
-    return FreeEnergyTable(z, entries, stable, engine.tau, activations)
+    return FreeEnergyTable(z, entries, stable, tau, activations)
 
 
 def zeta(model: SpinModel, m, z: complex, cutoffs: Cutoffs = Cutoffs()):
@@ -837,15 +833,15 @@ def finite_volume_zeta(
     """zeta_m^{(L)} = theta_m exp(s_m^{(L)}) with the pressure of the wrapped
     contour gas on the torus: exact logarithm of the placement sum for small
     tori, cluster expansion with torus (wrapped) incompatibility beyond."""
-    engine = WeightEngine(model, z, cutoffs.size_cap)
-    th = engine.theta[m]
+    tau = estimate_tau(model, z, cutoffs.size_cap)
+    th = theta(model, m, z)
     if th == 0:
         return 0j
     record, row = _phase_row(model, m, cutoffs.size_cap)
     n, placements = record.shape.placements(L)
     if not placements:
         return th
-    w = _class_weights(engine, record)[row][[ci for ci, _ in placements]].tolist()
+    w = _class_weights(model, record, z, tau)[row][[ci for ci, _ in placements]].tolist()
     masks = [mask for _, mask in placements]
     if len(placements) <= EXACT_PLACEMENT_BUDGET:
         zsum = independent_set_sum(masks, w)

@@ -156,9 +156,8 @@ class SpinModel:
     @cached_property
     def gas(self) -> dict:
         """The contour-gas records that ``metastable`` builds on first use:
-        per (phase, support cap) a phase's gas record, and per (support cap,
-        phases) the phase-stacked record of those phases, the orbit
-        representatives or one phase; freed with the model."""
+        per (support cap, phases) the phase-stacked record of those phases,
+        the orbit representatives or one phase; freed with the model."""
         return {}
 
     @cached_property

@@ -155,8 +155,11 @@ def trace_coexistence(
     is unwrapped along the way with steps kept below pi/4.  Tracing stops on
     loop closure, at a multiple point (a third phase's free-energy gap
     vanishes), on leaving the modulus window 1e-3 <= |z| <= 1e3, or at the
-    point budget.  The seed must lie within 0.25 of the locus in f_m - f_n.
+    point budget.  The seed must lie within 0.25 of the locus in f_m - f_n,
+    and the step must be positive and finite (a ValueError otherwise).
     """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step = {step!r} must be positive and finite")
     ev = evaluator or PhaseEvaluator(model, cutoffs)
     f_seed = abs(ev.f(m, seed) - ev.f(n, seed))
     if f_seed > 0.25:

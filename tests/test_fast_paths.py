@@ -17,6 +17,7 @@ import math
 import operator
 import random
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -45,7 +46,6 @@ from pszeros.metastable import (
     Cutoffs,
     WeightEngine,
     _A_SCALES,
-    _gas,
     finite_volume_zeta,
     free_energy_table,
 )
@@ -95,6 +95,17 @@ from pszeros.zeros import (
 )
 
 ETA_SLACK = 2.0**-13
+
+Gas = namedtuple("Gas", "q classes shape")
+
+
+@functools.lru_cache(maxsize=None)
+def _gas(model, q, size_cap):
+    """Phase q's contour classes at the support cap and their shape record,
+    that of q's one-phase record; once per model, so the classes compare
+    equal (contours compare by identity)."""
+    return Gas(q, tuple(contour_classes(model, q, size_cap)),
+               metastable._record(model, size_cap, (q,)).shape)
 
 
 # -- oracles: the bisection code replaced by the fast paths ---------------------
@@ -209,7 +220,7 @@ def oracle_class_weights(model, engine, gas):
     thq = engine.theta[gas.q]
     if thq == 0:
         return np.zeros(len(gas.classes), dtype=complex), None, 0
-    factor = engine.phase_factor(gas.q)
+    factor = oracle_phase_factor(engine, gas.q)
     w = rho0 * complex(z) ** power * thq**-sizes * factor
     capped = np.abs(w) > np.exp(-(engine.tau / 2.0) * sizes)
     w[capped] = 0
@@ -278,6 +289,46 @@ def oracle_mollifier_bound(model, q, tau, radii):
                         if thm else 1.0)
         out *= max(ends)
     return out
+
+
+def oracle_phase_factor(engine, q, interior=frozenset(), size=1):
+    """``WeightEngine.phase_factor`` as its own loop over the phases, with
+    Z'_q(interior) first and early exits."""
+    if q not in engine.log_theta:  # theta_q = 0
+        return 0.0
+    zq = engine.zprime(interior, q) if interior else 1.0 + 0j
+    if zq == 0:
+        return 0.0
+    log_num = math.log(abs(zq)) / size + engine.log_theta[q]
+    out = 1.0
+    for m, log_thm in engine.log_theta.items():  # theta_m = 0: interpreted as chi = 1
+        if m == q:
+            continue
+        zm = engine.zprime(interior, m) if interior else 1.0 + 0j
+        if zm == 0:
+            continue
+        x = engine.tau / 4.0 + log_num - (math.log(abs(zm)) / size + log_thm)
+        out *= metastable.mollifier_eval(x)[0]
+        if out == 0.0:
+            return 0.0
+    return out
+
+
+def oracle_annulus_bounds(model, record, size_cap, r1, r2):
+    """``_annulus_bounds`` with phi_up as its own product over the phases."""
+    ends = [metastable._rates(model, r, size_cap) for r in (r1, r2)]
+    tau = float(np.maximum(*ends).min(initial=math.inf))
+    th = {m: [abs(theta(model, m, r)) for r in (r1, r2)] for m in model.spins}
+    sizes, out = record.sizes.tolist(), []
+    for q, rho0, ks in zip(record.phases, record.rho0.tolist(), record.dpower.tolist()):
+        f = 0.0 if not all(th[q]) else math.prod(
+            metastable.mollifier_eval(
+                max(tau / 4.0 + math.log(a) - math.log(b) for a, b in zip(th[q], th[m])))[0]
+            for m in model.spins if m != q and all(th[m]))
+        t = abs(theta(model, q, 1.0))
+        out.append([f and abs(a) * t**-s * (max(r1**k, r2**k) if r2 or k >= 0 else math.inf) * f
+                    for a, s, k in zip(rho0, sizes, ks)])
+    return np.array(out)
 
 
 def oracle_annulus_certificate(model, q, z, size_cap=12):
@@ -668,7 +719,6 @@ def _check_pressure_against_oracle(model, zs):
             assert abs(entry.s - s_old) <= 1e-15
             assert abs(entry.zeta - zeta_old) <= 1e-13 * abs(zeta_old)
             if eta_old is not None:
-                assert entry.pressure.certified
                 assert abs(entry.pressure.eta - eta_old) <= 1e-12
     return refused
 
@@ -872,7 +922,7 @@ def test_single_phase_rows_match_phase_by_phase_oracle(model):
             assert p.error_bound == math.exp(-p.eta * Cutoffs().norm_cap)
             w = oracle_class_weights(model, engine, _gas(model, q, 12))[0]
             record, row = metastable._phase_row(model, q, 12)
-            got = metastable._class_weights(engine, record)[row]
+            got = metastable._class_weights(model, record, z, engine.tau)[row]
             assert got.shape == w.shape
             assert all(_close(a, b, REL_VALUES) for a, b in zip(got.tolist(), w.tolist()))
 
@@ -883,9 +933,9 @@ def test_one_phase_record_is_built_once(monkeypatch):
     built = []
 
     class Counted(metastable._Phases):
-        def __init__(self, model, gases):
-            built.append(tuple(gas.q for gas in gases))
-            super().__init__(model, gases)
+        def __init__(self, model, phases, size_cap):
+            built.append(phases)
+            super().__init__(model, phases, size_cap)
 
     monkeypatch.setattr(metastable, "_Phases", Counted)
     model = potts(3, 2.5)
@@ -894,6 +944,63 @@ def test_one_phase_record_is_built_once(monkeypatch):
         assert metastable.polymer_pressure(model, 3, z) == metastable.polymer_pressure(model, 2, z)
         assert finite_volume_zeta(model, 3, 3, z) == finite_volume_zeta(model, 2, 3, z)
     assert built.count((3,)) == 1 and built.count((2,)) == 1
+
+
+def test_phi_matches_the_loops_it_replaced():
+    # bit for bit: phase_factor on points and on contours with interiors,
+    # _caps, and _annulus_bounds; mollified (Blume-Capel phase 1 at 0.45),
+    # theta_m = 0 and theta_q = 0 (z = 0), and seeded z
+    rng = random.Random("phi")
+    models = [ising(1.5), blume_capel(1.5, 0.3), potts(4, 1.5)]
+    plain = ising(1.5, field="plain")  # theta_- = e^3 z^{-1/2}: a pole at z = 0
+    cases = [(blume_capel(1.5, 0.3), 0.45)] + [(model, 0.0) for model in models]
+    cases += [(model, rng.uniform(0.3, 2.0) * cmath.exp(2j * math.pi * rng.random()))
+              for model in models + [plain] for _ in range(8)]
+    seen = set()
+    for model, z in cases:
+        engine = WeightEngine(model, z)
+        record = metastable._record(model, 12, model.orbit_representatives())
+        want = [oracle_phase_factor(engine, q) for q in model.spins]
+        assert [engine.phase_factor(q) for q in model.spins] == want, (model.name, z)
+        phi, _ = metastable._caps(model, record, z, engine.tau)
+        assert phi == [want[model.spins.index(q)] for q in record.phases], (model.name, z)
+        for level in (0, 3):
+            r1, r2 = metastable._annulus(abs(z), level)
+            got = metastable._annulus_bounds(model, record, 12, r1, r2)
+            assert got.tobytes() == oracle_annulus_bounds(model, record, 12, r1, r2).tobytes()
+        seen |= {"mollified" if 0 < f < 1 else f for f in want}
+        seen |= {"theta_m = 0" for m in model.spins if theta(model, m, z) == 0}
+    assert seen >= {"mollified", "theta_m = 0", 0.0, 1.0}
+    # contours with interiors
+    model, z = blume_capel(1.5, 0.3), 0.45
+    engine = WeightEngine(model, z)
+    region = [(i, j) for i in range(5) for j in range(5)]
+    holed = [y for q in model.spins for y in contours_in_region(model, q, region) if y.interiors]
+    assert holed
+    for y in holed:
+        interior = frozenset().union(*[c for c, _ in y.interiors])
+        assert engine.mollifier_factor(y) == oracle_phase_factor(engine, y.q, interior, y.size)
+
+
+def test_gas_paths_build_no_weight_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a WeightEngine was built")
+
+    monkeypatch.setattr(metastable, "WeightEngine", refuse)
+    model = blume_capel(1.5, 0.3)
+    for z in (0.45, 1.1 * cmath.exp(0.4j)):
+        free_energy_table(model, z)
+        for q in model.spins:
+            metastable.polymer_pressure(model, q, z)
+            finite_volume_zeta(model, q, 3, z)
+
+
+def test_model_holds_only_stacked_records():
+    model = potts(3, 2.5)
+    z = 1.02 * cmath.exp(1.1j)
+    free_energy_table(model, z)
+    finite_volume_zeta(model, 3, 3, z)
+    assert set(model.gas) == {(12, model.orbit_representatives()), (12, (3,))}
 
 
 def test_polymer_pressure_refuses_only_on_its_own_certificate():

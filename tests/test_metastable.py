@@ -515,14 +515,14 @@ def test_metastable_and_contour_paths_do_not_import_scipy():
 def test_gas_record_is_freed_with_its_model():
     model = ising(1.5)
     free_energy_table(model, 1.1)
-    record = weakref.ref(model.gas[(1, Cutoffs().size_cap)])
+    record = weakref.ref(model.gas[(Cutoffs().size_cap, model.orbit_representatives())])
     del model
     gc.collect()
     assert record() is None
 
 
 def _shapes(model):
-    return [metastable._gas(model, q, Cutoffs().size_cap).shape
+    return [metastable._record(model, Cutoffs().size_cap, (q,)).shape
             for q in model.orbit_representatives()]
 
 

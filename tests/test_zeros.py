@@ -53,6 +53,14 @@ def test_trace_rejects_bad_seed():
         trace_coexistence(model, 1, -1, seed=3.5 + 0.2j, step=0.05)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.05, math.inf, math.nan])
+def test_trace_rejects_a_step_that_is_not_positive_and_finite(step):
+    # a step of 0 or -0.05 once gave a one-point curve, and with it 0
+    # predicted zeros and no error
+    with pytest.raises(ValueError, match="positive and finite"):
+        trace_coexistence(ising(1.5), 1, -1, seed=1.04 + 0.06j, step=step)
+
+
 def test_trace_blume_capel_curves_off_circle():
     # lambda well below the lower critical value: the two curves stay apart
     # from the unit circle (and from each other)
