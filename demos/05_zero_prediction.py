@@ -34,6 +34,7 @@ print(f"coexistence curve: {len(curve)} points, closed={curve.closed}, "
 print(f"  max | |z| - 1 | = {max(abs(abs(z) - 1) for z in curve.points):.2e}")
 
 predicted = solve_zero_equations(model, curve, L, evaluator=ev)
+print(f"  {ev.closed_points} points read in closed form, {ev.tables} free-energy tables built")
 exact = exact_zeros(partition_polynomial(model, L))
 report = match_predicted_exact(predicted, exact)
 print(f"\npredicted {report.n_predicted} zeros against {report.n_exact} exact roots:")

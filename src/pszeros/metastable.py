@@ -43,6 +43,9 @@ holomorphic, and the table carries d log zeta_q / dz in closed form
 (``PhaseEntry.dlog``); elsewhere that entry is None and callers fall back
 to finite differences.  ``nondegeneracy_check`` measures Assumption B on
 these closed forms: theta_q' / theta_q = p_q / z, and the table's h'_q.
+A verdict next to each certificate (``_Phases.closed``) holds where phi_q =
+1 and no class is capped across the annulus; there ``_closed_entries`` reads
+the table's entries bit for bit from the uncapped polynomials, per point.
 
 Desk-scale note: tau and the entropy constant c0 are estimated from the
 model and reported.  The weights take c0 = 0 and the tau measured on
@@ -505,7 +508,7 @@ class _Phases:
     exp(-c), its log-modulus and p of the energy pair (rho(Y) = exp(-c)
     z^p), and A_Y = exp(-c_Y) exp(-c_q)^{-|Y|} and n_Y = p_Y - |Y| p_q (K(Y)
     = A_Y z^{n_Y}); per class |Y|; and, made on first use, its annuli's
-    certificates and the pressure polynomials."""
+    certificates, closed-form verdicts and the pressure polynomials."""
 
     def __init__(self, model: SpinModel, phases: tuple, size_cap: int):
         self.phases = phases
@@ -527,7 +530,7 @@ class _Phases:
         c_q, p_q = np.array([model.ground_pair(m) for m in self.phases], complex).T[:, :, None]
         self.coef = self.rho0 * np.exp(c_q * self.sizes)
         self.dpower = self.power - self.sizes * p_q.real
-        self._annuli, self._polynomials = {}, {}
+        self._annuli, self._polynomials, self._closed = {}, {}, {}
 
     def log_moduli(self, r: float) -> np.ndarray:
         """log|rho(Y)| = log|exp(-c)| + p log r per phase and class at |z| =
@@ -574,6 +577,26 @@ class _Phases:
                 return [etas[row] for row in range(len(self.phases))]
         raise ConvergenceError(f"contour-gas convergence certificate failed on the annulus "
                                f"{ends[0]!r} <= |z| <= {ends[1]!r}; refuse to expand")
+
+    def closed(self, model: SpinModel, size_cap: int, r: float) -> bool:
+        """The verdict on the level-0 annulus of |z| = r > 0, made once: every
+        phase certified, and with _CLOSED_MARGIN to spare, phi_q = 1 at tau_lo
+        and log|K(Y)| / |Y| + tau_up / 2 < 0 (``_tau_bounds``) at both ends,
+        hence across the annulus: each side is linear in log r."""
+        ends = _annulus(r, 0)
+        if ends not in self._closed:
+            if r:  # the level-0 certificates come first; a refusal raises as a table's
+                self.certificates(model, size_cap, r)
+            ok = bool(r) and all(ok for ok, _ in self._annuli[ends])
+            if ok:
+                lo, up = _tau_bounds(model, size_cap, *ends)
+                logs = _log_thetas(model, ends)
+                at = [{m: ls[i:i + 1] for m, ls in logs.items()} for i in (0, 1)]
+                ok = all(_phi(lo - 4.0 * _CLOSED_MARGIN, at[i], q) == 1.0 and (
+                    self.log_moduli(e)[row] / self.sizes - logs[q][i] < -_CLOSED_MARGIN - up / 2.0
+                ).all() for row, q in enumerate(self.phases) for i, e in enumerate(ends))
+            self._closed[ends] = ok
+        return self._closed[ends]
 
 
 def _record(model: SpinModel, size_cap: int, phases: tuple) -> _Phases:
@@ -628,16 +651,21 @@ def _pressures(model: SpinModel, record: _Phases, z, tau: float, cutoffs: Cutoff
     out = []
     for row, (f, cap, eta) in enumerate(zip(phi, capped, etas)):
         # phi_q = 0 zeroes every term: each has a part
-        poly = record.polynomial(cutoffs.norm_cap, row, cap) if f else ()
-        value = slope = 0j
-        for a, n, k in poly:
-            term = a * z**n * f**k
-            value += term
-            slope += n * term
+        value, slope = _poly_sum(record.polynomial(cutoffs.norm_cap, row, cap) if f else (), z, f)
         derivative = slope / z if f == 1.0 and not cap and z != 0 else None
         bound = math.exp(-eta * cutoffs.norm_cap) if eta > 0 else math.inf
         out.append(PressureResult(value, eta, bound, n_clusters, len(cap), derivative))
     return out
+
+
+def _poly_sum(poly: tuple, z: complex, f: float) -> tuple:
+    """s = sum a z^n f^k and z ds/dz of a pressure polynomial at z and phi_q = f."""
+    value = slope = 0j
+    for a, n, k in poly:
+        term = a * z**n * f**k
+        value += term
+        slope += n * term
+    return value, slope
 
 
 def _caps(model: SpinModel, record: _Phases, z, tau: float):
@@ -725,6 +753,7 @@ def _certificates(geo, absw) -> list:
 
 _ANNULUS_WIDTH = 0.01  # of the certificate grid, in log |z|
 _ANNULUS_SPLITS = 6  # halvings of a failed annulus before a refusal
+_CLOSED_MARGIN = 1e-9  # rounding may send a point to a table, never the other way
 
 
 def _annulus(r: float, level: int) -> tuple:
@@ -737,18 +766,29 @@ def _annulus(r: float, level: int) -> tuple:
     return math.exp(b * width), math.exp((b + 1) * width)
 
 
+def _tau_bounds(model: SpinModel, size_cap: int, r1: float, r2: float) -> tuple:
+    """(tau_lo, tau_up), tau_lo <= tau <= tau_up at every r1 <= |z| <= r2.
+    A class's rate (``_rates``) is log max|theta_m|, convex and piecewise
+    linear in log r, less a linear function: tau_up is the least larger end
+    rate, and tau_lo, as tau is a min of linear functions between the kinks
+    of log max|theta_m|, the least tau at the ends and the kinks inside."""
+    ends = [_rates(model, r, size_cap) for r in (r1, r2)]
+    pairs = itertools.combinations([model.ground_pair(m) for m in model.orbit_representatives()], 2)
+    kinks = [math.exp((c.real - d.real) / (p - k)) for (c, p), (d, k) in pairs if p != k]
+    inner = [_rates(model, r, size_cap) for r in kinks if r1 < r < r2]
+    return (min(float(t.min(initial=math.inf)) for t in ends + inner),
+            float(np.maximum(*ends).min(initial=math.inf)))
+
+
 def _annulus_bounds(model: SpinModel, record: _Phases, size_cap: int, r1: float, r2: float):
     """Per phase q and class Y of the record, B_Y = |exp(-c_Y)|
     |exp(-c_q)|^{-|Y|} max(r1^k, r2^k) phi_up >= |K'_q(Y)| at every r1 <=
-    |z| <= r2, with k = p_Y - |Y| p_q (a capped weight is 0).  A class's
-    rate (``_rates``) is log max|theta_m|, convex in log r, less a linear
-    function, so tau <= tau_up, the least over classes of the larger end
-    rate.  Each factor of phi_q (``_phi``) is nondecreasing in tau/4 +
-    log|theta_q / theta_m|, linear in log r, so phi_up takes each at tau_up
-    and its larger end.  Scalar powers: numpy's vector power and modulus
+    |z| <= r2, with k = p_Y - |Y| p_q (a capped weight is 0).  Each factor
+    of phi_q (``_phi``) is nondecreasing in tau/4 + log|theta_q / theta_m|,
+    linear in log r, so phi_up takes each at tau_up (``_tau_bounds``) and
+    its larger end.  Scalar powers: numpy's vector power and modulus
     differ from libm's in the last bit."""
-    ends = [_rates(model, r, size_cap) for r in (r1, r2)]
-    tau = float(np.maximum(*ends).min(initial=math.inf))
+    tau = _tau_bounds(model, size_cap, r1, r2)[1]
     logs = _log_thetas(model, (r1, r2))
     sizes, out = record.sizes.tolist(), []
     for q, rho0, ks in zip(record.phases, record.rho0.tolist(), record.dpower.tolist()):
@@ -795,24 +835,41 @@ def free_energy_table(
     capped weights."""
     tau = estimate_tau(model, z, cutoffs.size_cap)
     record = _record(model, cutoffs.size_cap, model.orbit_representatives())
-    pressures = dict(zip(record.phases, _pressures(model, record, z, tau, cutoffs)))
-    rows = []
-    for m in model.orbit_representatives():
-        th, pres = theta(model, m, z), pressures[m]
-        if th == 0:
-            rows.append((m, th, 0j, 0j, math.inf, None, None))
-            continue
-        zeta_m = th * cmath.exp(pres.value)
-        dlog = None if pres.derivative is None else model.ground_pair(m)[1] / z + pres.derivative
-        rows.append((m, th, pres.value, zeta_m, -math.log(abs(zeta_m)), pres, dlog))
-    fmin = min(f for _, _, _, _, f, _, _ in rows)
-    entries = {
-        m: PhaseEntry(m, th, s, zeta_m, f, f - fmin if f < math.inf else math.inf, pres, dlog)
-        for m, th, s, zeta_m, f, pres, dlog in rows
-    }
+    pressures = _pressures(model, record, z, tau, cutoffs)
+    entries = _phase_entries(model, z, [(p.value, p.derivative, p) for p in pressures])
     stable = tuple(sorted((m for m, e in entries.items() if e.a < STABLE_TOL), key=str))
     activations = sum(e.pressure.activations for e in entries.values() if e.pressure)
     return FreeEnergyTable(z, entries, stable, tau, activations)
+
+
+def _phase_entries(model: SpinModel, z, sums: list) -> dict:
+    """``PhaseEntry`` per orbit representative m at z from its (s_m, ds_m/dz
+    or None, pressure), in the order of the representatives."""
+    rows = []
+    for m, (s, ds, pres) in zip(model.orbit_representatives(), sums):
+        th = theta(model, m, z)
+        if th == 0:
+            rows.append((m, th, 0j, 0j, math.inf, None, None))
+            continue
+        zeta_m = th * cmath.exp(s)
+        dlog = None if ds is None else model.ground_pair(m)[1] / z + ds
+        rows.append((m, th, s, zeta_m, -math.log(abs(zeta_m)), pres, dlog))
+    fmin = min(f for _, _, _, _, f, _, _ in rows)
+    return {
+        m: PhaseEntry(m, th, s, zeta_m, f, f - fmin if f < math.inf else math.inf, pres, dlog)
+        for m, th, s, zeta_m, f, pres, dlog in rows
+    }
+
+
+def _closed_entries(model: SpinModel, z, cutoffs: Cutoffs = Cutoffs()):
+    """``free_energy_table``'s entries at z, bit for bit but with ``pressure``
+    None, from the polynomials at phi_q = 1; None where ``_Phases.closed`` refuses."""
+    record = _record(model, cutoffs.size_cap, model.orbit_representatives())
+    if not record.closed(model, cutoffs.size_cap, abs(z)):
+        return None
+    zc, cap = complex(z), cutoffs.norm_cap
+    sums = [_poly_sum(record.polynomial(cap, row), zc, 1.0) for row in range(len(record.phases))]
+    return _phase_entries(model, z, [(s, ds / zc, None) for s, ds in sums])
 
 
 def zeta(model: SpinModel, m, z: complex, cutoffs: Cutoffs = Cutoffs()):

@@ -47,7 +47,10 @@ def pair_weight(a: Pair, z: complex) -> complex:
     c, p = a
     w = cmath.exp(-c)
     if p:
-        w *= z**p
+        try:
+            w *= z**p
+        except ZeroDivisionError:
+            raise ModelError(f"z = {z!r}: the power {p!r} of z diverges there") from None
     return w
 
 

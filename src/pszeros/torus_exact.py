@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError
-from .models import SpinModel, placement_energies, strip_placements, torus_placements
+from .models import ModelError, SpinModel, placement_energies, strip_placements, torus_placements
 
 ENUM_BUDGET = 2**27
 MATRIX_BUDGET = 1024
@@ -64,9 +64,9 @@ def _energy_blocks(model: SpinModel, L: int):
 
 def _zpow(z: complex, p: np.ndarray) -> np.ndarray:
     """z^p for real powers p on numpy's principal branch (repeated squaring
-    at integer p); at z = 0, 1 for p = 0, 0 for p > 0, a ValueError for p < 0."""
+    at integer p); at z = 0, 1 for p = 0, 0 for p > 0, a ModelError for p < 0."""
     if z == 0 and (p < 0).any():
-        raise ValueError("z = 0 with a negative power of z: the weights diverge there")
+        raise ModelError(f"z = {z!r} with a negative power of z: the weights diverge there")
     return np.power(complex(z), p)
 
 

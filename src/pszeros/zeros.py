@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError
-from .metastable import Cutoffs, finite_volume_zeta, free_energy_table
+from .metastable import Cutoffs, _closed_entries, finite_volume_zeta, free_energy_table
 from .models import SpinModel
 from .torus_exact import ExactZeroSet, partition_function_exact, phase_key, transfer_matrix_pf
 
@@ -33,32 +33,42 @@ class CurveError(RuntimeError):
 
 
 class PhaseEvaluator:
-    """Cached free-energy tables over repeated z evaluations.  ``fd_fallbacks``
-    counts the derivatives taken by finite differences because a table had
-    no exact d log zeta."""
+    """Cached phase entries over repeated z: in closed form where the annulus
+    of |z| admits it (``metastable._closed_entries``), else from the table
+    that ``table(z)`` builds.  ``closed_points`` and ``tables`` count the z of
+    each kind, ``fd_fallbacks`` the finite-difference derivatives."""
 
     def __init__(self, model: SpinModel, cutoffs: Cutoffs = Cutoffs()):
         self.model = model
         self.cutoffs = cutoffs
         self.fd_fallbacks = 0
-        self._cache = {}
+        self.closed_points = self.tables = 0
+        self._cache, self._tables = {}, {}
 
     def table(self, z: complex):
+        if z not in self._tables:
+            self._tables[z] = free_energy_table(self.model, z, self.cutoffs)
+            self.tables += 1
+        return self._tables[z]
+
+    def _entries(self, z: complex) -> dict:
         if z not in self._cache:
-            self._cache[z] = free_energy_table(self.model, z, self.cutoffs)
+            entries = _closed_entries(self.model, z, self.cutoffs)
+            self.closed_points += entries is not None
+            self._cache[z] = entries or self.table(z).entries
         return self._cache[z]
 
     def f(self, m, z: complex) -> float:
-        return self.table(z)[m].f
+        return self._entries(z)[m].f
 
     def a(self, m, z: complex) -> float:
-        return self.table(z)[m].a
+        return self._entries(z)[m].a
 
     def zeta(self, m, z: complex) -> complex:
-        return self.table(z)[m].zeta
+        return self._entries(z)[m].zeta
 
     def dlog(self, m, z: complex) -> complex | None:
-        return self.table(z)[m].dlog
+        return self._entries(z)[m].dlog
 
     def arg_ratio(self, m, n, z: complex) -> float:
         return cmath.phase(self.zeta(m, z) / self.zeta(n, z))

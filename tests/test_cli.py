@@ -111,6 +111,23 @@ def test_curve_error_exit_code(tmp_path):
     assert "error.json" in json.loads((out / "manifest.json").read_text())["files"]
 
 
+def test_plain_field_at_z_zero_is_a_model_error(tmp_path, capsys):
+    # theta_- = e^{2J} z^{-1/2} diverges at z = 0: a typed refusal that
+    # names z, not a traceback
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(
+        "[scenario]\nname = zero\npipelines = free-energy\n\n"
+        "[model]\nname = ising\nJ = 1.5\nfield = plain\n\n"
+        "[free-energy]\ngrid = list\nz_values = 0\n"
+    )
+    out = tmp_path / "o"
+    assert main(["--scenario", str(cfg), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["stage"] == "free-energy" and "z = 0" in err["error"]
+    assert "error.json" in json.loads((out / "manifest.json").read_text())["files"]
+    assert "config error" in capsys.readouterr().err
+
+
 def test_scenario_parsing_options():
     scn = Scenario.from_text(PRESETS["zeros-ising"])
     assert scn.pipelines == ("zeros",)

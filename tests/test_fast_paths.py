@@ -1046,17 +1046,28 @@ def test_dlog_none_where_the_mollifier_acts():
     assert ev.fd_fallbacks == 1
 
 
+def force_rates(monkeypatch, value):
+    """Patch every class rate (``metastable._rates``) to ``value``: the one
+    tau source of tables (``estimate_tau``) and of the closed-form verdict
+    (``_tau_bounds``), so a forced tau reaches both."""
+    rates = metastable._rates
+    monkeypatch.setattr(metastable, "_rates",
+                        lambda model, r, size_cap: np.full_like(rates(model, r, size_cap), value))
+
+
 def test_dlog_none_where_a_cap_activates(monkeypatch):
     # tau = 16 caps every class on the unit circle (see
     # test_hard_cap_zeroes_and_logs_weights_above_it)
-    monkeypatch.setattr(metastable, "estimate_tau", lambda model, z, size_cap: 16.0)
+    force_rates(monkeypatch, 16.0)
     model = ising(1.5)
     z = cmath.exp(0.3j)
     ev = PhaseEvaluator(model)
-    assert ev.table(z).activations > 0
+    assert ev.table(z).activations > 0 and ev.table(z).tau == 16.0
     assert ev.dlog(1, z) is None and ev.dlog(-1, z) is None
     assert _gradient(ev, 1, -1, z) == oracle_gradient(ev, 1, -1, z)
     assert ev.fd_fallbacks == 1
+    # the verdict saw tau = 16 too: every point came from a table
+    assert ev.closed_points == 0 and ev.tables == len(ev._cache) == 5
 
 
 # -- annulus certificates ------------------------------------------------------------
@@ -1138,8 +1149,9 @@ def test_potts4_refused_annuli_cover_its_refused_radii():
 
 def test_predict_zeros_makes_a_few_certificates(monkeypatch):
     # the Ising J=1.5 and Blume-Capel (1.5, 0.3) tasks of the predict-zeros
-    # benchmark at L=3, seeded at e^{i}: 295 and 514 tables, which made one
-    # certificate each before tables took their annulus's
+    # benchmark at L=3, seeded at e^{i}: 295 and 514 evaluated points, which
+    # made one certificate each before tables took their annulus's, and
+    # every one read in closed form, with no table
     calls = {"certificates": 0, "tables": 0}
 
     def counted(name, f):
@@ -1150,16 +1162,113 @@ def test_predict_zeros_makes_a_few_certificates(monkeypatch):
 
     monkeypatch.setattr(metastable, "_certificates", counted("certificates", metastable._certificates))
     monkeypatch.setattr(zeros_module, "free_energy_table", counted("tables", free_energy_table))
-    tables = []
+    points = []
     for model, phases, step, max_points in [(ising(1.5), (-1, 1), 0.2, 2000),
                                             (blume_capel(1.5, 0.3), (1, -1), 0.1, 400)]:
         ev = PhaseEvaluator(model)
         curve = trace_coexistence(model, *phases, seed=cmath.exp(1j), step=step,
                                   max_points=max_points, evaluator=ev)
         solve_zero_equations(model, curve, 3, evaluator=ev)
-        tables.append(calls["tables"] - sum(tables))
-    assert tables == [295, 514]
+        points.append((ev.closed_points, ev.tables))
+    assert points == [(295, 0), (514, 0)]
+    assert calls["tables"] == 0
     assert calls["certificates"] <= 10
+
+
+# -- closed-form phase functions -------------------------------------------------------
+
+
+class TableEvaluator(PhaseEvaluator):
+    """The evaluator before closed forms: every entry from a real table."""
+
+    def _entries(self, z):
+        return self.table(z).entries
+
+
+# the two predict-zeros benchmark tasks seeded at e^{i}, the zeros-ising
+# preset, Potts q=3 J=2.5 and the three-spin perturbed Ising model, whose
+# curve lies off the unit circle near |z| = e^{-2K}, with its kink of
+# max|theta| there
+_K = 0.3
+_CLOSED_FORM_CASES = {
+    "ising-bench": (ising(1.5), (-1, 1), cmath.exp(1j), 0.2, 2000, (3,)),
+    "blume-capel-bench": (blume_capel(1.5, 0.3), (1, -1), cmath.exp(1j), 0.1, 400, (3,)),
+    "zeros-ising": (ising(1.5), (1, -1), 1.04 + 0.06j, 0.05, 2000, (3,)),
+    "potts3": (potts(3, 2.5), (1, 2), cmath.exp(1j), 0.05, 2000, (3,)),
+    "perturbed-ising": (
+        perturbed_ising({((0, 0), (1, 0)): 1.0, ((0, 0), (0, 1)): 1.0,
+                         ((0, 0), (1, 0), (0, 1)): _K}),
+        (1, -1), math.exp(-2 * _K) * cmath.exp(0.3j), 0.05 * math.exp(-2 * _K), 2000, (3, 4),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(_CLOSED_FORM_CASES))
+def closed_form_run(request):
+    model, phases, seed, step, max_points, Ls = _CLOSED_FORM_CASES[request.param]
+    runs = []
+    for ev in (PhaseEvaluator(model), TableEvaluator(model)):
+        curve = trace_coexistence(model, *phases, seed=seed, step=step,
+                                  max_points=max_points, evaluator=ev)
+        runs.append((ev, curve, [solve_zero_equations(model, curve, L, evaluator=ev) for L in Ls]))
+    return request.param, model, runs
+
+
+def test_closed_form_matches_tables_bit_for_bit(closed_form_run):
+    name, model, ((ev, curve, solved), (_, old_curve, old_solved)) = closed_form_run
+    assert curve.closed and all(len(zs.zeros) for zs in solved)
+    assert repr(curve) == repr(old_curve) and repr(solved) == repr(old_solved)
+    # every point of the run, curve points and zeros included, in closed form
+    points = set(curve.points) | {w.z for zs in solved for w in zs.zeros}
+    assert points <= set(ev._cache)
+    assert ev.tables == 0 and ev.closed_points == len(ev._cache)
+    for z, entries in ev._cache.items():
+        table = free_energy_table(model, z)
+        for m, e in entries.items():
+            assert repr((e.zeta, e.f, e.a, e.dlog)) == repr(
+                (table[m].zeta, table[m].f, table[m].a, table[m].dlog)), (z, m)
+
+
+def test_closed_form_verdict_is_sound(closed_form_run):
+    # at 100 seeded |z| inside each accepted annulus the real table has
+    # phi_q = 1 and no capped class for every phase
+    name, model, _ = closed_form_run
+    record = metastable._record(model, Cutoffs().size_cap, model.orbit_representatives())
+    accepted = [ends for ends, ok in record._closed.items() if ok]
+    assert accepted and len(accepted) == len(record._closed)
+    if name == "perturbed-ising":
+        assert any(r1 <= math.exp(-2 * _K) <= r2 for r1, r2 in accepted)
+    rng = random.Random(f"closed-form/{name}")
+    for r1, r2 in accepted:
+        for _ in range(100):
+            z = rng.uniform(r1, r2) * cmath.exp(2j * math.pi * rng.random())
+            table = free_energy_table(model, z)
+            phi, capped = metastable._caps(model, record, z, table.tau)
+            assert phi == [1.0] * len(record.phases) and not any(capped), z
+            assert table.activations == 0
+            assert all(e.dlog is not None for e in table.entries.values())
+
+
+def test_tau_bounds_take_the_kink_inside_an_annulus():
+    # Ising's max|theta| has its kink at |z| = 1, where tau is least
+    model = ising(1.5)
+    r1, r2 = math.exp(-0.004), math.exp(0.006)
+    lo, up = metastable._tau_bounds(model, 12, r1, r2)
+    taus = [metastable.estimate_tau(model, r) for r in np.linspace(r1, r2, 201)]
+    assert lo == metastable.estimate_tau(model, 1.0) < min(taus[0], taus[-1])
+    assert lo <= min(taus) and max(taus) <= up
+
+
+def test_closed_form_refused_where_the_mollifier_acts():
+    # Blume-Capel at z = 0.45: phase 1's mollifier factor is about 0.68, so
+    # the annulus is refused and the point falls back to a table
+    model, z = blume_capel(1.5, 0.3), 0.45
+    ev = PhaseEvaluator(model)
+    assert ev.dlog(1, z) is None and ev.dlog(-1, z) is not None
+    assert ev.closed_points == 0 and ev.tables == 1
+    record = metastable._record(model, Cutoffs().size_cap, model.orbit_representatives())
+    assert record._closed == {metastable._annulus(z, 0): False}
+    assert metastable._closed_entries(model, z) is None
 
 
 # -- Assumption B from closed forms --------------------------------------------------
@@ -1275,15 +1384,21 @@ def traced_pair(request):
     ev = PhaseEvaluator(model)
     curve = trace_coexistence(model, *phases, seed=seed, step=step,
                               max_points=400, evaluator=ev)
-    return model, ev, curve, len(ev._cache)
+    return model, ev, curve, evaluated_points(ev)
+
+
+def evaluated_points(ev):
+    """The z an evaluator has evaluated, in closed form or by a table."""
+    assert ev.closed_points + ev.tables == len(ev._cache)
+    return ev.closed_points + ev.tables
 
 
 @pytest.fixture(scope="module")
 def solved_pair(traced_pair):
     model, ev, curve, _ = traced_pair
-    before = len(ev._cache)
+    before = evaluated_points(ev)
     new = solve_zero_equations(model, curve, 3, evaluator=ev)
-    tables = len(ev._cache) - before
+    tables = evaluated_points(ev) - before
     old = oracle_solve(model, curve, 3, PhaseEvaluator(model))
     return model, new, old, tables
 
@@ -1299,20 +1414,21 @@ def test_newton_matches_bisection_oracle(solved_pair):
 
 
 def test_newton_solver_table_budget(solved_pair):
-    # about four tables per zero (measured 3.9), one per Newton step and
-    # per refinement point, each with its exact derivative; finite
+    # about four evaluated points per zero (measured 3.9), one per Newton
+    # step and per refinement point, each with its exact derivative; finite
     # differences would add two per Newton step, and one bisection fallback
-    # to the bracket tolerance alone would cost some 200 tables
-    model, new, old, tables = solved_pair
-    assert tables <= 4 * len(new.zeros)
+    # to the bracket tolerance alone would cost some 200 points.  Points
+    # read in closed form count as tables do
+    model, new, old, points = solved_pair
+    assert 0 < points <= 4 * len(new.zeros)
 
 
 def test_tracer_table_budget(traced_pair):
-    # about four tables per curve point (measured 3.96 and 3.95): one per
-    # corrector step, each with its exact gradient; central differences
-    # would add four per corrector step
-    model, ev, curve, tables = traced_pair
-    assert tables <= 4 * len(curve)
+    # about four evaluated points per curve point (measured 3.96 and 3.95):
+    # one per corrector step, each with its exact gradient; central
+    # differences would add four per corrector step
+    model, ev, curve, points = traced_pair
+    assert 0 < points <= 4 * len(curve)
 
 
 def test_solved_pair_takes_no_finite_differences(traced_pair, solved_pair):

@@ -29,7 +29,8 @@ from pszeros.metastable import (
     truncated_weight,
     zeta,
 )
-from pszeros.models import blume_capel, ising, pair_weight, potts, theta
+from pszeros.models import ModelError, blume_capel, ising, pair_weight, potts, theta
+from pszeros.zeros import PhaseEvaluator
 
 
 # -- mollifier ------------------------------------------------------------------
@@ -605,3 +606,22 @@ def test_model_that_built_a_class_geometry_is_freed(cold_geometry):
     free_energy_table(other, 0.9 + 0.3j)
     assert contours._class_geometry.cache_info().misses == 3
     assert contours._class_geometry(2, 1, 3, 0, Cutoffs().size_cap) is record
+
+
+# -- the domain edge z = 0 -------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", [ising(1.5, field="plain"), blume_capel(1.5, 0.3, field="plain")],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("evaluate", [
+    lambda model, z: free_energy_table(model, z),
+    lambda model, z: polymer_pressure(model, 1, z),
+    lambda model, z: finite_volume_zeta(model, -1, 3, z),
+    lambda model, z: PhaseEvaluator(model).f(1, z),
+], ids=["free_energy_table", "polymer_pressure", "finite_volume_zeta", "PhaseEvaluator.f"])
+@pytest.mark.parametrize("z", [0, 0.0, 0j])
+def test_negative_power_at_z_zero_is_a_model_error(model, evaluate, z):
+    # the plain field gives theta_- a negative power of z, which diverges
+    # at z = 0; the refusal is typed and names z
+    with pytest.raises(ModelError, match=r"z = 0"):
+        evaluate(model, z)
