@@ -184,10 +184,7 @@ def _boundary_components(config: TorusConfiguration, R: int):
     """The geometry and the R-boundary components (masks in order of their
     smallest site) of wrapped diameter below L/2 and above."""
     geom = config.torus(R)
-    small, large = [], []
-    for c in geom.flood(geom.boundary(config.spins), geom.dilate_box):
-        (small if 2 * geom.diameter(c) < geom.L else large).append(c)
-    return geom, small, large
+    return (geom, *geom.boundary_components(geom.boundary(config.spins)))
 
 
 def contour_graph(config: TorusConfiguration, R: int):
@@ -210,8 +207,8 @@ def _component_labels(geom: Torus, support: int, spins):
     ``spins``, every box centred outside it is constant, so each ring site
     carries the value of the component it touches."""
     out = []
-    for comp in geom.flood(geom.full & ~support, geom.dilate_nn):
-        values = {spins[y] for y in geom.sites(geom.dilate_nn(comp) & support)}
+    for comp, ring in geom.complement_rings(support):
+        values = {spins[y] for y in ring}
         if len(values) != 1:
             raise ValueError(
                 f"label mismatch on the complement component at site {geom.sites(comp)[0]}: "

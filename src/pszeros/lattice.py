@@ -11,6 +11,16 @@ supports and complement components as such masks.  Components of whole
 blocks of configurations, on the torus and in an open box of Z^d (the
 R-boundary's components, the holes of a contour support), are found on
 digit arrays by ``contours._spread_min``.
+
+Extraction and reconstruction meet the same few masks over and over (a
+torus of 9 sites has 512 masks, and Blume-Capel has 19,683 configurations
+there), so each ``Torus`` memoises, per distinct mask, the geometry that
+``contours`` reads: the box dilation of a value mask (keyed on the value
+mask), the box-linked components of an R-boundary split by diameter
+(keyed on the boundary mask) and the complement components of a support
+with their ring sites (keyed on the support).  Each memo is an LRU cache of
+at most ``_MEMO_CAP`` entries, and holds ints and tuples only, so no caller
+can change what another one reads.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ import operator
 from functools import lru_cache
 
 Coord = tuple
+_MEMO_CAP = 4096  # entries per memo of each Torus
 
 
 def chebyshev_ball(center: Coord, radius: int) -> list[Coord]:
@@ -80,6 +91,11 @@ class Torus:
         self._steps = [(L ** (d - 1 - a), (L - 1) * L ** (d - 1 - a), self.full ^ m[-1], m[-1],
                         self.full ^ m[0], m[0]) for a, m in enumerate(self._coord_masks)]
         self._box_steps = self._steps * R  # dilations along the axes commute
+        self._bits = tuple(1 << i for i in range(self.n_sites))
+        memo = lru_cache(maxsize=_MEMO_CAP)
+        self._value_box = memo(self.dilate_box)
+        self.boundary_components = memo(self._boundary_components)
+        self.complement_rings = memo(self._complement_rings)
 
     def index(self, coord: Coord) -> int:
         return self._index[tuple(c % self.L for c in coord)]
@@ -136,12 +152,31 @@ class Torus:
         """The mask of the R-boundary of a configuration (``spins`` by site):
         the sites that the box dilations of two or more value masks cover."""
         values = {}
-        for i, s in enumerate(spins):
-            values[s] = values.get(s, 0) | 1 << i
+        get = values.get
+        for s, bit in zip(spins, self._bits):
+            values[s] = get(s, 0) | bit
+        if len(values) == 1:
+            return 0
         seen = bad = 0
-        for m in map(self.dilate_box, values.values()):
+        for m in map(self._value_box, values.values()):
             bad, seen = bad | seen & m, seen | m
         return bad
+
+    def _boundary_components(self, boundary: int) -> tuple:
+        """The box-linked components of an R-boundary mask, in order of
+        their smallest site, as (those of wrapped diameter below L/2, the
+        rest); memoised as ``boundary_components``."""
+        small, large = [], []
+        for c in self.flood(boundary, self.dilate_box):
+            (small if 2 * self.diameter(c) < self.L else large).append(c)
+        return tuple(small), tuple(large)
+
+    def _complement_rings(self, support: int) -> tuple:
+        """Every component of the complement of a support mask, in order of
+        its smallest site, with its ring: the support sites next to it, in
+        increasing order.  Memoised as ``complement_rings``."""
+        return tuple((comp, tuple(self.sites(self.dilate_nn(comp) & support)))
+                     for comp in self.flood(self.full & ~support, self.dilate_nn))
 
     def shrink(self, mask: int) -> int:
         """Remove from a site mask the layer adjacent to its complement."""

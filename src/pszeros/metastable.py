@@ -73,7 +73,7 @@ from .contours import (
 )
 from .errors import BudgetError, ConvergenceError
 from .lattice import torus
-from .models import SpinModel, pair_weight, theta, theta_max
+from .models import ModelError, SpinModel, pair_weight, theta, theta_max
 from .polymer import (
     PolymerSystem,
     enumerate_clusters,
@@ -138,7 +138,17 @@ class Cutoffs:
 def estimate_tau(model: SpinModel, z: complex, size_cap: int = Cutoffs.size_cap) -> float:
     """Measured Peierls rate: the infimum over enumerated contours of
     -log(|rho(Y)| / theta(z)^{|Y|}) / |Y|; it depends on |z| alone."""
+    _check_point(model, z)
     return float(_rates(model, abs(z), size_cap).min(initial=math.inf))
+
+
+def _check_point(model: SpinModel, z: complex) -> None:
+    """A ModelError naming z, as the caller passed it, where z is not
+    finite or where some theta_m diverges (z = 0 with a negative power)."""
+    if not cmath.isfinite(z):
+        raise ModelError(f"z = {z!r}: not a finite point")
+    if z == 0:
+        theta_max(model, z)
 
 
 def _rates(model: SpinModel, r: float, size_cap: int) -> np.ndarray:
@@ -864,6 +874,7 @@ def _phase_entries(model: SpinModel, z, sums: list) -> dict:
 def _closed_entries(model: SpinModel, z, cutoffs: Cutoffs = Cutoffs()):
     """``free_energy_table``'s entries at z, bit for bit but with ``pressure``
     None, from the polynomials at phi_q = 1; None where ``_Phases.closed`` refuses."""
+    _check_point(model, z)
     record = _record(model, cutoffs.size_cap, model.orbit_representatives())
     if not record.closed(model, cutoffs.size_cap, abs(z)):
         return None

@@ -128,6 +128,21 @@ def test_plain_field_at_z_zero_is_a_model_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_nonfinite_z_is_a_model_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        "[scenario]\nname = nan\npipelines = free-energy\n\n"
+        "[model]\nname = ising\nJ = 1.5\n\n"
+        "[free-energy]\ngrid = list\nz_values = nan\n"
+    )
+    out = tmp_path / "o"
+    assert main(["--scenario", str(cfg), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["stage"] == "free-energy" and "z = (nan+0j): not a finite point" in err["error"]
+    assert "error.json" in json.loads((out / "manifest.json").read_text())["files"]
+    assert "config error" in capsys.readouterr().err
+
+
 def test_scenario_parsing_options():
     scn = Scenario.from_text(PRESETS["zeros-ising"])
     assert scn.pipelines == ("zeros",)

@@ -40,6 +40,7 @@ from pszeros.contours import (
     nesting_order,
     reconstruct,
 )
+import pszeros.lattice as lattice
 from pszeros.lattice import chebyshev_ball, torus, zd_neighbors
 from pszeros.metastable import (
     EXACT_PLACEMENT_BUDGET,
@@ -2760,13 +2761,41 @@ def test_extract_matches_set_oracle_on_sparse_and_wider_tori():
     assert _check_against_set_oracles(bc, 23, [TorusConfiguration(23, 2, tuple(spins))]) == 1
 
 
+def _memos(geom):
+    """The memoised geometry of a torus, by attribute name."""
+    return {name: f for name, f in vars(geom).items() if hasattr(f, "cache_info")}
+
+
+def oracle_boundary_components(geom, sub):
+    comps = sorted(oracle_zd_components(sub, geom.boxes.__getitem__), key=min)
+    small = tuple(c for c in comps if 2 * oracle_torus_diameter(geom, c) < geom.L)
+    return small, tuple(c for c in comps if c not in small)
+
+
+def oracle_complement_rings(geom, sub):
+    support = set(sub)
+    comps = oracle_torus_components(geom, [x for x in range(geom.n_sites) if x not in support])
+    return [(c, sorted({y for x in c for y in geom.neighbors[x] if y in support}))
+            for c in sorted(comps, key=min)]
+
+
 def test_torus_masks_match_set_oracles():
     rng = random.Random(46)
     for L, d, R in ((3, 2, 1), (5, 2, 2), (6, 2, 1), (7, 2, 1), (3, 3, 1), (4, 3, 1)):
         geom = torus(L, d, R)
+        for memo in _memos(geom).values():
+            memo.cache_clear()
         for _ in range(30):
             sub = [x for x in range(geom.n_sites) if rng.random() < rng.uniform(0.1, 0.7)]
             mask = geom.mask(sub)
+            # the memoised components and rings, cold and then warm
+            parts = geom.boundary_components(mask)
+            rings = geom.complement_rings(mask)
+            assert geom.boundary_components(mask) is parts and geom.complement_rings(mask) is rings
+            assert tuple(tuple(frozenset(geom.sites(c)) for c in part)
+                         for part in parts) == oracle_boundary_components(geom, sub)
+            assert [(frozenset(geom.sites(c)), list(ring))
+                    for c, ring in rings] == oracle_complement_rings(geom, sub)
             assert geom.sites(mask) == sub
             assert [frozenset(geom.sites(c)) for c in geom.flood(mask, geom.dilate_nn)] == sorted(
                 oracle_torus_components(geom, sub), key=min)
@@ -2777,6 +2806,33 @@ def test_torus_masks_match_set_oracles():
             assert set(geom.sites(geom.shrink(mask))) == {
                 x for x in sub if all(y in sub for y in geom.neighbors[x])}
         assert geom.diameter(0) == 0 and geom.flood(0, geom.dilate_nn) == []
+        assert geom.boundary([0] * geom.n_sites) == 0 and geom.boundary_components(0) == ((), ())
+        assert geom.complement_rings(geom.full) == () and geom.complement_rings(0) == ((geom.full, ()),)
+        assert all(memo.cache_info().hits >= 30 for name, memo in _memos(geom).items()
+                   if name != "_value_box")
+
+
+def test_torus_memos_hold_at_most_their_cap_and_only_tuples():
+    # all of Ising L=4 meets more value masks than a memo holds
+    geom = torus(4, 2, 1)
+    memos = _memos(geom)
+    assert sorted(memos) == ["_value_box", "boundary_components", "complement_rings"]
+    for memo in memos.values():
+        memo.cache_clear()
+    for cfg in all_configs(ising(1.0), 4):
+        extract(cfg, 1)
+    for name, memo in memos.items():
+        info = memo.cache_info()
+        assert info.maxsize == lattice._MEMO_CAP and info.currsize <= info.maxsize, name
+    assert memos["_value_box"].cache_info().misses > lattice._MEMO_CAP
+    # the values callers share cannot be changed in place
+    rng = random.Random(49)
+    for mask in [0, geom.full] + [rng.getrandbits(geom.n_sites) for _ in range(50)]:
+        parts, rings = geom.boundary_components(mask), geom.complement_rings(mask)
+        assert type(parts) is tuple and all(type(p) is tuple for p in parts)
+        assert type(rings) is tuple and all(
+            type(r) is tuple and type(r[1]) is tuple for r in rings)
+        assert type(geom._value_box(mask)) is int
 
 
 def _raises_alike(new, old, *args):

@@ -2,6 +2,7 @@ import cmath
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -611,17 +612,30 @@ def test_model_that_built_a_class_geometry_is_freed(cold_geometry):
 # -- the domain edge z = 0 -------------------------------------------------------
 
 
-@pytest.mark.parametrize("model", [ising(1.5, field="plain"), blume_capel(1.5, 0.3, field="plain")],
-                         ids=lambda m: m.name)
-@pytest.mark.parametrize("evaluate", [
+_POINT_ENTRIES = pytest.mark.parametrize("evaluate", [
     lambda model, z: free_energy_table(model, z),
     lambda model, z: polymer_pressure(model, 1, z),
     lambda model, z: finite_volume_zeta(model, -1, 3, z),
     lambda model, z: PhaseEvaluator(model).f(1, z),
 ], ids=["free_energy_table", "polymer_pressure", "finite_volume_zeta", "PhaseEvaluator.f"])
+
+
+@pytest.mark.parametrize("model", [ising(1.5, field="plain"), blume_capel(1.5, 0.3, field="plain")],
+                         ids=lambda m: m.name)
+@_POINT_ENTRIES
 @pytest.mark.parametrize("z", [0, 0.0, 0j])
 def test_negative_power_at_z_zero_is_a_model_error(model, evaluate, z):
     # the plain field gives theta_- a negative power of z, which diverges
-    # at z = 0; the refusal is typed and names z
-    with pytest.raises(ModelError, match=r"z = 0"):
+    # at z = 0; the refusal is typed and names z as it was passed
+    with pytest.raises(ModelError, match=re.escape(f"z = {z!r}: the power")):
+        evaluate(model, z)
+
+
+@pytest.mark.parametrize("model", [ising(1.5), blume_capel(1.5, 0.3, field="plain")],
+                         ids=lambda m: m.name)
+@_POINT_ENTRIES
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(math.inf, 0), complex(1, math.nan),
+                               complex(-math.inf, 1)], ids=repr)
+def test_nonfinite_z_is_a_model_error(model, evaluate, z):
+    with pytest.raises(ModelError, match=re.escape(f"z = {z!r}: not a finite point")):
         evaluate(model, z)
