@@ -238,10 +238,11 @@ def _pipeline_exact(scn: Scenario, em: Emitter) -> int:
         ze, mass = states.sum_with_mass(z)
         try:
             zt = transfer_matrix_pf(model, L, z)
-            dev = abs(ze - zt) / mass
-        except BudgetError:
+        except BudgetError:  # refused (range > 1, or past its budget): a nan row
             zt, dev = complex("nan"), float("nan")
-        worst = max(worst, dev if dev == dev else 0.0)
+        else:
+            dev = abs(ze - zt) / mass
+            worst = max(worst, dev)
         rows.append(tuple(map(fmt, (z.real, z.imag, ze.real, ze.imag, zt.real, zt.imag, dev))))
     if spots:
         em.write_csv(f"exact_spot_checks_L{L}.csv", rows)

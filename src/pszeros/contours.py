@@ -644,6 +644,12 @@ def contours_in_region(model: SpinModel, q, region):
 _ClassGeometry = namedtuple("_ClassGeometry", "classes padded columns")
 
 
+def _class_key(cells, digits, holes):
+    """A class's place in a geometry record: size, cells, digits, holes."""
+    return (len(cells), tuple(cells), tuple(digits),
+            tuple(sorted((min(h), k) for h, k in holes)))
+
+
 @lru_cache(maxsize=None)
 def _class_geometry(d: int, R: int, n_spins: int, bg: int, max_support: int) -> _ClassGeometry:
     """The translation classes of contours with support size <= max_support
@@ -651,13 +657,38 @@ def _class_geometry(d: int, R: int, n_spins: int, bg: int, max_support: int) -> 
     of digit ``bg``: built once per process and holding no model and no
     energy.  ``classes`` are (support cells, their digits, holes) rows with
     least coordinate 0 on each axis, in order of size, cells, digits and
-    holes; ``columns``
-    the digit and R-boundary columns (sites of the box ``padded`` x
-    classes) of each class's first candidate row.
+    holes; ``columns`` the digit and R-boundary columns (sites of the box
+    ``padded`` x classes) of each class's first candidate row.
 
-    Deviation patterns are grown under Chebyshev linkage 2R+1; for the
-    support caps used here (a few boxes) this enumerates every class.
+    Only digit 0's record is grown (``_grown_class_geometry``).  Digit bg's
+    is digit 0's with the digits 0 and bg swapped, the classes sorted again
+    and both column arrays permuted to match.  That is exact: the
+    candidate rows of bg are those of 0 with the two digits swapped,
+    extraction sees only whether two digits are equal, so supports and
+    holes stay, and each class comes from exactly one candidate row (its
+    configuration, placed in the common box, is the row).
     """
+    if not bg:
+        return _grown_class_geometry(d, R, n_spins, 0, max_support)
+    grown = _class_geometry(d, R, n_spins, 0, max_support)
+    swap = np.arange(n_spins, dtype=np.int8)
+    swap[[0, bg]] = bg, 0
+    to = swap.tolist()
+    classes = [(cells, tuple(to[k] for k in digits), tuple((h, to[k]) for h, k in holes))
+               for cells, digits, holes in grown.classes]
+    order = sorted(range(len(classes)), key=lambda j: _class_key(*classes[j]))
+    digits, bad = grown.columns
+    digits, bad = swap[digits[:, order]], bad[:, order]
+    digits.setflags(write=False)
+    bad.setflags(write=False)
+    return _ClassGeometry(tuple(classes[j] for j in order), grown.padded, (digits, bad))
+
+
+def _grown_class_geometry(d: int, R: int, n_spins: int, bg: int,
+                          max_support: int) -> _ClassGeometry:
+    """``_class_geometry`` grown for any background digit: deviation
+    patterns are grown under Chebyshev linkage 2R+1; for the support caps
+    used here (a few boxes) this enumerates every class."""
     if max_support > 2 * (2 * R + 1) ** d:
         raise BudgetError("size cap too large for pattern enumeration")
     # deviations further apart than 2R+1 cannot share a non-constant box, and
@@ -709,8 +740,7 @@ def _class_geometry(d: int, R: int, n_spins: int, bg: int, max_support: int) -> 
     first = {}  # per class: its first row and that row's two columns
     for found, (digits, bad) in _zd_contours(R, bg, (-1,) * d, shape, blocks(), max_support):
         for j, (cells, digs, holes) in enumerate(_rows(found)):
-            key = (len(cells), tuple(cells), tuple(digs),
-                   tuple(sorted((min(h), k) for h, k in holes)))
+            key = _class_key(cells, digs, holes)
             if key not in first:
                 first[key] = (key[1], key[2], holes), digits[:, j], bad[:, j]
     order = sorted(first)

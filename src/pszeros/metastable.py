@@ -73,7 +73,7 @@ from .contours import (
 )
 from .errors import BudgetError, ConvergenceError
 from .lattice import torus
-from .models import ModelError, SpinModel, pair_weight, theta, theta_max
+from .models import SpinModel, check_finite, pair_weight, theta, theta_max
 from .polymer import (
     PolymerSystem,
     enumerate_clusters,
@@ -145,8 +145,7 @@ def estimate_tau(model: SpinModel, z: complex, size_cap: int = Cutoffs.size_cap)
 def _check_point(model: SpinModel, z: complex) -> None:
     """A ModelError naming z, as the caller passed it, where z is not
     finite or where some theta_m diverges (z = 0 with a negative power)."""
-    if not cmath.isfinite(z):
-        raise ModelError(f"z = {z!r}: not a finite point")
+    check_finite(z)
     if z == 0:
         theta_max(model, z)
 
@@ -341,14 +340,22 @@ _T_MAX = max(_A_SCALES) + _ETA_CAP
 _CertificateGeometry = namedtuple("_CertificateGeometry", "sizes volumes offsets rows grid_exp step")
 
 
+_CODE_BASE = 2**15  # B of the offset and placement code (see _Shape)
+
+
 class _Shape:
     """The coupling- and z-free part of a contour gas, fixed by d, R and,
     per class in class order, its sorted support and its sorted volume (see
     the module docstring); each part is built on first use.  Classes enter
     as their (support, volume) coordinate tuples, and no contour, model or
-    energy is held.  The overlap offsets are dropped once the cluster arrays
-    and the geometry are built (they take about 0.3 MiB for a three-state
-    shape), so another norm cap searches them again."""
+    energy is held.
+
+    Offsets and placements are held as integer codes: code(v) = sum v_k
+    B^(d-1-k) with B = _CODE_BASE.  The code is additive (code(v + w) =
+    code(v) + code(w)), and on vectors whose coordinates all lie in
+    (-B/2, B/2) it is one to one and sorts like the coordinate tuples.  The
+    overlap offsets are dropped once the cluster arrays and the geometry
+    are built, so another norm cap searches them again."""
 
     def __init__(self, d: int, R: int, classes: tuple):
         self.d = d
@@ -361,29 +368,37 @@ class _Shape:
 
     @cached_property
     def offsets(self):
-        """Per pair of classes (i, j), the sorted offsets a - b (a in support
-        i, b in support j) at which class j placed relative to class i
-        overlaps it."""
+        """Per pair of classes (i, j), the sorted codes of the offsets a - b
+        (a in support i, b in support j) at which class j placed relative to
+        class i overlaps it.  A BudgetError is raised where the supports'
+        coordinates span B/2 or more along an axis (the code would not be one
+        to one) or where the search keys would not fit an int64."""
         if not self.supports:
             return []
-        # with every coordinate in an interval of M values, a - b lies in
-        # (-M, M)^d; code (j, a - b) as one integer that sorts like the tuple
-        supports = [np.array(sup) for sup in self.supports]
-        every = np.concatenate(supports)
-        owner = np.repeat(np.arange(len(supports)), self.sizes)
-        M = int(every.max() - every.min()) + 1
-        radix = (2 * M - 1) ** np.arange(self.d - 1, -1, -1)
-        span = (2 * M - 1) ** self.d
+        arrays = [np.array(sup) for sup in self.supports]
+        every = np.concatenate(arrays)
+        lo, extent = every.min(axis=0), np.ptp(every, axis=0)
+        # the codes of the supports translated by -lo lie in [0, width], so
+        # code(a - b) in [-width, width]; one pass per class i codes (j, a - b)
+        # as j span + width + code(a - b), which sorts like (j, a - b)
+        width = sum(int(e) * _CODE_BASE ** (self.d - 1 - k) for k, e in enumerate(extent))
+        span = 2 * width + 1
+        if 2 * int(extent.max()) >= _CODE_BASE or len(arrays) * span >= 2**63:
+            raise BudgetError(f"{len(arrays)} classes of coordinate extent {int(extent.max())} "
+                              f"in d = {self.d} overflow the offset code")
+        radix = _CODE_BASE ** np.arange(self.d - 1, -1, -1)
+        codes = [(a - lo) @ radix for a in arrays]
+        shifted = np.repeat(np.arange(len(codes)) * span + width, self.sizes) \
+            - np.concatenate(codes)
+        cuts = np.arange(1, len(codes)) * span
         out = []
-        for si in supports:
-            diff = (si[:, None, :] - every[None, :, :] + M - 1) @ radix
-            codes = np.sort(owner * span + diff, axis=None)
-            # distinct codes; np.unique would do, but it imports numpy.ma,
+        for ci in codes:
+            keys = np.sort(ci[:, None] + shifted, axis=None)
+            # distinct keys; np.unique would do, but it imports numpy.ma,
             # which costs about 1 MiB of resident memory
-            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-            cuts = np.searchsorted(codes, np.arange(1, len(supports)) * span)
-            digits = (codes[:, None] % span // radix) % (2 * M - 1) - (M - 1)
-            out.append([list(map(tuple, part.tolist())) for part in np.split(digits, cuts)])
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            diffs = keys % span - width
+            out.append([part.tolist() for part in np.split(diffs, np.searchsorted(keys, cuts))])
         return out
 
     @cached_property
@@ -414,56 +429,72 @@ class _Shape:
         per-site rooted sum, since a cluster class has exactly |V| translates
         whose volume covers the origin.  Built anew on each call; the record
         keeps it only as ``cluster_arrays``.
-        """
-        d, sizes, overlap_offsets = self.d, self.sizes, self.offsets
-        # connected placement sets up to translation, rooted at class i0 at 0;
-        # growth ends where every further class would pass the norm cap.  The
-        # growths of translates are translates, so each set up to translation
-        # is grown once, from the first placement set that reaches it
-        placement_sets = set()
 
-        def canon(pset):
-            t = min(pset, key=lambda p: (p[1], p[0]))[1]
-            return tuple(sorted(
-                (ci, tuple(o[k] - t[k] for k in range(d))) for ci, o in pset
-            ))
+        A placement is (class, code of its offset), and a set of them is
+        translated by subtracting its least code, which is its least offset;
+        two placements overlap when the difference of their codes is one of
+        the pair's offset codes.  Two placements of a connected set under the
+        norm cap lie at most (norm_cap // min |Y| - 1) overlap offsets
+        apart, each coordinate of which is at most the supports' coordinate
+        range; where that reach is not below B/2 a code could wrap, and a
+        BudgetError is raised instead.
+        """
+        sizes, offsets = self.sizes, self.offsets
+        if sizes:
+            coords = [c for sup in self.supports for x in sup for c in x]
+            reach = (int(norm_cap // min(sizes)) - 1) * (max(coords) - min(coords))
+            if 2 * reach >= _CODE_BASE:
+                raise BudgetError(f"norm cap {norm_cap} reaches offsets past the "
+                                  f"placement code's bound {_CODE_BASE // 2}")
+        # connected placement sets up to translation, each held as its sorted
+        # placements translated to least code 0, grown from class i0 at 0;
+        # growth ends where every further class would pass the norm cap.  The
+        # growths of translates are translates, so each set is grown once
+        placement_sets = set()
 
         def grow(pset, base_norm):
             for cj, size in enumerate(sizes):
                 if base_norm + size > norm_cap:
                     continue
-                for (ci, oi) in pset:
-                    for rel in overlap_offsets[ci][cj]:
-                        cand = (cj, tuple(oi[k] + rel[k] for k in range(d)))
+                for ci, oi in pset:
+                    for rel in offsets[ci][cj]:
+                        cand = (cj, oi + rel)
                         if cand in pset:
                             continue
-                        grown = pset | {cand}
-                        key = canon(grown)
+                        if cand[1] < 0:  # the new least code
+                            key = tuple(sorted([(c, o - cand[1]) for c, o in pset] + [(cj, 0)]))
+                        else:
+                            key = tuple(sorted(pset + (cand,)))
                         if key not in placement_sets:
                             placement_sets.add(key)
-                            grow(grown, base_norm + size)
+                            grow(key, base_norm + size)
 
         for i0, size in enumerate(sizes):
             if size <= norm_cap:
-                placement_sets.add(((i0, (0,) * d),))
-                grow(frozenset([(i0, (0,) * d)]), size)
+                placement_sets.add(((i0, 0),))
+                grow(((i0, 0),), size)
+
+        overlap = {}  # the offset codes of a pair of classes as a set, on first use
+
+        def overlaps(ca, cb, rel):
+            if (ca, cb) not in overlap:
+                overlap[ca, cb] = frozenset(offsets[ca][cb])
+            return rel in overlap[ca, cb]
 
         entries = []
         for pset in sorted(placement_sets):
-            placements = list(pset)
-            ids = tuple(range(len(placements)))
+            ids = tuple(range(len(pset)))
             # (ca, oa) and (cb, ob) overlap exactly when ob - oa is an offset
             # at which class cb placed relative to class ca overlaps it
             incompat = [
                 (a, b)
-                for (a, (ca, oa)), (b, (cb, ob))
-                in itertools.combinations(enumerate(placements), 2)
-                if tuple(y - x for x, y in zip(oa, ob)) in overlap_offsets[ca][cb]
+                for (a, (ca, oa)), (b, (cb, ob)) in itertools.combinations(enumerate(pset), 2)
+                if overlaps(ca, cb, ob - oa)
             ]
-            part_sizes = {i: sizes[ci] for i, (ci, _) in enumerate(placements)}
+            part_sizes = {i: sizes[ci] for i, (ci, _) in enumerate(pset)}
             sys_stub = PolymerSystem.build(ids, {i: 0j for i in ids}, incompat, part_sizes)
             for mult, _, u in multi_indices(sys_stub, ids, norm_cap):
-                entries.append((tuple((placements[i][0], mult[i]) for i in ids), u))
+                entries.append((tuple((pset[i][0], mult[i]) for i in ids), u))
         self.geometry  # takes its counts from the offsets before they go
         del self.offsets
         return tuple(entries)

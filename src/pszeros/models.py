@@ -58,6 +58,12 @@ class ModelError(ValueError):
     pass
 
 
+def check_finite(z: complex) -> None:
+    """A ModelError naming z, as the caller passed it, where z is not finite."""
+    if not cmath.isfinite(z):
+        raise ModelError(f"z = {z!r}: not a finite point")
+
+
 @dataclass(frozen=True, eq=False)
 class InteractionTerm:
     """One translation class of the potential.

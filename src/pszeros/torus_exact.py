@@ -26,8 +26,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError
-from .models import ModelError, SpinModel, placement_energies, strip_placements, torus_placements
+from .errors import BudgetError, ConvergenceError
+from .models import (
+    ModelError,
+    SpinModel,
+    check_finite,
+    placement_energies,
+    strip_placements,
+    torus_placements,
+)
 
 ENUM_BUDGET = 2**27
 MATRIX_BUDGET = 1024
@@ -64,10 +71,20 @@ def _energy_blocks(model: SpinModel, L: int):
 
 def _zpow(z: complex, p: np.ndarray) -> np.ndarray:
     """z^p for real powers p on numpy's principal branch (repeated squaring
-    at integer p); at z = 0, 1 for p = 0, 0 for p > 0, a ModelError for p < 0."""
+    at integer p); at z = 0, 1 for p = 0, 0 for p > 0, a ModelError for p < 0.
+    A power that overflows comes out infinite (callers silence numpy's
+    warning and ``_finite`` refuses the sum)."""
     if z == 0 and (p < 0).any():
         raise ModelError(f"z = {z!r} with a negative power of z: the weights diverge there")
     return np.power(complex(z), p)
+
+
+def _finite(value, z: complex, what: str):
+    """The number ``value``, or a ConvergenceError naming z where it
+    overflowed."""
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"{what} overflows at z = {z!r}")
+    return value
 
 
 class _DensityOfStates(NamedTuple):
@@ -81,8 +98,12 @@ class _DensityOfStates(NamedTuple):
     def sum_with_mass(self, z: complex) -> tuple:
         """Z(z) = sum_p a_p z^p, and the summed moduli sum_p m_p |z|^p of its
         terms: the scale against which Z is known when the terms cancel."""
-        zp = _zpow(z, self.powers)
-        return complex((self.amplitudes * zp).sum()), float((self.moduli * np.abs(zp)).sum())
+        check_finite(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            zp = _zpow(z, self.powers)
+            total = complex((self.amplitudes * zp).sum())
+            mass = float((self.moduli * np.abs(zp)).sum())
+        return _finite(total, z, "Z"), _finite(mass, z, "the sum of the moduli of Z's terms")
 
     def polynomial(self, model: SpinModel, L: int) -> PartitionPolynomial:
         """The amplitudes as coefficients by power of z."""
@@ -143,6 +164,7 @@ def transfer_matrix_pf(
     states i and j, evaluated a block of rows i at a time so that no array
     is much larger than the matrix itself.
     """
+    check_finite(z)
     if model.range != 1:
         raise BudgetError("transfer matrix supports range R=1 only")
     q = len(model.spins)
@@ -159,9 +181,12 @@ def transfer_matrix_pf(
             yield np.concatenate([np.repeat(rows, n, axis=1), np.tile(layer, rows.shape[1])])
 
     T = np.empty((n, n), dtype=complex)
-    for i0, (c, p) in zip(starts, placement_energies(model, strip_placements(model, L), blocks())):
-        T[i0 : i0 + starts.step] = (np.exp(-c) * _zpow(z, p)).reshape(-1, n)
-    return complex(np.trace(np.linalg.matrix_power(T, L)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0, (c, p) in zip(starts, placement_energies(model, strip_placements(model, L),
+                                                         blocks())):
+            T[i0 : i0 + starts.step] = (np.exp(-c) * _zpow(z, p)).reshape(-1, n)
+        trace = complex(np.trace(np.linalg.matrix_power(T, L)))
+    return _finite(trace, z, "the transfer-matrix product")
 
 
 # -- partition polynomial -----------------------------------------------------

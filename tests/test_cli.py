@@ -218,3 +218,21 @@ def test_custom_scenario_runs(tmp_path):
     assert main(["--scenario", str(cfg), "--out", str(out)]) == 0
     zs = json.loads((out / "exact_zeros_L3.json").read_text())
     assert zs["degree"] == 18
+
+
+def test_exact_pipeline_refuses_nonfinite_and_overflowing_z(tmp_path, capsys):
+    # nan is refused before any row is written; 1e300 alone overflows Z
+    for z_values, message in (("nan; 1e300", "z = (nan+0j): not a finite point"),
+                              ("1e300", "Z overflows at z = (1e+300+0j)")):
+        cfg = tmp_path / "exact.cfg"
+        cfg.write_text(
+            "[scenario]\nname = exact-edge\npipelines = exact\n\n"
+            "[model]\nname = ising\nJ = 1.5\n\n"
+            f"[exact]\nL = 3\nz_values = {z_values}\n"
+        )
+        out = tmp_path / z_values.replace("; ", "-")
+        assert main(["--scenario", str(cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "exact" and message in err["error"]
+        assert "error.json" in json.loads((out / "manifest.json").read_text())["files"]
+        assert not (out / "exact_spot_checks_L3.csv").exists()

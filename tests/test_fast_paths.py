@@ -50,7 +50,7 @@ from pszeros.metastable import (
     finite_volume_zeta,
     free_energy_table,
 )
-from pszeros.errors import ConvergenceError
+from pszeros.errors import BudgetError, ConvergenceError
 from conftest import (
     all_configs, free_field_model, random_torus_config, sparse_torus_config, sweep_models,
 )
@@ -1789,9 +1789,9 @@ def oracle_placed_overlap(pa, pb, supports, d):
     )
 
 
-def oracle_overlap_offsets(classes, d):
-    """The set comprehension the gas record's offsets replaced."""
-    supports = [y.support for y in classes]
+def oracle_overlap_offsets(supports, d):
+    """The set comprehension the gas record's offsets replaced, as sorted
+    coordinate tuples."""
     return [
         [sorted({tuple(a[k] - b[k] for k in range(d)) for a in si for b in sj})
          for sj in supports]
@@ -1805,7 +1805,7 @@ def oracle_gas_skeleton(model, q, size_cap, norm_cap):
     classes = _gas(model, q, size_cap).classes
     d = model.dimension
     supports = [y.support for y in classes]
-    overlap_offsets = oracle_overlap_offsets(classes, d)
+    overlap_offsets = oracle_overlap_offsets(supports, d)
     placement_sets = set()
     min_size = min((y.size for y in classes), default=1)
     cap_parts = max(1, int(norm_cap // max(min_size, 1)))
@@ -1953,9 +1953,11 @@ def test_gas_skeleton_matches_placed_overlap_oracle(model):
 
 
 def oracle_revisiting_skeleton(shape, norm_cap):
-    """The skeleton grown as before: each connected placement set is grown
-    again from every set that reaches it, and recorded on entry."""
-    d, sizes, overlap_offsets = shape.d, shape.sizes, shape.offsets
+    """The skeleton grown as before, on coordinate tuples: each connected
+    placement set is grown again from every set that reaches it, and
+    recorded on entry."""
+    d, sizes = shape.d, shape.sizes
+    overlap_offsets = oracle_overlap_offsets(shape.supports, d)
     placement_sets = set()
 
     def canon(pset):
@@ -2005,6 +2007,27 @@ def test_skeleton_matches_revisiting_growth_oracle(model):
             assert shape.skeleton(norm_cap) == oracle_revisiting_skeleton(shape, norm_cap)
 
 
+@pytest.mark.parametrize("model, norm_cap", [
+    (ising(1.5), 24.0), (blume_capel(1.5, 0.3), 24.0), (potts(4, 1.5), 24.0),
+    (blume_capel(1.5, 0.3), 30.0),
+], ids=lambda v: v.name if hasattr(v, "name") else f"{v:g}")
+def test_coded_skeleton_matches_tuple_oracle_at_deeper_caps(model, norm_cap):
+    # placements held as (class, code) grow the same sets, in the same
+    # order, as the coordinate tuples did
+    shape = _gas(model, model.orbit_representatives()[0], 12).shape
+    assert shape.skeleton(norm_cap) == oracle_revisiting_skeleton(shape, norm_cap)
+
+
+def test_norm_cap_past_the_code_bound_raises():
+    # two placements of a connected set under norm cap 9 k lie up to
+    # (k - 1) 3 apart per coordinate, which from this k on is not below B/2
+    shape = _gas(ising(1.5), 1, 12).shape
+    k = -(-metastable._CODE_BASE // 6) + 1
+    with pytest.raises(BudgetError, match="code"):
+        shape.skeleton(9.0 * k)
+    assert shape.skeleton(18.0) == oracle_revisiting_skeleton(shape, 18.0)
+
+
 @pytest.mark.parametrize("model", [ising(1.5), blume_capel(1.5, 0.3), potts(4, 1.5)],
                          ids=lambda m: m.name)
 def test_torus_placements_match_coordinate_oracle(model):
@@ -2019,9 +2042,44 @@ def test_torus_placements_match_coordinate_oracle(model):
 @pytest.mark.parametrize("model", [ising(1.5), blume_capel(1.5, 0.3), potts(3, 1.5),
                                    potts(4, 1.5)], ids=lambda m: m.name)
 def test_overlap_offsets_match_set_oracle(model):
+    # the codes, decoded pair by pair and in order, are the sorted offsets
+    d = model.dimension
     for q in model.orbit_representatives():
         classes = contour_classes(model, q, 12)
-        assert _gas(model, q, 12).shape.offsets == oracle_overlap_offsets(classes, model.dimension)
+        expected = oracle_overlap_offsets([y.support for y in classes], d)
+        decoded = [[[_decode(code, d) for code in pair] for pair in row]
+                   for row in _gas(model, q, 12).shape.offsets]
+        assert decoded == expected
+
+
+def _decode(code, d):
+    """The offset of a code: its signed digits in base _CODE_BASE."""
+    base, out = metastable._CODE_BASE, []
+    for _ in range(d):
+        digit = (code + base // 2) % base - base // 2
+        out.append(digit)
+        code = (code - digit) // base
+    assert code == 0
+    return tuple(reversed(out))
+
+
+def test_offset_codes_in_four_dimensions_match_set_oracle():
+    # twelve classes in d = 4: B^4 per class would pass an int64 from the
+    # ninth class on, so the search keys are sized by the supports' extent
+    rng = random.Random(29)
+    cube = list(itertools.product((-1, 0, 1), repeat=4))
+    supports = [tuple(sorted(rng.sample(cube, 20))) for _ in range(12)]
+    shape = metastable._Shape(4, 1, tuple((sup, sup) for sup in supports))
+    decoded = [[[_decode(code, 4) for code in pair] for pair in row] for row in shape.offsets]
+    assert decoded == oracle_overlap_offsets(supports, 4)
+
+
+def test_offset_codes_past_an_int64_raise():
+    # in d = 5 two classes of extent 2 already need keys of 2^63 and more
+    cube = tuple(itertools.product((-1, 0, 1), repeat=5))
+    shape = metastable._Shape(5, 1, ((cube, cube), (cube[1:], cube)))
+    with pytest.raises(BudgetError, match="overflow the offset code"):
+        shape.offsets
 
 
 # -- oracles: the per-candidate contour builder replaced by the batched one
@@ -2256,6 +2314,23 @@ def test_shared_class_geometry_matches_fresh_enumeration(n_spins):
                     assert _contour_records(model, contour_classes(model, q, size_cap)) == \
                         expected[key], key
         assert contours._class_geometry.cache_info().misses == 3 * len(digits)
+
+
+@pytest.mark.parametrize("n_spins, caps", [(2, (9, 12, 16, 18)), (3, (9, 12, 16)),
+                                           (4, (9, 12, 16))])
+def test_relabelled_class_geometry_matches_fresh_growth(n_spins, caps):
+    # every background's record, relabelled from digit 0's (which is grown),
+    # is the record a growth in that background gives: classes, box and both
+    # column arrays, dtype and bits
+    for cap in caps:
+        assert contours._class_geometry(2, 1, n_spins, 0, cap).classes
+        for bg in range(1, n_spins):
+            got = contours._class_geometry(2, 1, n_spins, bg, cap)
+            grown = contours._grown_class_geometry(2, 1, n_spins, bg, cap)
+            assert (got.classes, got.padded) == (grown.classes, grown.padded), (cap, bg)
+            for a, b in zip(got.columns, grown.columns):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert not a.flags.writeable
 
 
 def _box(a, b):

@@ -595,6 +595,23 @@ def test_sweep_models_build_seven_class_geometries(cold_geometry):
     assert (info.misses, info.currsize) == (7, 7)
 
 
+def test_sweep_models_grow_three_class_geometries(cold_geometry, monkeypatch):
+    # of those seven records only digit 0's of each alphabet is grown; the
+    # other four are relabelled from it
+    grown = []
+    grow = contours._grown_class_geometry
+
+    def counted(*key):
+        grown.append(key)
+        return grow(*key)
+
+    monkeypatch.setattr(contours, "_grown_class_geometry", counted)
+    for model in sweep_models():
+        free_energy_table(model, 0.9 + 0.3j)
+        estimated_constants(model, [0.9 + 0.3j])
+    assert sorted(grown) == [(2, 1, n_spins, 0, Cutoffs().size_cap) for n_spins in (2, 3, 4)]
+
+
 def test_model_that_built_a_class_geometry_is_freed(cold_geometry):
     model = blume_capel(1.75, -0.05)
     free_energy_table(model, 0.9 + 0.3j)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from conftest import free_field_model, random_z
 import pszeros.torus_exact as torus_exact
 from pszeros.cli import PRESETS, Scenario, run
 from pszeros.contours import torus_contour_identity_check
-from pszeros.errors import BudgetError
-from pszeros.models import blume_capel, ising, perturbed_ising, potts
+from pszeros.errors import BudgetError, ConvergenceError
+from pszeros.models import ModelError, blume_capel, ising, perturbed_ising, potts
 from pszeros.torus_exact import (
     ExactZeroSet,
     PartitionPolynomial,
@@ -20,6 +21,7 @@ from pszeros.torus_exact import (
     partition_polynomial,
     transfer_matrix_pf,
 )
+from pszeros.zeros import splitting_residual
 
 
 def test_free_field_counts():
@@ -117,6 +119,24 @@ def test_z_zero_with_a_negative_power_is_an_error():
     for evaluate in (partition_function_exact, _sum_with_mass, transfer_matrix_pf):
         with pytest.raises(ValueError, match="negative power"):
             evaluate(m, 3, 0)
+
+
+@pytest.mark.parametrize("evaluate", [
+    partition_function_exact,
+    transfer_matrix_pf,
+    lambda model, L, z: splitting_residual(model, L, z),
+], ids=["partition_function_exact", "transfer_matrix_pf", "splitting_residual"])
+@pytest.mark.parametrize("z, error, message", [
+    (math.nan, ModelError, "z = nan: not a finite point"),
+    (complex(1, math.nan), ModelError, "z = (1+nanj): not a finite point"),
+    (complex(math.inf, 0), ModelError, "z = (inf+0j): not a finite point"),
+    (1e300, ConvergenceError, "overflows at z = 1e+300"),
+], ids=["nan", "1+nanj", "inf+0j", "1e300"])
+def test_nonfinite_or_overflowing_z_is_a_typed_error(evaluate, z, error, message):
+    # the exact side refuses z as the metastable side does, and a Z that
+    # overflows is a refused computation, not a nan
+    with pytest.raises(error, match=re.escape(message)):
+        evaluate(ising(1.5), 3, z)
 
 
 def test_one_enumeration_per_torus(monkeypatch, tmp_path):
