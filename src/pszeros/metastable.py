@@ -13,24 +13,22 @@ gases below need no engine.
 
 The gases of a model's phases have no interiors, so each truncated weight
 is A_Y z^{n_Y} phi_q and each s_q a Laurent polynomial sum a z^n phi_q^k of
-a few terms.  What does not depend on z is kept in two records.  The
-shape record holds the class geometry (d, R, per class its support and
-volume): the overlap offsets, the certificate geometry, per norm cap the
+a few terms.  What does not depend on z is kept in two records, read from
+the class geometry records of ``contours``.  One shape record (``_shape``)
+serves every phase of an alphabet: digit 0's supports, which are also the
+volumes, the overlap offsets, the certificate geometry, per norm cap the
 cluster skeleton as an index matrix, and per torus side the wrapped
-placements; a value-keyed cache shares it among the phases and models with
-that geometry.  Held on the model (``SpinModel.gas``), the phase-stacked
-record of some phases at a support cap (``_record``) is built from their
-contour classes and holds, per phase and class, exp(-c), its log-modulus
-and the z powers, and one polynomial per (norm cap, phase, capped
-classes), built on first use.  A permutation of the spins maps one phase's
-classes onto another's with the same supports, so the phases share one
-shape record, which the stacked record checks.  A table (``_pressures``) of
-the orbit representatives' record takes tau from ``estimate_tau``, per
-phase log|theta_q| and phi_q, the capped classes from the real log-moduli
-log|rho(Y)| = log|exp(-c)| + p log|z| (the pass that ``estimate_tau``
-reads), and the polynomial's terms; ``polymer_pressure`` reads a phase's
-own one-phase record, so only that phase's certificate decides;
-``finite_volume_zeta`` weighs a ``_phase_row``'s classes on the torus.
+placements.  Held on the model (``SpinModel.gas``), the phase-stacked
+record of some phases at a support cap (``_record``) holds, per phase and
+class of its digit's record, exp(-c), its log-modulus and the z powers, and
+one polynomial per (norm cap, phase, capped classes), built on first use.
+A table (``_pressures``) of the orbit representatives' record takes tau
+from ``estimate_tau``, per phase log|theta_q| and phi_q, the capped classes
+from the real log-moduli log|rho(Y)| = log|exp(-c)| + p log|z| (the pass
+that ``estimate_tau`` reads), and the polynomial's terms;
+``polymer_pressure`` reads a phase's own one-phase record, so only that
+phase's certificate decides; ``finite_volume_zeta`` weighs a
+``_phase_row``'s classes on the torus.
 
 The convergence certificate depends on |z| alone, as tau and phi_q do, so a
 stacked record keeps one per annulus r1 <= |z| <= r2 of a grid in log |z|,
@@ -64,16 +62,19 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .contours import (
-    ContourSumEngine,
-    ZdContour,
-    contour_classes,
-    contours_in_region,
-    region_masks,
-)
+from . import contours
+from .contours import ContourSumEngine, ZdContour, contours_in_region, region_masks
 from .errors import BudgetError, ConvergenceError
 from .lattice import torus
-from .models import SpinModel, check_finite, pair_weight, theta, theta_max
+from .models import (
+    SpinModel,
+    boundary_energy_pairs,
+    box_placements,
+    check_finite,
+    pair_weight,
+    theta,
+    theta_max,
+)
 from .polymer import (
     PolymerSystem,
     enumerate_clusters,
@@ -337,7 +338,7 @@ _ETA_TOL = 2.0**-14  # largest loss of eta to the t grid's chords
 _T_MAX = max(_A_SCALES) + _ETA_CAP
 
 
-_CertificateGeometry = namedtuple("_CertificateGeometry", "sizes volumes offsets rows grid_exp step")
+_CertificateGeometry = namedtuple("_CertificateGeometry", "sizes offsets rows grid_exp step")
 
 
 _CODE_BASE = 2**15  # B of the offset and placement code (see _Shape)
@@ -345,10 +346,9 @@ _CODE_BASE = 2**15  # B of the offset and placement code (see _Shape)
 
 class _Shape:
     """The coupling- and z-free part of a contour gas, fixed by d, R and,
-    per class in class order, its sorted support and its sorted volume (see
-    the module docstring); each part is built on first use.  Classes enter
-    as their (support, volume) coordinate tuples, and no contour, model or
-    energy is held.
+    per class in class order, its support as sorted coordinate tuples, which
+    is also its volume (see the module docstring); each part is built on
+    first use, and no contour, model or energy is held.
 
     Offsets and placements are held as integer codes: code(v) = sum v_k
     B^(d-1-k) with B = _CODE_BASE.  The code is additive (code(v + w) =
@@ -357,12 +357,11 @@ class _Shape:
     overlap offsets are dropped once the cluster arrays and the geometry
     are built, so another norm cap searches them again."""
 
-    def __init__(self, d: int, R: int, classes: tuple):
+    def __init__(self, d: int, R: int, supports: tuple):
         self.d = d
         self.R = R
-        self.supports = [sup for sup, _ in classes]
-        self.volumes = [vol for _, vol in classes]
-        self.sizes = [len(sup) for sup in self.supports]
+        self.supports = supports
+        self.sizes = [len(sup) for sup in supports]
         self._cluster_arrays = {}
         self._placements = {}
 
@@ -403,21 +402,20 @@ class _Shape:
 
     @cached_property
     def geometry(self) -> _CertificateGeometry:
-        """z-independent certificate data: class sizes |Y|, volumes |V(Y)|,
-        counts of overlapping relative placements per pair of classes, the
-        rows (volumes, then each offsets row over its |Y|), and e^{t |Y|} on a
-        t grid over [0, max alpha + eta cap] with its step.  A chord of a
-        log-sum-exp row over one cell misses its root by at most
+        """z-independent certificate data: class sizes |Y|, counts of
+        overlapping relative placements per pair of classes, the rows (sizes,
+        which are the volumes, then each offsets row over its |Y|), and
+        e^{t |Y|} on a t grid over [0, max alpha + eta cap] with its step.
+        A chord of a log-sum-exp row over one cell misses its root by at most
         (s_max - s_min)^2 step^2 / (32 s_min) for class sizes s; the step
         keeps that below _ETA_TOL."""
         offsets = np.array([[len(o) for o in row] for row in self.offsets], dtype=float)
         sizes = np.array(self.sizes, dtype=float)
-        volumes = np.array([len(v) for v in self.volumes], dtype=float)
         spread = float(np.ptp(sizes)) if len(sizes) else 0.0
         step = math.sqrt(32.0 * sizes.min() * _ETA_TOL) / spread if spread else _T_MAX
         grid = np.linspace(0.0, _T_MAX, math.ceil(_T_MAX / step) + 1)
         return _CertificateGeometry(
-            sizes, volumes, offsets, np.vstack([volumes, offsets / sizes[:, None]]),
+            sizes, offsets, np.vstack([sizes, offsets / sizes[:, None]]),
             np.exp(np.outer(sizes, grid)), grid[1],
         )
 
@@ -515,15 +513,14 @@ class _Shape:
     def placements(self, L: int) -> tuple:
         """The torus of side L's site count and the wrapped placements of
         the classes, as (class, site bitmask) pairs in class order, then
-        anchor order.  A class fits when its volume extent is at most L
+        anchor order.  A class fits when its support extent is at most L
         along every axis (so wrapping is injective); its support is then a
         genuine subset of torus sites."""
         if L not in self._placements:
             geom = torus(L, self.d, self.R)
             out = []
-            for ci, (sup, vol) in enumerate(zip(self.supports, self.volumes)):
-                if any(max(p[k] for p in vol) - min(p[k] for p in vol) + 1 > L
-                       for k in range(self.d)):
+            for ci, sup in enumerate(self.supports):
+                if np.ptp(sup, axis=0).max() >= L:
                     continue
                 for base in geom.coords:
                     out.append((ci, geom.mask(
@@ -534,39 +531,36 @@ class _Shape:
 
 
 @lru_cache(maxsize=None)
-def _shape(key: tuple) -> _Shape:
-    """The shape record of a class geometry (d, R, per class its sorted
-    support and sorted volume), built once per process."""
-    return _Shape(*key)
+def _shape(d: int, R: int, n_spins: int, size_cap: int) -> _Shape:
+    """The shape record of every phase's gas on Z^d with range R, ``n_spins``
+    spins and the support cap, from digit 0's class geometry record (every
+    digit's lists its supports); classes with interiors raise BudgetError."""
+    classes = contours._class_geometry(d, R, n_spins, 0, size_cap).classes
+    if any(holes for _, _, holes in classes):
+        raise BudgetError(f"size cap {size_cap} admits contour classes with interiors")
+    return _Shape(d, R, tuple(cells for cells, _, _ in classes))
 
 
 class _Phases:
-    """The phase-stacked record of some phases' contour classes at one
-    support cap (see the module docstring).  The weights have no interior
-    ratios, so a class with interiors is refused (a BudgetError), and the
-    phases' class geometries must share one shape record (a RuntimeError
-    otherwise).  Only arrays are kept: per phase (row) and class (column),
-    exp(-c), its log-modulus and p of the energy pair (rho(Y) = exp(-c)
-    z^p), and A_Y = exp(-c_Y) exp(-c_q)^{-|Y|} and n_Y = p_Y - |Y| p_q (K(Y)
-    = A_Y z^{n_Y}); per class |Y|; and, made on first use, its annuli's
-    certificates, closed-form verdicts and the pressure polynomials."""
+    """The phase-stacked record of some phases' contour gases at one support
+    cap (see the module docstring), read from their digits' class geometry
+    records, one energy kernel call per phase.  Only arrays are kept: per
+    phase (row) and class (column), exp(-c), its log-modulus and p of the
+    energy pair (rho(Y) = exp(-c) z^p), and A_Y = exp(-c_Y) exp(-c_q)^{-|Y|}
+    and n_Y = p_Y - |Y| p_q (K(Y) = A_Y z^{n_Y}); per class |Y|; and, made
+    on first use, its annuli's certificates, closed-form verdicts and the
+    pressure polynomials."""
 
     def __init__(self, model: SpinModel, phases: tuple, size_cap: int):
         self.phases = phases
-        classes = [contour_classes(model, q, size_cap) for q in phases]
-        if any(y.interiors for row in classes for y in row):
-            raise BudgetError(f"size cap {size_cap} admits contour classes with interiors")
-        shapes = [_shape((model.dimension, model.range, tuple(
-            (tuple(sorted(y.support)), tuple(sorted(y.volume))) for y in row
-        ))) for row in classes]
-        self.shape = shapes[0]
-        if any(shape is not self.shape for shape in shapes):
-            raise RuntimeError(f"the gases of phases {self.phases} have distinct shape records")
-        pairs = [y.energy_pair(model) for row in classes for y in row]
-        dims = (len(phases), len(self.shape.sizes))
-        self.rho0 = np.array([cmath.exp(-c) for c, _ in pairs], dtype=complex).reshape(dims)
-        self.log_rho0 = -np.array([c.real for c, _ in pairs]).reshape(dims)
-        self.power = np.array([p for _, p in pairs], dtype=float).reshape(dims)
+        key = (model.dimension, model.range, len(model.spins))
+        self.shape = _shape(*key, size_cap)
+        records = [contours._class_geometry(*key, model.spins.index(q), size_cap) for q in phases]
+        pairs = [boundary_energy_pairs(model, box_placements(model, r.padded), *r.columns)
+                 for r in records]
+        c, self.power = map(np.array, zip(*pairs))
+        self.rho0 = np.array([[cmath.exp(-x) for x in row] for row in c.tolist()], dtype=complex)
+        self.log_rho0 = -c.real
         self.sizes = np.array(self.shape.sizes, dtype=float)
         c_q, p_q = np.array([model.ground_pair(m) for m in self.phases], complex).T[:, :, None]
         self.coef = self.rho0 * np.exp(c_q * self.sizes)
@@ -727,18 +721,22 @@ def _caps(model: SpinModel, record: _Phases, z, tau: float):
 def _class_weights(model: SpinModel, record: _Phases, z, tau: float) -> np.ndarray:
     """The truncated weights K'(Y) = A_Y z^{n_Y} phi_q of the classes of the
     record's phases at z and tau, one row per phase, with those that
-    ``_caps`` names zeroed."""
+    ``_caps`` names zeroed, and zero where phi_q = 0 (a power of z may
+    overflow there); one still not finite raises a ConvergenceError."""
     phi, capped = _caps(model, record, z, tau)
-    w = record.coef * complex(z) ** record.dpower * np.array(phi)[:, None]
-    for row, cap in zip(w, capped):
-        row[list(cap)] = 0
+    with np.errstate(all="ignore"):
+        w = record.coef * complex(z) ** record.dpower * np.array(phi)[:, None]
+    for row, f, cap in zip(w, phi, capped):
+        row[list(cap) if f else slice(None)] = 0
+    if not np.isfinite(w).all():
+        raise ConvergenceError(f"z = {z!r}: a truncated contour weight is not finite")
     return w
 
 
 def _certificate_ok(geo, absw, alpha, eta):
     """The certificate predicate at scale alpha and decay rate eta."""
     boost = absw * np.exp((alpha + eta) * geo.sizes)
-    if float(geo.volumes @ boost) > 1.0:
+    if float(geo.sizes @ boost) > 1.0:
         return False
     return bool(np.all(geo.offsets @ boost <= alpha * geo.sizes))
 

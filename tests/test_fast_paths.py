@@ -17,7 +17,7 @@ import math
 import operator
 import random
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -113,9 +113,11 @@ def _gas(model, q, size_cap):
 
 
 def oracle_predicate(model, q, weights, size_cap=12):
-    """The certificate predicate ok(alpha, eta) for fixed weights."""
-    geo = _gas(model, q, size_cap).shape.geometry
-    sz, vol, off = geo.sizes, geo.volumes, geo.offsets
+    """The certificate predicate ok(alpha, eta) for fixed weights, with the
+    volumes |V(Y)| of the mass condition taken from the contour classes."""
+    gas = _gas(model, q, size_cap)
+    sz, off = gas.shape.geometry.sizes, gas.shape.geometry.offsets
+    vol = np.array([len(y.volume) for y in gas.classes], dtype=float)
     absw = np.array([abs(w) for w in weights])
 
     def ok(alpha, eta):
@@ -901,11 +903,20 @@ def test_every_phase_shares_one_shape_record(model, cap):
     assert metastable._record(model, cap, model.orbit_representatives()).shape in shapes
 
 
-def test_record_refuses_gases_with_distinct_shape_records(monkeypatch):
-    # with the shared cache bypassed each phase's gas has a shape of its own
-    monkeypatch.setattr(metastable, "_shape", lambda key: metastable._Shape(*key))
-    with pytest.raises(RuntimeError, match="distinct shape records"):
-        metastable._record(ising(1.5), 12, (-1, 1))
+@pytest.mark.parametrize("d, R, n_spins, cap", [
+    *((2, 1, n_spins, cap) for n_spins in (2, 3, 4) for cap in (12, 16)),
+    (2, 1, 2, 18), (3, 1, 2, 27), (2, 2, 2, 25),
+])
+def test_every_digit_lists_the_supports_of_digit_zero(d, R, n_spins, cap):
+    # what lets every phase share digit 0's shape record (metastable._shape):
+    # each background digit's class geometry lists the same supports in the
+    # same order
+    def supports(bg):
+        return [cells for cells, _, _ in contours._class_geometry(d, R, n_spins, bg, cap).classes]
+
+    assert supports(0)
+    for bg in range(1, n_spins):
+        assert supports(bg) == supports(0), bg
 
 
 @pytest.mark.parametrize("model", _STACKED_MODELS[:2], ids=lambda m: m.name)
@@ -2069,7 +2080,7 @@ def test_offset_codes_in_four_dimensions_match_set_oracle():
     rng = random.Random(29)
     cube = list(itertools.product((-1, 0, 1), repeat=4))
     supports = [tuple(sorted(rng.sample(cube, 20))) for _ in range(12)]
-    shape = metastable._Shape(4, 1, tuple((sup, sup) for sup in supports))
+    shape = metastable._Shape(4, 1, tuple(supports))
     decoded = [[[_decode(code, 4) for code in pair] for pair in row] for row in shape.offsets]
     assert decoded == oracle_overlap_offsets(supports, 4)
 
@@ -2077,7 +2088,7 @@ def test_offset_codes_in_four_dimensions_match_set_oracle():
 def test_offset_codes_past_an_int64_raise():
     # in d = 5 two classes of extent 2 already need keys of 2^63 and more
     cube = tuple(itertools.product((-1, 0, 1), repeat=5))
-    shape = metastable._Shape(5, 1, ((cube, cube), (cube[1:], cube)))
+    shape = metastable._Shape(5, 1, (cube, cube[1:]))
     with pytest.raises(BudgetError, match="overflow the offset code"):
         shape.offsets
 
@@ -2331,6 +2342,96 @@ def test_relabelled_class_geometry_matches_fresh_growth(n_spins, caps):
             for a, b in zip(got.columns, grown.columns):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
                 assert not a.flags.writeable
+
+
+def oracle_phase_record(model, phases, size_cap):
+    """The arrays of the phase-stacked record as built from each phase's
+    contour classes (one object per class, sorted by size and key), and per
+    phase the classes' sorted supports."""
+    classes = [contour_classes(model, q, size_cap) for q in phases]
+    assert not any(y.interiors for row in classes for y in row)
+    pairs = [[y.energy_pair(model) for y in row] for row in classes]
+    rho0 = np.array([[cmath.exp(-c) for c, _ in row] for row in pairs], dtype=complex)
+    power = np.array([[p for _, p in row] for row in pairs], dtype=float)
+    sizes = np.array([y.size for y in classes[0]], dtype=float)
+    c_q, p_q = np.array([model.ground_pair(m) for m in phases], complex).T[:, :, None]
+    arrays = dict(
+        rho0=rho0, log_rho0=-np.array([[c.real for c, _ in row] for row in pairs]),
+        power=power, coef=rho0 * np.exp(c_q * sizes), dpower=power - sizes * p_q.real,
+        sizes=sizes,
+    )
+    return arrays, [[tuple(sorted(y.support)) for y in row] for row in classes]
+
+
+_RECORD_FIELDS = ("rho0", "log_rho0", "power", "coef", "dpower", "sizes")
+
+
+def _record_phase_sets(model):
+    """The orbit representatives and every one-phase set of a model."""
+    return [model.orbit_representatives()] + [(q,) for q in model.spins]
+
+
+@pytest.mark.parametrize("model, cap", [
+    *((m, cap) for m in (ising(1.5), ising(1.5, field="plain"), blume_capel(1.5, 0.3),
+                         potts(3, 1.5), potts(4, 1.5)) for cap in (12, 16)),
+    (ising(1.5, d=3), 27), (ising(1.5, d=3), 36),
+    (perturbed_ising({((0, 0), (0, 2)): 0.1, ((0, 0), (0, 1)): 1.0}), 25),
+], ids=lambda x: getattr(x, "name", x))
+def test_record_matches_contour_class_oracle(model, cap):
+    # the records read from the class geometry rows equal, bit for bit, those
+    # built from the contour objects; the shape's supports are every phase's
+    for phases in _record_phase_sets(model):
+        record = metastable._record(model, cap, phases)
+        arrays, supports = oracle_phase_record(model, phases, cap)
+        for field in _RECORD_FIELDS:
+            got, want = getattr(record, field), arrays[field]
+            assert got.dtype == want.dtype and got.shape == want.shape, field
+            assert got.tobytes() == want.tobytes(), (phases, field)
+        assert all(row == list(record.shape.supports) for row in supports), phases
+
+
+def _three_state_custom_config():
+    """A Blume-Capel-like custom model with its spins listed 1, -1, 0, so
+    that its digit order is not the order of its spin values."""
+    spins = (1, -1, 0)
+    site = "\n    ".join(f"{s} : {-0.3 * s * s} : {s + 1}" for s in spins)
+    bond = "\n    ".join(f"{a},{b} : {1.5 * (a - b) ** 2} : 0" for a in spins for b in spins)
+    return (f"[model]\nname = custom\nspins = 1,-1,0\n\n"
+            f"[potential.site]\nshape = (0,0)\ntable = {site}\n\n"
+            f"[potential.horizontal]\nshape = (0,0);(1,0)\ntable = {bond}\n\n"
+            f"[potential.vertical]\nshape = (0,0);(0,1)\ntable = {bond}\n")
+
+
+@pytest.mark.parametrize("config, cap", [
+    (_three_state_custom_config(), 12), (_three_state_custom_config(), 16),
+    (REVERSED_ISING, 16),
+], ids=["spins-1,-1,0-12", "spins-1,-1,0-16", "spins-1,-1-16"])
+def test_unsorted_spins_record_matches_contour_class_oracle(config, cap):
+    # with spins listed out of order only the order of the classes within
+    # one support differs from the oracle's (digit order against spin-value
+    # order): each row matches as a multiset, and the tables of a twin model
+    # that holds the oracle's arrays agree to rounding
+    model, twin = (model_from_config(config) for _ in range(2))
+    phases = model.orbit_representatives()
+    record = metastable._record(model, cap, phases)
+    arrays, supports = oracle_phase_record(model, phases, cap)
+    for row in range(len(phases)):
+        got = zip(record.shape.supports, *(getattr(record, f)[row].tolist()
+                                           for f in _RECORD_FIELDS[:5]))
+        want = zip(supports[row], *(arrays[f][row].tolist() for f in _RECORD_FIELDS[:5]))
+        assert Counter(got) == Counter(want), phases[row]
+    oracle = metastable._Phases(twin, phases, cap)
+    for field in _RECORD_FIELDS:
+        setattr(oracle, field, arrays[field])
+    twin.gas[(cap, phases)] = oracle
+    # the orders differ
+    assert any(getattr(record, f).tobytes() != arrays[f].tobytes() for f in _RECORD_FIELDS)
+    cutoffs = Cutoffs(cap, 18.0)
+    for z in (1.0, 0.9 + 0.3j, cmath.exp(2.0j), 1.1 * cmath.exp(0.3j)):
+        got, want = free_energy_table(model, z, cutoffs), free_energy_table(twin, z, cutoffs)
+        assert got.stable == want.stable and got.activations == want.activations
+        for m in phases:
+            assert abs(got[m].zeta - want[m].zeta) <= 1e-13 * abs(want[m].zeta), (z, m)
 
 
 def _box(a, b):

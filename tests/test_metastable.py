@@ -14,7 +14,7 @@ import pszeros.contours as contours
 import pszeros.metastable as metastable
 from conftest import random_z, sweep_models
 from pszeros.contours import contour_classes, contour_partition_function, contours_in_region
-from pszeros.errors import BudgetError
+from pszeros.errors import BudgetError, ConvergenceError
 from pszeros.metastable import (
     Cutoffs,
     WeightEngine,
@@ -455,43 +455,50 @@ def cold_shapes():
 
 def test_gas_refuses_classes_with_interiors(monkeypatch):
     # the array weights carry no interior ratios; no class below the support
-    # limit has interiors (test_contours), and a gas handed one refuses it
+    # limit has interiors (test_contours), and a gas whose class geometry
+    # record holds one refuses it
     m = ising(1.5)
     region = [(i, j) for i in range(5) for j in range(5)]
     holed = [y for y in contours_in_region(m, 1, region) if y.interiors]
     assert len(holed) == 1  # the flipped 3x3 block around its centre
-    monkeypatch.setattr(metastable, "contour_classes", lambda model, q, cap: holed)
+    y, digit = holed[0], m.spins.index
+    cells = tuple(sorted(y.support))
+    row = (cells, tuple(digit(y.spins[x]) for x in cells),
+           tuple((h, digit(lab)) for h, lab in y.interiors))
+    monkeypatch.setattr(contours, "_class_geometry",
+                        lambda d, R, n_spins, bg, cap: contours._ClassGeometry((row,), None, None))
     with pytest.raises(BudgetError, match="interiors"):
         free_energy_table(m, cmath.exp(0.3j), Cutoffs(24, 48.0))
 
 
 def test_gas_record_built_once_per_phase(monkeypatch, cold_shapes):
-    # whichever entry point asks first, a fresh model enumerates each phase's
-    # contour classes once, and its three phases, which share one class
-    # geometry, run one offset search
+    # whichever entry point asks first, a fresh model weighs each phase's
+    # class geometry record with one energy kernel call, and its three
+    # phases, which share one shape record, run one offset search
     model = blume_capel(1.5, 0.3)
-    classes_calls, offset_calls = [], []
-    enumerate_classes = metastable.contour_classes
+    pair_calls, offset_calls = [], []
+    energy_pairs = metastable.boundary_energy_pairs
     offset_search = metastable._Shape.offsets.func
 
-    def counted_classes(m, q, size_cap):
+    def counted_pairs(m, index, digits, bad):
         if m is model:
-            classes_calls.append(q)
-        return enumerate_classes(m, q, size_cap)
+            pair_calls.append(digits)
+        return energy_pairs(m, index, digits, bad)
 
     def counted_offsets(shape):
         offset_calls.append(shape)
         return offset_search(shape)
 
-    monkeypatch.setattr(metastable, "contour_classes", counted_classes)
+    monkeypatch.setattr(metastable, "boundary_energy_pairs", counted_pairs)
     monkeypatch.setattr(metastable._Shape.offsets, "func", counted_offsets)
     for z in (1.0, 0.9 + 0.3j, cmath.exp(2.0j)):
         free_energy_table(model, z)
     estimated_constants(model, [1.0, 0.9 + 0.3j])
     for m in model.orbit_representatives():
         finite_volume_zeta(model, m, 3, 1.1)
-    phases = sorted(model.orbit_representatives())
-    assert sorted(classes_calls) == phases
+    records = [contours._class_geometry(2, 1, 3, bg, Cutoffs().size_cap).columns[0]
+               for bg in range(3)]
+    assert sorted(map(id, pair_calls)) == sorted(map(id, records))
     assert len(offset_calls) == 1
 
 
@@ -656,3 +663,23 @@ def test_negative_power_at_z_zero_is_a_model_error(model, evaluate, z):
 def test_nonfinite_z_is_a_model_error(model, evaluate, z):
     with pytest.raises(ModelError, match=re.escape(f"z = {z!r}: not a finite point")):
         evaluate(model, z)
+
+
+@pytest.mark.parametrize("model, m, L", [
+    (ising(1.5), 1, 3), (ising(1.5), 1, 4), (ising(1.5), 1, 5), (blume_capel(1.5, 0.3), 0, 4),
+], ids=lambda x: getattr(x, "name", x))
+def test_phase_with_phi_zero_has_theta_as_finite_volume_zeta(model, m, L):
+    # at z = 1e-300 phase m is far from stable, so phi_m = 0 and its gas is
+    # empty, while the powers z^{n_Y} of its weights overflow
+    z = 1e-300
+    assert finite_volume_zeta(model, m, L, z) == theta(model, m, z)
+    assert theta(model, m, z) == (2.008553692318767e-299 if m == 1 else 1e-300)
+
+
+def test_weight_that_is_not_finite_is_a_convergence_error(monkeypatch):
+    # with phi_q = 1 and no cap, as no consistent run has there, the
+    # overflowing weights reach the guard
+    model = ising(1.5)
+    monkeypatch.setattr(metastable, "_caps", lambda model, record, z, tau: ([1.0, 1.0], [(), ()]))
+    with pytest.raises(ConvergenceError, match=re.escape("z = 1e-300: a truncated contour weight")):
+        finite_volume_zeta(model, 1, 4, 1e-300)
