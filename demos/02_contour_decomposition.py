@@ -59,7 +59,7 @@ forest = nesting_order(coll)
 print(f"nesting forest of the single flip: {len(forest.elements)} elements, "
       f"root = network slot")
 
-# the two contour representations of Z agree with direct enumeration
+# the two contour representations of Z agree with the exact Z
 zs = [cmath.exp(0.2 + 0.5j), 0.8 - 0.3j]
 rep = torus_contour_identity_check(model, 3, zs)
 print(f"\ncontour representations on the 3x3 torus over {len(zs)} points:")

@@ -1,10 +1,13 @@
-"""Cold contour-gas set-up at cutoffs larger than the defaults.
+"""Cold set-up at cutoffs and tori larger than the defaults.
 
-Prints two timings (wall time, one run each, in a fresh process):
+Prints three timings (wall time, one run each, in a fresh process):
 - every background digit's class geometry at size cap 16, for 2, 3 and 4
   spins on Z^2 with range 1;
 - the cluster skeleton at norm cap 30 of Blume-Capel (1.5, 0.3) and Potts
-  q=4 at size cap 12, with its overlap-offset search.
+  q=4 at size cap 12, with its overlap-offset search;
+- the exact density-of-states record (graded transfer matrix) of Ising
+  J=1.5 at L = 6, 7 and 8 and of Blume-Capel (1.5, 0.3) at L = 4 and 5,
+  each on a fresh model, strip table included.
 
 Run from the repository root:
     PYTHONPATH=src python scripts/cold_setup.py
@@ -12,7 +15,7 @@ Run from the repository root:
 
 import time
 
-from pszeros import blume_capel, contours, metastable, potts
+from pszeros import blume_capel, contours, ising, metastable, potts, torus_exact
 
 SIZE_CAP = 16
 NORM_CAP = 30.0
@@ -33,6 +36,13 @@ def main():
         entries = record.shape.skeleton(NORM_CAP)
         print(f"skeleton, norm cap {NORM_CAP:g}, {model.name}: "
               f"{time.perf_counter() - start:.3f} s ({len(entries)} entries)")
+    for make, sides in ((lambda: ising(1.5), (6, 7, 8)), (lambda: blume_capel(1.5, 0.3), (4, 5))):
+        for L in sides:
+            model = make()
+            start = time.perf_counter()
+            poly = torus_exact.partition_polynomial(model, L)
+            print(f"exact record, {model.name} L={L}: "
+                  f"{time.perf_counter() - start:.3f} s (degree {poly.degree})")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ Blume-Capel, Potts), decomposes configurations into contours and contour
 networks, evaluates cluster expansions of the resulting contour gases, and
 predicts the zeros of the partition function in the complex field parameter
 from the metastable free energies of the competing phases.  Every prediction
-is checkable against exact enumeration on small tori.
+is checkable against exact torus partition functions.
 """
 
 from .errors import BudgetError, ConvergenceError

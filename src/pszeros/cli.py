@@ -231,7 +231,7 @@ def _pipeline_exact(scn: Scenario, em: Emitter) -> int:
     em.write_text(f"exact_zeros_L{L}.json", zs.to_json() + "\n")
     em.write_csv(f"exact_zeros_L{L}.csv", zs.to_csv_rows())
     spots = _opt(opts, "z_values", "", _parse_complex_list)
-    rows = [("re_z", "im_z", "enum_re", "enum_im", "tm_re", "tm_im", "rel_dev")]
+    rows = [("re_z", "im_z", "record_re", "record_im", "tm_re", "tm_im", "rel_dev")]
     worst = 0.0
     for z in spots:
         # near a zero of Z the terms cancel: compare against their moduli

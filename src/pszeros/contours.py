@@ -861,7 +861,7 @@ def torus_contour_identity_check(
     model: SpinModel, L: int, zs, budget: int = IDENTITY_BUDGET
 ) -> dict:
     """Evaluate the two contour representations of the torus partition sum
-    and compare both with direct enumeration.
+    and compare both with the torus's exact Z.
 
     The first form sums over all matching collections the product of ground
     state weights and standardized contour/network weights; the second sums
@@ -870,7 +870,7 @@ def torus_contour_identity_check(
     network's energy pair comes from the energy kernel on its digits and
     R-boundary, and the sizes of its label regions are counts of labels.
     Each side is summed per z in one numpy reduction over its terms; Z(z)
-    is read from the torus's density of states, enumerated once for all z.
+    is read from the torus's density of states, built once for all z.
 
     Only tori with L <= 4R+2 and q^(L^d) <= ``budget`` are admitted; the
     rest raise a BudgetError.  On them a contour support (the R-boundary
@@ -886,9 +886,11 @@ def torus_contour_identity_check(
     if L > 4 * R + 2:
         raise BudgetError(f"torus identity check on L={L} > 4R+2={4 * R + 2}: "
                           "its label regions may hold contours, which it does not resum")
-    states = _density_of_states(model, L, budget)  # the reference Z, for every z
     q = len(model.spins)
     n = L**model.dimension
+    if q**n > budget:
+        raise BudgetError(f"torus identity check over {q}^{n} states exceeds budget {budget}")
+    states = _density_of_states(model, L, budget)  # the reference Z, for every z
 
     ground = [model.ground_pair(m) for m in model.spins]
     index = torus_placements(model, L)

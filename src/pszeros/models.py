@@ -175,6 +175,13 @@ class SpinModel:
         ``torus_exact`` builds on first use; freed with the model."""
         return {}
 
+    @cached_property
+    def strip_tables(self) -> dict:
+        """Per torus side L, the two-layer strip table of a range-1 transfer
+        matrix that ``torus_exact`` builds on first use; freed with the
+        model."""
+        return {}
+
 
 # -- elementary observables ---------------------------------------------------
 

@@ -1,19 +1,21 @@
 """Exact torus partition functions, their coefficient polynomials and zeros.
 
-Everything here is ground truth for the contour machinery: full enumeration
-over spin configurations, a transfer-matrix evaluation for range-1 models,
-and companion matrix root finding for the partition polynomial in z.
-Enumeration runs once per model and torus, into its z-graded density of
-states (``_density_of_states``, held on the model); Z(z), the summed moduli
-of its terms and the coefficients of the partition polynomial all read from
-that one record.
+Everything here is ground truth for the contour machinery.  Z(z), the summed
+moduli of its terms and the coefficients of the partition polynomial all
+read from one z-graded density of states per model and torus
+(``_density_of_states``, held on the model).  A range-1 model whose
+two-layer strip carries integer powers of z gets it from a transfer matrix
+graded by that power (Beale's density-of-states transfer matrix, written in
+z); every other model, and the tests' oracle, from full enumeration over
+spin configurations.  Roots of the partition polynomial come from its
+companion matrix.
 
-Enumeration and the transfer matrix share the pattern tables of the energy
-kernel ``models.placement_energies``, not the sum over configurations:
-enumeration runs the kernel on blocks of torus configurations, the transfer
-matrix on pairs of layer states of a two-layer strip and takes a trace.
-Their agreement checks the two ways of summing over configurations; a
-wrong table entry would show in both alike.
+Both the graded record and the numeric transfer matrix ``transfer_matrix_pf``
+read one strip table per model and torus: the energy kernel
+``models.placement_energies`` on every pair of layer states.  Enumeration
+runs the same kernel on blocks of torus configurations.  The spot checks of
+the record against ``transfer_matrix_pf`` compare a sum over grades with a
+trace at one z; the oracle tests compare the graded record with enumeration.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .models import (
 
 ENUM_BUDGET = 2**27
 MATRIX_BUDGET = 1024
-_BLOCK = 1024  # configurations per enumeration block, at most
+_BLOCK = 1024  # configurations (or layer pairs) per energy-kernel block, at most
+_GRADED_BOUND = 2**23  # layer states x layer states x grades of T^(L-1), at most
 
 
 # -- enumeration --------------------------------------------------------------
@@ -115,17 +118,14 @@ class _DensityOfStates(NamedTuple):
         return PartitionPolynomial(tuple(co.tolist()), L, tag=f"{model.name} L={L}")
 
 
-def _density_of_states(model: SpinModel, L: int, budget: int = ENUM_BUDGET) -> _DensityOfStates:
+def _enumerated_density_of_states(model: SpinModel, L: int, budget: int) -> _DensityOfStates:
     """The density of states of the L-torus from one pass of ``_energy_blocks``:
     each block binned by power with ``bincount``, the block sums added in
     block order, so the sums of a power do not depend on the other powers.
-    Built once per model and L, after the budget check, and held on the
-    model (``SpinModel.density_of_states``)."""
+    A BudgetError past ``budget`` configurations."""
     q, n = len(model.spins), L**model.dimension
     if q**n > budget:
         raise BudgetError(f"enumeration of {q}^{n} states exceeds budget {budget}")
-    if L in model.density_of_states:
-        return model.density_of_states[L]
     acc = {}
     for c, p in _energy_blocks(model, L):
         powers = sorted(set(p.tolist()))
@@ -136,7 +136,77 @@ def _density_of_states(model: SpinModel, L: int, budget: int = ENUM_BUDGET) -> _
             acc[power] = acc.get(power, 0.0) + s
     powers = sorted(acc)
     re, im, moduli = np.array([acc[x] for x in powers]).T
-    model.density_of_states[L] = _DensityOfStates(np.array(powers), re + 1j * im, moduli)
+    return _DensityOfStates(np.array(powers), re + 1j * im, moduli)
+
+
+def _graded_density_of_states(model: SpinModel, L: int) -> _DensityOfStates | None:
+    """The density of states of the L-torus of a range-1 model as the traces,
+    grade by grade, of T^L for the transfer matrix T graded by the power of
+    z: T[k, i, j] = e^{-c(i, j)} where layer pair (i, j) of the strip table
+    carries the integer power k(i, j) (shifted to start at 0).  None where
+    some strip power is not an integer.
+
+    Where every strip weight is real and >= 0 the amplitudes are the moduli
+    and one float64 product serves both; otherwise a second product runs on
+    |e^{-c}|.  A BudgetError, before the product is allocated, past
+    ``_GRADED_BOUND`` layer states x layer states x grades of T^(L-1)."""
+    n = len(model.spins) ** (L ** (model.dimension - 1))
+    if n * n > _GRADED_BOUND:
+        raise BudgetError(f"graded transfer matrix of {n} layer states exceeds "
+                          f"bound {_GRADED_BOUND}")
+    w, p = _strip_table(model, L)
+    k = np.rint(p)
+    if (k != p).any():
+        return None
+    low = int(k.min())
+    k = (k - low).astype(np.intp)
+    n_grades = int(k.max()) + 1
+    if n * n * ((L - 1) * (n_grades - 1) + 1) > _GRADED_BOUND:
+        raise BudgetError(f"graded transfer matrix of {n} layer states and "
+                          f"{n_grades} grades per layer exceeds bound {_GRADED_BOUND} at L={L}")
+    real = not w.imag.any() and (w.real >= 0).all()
+    amplitudes = _graded_traces(w.real if real else w, k, n_grades, L)
+    moduli = amplitudes if real else _graded_traces(np.abs(w), k, n_grades, L)
+    keep = moduli != 0  # a sum that overflowed stays, for the evaluation to refuse
+    powers = np.arange(low * L, low * L + len(moduli), dtype=float)
+    return _DensityOfStates(powers[keep], amplitudes[keep].astype(complex), moduli[keep])
+
+
+def _graded_traces(w: np.ndarray, k: np.ndarray, n_grades: int, L: int) -> np.ndarray:
+    """Per grade g = 0..L(n_grades-1), the trace of the grade-g part of T^L,
+    T[k(i, j), i, j] = w(i, j).  The product P = T^l, from P = 1, is held as
+    grades x layer states x layer states; each step multiplies all grades
+    of P by one step grade b in one matmul, on the rows of T that grade b
+    reaches, and adds the result at grades shifted by b.  The last factor
+    is taken as traces only."""
+    steps = []
+    for b in range(n_grades):
+        mask = k == b
+        rows = np.flatnonzero(mask.any(axis=1))
+        if rows.size:
+            steps.append((b, rows, np.where(mask, w, 0)[rows]))
+    P = np.eye(len(w), dtype=w.dtype)[None]
+    for _ in range(L - 1):
+        grown = np.zeros((len(P) + n_grades - 1,) + w.shape, dtype=w.dtype)
+        for b, rows, T in steps:
+            grown[b : b + len(P)] += (P[:, :, rows].reshape(-1, rows.size) @ T).reshape(P.shape)
+        P = grown
+    traces = np.zeros(len(P) + n_grades - 1, dtype=w.dtype)
+    for b, rows, T in steps:  # tr(A T) = sum_ij A[i, j] T[j, i]
+        traces[b : b + len(P)] += P[:, :, rows].reshape(len(P), -1) @ T.T.ravel()
+    return traces
+
+
+def _density_of_states(model: SpinModel, L: int, budget: int = ENUM_BUDGET) -> _DensityOfStates:
+    """The density of states of the L-torus: graded transfer matrix where the
+    model has range 1 and integer strip powers, else enumeration within
+    ``budget`` configurations.  Built once per model and L and held on the
+    model (``SpinModel.density_of_states``)."""
+    if L not in model.density_of_states:
+        record = _graded_density_of_states(model, L) if model.range == 1 else None
+        if record is None:
+            record = _enumerated_density_of_states(model, L, budget)
+        model.density_of_states[L] = record
     return model.density_of_states[L]
 
 
@@ -147,44 +217,64 @@ def _sum_with_mass(model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDG
 def partition_function_exact(
     model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET
 ) -> complex:
-    """Z_L^per(z) by full enumeration of |S|^{L^d} configurations."""
+    """Z_L^per(z) = sum_p a_p z^p from the torus's density of states: the
+    graded transfer matrix for range-1 models with integer strip powers,
+    else full enumeration of |S|^{L^d} configurations within ``budget``."""
     return _sum_with_mass(model, L, z, budget)[0]
 
 
 # -- transfer matrix ----------------------------------------------------------
 
 
+def _strip_table(model: SpinModel, L: int) -> tuple:
+    """``(w, p)``: the weight e^{-c(i, j)} and the power p(i, j) of z of every
+    pair of layer states (i, j) on the two-layer strip of a range-1 model,
+    as (n, n) arrays.  The energy kernel runs a block of rows i at a time,
+    so that no temporary is much larger than the table; built once per
+    model and L and held on the model (``SpinModel.strip_tables``)."""
+    if L < 3:
+        raise ModelError(f"torus side {L} is below 2R+1=3")
+    if L not in model.strip_tables:
+        q = len(model.spins)
+        m = L ** (model.dimension - 1)
+        n = q**m
+        layer = np.indices((q,) * m).reshape(m, n)  # digits of each layer state
+        starts = range(0, n, max(1, _BLOCK // n))
+
+        def blocks():  # digits of the layer pairs (i, j), i in a block of rows
+            for i0 in starts:
+                rows = layer[:, i0 : i0 + starts.step]
+                yield np.concatenate([np.repeat(rows, n, axis=1), np.tile(layer, rows.shape[1])])
+
+        w = np.empty((n, n), dtype=complex)
+        p = np.empty((n, n))
+        with np.errstate(over="ignore"):
+            for i0, (c, pb) in zip(starts, placement_energies(model, strip_placements(model, L),
+                                                              blocks())):
+                w[i0 : i0 + starts.step] = np.exp(-c).reshape(-1, n)
+                p[i0 : i0 + starts.step] = pb.reshape(-1, n)
+        w.setflags(write=False)
+        p.setflags(write=False)
+        model.strip_tables[L] = (w, p)
+    return model.strip_tables[L]
+
+
 def transfer_matrix_pf(
     model: SpinModel, L: int, z: complex, budget: int = MATRIX_BUDGET
 ) -> complex:
     """Z_L^per(z) as the trace of the L-fold product of the layer-to-layer
-    transfer matrix.  Supports range-1 interactions only.
-
-    Entry (i, j) is the energy kernel on the two-layer strip with layer
-    states i and j, evaluated a block of rows i at a time so that no array
-    is much larger than the matrix itself.
-    """
+    transfer matrix, evaluated at z from the strip table.  Supports range-1
+    interactions only.  It reads the strip table, not the density of states,
+    so that the two stay independent ways of summing it."""
     check_finite(z)
     if model.range != 1:
         raise BudgetError("transfer matrix supports range R=1 only")
-    q = len(model.spins)
-    m = L ** (model.dimension - 1)
-    n = q**m
+    n = len(model.spins) ** (L ** (model.dimension - 1))
     if n > budget:
         raise BudgetError(f"transfer matrix dimension {n} exceeds budget {budget}")
-    layer = np.indices((q,) * m).reshape(m, n)  # digits of each layer state
-    starts = range(0, n, max(1, _BLOCK // n))
-
-    def blocks():  # digits of the layer pairs (i, j), i in a block of rows
-        for i0 in starts:
-            rows = layer[:, i0 : i0 + starts.step]
-            yield np.concatenate([np.repeat(rows, n, axis=1), np.tile(layer, rows.shape[1])])
-
-    T = np.empty((n, n), dtype=complex)
+    w, p = _strip_table(model, L)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0, (c, p) in zip(starts, placement_energies(model, strip_placements(model, L),
-                                                         blocks())):
-            T[i0 : i0 + starts.step] = (np.exp(-c) * _zpow(z, p)).reshape(-1, n)
+        T = w * _zpow(z, p)
         trace = complex(np.trace(np.linalg.matrix_power(T, L)))
     return _finite(trace, z, "the transfer-matrix product")
 
@@ -219,8 +309,9 @@ class PartitionPolynomial:
 def partition_polynomial(
     model: SpinModel, L: int, budget: int = ENUM_BUDGET
 ) -> PartitionPolynomial:
-    """Exact coefficients of Z_L^per in z: a BudgetError unless the power of z
-    of every configuration is a nonnegative integer."""
+    """Exact coefficients of Z_L^per in z, from the torus's density of states:
+    a BudgetError unless the power of z of every configuration is a
+    nonnegative integer."""
     return _density_of_states(model, L, budget).polynomial(model, L)
 
 

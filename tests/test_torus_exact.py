@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,16 +141,18 @@ def test_nonfinite_or_overflowing_z_is_a_typed_error(evaluate, z, error, message
 
 
 def test_one_enumeration_per_torus(monkeypatch, tmp_path):
-    # the exact pipeline, the identity check and the compare pipeline
-    # enumerate each torus once, however many z they evaluate
+    # the exact pipeline, the identity check and the compare pipeline build
+    # each torus's density of states once, by either path, however many z
+    # they evaluate
     passes = []
-    energy_blocks = torus_exact._energy_blocks
+    for name in ("_graded_density_of_states", "_enumerated_density_of_states"):
+        build = getattr(torus_exact, name)
 
-    def counted(model, L):
-        passes.append((model.name, L))
-        return energy_blocks(model, L)
+        def counted(model, L, *args, build=build):
+            passes.append((model.name, L))
+            return build(model, L, *args)
 
-    monkeypatch.setattr(torus_exact, "_energy_blocks", counted)
+        monkeypatch.setattr(torus_exact, name, counted)
     scenario = Scenario.from_text(
         "[scenario]\nname = one-pass\npipelines = exact\n\n"
         "[model]\nname = ising\nJ = 1.5\n\n"
@@ -166,13 +169,45 @@ def test_one_enumeration_per_torus(monkeypatch, tmp_path):
     passes.clear()
     run(Scenario.from_text(PRESETS["residual-ising"]), tmp_path / "r")
     assert passes == [("ising(J=1.5,shifted)", 3), ("ising(J=1.5,shifted)", 4)]
+    # a model the graded path declines (half-integer strip powers) is
+    # counted twice: the graded attempt, then its enumeration
+    passes.clear()
+    partition_function_exact(ising(1.0, field="plain"), 3, 0.7 + 0.2j)
+    assert passes == [("ising(J=1.0,plain)", 3)] * 2
 
 
 def test_enumeration_budget():
-    with pytest.raises(BudgetError):
-        partition_function_exact(ising(1.0), 6, 1.0, budget=2**20)
-    with pytest.raises(BudgetError):
+    # the budget binds where enumeration runs: half-integer strip powers
+    with pytest.raises(BudgetError, match="enumeration of 2\\^25 states"):
+        partition_function_exact(ising(1.0, field="plain"), 5, 1.0, budget=2**20)
+    # the identity check enumerates the torus itself, whatever builds Z
+    with pytest.raises(BudgetError, match="identity check over 2\\^16 states"):
         torus_contour_identity_check(ising(1.0), 4, [1.0], budget=2**10)
+
+
+def test_graded_record_past_enumeration():
+    # Ising L=6 has 2^36 configurations, far past the enumeration budget;
+    # the graded transfer matrix builds its record in 64 layer states
+    poly = partition_polynomial(ising(1.5), 6, budget=2**10)
+    assert poly.degree == 36
+    co = poly.coefficients
+    # all spins alike (72 bonds at -J), and one spin flipped (4 bonds broken)
+    for power, weight in ((0, math.exp(1.5 * 72)), (1, 36 * math.exp(1.5 * 64))):
+        assert co[power] == pytest.approx(weight, rel=1e-13)
+        assert co[36 - power] == pytest.approx(weight, rel=1e-13)
+
+
+def test_graded_bound_is_a_budget_error():
+    # Ising L=9: 512 layer states and 65 grades of T^8 exceed the bound,
+    # and the refusal comes before the product (136 MB in float64) is
+    # allocated: only the strip table's few MB are
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="graded transfer matrix"):
+            partition_polynomial(ising(1.5), 9)
+        assert tracemalloc.get_traced_memory()[1] < 32 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_repeated_calls_are_bit_reproducible():
@@ -255,15 +290,21 @@ def test_zero_set_serialization():
     assert '"degree": 9' in data
 
 
-def _winding_number(coefficients, radius, n=2**15):
+def _winding_number(coefficients, radius, n=2**12):
     """Zeros of the polynomial inside |z| = radius by the argument principle:
-    the winding of its values round a circle sampled at n points."""
+    the winding of its values round a circle, sampled at n points and
+    bisected wherever a step turns by pi/4 or more, so that each step turns
+    by well under pi and the winding is unambiguous."""
     co = np.asarray(coefficients)[::-1]
-    v = np.polyval(co, radius * np.exp(2j * np.pi * np.arange(n + 1) / n))
-    steps = np.angle(v[1:] / v[:-1])
-    # each step must turn by well under pi for the winding to be unambiguous
-    assert np.abs(steps).max() < math.pi / 4
-    return round(steps.sum() / (2 * math.pi))
+    t = 2 * np.pi * np.arange(n + 1) / n
+    for _ in range(60):
+        v = np.polyval(co, radius * np.exp(1j * t))
+        steps = np.angle(v[1:] / v[:-1])
+        wide = np.abs(steps) >= math.pi / 4
+        if not wide.any():
+            return round(steps.sum() / (2 * math.pi))
+        t = np.sort(np.concatenate([t, (t[:-1][wide] + t[1:][wide]) / 2]))
+    raise AssertionError(f"the winding round |z| = {radius} does not resolve")
 
 
 @pytest.mark.parametrize(
@@ -280,3 +321,62 @@ def test_argument_principle_counts_the_roots(model, L):
     outer = _winding_number(poly.coefficients, 1 + delta)
     assert inner == sum(abs(r) < 1 - delta for r in roots) == 0
     assert outer == sum(abs(r) < 1 + delta for r in roots) == poly.degree
+
+
+@pytest.mark.parametrize("L", [5, 6, 7])
+def test_high_degree_roots_checked_independently(L):
+    # degrees 25 to 49, where no enumeration reaches: each root against the
+    # numeric transfer matrix, and the count against the argument principle
+    model = ising(1.5)
+    states = torus_exact._density_of_states(model, L)
+    poly = states.polynomial(model, L)
+    roots = exact_zeros(poly).roots
+    assert len(roots) == poly.degree == L * L
+    for r in roots:
+        mass = states.sum_with_mass(r)[1]
+        assert abs(transfer_matrix_pf(model, L, r)) <= 1e-12 * mass
+    # Lee-Yang: none inside 1 - 1e-6, all inside 1 + 1e-6
+    assert _winding_number(poly.coefficients, 1 - 1e-6) == 0
+    assert _winding_number(poly.coefficients, 1 + 1e-6) == poly.degree
+
+
+# -- the graded record against enumeration --------------------------------------
+
+_ORACLE_CASES = {
+    "ising-L3": (lambda: ising(1.5), 3),
+    "ising-L4": (lambda: ising(1.5), 4),
+    "plain-ising-L4": (lambda: ising(1.0, field="plain"), 4),  # powers -8..8
+    "blume-capel-L3": (lambda: blume_capel(1.3, 0.1), 3),
+    "plain-blume-capel-L3": (lambda: blume_capel(1.3, 0.1, field="plain"), 3),
+    "potts3-L3": (lambda: potts(3, 1.2), 3),
+    "potts4-L3": (lambda: potts(4, 1.5), 3),
+    "backward-L3": (_backward_offset_ising, 3),
+    "backward-L4": (_backward_offset_ising, 4),
+    "plaquette-L3": (_plaquette_ising, 3),
+    "plaquette-L4": (_plaquette_ising, 4),
+}
+# three-state models stop at L=3 here: 3^16 configurations at L=4 take
+# tens of seconds to enumerate
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_graded_record_matches_enumeration(name):
+    make, L = _ORACLE_CASES[name]
+    model = make()
+    graded = torus_exact._graded_density_of_states(model, L)
+    enumerated = torus_exact._enumerated_density_of_states(model, L, torus_exact.ENUM_BUDGET)
+    assert np.array_equal(graded.powers, enumerated.powers)
+    scale = enumerated.moduli
+    assert np.all(np.abs(graded.amplitudes - enumerated.amplitudes) <= 1e-13 * scale)
+    assert np.all(np.abs(graded.moduli - enumerated.moduli) <= 1e-13 * scale)
+
+
+def test_half_integer_powers_take_the_enumeration_path():
+    # plain-field Ising on L=3: a layer of three spins carries z^(+-1/2) each
+    model = ising(1.0, field="plain")
+    assert torus_exact._graded_density_of_states(model, 3) is None
+    record = torus_exact._density_of_states(model, 3)
+    assert set(record.powers % 1) == {0.5}
+    oracle = torus_exact._enumerated_density_of_states(model, 3, torus_exact.ENUM_BUDGET)
+    for got, want in zip(record, oracle):
+        assert np.array_equal(got, want)
