@@ -51,7 +51,7 @@ dens = density_of_zeros(curve, L)
 print(f"\ndensity of zeros integrates to {dens.total:.6f} (expect {L**2})")
 
 r3 = splitting_residual(model, 3, cmath.exp(1.0j), phases=(1, -1))
-r4 = splitting_residual(model, 4, cmath.exp(1.0j), phases=(1, -1), exact_budget=2**12)
+r4 = splitting_residual(model, 4, cmath.exp(1.0j), phases=(1, -1))
 print(f"finite-volume splitting residual: L=3 {r3.ratio:.2e}  ->  L=4 {r4.ratio:.2e}")
 
 out = pathlib.Path(__file__).parent / "output"

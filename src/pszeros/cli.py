@@ -4,8 +4,7 @@ A scenario is an INI file with one section per pipeline stage; presets ship
 common scenarios by name.  Outputs (CSV, JSON, SVG) are byte-deterministic
 for a fixed scenario and seed: floats are printed to 17 significant digits,
 reductions run in a fixed order, and every produced file is listed with its
-checksum in a manifest.  ``--workers`` and the scenario key ``workers`` are
-accepted and have no effect; every run is single-process.
+checksum in a manifest.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error or a refused
 computation (no convergence certificate, no coexistence curve), 3 budget
@@ -41,8 +40,8 @@ from .zeros import (
 )
 
 USAGE = """\
-pszeros --preset NAME --out DIR [--workers N] [--seed S]
-pszeros --scenario FILE --out DIR [--workers N] [--seed S]
+pszeros --preset NAME --out DIR [--seed S]
+pszeros --scenario FILE --out DIR [--seed S]
 
 presets: """
 
@@ -590,7 +589,6 @@ def main(argv=None) -> int:
     ap.add_argument("--scenario", help="scenario config file")
     ap.add_argument("--preset", help="named built-in scenario")
     ap.add_argument("--out", help="output directory")
-    ap.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args(argv)
     if not args.scenario and not args.preset:

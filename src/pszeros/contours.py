@@ -857,9 +857,7 @@ def _extract_block(geom: Torus, D):
     return bad, np.where(bad, -1, np.where(label == big, D, label)), fits.any(axis=0)
 
 
-def torus_contour_identity_check(
-    model: SpinModel, L: int, zs, budget: int = IDENTITY_BUDGET
-) -> dict:
+def torus_contour_identity_check(model: SpinModel, L: int, zs) -> dict:
     """Evaluate the two contour representations of the torus partition sum
     and compare both with the torus's exact Z.
 
@@ -872,8 +870,8 @@ def torus_contour_identity_check(
     Each side is summed per z in one numpy reduction over its terms; Z(z)
     is read from the torus's density of states, built once for all z.
 
-    Only tori with L <= 4R+2 and q^(L^d) <= ``budget`` are admitted; the
-    rest raise a BudgetError.  On them a contour support (the R-boundary
+    Only tori with L <= 4R+2 and q^(L^d) <= ``IDENTITY_BUDGET`` are admitted;
+    the rest raise a BudgetError.  On them a contour support (the R-boundary
     around a deviation, at least 2R+1 sites wide) cannot have diameter
     below L/2, and the check raises a RuntimeError if extraction finds a
     contour or misses a vacuum.  So every term is a vacuum or a network,
@@ -888,9 +886,10 @@ def torus_contour_identity_check(
                           "its label regions may hold contours, which it does not resum")
     q = len(model.spins)
     n = L**model.dimension
-    if q**n > budget:
-        raise BudgetError(f"torus identity check over {q}^{n} states exceeds budget {budget}")
-    states = _density_of_states(model, L, budget)  # the reference Z, for every z
+    if q**n > IDENTITY_BUDGET:
+        raise BudgetError(f"torus identity check over {q}^{n} states exceeds budget "
+                          f"{IDENTITY_BUDGET}")
+    states = _density_of_states(model, L)  # the reference Z, for every z
 
     ground = [model.ground_pair(m) for m in model.spins]
     index = torus_placements(model, L)

@@ -118,14 +118,14 @@ class _DensityOfStates(NamedTuple):
         return PartitionPolynomial(tuple(co.tolist()), L, tag=f"{model.name} L={L}")
 
 
-def _enumerated_density_of_states(model: SpinModel, L: int, budget: int) -> _DensityOfStates:
+def _enumerated_density_of_states(model: SpinModel, L: int) -> _DensityOfStates:
     """The density of states of the L-torus from one pass of ``_energy_blocks``:
     each block binned by power with ``bincount``, the block sums added in
     block order, so the sums of a power do not depend on the other powers.
-    A BudgetError past ``budget`` configurations."""
+    A BudgetError past ``ENUM_BUDGET`` configurations."""
     q, n = len(model.spins), L**model.dimension
-    if q**n > budget:
-        raise BudgetError(f"enumeration of {q}^{n} states exceeds budget {budget}")
+    if q**n > ENUM_BUDGET:
+        raise BudgetError(f"enumeration of {q}^{n} states exceeds budget {ENUM_BUDGET}")
     acc = {}
     for c, p in _energy_blocks(model, L):
         powers = sorted(set(p.tolist()))
@@ -197,30 +197,25 @@ def _graded_traces(w: np.ndarray, k: np.ndarray, n_grades: int, L: int) -> np.nd
     return traces
 
 
-def _density_of_states(model: SpinModel, L: int, budget: int = ENUM_BUDGET) -> _DensityOfStates:
+def _density_of_states(model: SpinModel, L: int) -> _DensityOfStates:
     """The density of states of the L-torus: graded transfer matrix where the
     model has range 1 and integer strip powers, else enumeration within
-    ``budget`` configurations.  Built once per model and L and held on the
-    model (``SpinModel.density_of_states``)."""
+    ``ENUM_BUDGET`` configurations.  Built once per model and L and held on
+    the model (``SpinModel.density_of_states``); the bounds are module
+    constants, so whether it builds depends on (model, L) alone."""
     if L not in model.density_of_states:
         record = _graded_density_of_states(model, L) if model.range == 1 else None
         if record is None:
-            record = _enumerated_density_of_states(model, L, budget)
+            record = _enumerated_density_of_states(model, L)
         model.density_of_states[L] = record
     return model.density_of_states[L]
 
 
-def _sum_with_mass(model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET):
-    return _density_of_states(model, L, budget).sum_with_mass(z)
-
-
-def partition_function_exact(
-    model: SpinModel, L: int, z: complex, budget: int = ENUM_BUDGET
-) -> complex:
+def partition_function_exact(model: SpinModel, L: int, z: complex) -> complex:
     """Z_L^per(z) = sum_p a_p z^p from the torus's density of states: the
     graded transfer matrix for range-1 models with integer strip powers,
-    else full enumeration of |S|^{L^d} configurations within ``budget``."""
-    return _sum_with_mass(model, L, z, budget)[0]
+    else full enumeration of |S|^{L^d} configurations within ``ENUM_BUDGET``."""
+    return _density_of_states(model, L).sum_with_mass(z)[0]
 
 
 # -- transfer matrix ----------------------------------------------------------
@@ -259,19 +254,18 @@ def _strip_table(model: SpinModel, L: int) -> tuple:
     return model.strip_tables[L]
 
 
-def transfer_matrix_pf(
-    model: SpinModel, L: int, z: complex, budget: int = MATRIX_BUDGET
-) -> complex:
+def transfer_matrix_pf(model: SpinModel, L: int, z: complex) -> complex:
     """Z_L^per(z) as the trace of the L-fold product of the layer-to-layer
     transfer matrix, evaluated at z from the strip table.  Supports range-1
-    interactions only.  It reads the strip table, not the density of states,
-    so that the two stay independent ways of summing it."""
+    interactions only, of at most ``MATRIX_BUDGET`` layer states.  It reads
+    the strip table, not the density of states, so that the two stay
+    independent ways of summing it."""
     check_finite(z)
     if model.range != 1:
         raise BudgetError("transfer matrix supports range R=1 only")
     n = len(model.spins) ** (L ** (model.dimension - 1))
-    if n > budget:
-        raise BudgetError(f"transfer matrix dimension {n} exceeds budget {budget}")
+    if n > MATRIX_BUDGET:
+        raise BudgetError(f"transfer matrix dimension {n} exceeds budget {MATRIX_BUDGET}")
     w, p = _strip_table(model, L)
     with np.errstate(over="ignore", invalid="ignore"):
         T = w * _zpow(z, p)
@@ -306,13 +300,11 @@ class PartitionPolynomial:
                            "coefficients": coefficients}, indent=1)
 
 
-def partition_polynomial(
-    model: SpinModel, L: int, budget: int = ENUM_BUDGET
-) -> PartitionPolynomial:
+def partition_polynomial(model: SpinModel, L: int) -> PartitionPolynomial:
     """Exact coefficients of Z_L^per in z, from the torus's density of states:
     a BudgetError unless the power of z of every configuration is a
     nonnegative integer."""
-    return _density_of_states(model, L, budget).polynomial(model, L)
+    return _density_of_states(model, L).polynomial(model, L)
 
 
 # -- zeros ---------------------------------------------------------------------

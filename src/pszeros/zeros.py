@@ -560,14 +560,15 @@ class ResidualReport:
 def splitting_residual(
     model: SpinModel, L: int, z: complex, phases=None,
     cutoffs: Cutoffs = Cutoffs(), use_orbit_factors: bool = True,
-    exact_budget: int = 2**22,
 ) -> ResidualReport:
     """Xi = Z_L^per - sum over the selected phases of q_m [zeta_m^{(L)}]^{L^d},
     reported relative to zeta(z)^{L^d}.
 
     Phases default to the stable set at z.  A warning is attached for any
     excluded phase whose free-energy gap is below tau/(4L), where the
-    finite-volume splitting is not expected to be accurate.
+    finite-volume splitting is not expected to be accurate.  Z_L^per is
+    ``partition_function_exact``, and ``transfer_matrix_pf`` where the
+    torus's density of states is refused (past its bounds).
     """
     table = free_energy_table(model, z, cutoffs)
     if phases is None:
@@ -575,7 +576,7 @@ def splitting_residual(
     phases = tuple(phases)
     Ld = L**model.dimension
     try:
-        zex = partition_function_exact(model, L, z, budget=exact_budget)
+        zex = partition_function_exact(model, L, z)
     except BudgetError:
         zex = transfer_matrix_pf(model, L, z)
     total = 0j

@@ -10,6 +10,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import all_configs, random_z, sparse_torus_config
+import pszeros.contours
 from pszeros.contours import (
     ContourSumEngine,
     MatchingCollection,
@@ -564,11 +565,12 @@ def test_torus_identity_trivial_model(rng):
     assert rep["collection_max_rel"] < 1e-12 and rep["resummed_max_rel"] < 1e-12
 
 
-def test_torus_identity_refuses_tori_that_hold_contours():
+def test_torus_identity_refuses_tori_that_hold_contours(monkeypatch):
     # L = 7 > 4R+2: a label region may hold contours; the guard must fire
     # before 2^49 configurations are enumerated
+    monkeypatch.setattr(pszeros.contours, "IDENTITY_BUDGET", 2**60)
     with pytest.raises(BudgetError, match="4R\\+2"):
-        torus_contour_identity_check(ising(1.0), 7, [1.0], budget=2**60)
+        torus_contour_identity_check(ising(1.0), 7, [1.0])
 
 
 def test_torus_identity_ising(rng):

@@ -80,7 +80,7 @@ from pszeros.polymer import (
 from test_contours import nested_ring_config
 from test_polymer import _random_certified_system, two_polymer_system
 from pszeros.torus_exact import (
-    _sum_with_mass, partition_function_exact, partition_polynomial, transfer_matrix_pf,
+    _density_of_states, partition_function_exact, partition_polynomial, transfer_matrix_pf,
 )
 from pszeros.zeros import (
     PhaseEvaluator,
@@ -1612,7 +1612,7 @@ def test_partition_function_matches_gray_code_oracle(scanned):
         # fsum, since a running sum of 65536 moduli drifts by more than 1e-13
         mass = math.fsum(abs(w) for block in terms for w in block)
         assert abs(partition_function_exact(model, L, z) - old) <= 1e-13 * mass
-        assert abs(_sum_with_mass(model, L, z)[1] - mass) <= 1e-13 * mass
+        assert abs(_density_of_states(model, L).sum_with_mass(z)[1] - mass) <= 1e-13 * mass
 
 
 # -- oracles: the independent-set recursions and component searches replaced

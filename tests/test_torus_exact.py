@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import free_field_model, random_z
+import pszeros.contours as contours
 import pszeros.torus_exact as torus_exact
 from pszeros.cli import PRESETS, Scenario, run
 from pszeros.contours import torus_contour_identity_check
@@ -16,7 +17,7 @@ from pszeros.models import ModelError, blume_capel, ising, perturbed_ising, pott
 from pszeros.torus_exact import (
     ExactZeroSet,
     PartitionPolynomial,
-    _sum_with_mass,
+    _density_of_states,
     exact_zeros,
     partition_function_exact,
     partition_polynomial,
@@ -41,7 +42,7 @@ def test_site_field_product_structure():
     assert partition_function_exact(m, 3, z) == pytest.approx(per_site**9, rel=1e-12)
 
 
-def test_enumeration_vs_transfer_matrix_ising(rng):
+def test_record_vs_transfer_matrix_ising(rng):
     m = ising(1.0)
     for _ in range(20):
         z = random_z(rng)
@@ -50,7 +51,7 @@ def test_enumeration_vs_transfer_matrix_ising(rng):
         assert abs(ze - zt) / abs(ze) < 1e-12
 
 
-def test_enumeration_vs_transfer_matrix_blume_capel():
+def test_record_vs_transfer_matrix_blume_capel():
     m = blume_capel(1.2, 0.05)
     ze = partition_function_exact(m, 3, 1.0)
     zt = transfer_matrix_pf(m, 3, 1.0)
@@ -84,12 +85,12 @@ def _plaquette_ising():
     (lambda: potts(3, 1.2), 3),
 ], ids=["backward-L3", "backward-L4", "plaquette-L3", "plaquette-L4", "blume-capel-L3",
         "potts3-L3"])
-def test_enumeration_vs_transfer_matrix_to_term_moduli(make, L):
+def test_record_vs_transfer_matrix_to_term_moduli(make, L):
     # relative to the summed moduli of the terms: at complex z they cancel
     m = make()
     rng = random.Random(f"{m.name}/{L}")
     for z in [1.0, 0.8 + 0.3j] + [random_z(rng) for _ in range(3)]:
-        ze, mass = _sum_with_mass(m, L, z)
+        ze, mass = _density_of_states(m, L).sum_with_mass(z)
         assert abs(ze - transfer_matrix_pf(m, L, z)) <= 1e-12 * mass
 
 
@@ -109,7 +110,7 @@ def test_z_zero_is_the_constant_coefficient(model):
     c0 = partition_polynomial(model, 3).coefficients[0]
     for value in (
         partition_function_exact(model, 3, 0),
-        _sum_with_mass(model, 3, 0)[0],
+        _density_of_states(model, 3).sum_with_mass(0)[0],
         transfer_matrix_pf(model, 3, 0),
     ):
         assert abs(value - c0) <= 1e-13 * abs(c0)
@@ -117,7 +118,8 @@ def test_z_zero_is_the_constant_coefficient(model):
 
 def test_z_zero_with_a_negative_power_is_an_error():
     m = ising(1.0, field="plain")
-    for evaluate in (partition_function_exact, _sum_with_mass, transfer_matrix_pf):
+    for evaluate in (partition_function_exact, transfer_matrix_pf,
+                     lambda m, L, z: _density_of_states(m, L).sum_with_mass(z)):
         with pytest.raises(ValueError, match="negative power"):
             evaluate(m, 3, 0)
 
@@ -148,9 +150,9 @@ def test_one_enumeration_per_torus(monkeypatch, tmp_path):
     for name in ("_graded_density_of_states", "_enumerated_density_of_states"):
         build = getattr(torus_exact, name)
 
-        def counted(model, L, *args, build=build):
+        def counted(model, L, build=build):
             passes.append((model.name, L))
-            return build(model, L, *args)
+            return build(model, L)
 
         monkeypatch.setattr(torus_exact, name, counted)
     scenario = Scenario.from_text(
@@ -176,19 +178,22 @@ def test_one_enumeration_per_torus(monkeypatch, tmp_path):
     assert passes == [("ising(J=1.0,plain)", 3)] * 2
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
     # the budget binds where enumeration runs: half-integer strip powers
+    monkeypatch.setattr(torus_exact, "ENUM_BUDGET", 2**20)
     with pytest.raises(BudgetError, match="enumeration of 2\\^25 states"):
-        partition_function_exact(ising(1.0, field="plain"), 5, 1.0, budget=2**20)
+        partition_function_exact(ising(1.0, field="plain"), 5, 1.0)
     # the identity check enumerates the torus itself, whatever builds Z
+    monkeypatch.setattr(contours, "IDENTITY_BUDGET", 2**10)
     with pytest.raises(BudgetError, match="identity check over 2\\^16 states"):
-        torus_contour_identity_check(ising(1.0), 4, [1.0], budget=2**10)
+        torus_contour_identity_check(ising(1.0), 4, [1.0])
 
 
-def test_graded_record_past_enumeration():
+def test_graded_record_past_enumeration(monkeypatch):
     # Ising L=6 has 2^36 configurations, far past the enumeration budget;
     # the graded transfer matrix builds its record in 64 layer states
-    poly = partition_polynomial(ising(1.5), 6, budget=2**10)
+    monkeypatch.setattr(torus_exact, "ENUM_BUDGET", 2**10)
+    poly = partition_polynomial(ising(1.5), 6)
     assert poly.degree == 36
     co = poly.coefficients
     # all spins alike (72 bonds at -J), and one spin flipped (4 bonds broken)
@@ -208,6 +213,35 @@ def test_graded_bound_is_a_budget_error():
         assert tracemalloc.get_traced_memory()[1] < 32 * 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_exact_side_does_not_depend_on_what_ran_before(monkeypatch):
+    # the record's bounds are module constants, so whether it builds depends
+    # on (model, L) alone: a fresh model and one whose record was built
+    # first give the same bits
+    z = cmath.exp(0.7j)
+    for make, L in ((lambda: ising(1.5, field="plain"), 3), (lambda: ising(1.5), 4)):
+        residual = splitting_residual(make(), L, z, phases=(1, -1)).xi
+        exact = partition_function_exact(make(), L, z)
+        built = make()
+        _density_of_states(built, L)
+        assert partition_function_exact(built, L, z) == exact
+        assert splitting_residual(built, L, z, phases=(1, -1)).xi == residual
+    # and the bound is read when the record is built, not when the
+    # function is defined
+    monkeypatch.setattr(torus_exact, "ENUM_BUDGET", 2**8)
+    with pytest.raises(BudgetError, match="enumeration of 2\\^9 states"):
+        partition_function_exact(ising(1.5, field="plain"), 3, z)
+
+
+def test_residual_past_the_graded_bound_reads_the_transfer_matrix():
+    # Ising L=9: the record is refused, and the residual's Z is the numeric
+    # transfer matrix at z
+    model, z = ising(1.5), cmath.exp(1.0j)
+    with pytest.raises(BudgetError, match="graded transfer matrix"):
+        partition_function_exact(model, 9, z)
+    report = splitting_residual(model, 9, z, phases=(1, -1))
+    assert report.ratio == pytest.approx(8.05e-8, rel=1e-3)
 
 
 def test_repeated_calls_are_bit_reproducible():
@@ -364,7 +398,7 @@ def test_graded_record_matches_enumeration(name):
     make, L = _ORACLE_CASES[name]
     model = make()
     graded = torus_exact._graded_density_of_states(model, L)
-    enumerated = torus_exact._enumerated_density_of_states(model, L, torus_exact.ENUM_BUDGET)
+    enumerated = torus_exact._enumerated_density_of_states(model, L)
     assert np.array_equal(graded.powers, enumerated.powers)
     scale = enumerated.moduli
     assert np.all(np.abs(graded.amplitudes - enumerated.amplitudes) <= 1e-13 * scale)
@@ -377,6 +411,6 @@ def test_half_integer_powers_take_the_enumeration_path():
     assert torus_exact._graded_density_of_states(model, 3) is None
     record = torus_exact._density_of_states(model, 3)
     assert set(record.powers % 1) == {0.5}
-    oracle = torus_exact._enumerated_density_of_states(model, 3, torus_exact.ENUM_BUDGET)
+    oracle = torus_exact._enumerated_density_of_states(model, 3)
     for got, want in zip(record, oracle):
         assert np.array_equal(got, want)
