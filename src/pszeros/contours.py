@@ -51,10 +51,10 @@ class _TorusObject:
     """A support on the torus with its standardized configuration, held as
     masks: ``mask`` (the support), ``by_site`` (the spins by site: its
     configuration's for an extracted object, None off the support for one
-    built from the public form) and ``comps``, one (mask, label) per
-    complement component.  The views ``support`` (a frozenset), ``spins``
-    (a dict by site) and ``labels`` ((frozenset, label) pairs) are built on
-    first read."""
+    built from the public form) and ``comps``, one (mask, label, sites in
+    increasing order) per complement component.  The views ``support`` (a
+    frozenset), ``spins`` (a dict by site) and ``labels`` ((frozenset,
+    label) pairs) are built on first read."""
 
     _key = _pair = None  # set on first use
 
@@ -62,7 +62,7 @@ class _TorusObject:
         # the public form (frozensets and a dict), held as masks
         self.geom, self.mask = geom, geom.mask(support)
         self.by_site = list(map({s: spins[s] for s in support}.get, range(geom.n_sites)))
-        self.comps = tuple((geom.mask(comp), lab) for comp, lab in labels)
+        self.comps = tuple((geom.mask(comp), lab, tuple(sorted(comp))) for comp, lab in labels)
 
     @classmethod
     def _of(cls, geom, mask, by_site, comps):
@@ -80,7 +80,7 @@ class _TorusObject:
 
     @cached_property
     def labels(self) -> tuple:
-        return tuple((frozenset(self.geom.sites(c)), lab) for c, lab in self.comps)
+        return tuple((frozenset(sites), lab) for _, lab, sites in self.comps)
 
     @property
     def size(self) -> int:
@@ -92,22 +92,22 @@ class _TorusObject:
             self._key = (
                 sup,
                 tuple(map(self.by_site.__getitem__, sup)),
-                tuple(sorted((self.geom.sites(c)[0], lab) for c, lab in self.comps)),
+                tuple(sorted((sites[0], lab) for _, lab, sites in self.comps)),
             )
         return self._key
 
     def value_at(self, x) -> object:
         if self.mask >> x & 1:
             return self.by_site[x]
-        for comp, lab in self.comps:
+        for comp, lab, _ in self.comps:
             if comp >> x & 1:
                 return lab
         raise KeyError(x)
 
     def full_config(self) -> TorusConfiguration:
         arr = list(self.by_site)
-        for comp, lab in self.comps:
-            for s in self.geom.sites(comp):
+        for _, lab, sites in self.comps:
+            for s in sites:
                 arr[s] = lab
         return TorusConfiguration(self.geom.L, self.geom.d, tuple(arr))
 
@@ -164,27 +164,17 @@ class MatchingCollection:
     vacuum_label: object  # used only when contours and network are both empty
 
     def objects(self):
-        out = list(self.contours)
-        if self.network is not None:
-            out.append(self.network)
-        return out
+        return [*self.contours, self.network] if self.network is not None else list(self.contours)
 
     def region_sizes(self) -> dict:
         """|Lambda_m|: number of sites outside all supports carrying label m."""
         counts = {}
-        for comp, lab in _complement_labels(self)[1]:
-            counts[lab] = counts.get(lab, 0) + comp.bit_count()
+        for _, lab, sites in _complement_labels(self)[1]:
+            counts[lab] = counts.get(lab, 0) + len(sites)
         return counts
 
 
 # -- extraction ----------------------------------------------------------------
-
-
-def _boundary_components(config: TorusConfiguration, R: int):
-    """The geometry and the R-boundary components (masks in order of their
-    smallest site) of wrapped diameter below L/2 and above."""
-    geom = config.torus(R)
-    return (geom, *geom.boundary_components(geom.boundary(config.spins)))
 
 
 def contour_graph(config: TorusConfiguration, R: int):
@@ -192,30 +182,30 @@ def contour_graph(config: TorusConfiguration, R: int):
     by wrapped diameter: two boundary sites are linked whenever one box of
     diameter 2R+1 contains both and is non-constant.  Returns (geometry,
     small components, large components)."""
-    geom, small, large = _boundary_components(config, R)
-    return (geom, [frozenset(geom.sites(c)) for c in small],
+    geom = config.torus(R)
+    small, large, _, _ = geom.skeleton(geom.boundary(config.spins))
+    return (geom, [frozenset(geom.sites(c)) for c, _ in small],
             [frozenset(geom.sites(c)) for c in large])
 
 
-def _component_labels(geom: Torus, support: int, spins):
-    """Every component of the complement of the ``support`` mask, as a mask
-    in order of its smallest site, labelled by the common spin on its ring
-    (the support sites next to it); a ValueError where a ring is not
-    constant.
+def _labelled(rings, spins) -> tuple:
+    """Each complement component of ``rings`` (``Torus.complement_rings``
+    entries) as (mask, the common spin on its ring, its sites); a
+    ValueError where a ring is not constant.
 
     Where the support is the R-boundary of the configuration behind
     ``spins``, every box centred outside it is constant, so each ring site
     carries the value of the component it touches."""
     out = []
-    for comp, ring in geom.complement_rings(support):
+    for comp, ring, sites in rings:
         values = {spins[y] for y in ring}
         if len(values) != 1:
             raise ValueError(
-                f"label mismatch on the complement component at site {geom.sites(comp)[0]}: "
+                f"label mismatch on the complement component at site {sites[0]}: "
                 f"its ring carries {sorted(map(repr, values))}"
             )
-        out.append((comp, values.pop()))
-    return out
+        out.append((comp, values.pop(), sites))
+    return tuple(out)
 
 
 def exterior_interior(geom: Torus, support: frozenset):
@@ -236,49 +226,44 @@ def exterior_interior(geom: Torus, support: frozenset):
 
 def extract(config: TorusConfiguration, R: int) -> MatchingCollection:
     """Decompose a configuration into its unique matching collection."""
-    geom, small, large = _boundary_components(config, R)
-    spins, n = config.spins, geom.n_sites
-    if not small and not large:
+    geom, spins = config.torus(R), config.spins
+    small, _, union, rings = geom.skeleton(geom.boundary(spins))
+    if not small and not union:
         return MatchingCollection(geom, (), None, spins[0])
-    # a support of diameter < L/2 leaves exactly one complement component
-    # with more than half of the sites: its exterior, put first
-    contours = tuple(TorusContour._of(geom, sup, spins, tuple(sorted(
-        _component_labels(geom, sup, spins), key=lambda cl: 2 * cl[0].bit_count() <= n)))
-        for sup in small)
-    network = None
-    if large:
-        sup = sum(large)  # the components are disjoint
-        network = TorusNetwork._of(geom, sup, spins, tuple(_component_labels(geom, sup, spins)))
+    contours = tuple([TorusContour._of(geom, sup, spins, _labelled(ext_first, spins))
+                      for sup, ext_first in small]) if small else ()
+    network = TorusNetwork._of(geom, union, spins, _labelled(rings, spins)) if union else None
     return MatchingCollection(geom, contours, network, None)
 
 
 def _complement_labels(collection: MatchingCollection):
     """The spins of the collection's objects by site (the first object's
-    sequence off the supports) and the labelled complement components; a
-    ValueError where supports overlap, the spins around a component
-    disagree or an empty collection has no vacuum label."""
+    sequence off the supports) and the complement components of their
+    union, labelled (``_labelled``); a ValueError where supports overlap,
+    the spins around a component disagree or an empty collection has no
+    vacuum label."""
     geom, objects = collection.geom, collection.objects()
     if not objects:
         if collection.vacuum_label is None:
             raise ValueError("label mismatch: empty collection needs a vacuum label")
-        return [None] * geom.n_sites, [(geom.full, collection.vacuum_label)]
-    first, *rest = objects
-    union, arr = first.mask, list(first.by_site)
-    for o in rest:
+        (comp, _, sites), = geom.complement_rings(0)
+        return [None] * geom.n_sites, ((comp, collection.vacuum_label, sites),)
+    union, arr = objects[0].mask, list(objects[0].by_site)
+    for o in objects[1:]:
         if union & o.mask:
             raise ValueError("label mismatch: supports overlap")
         union |= o.mask
         for s in geom.sites(o.mask):
             arr[s] = o.by_site[s]
-    return arr, _component_labels(geom, union, arr)
+    return arr, _labelled(geom.complement_rings(union), arr)
 
 
 def reconstruct(collection: MatchingCollection) -> TorusConfiguration:
     """The unique configuration whose extraction is ``collection``."""
     geom = collection.geom
     arr, labels = _complement_labels(collection)
-    for comp, lab in labels:
-        for x in geom.sites(comp):
+    for _, lab, sites in labels:
+        for x in sites:
             arr[x] = lab
     return TorusConfiguration(geom.L, geom.d, tuple(arr))
 
@@ -392,13 +377,6 @@ class ZdContour:
     def size(self) -> int:
         return len(self.support)
 
-    @property
-    def volume(self) -> frozenset:
-        v = set(self.support)
-        for comp, _ in self.interiors:
-            v.update(comp)
-        return frozenset(v)
-
     def key(self):
         if self._key is None:
             sup = tuple(sorted(self.support))
@@ -474,6 +452,9 @@ def _padded(shape, R):
     return tuple(s + 2 * (R - 1) for s in shape)
 
 
+_Block = namedtuple("_Block", "cells support digits holes volumes")
+
+
 def _zd_contours(R, bg, lo, shape, blocks, max_support=None, region=None):
     """Batched contour construction on Z^d, free of any model.
 
@@ -484,12 +465,13 @@ def _zd_contours(R, bg, lo, shape, blocks, max_support=None, region=None):
     rows kept are those whose R-boundary (its support) has at most
     ``max_support`` sites, lies in ``region`` (a boolean mask of the box)
     together with its holes, and is one component when two support sites
-    within Chebyshev distance R are linked.  Yields, per block, their
-    contours in row order, as the support cells (in increasing order) and
-    their digits of all rows, each row's end in them, and each row's holes
-    as (cells, digit) in order of least cell (``_rows`` splits them), and
-    their digit and R-boundary columns over the box ``_padded(shape, R)``,
-    which ``_with_pairs`` reads a model's energy pairs from.
+    within Chebyshev distance R are linked.  Yields, per block, a
+    ``_Block`` of their contours in row order: the box's cells, the
+    supports, digits and volumes (support and holes) as arrays (sites x
+    rows) and each row's holes as (cells, digit) in order of least cell
+    (``_rows`` reads one row per contour from it); and their digit and
+    R-boundary columns over the box ``_padded(shape, R)``, which
+    ``boundary_energy_pairs`` reads a model's energy pairs from.
 
     The box's sites and one more, n, for everything outside it (a digit row
     of bg appended to each block) are linked by two tables built once per
@@ -539,43 +521,38 @@ def _zd_contours(R, bg, lo, shape, blocks, max_support=None, region=None):
         D = D[:, rows]
         if (holes & (np.take_along_axis(D, label, axis=0) != D)).any():
             raise RuntimeError("hole of a contour support is not constant")
-        # the support cells and their digits, row after row, and the holes
-        # of each row (hole sites come in increasing order, so each hole
-        # first at its label)
-        on = np.nonzero(support.T)
+        # the holes of each row (hole sites come in increasing order, so
+        # each hole first at its label)
         row_holes = [()] * len(rows)
         for j in np.flatnonzero(holes.any(axis=0)).tolist():
             at, interiors = np.flatnonzero(holes[:, j]), {}
             for i, r in zip(at.tolist(), label[at, j].tolist()):
                 interiors.setdefault(r, []).append(cells[i])
             row_holes[j] = tuple((frozenset(h), int(D[r, j])) for r, h in interiors.items())
-        yield (
-            [cells[i] for i in on[1].tolist()], D.T[on].tolist(),
-            np.cumsum(support.sum(axis=0)).tolist(), row_holes,
-        ), (
+        yield _Block(cells, support[:n], D[:n], row_holes, (support | holes)[:n]), (
             np.pad(D[:n].reshape(shape + (-1,)), pad, constant_values=bg).reshape(-1, len(rows)),
             np.pad(support[:n].reshape(shape + (-1,)), pad).reshape(-1, len(rows)),
         )
 
 
-def _rows(found):
-    """The contours of a block of ``_zd_contours``, one (support cells,
-    their digits, holes) each."""
-    cells, digits, stops, holes = found
+def _rows(block):
+    """The contours of a block of ``_zd_contours``, one (support cells in
+    increasing order, their digits, holes) each."""
+    on = np.nonzero(block.support.T)
+    cells = [block.cells[i] for i in on[1].tolist()]
+    digits = block.digits.T[on].tolist()
     start = 0
-    for stop, h in zip(stops, holes):
+    for stop, h in zip(np.cumsum(block.support.sum(axis=0)).tolist(), block.holes):
         yield cells[start:stop], digits[start:stop], h
         start = stop
 
 
-def _with_pairs(model: SpinModel, q, rows, columns, index):
-    """The q-contours of a model from (support cells, digits, holes) rows,
-    with their energy pairs from one energy kernel call over the rows'
-    columns (``index``: the model's placements in the columns' box)."""
-    c, p = boundary_energy_pairs(model, index, *columns)
+def _with_pairs(model: SpinModel, q, rows, c, p):
+    """The q-contours of a model from (support cells, digits, holes) rows
+    and their energy pairs (``c`` and ``p``, one entry per row)."""
     spin = model.spins.__getitem__
     out = []
-    for (sup, digits, holes), pair in zip(rows, zip(c.tolist(), p.tolist())):
+    for (sup, digits, holes), pair in zip(rows, zip(c, p)):
         sup, spins = tuple(sup), tuple(map(spin, digits))
         holes = tuple((h, spin(k)) for h, k in holes)
         # the cells come in row-major order, which is sorted, and the holes
@@ -595,10 +572,14 @@ def _row_blocks(n_sites: int, n_rows: int, fill):
         yield start, stop, np.full((n_sites, stop - start), fill, dtype=np.int8)
 
 
-def contours_in_region(model: SpinModel, q, region):
-    """All q-contours whose support and interior fit inside ``region``
-    (a finite set of Z^d coordinates)."""
-    region = frozenset(tuple(x) for x in region)
+def _region_rows(model: SpinModel, q, region: frozenset):
+    """The q-contours whose support and holes fit inside ``region`` (a
+    frozenset of Z^d coordinates), as ``_zd_contours`` finds them: yields,
+    per block, its ``_Block``, the contours' energy pairs as two lists c
+    and p, and their volumes as bitmasks over the region's sites in the
+    box, which hold every volume: bit i is the i-th of them in sorted
+    order, which is also the box's order."""
+    bg = model.digit(q)
     core = sorted(
         x for x in region if all(tuple(y) in region for y in chebyshev_ball(x, model.range))
     )
@@ -609,19 +590,19 @@ def contours_in_region(model: SpinModel, q, region):
             f"contour enumeration over a {len(core)}-site core exceeds budget"
         )
     if not core:
-        return []
+        return
     # the core's box padded by R+1, and every assignment of the core in
     # itertools.product order over (no deviation, *others), the first core
     # site slowest; the all-background row 0 is skipped
     pts = np.array(core)
     lo = pts.min(axis=0) - model.range - 1
     shape = tuple((pts.max(axis=0) + model.range + 2 - lo).tolist())
-    mask = np.zeros(shape, dtype=bool)
     inbox = [x for x in region if all(0 <= x[a] - lo[a] < shape[a] for a in range(len(shape)))]
-    mask[tuple((np.array(inbox) - lo).T)] = True
+    at = np.sort(np.ravel_multi_index(tuple((np.array(inbox) - lo).T), shape))
+    mask = np.zeros(math.prod(shape), dtype=bool)
+    mask[at] = True
     flat_core = np.ravel_multi_index(tuple((pts - lo).T), shape)
-    bg = model.spins.index(q)
-    choice = np.array([model.spins.index(s) for s in [q] + others], dtype=np.int8)
+    choice = np.array([bg] + [model.digit(s) for s in others], dtype=np.int8)
     base = len(choice)
     powers = base ** np.arange(len(core) - 1, -1, -1, dtype=np.int64)
 
@@ -632,11 +613,23 @@ def contours_in_region(model: SpinModel, q, region):
             yield D
 
     index = box_placements(model, _padded(shape, model.range))
-    out = []
-    for found, columns in _zd_contours(
-        model.range, bg, tuple(lo.tolist()), shape, blocks(), region=mask
+    for block, columns in _zd_contours(
+        model.range, bg, tuple(lo.tolist()), shape, blocks(), region=mask.reshape(shape)
     ):
-        out += _with_pairs(model, q, _rows(found), columns, index)
+        c, p = boundary_energy_pairs(model, index, *columns)
+        packed = np.packbits(block.volumes[at], axis=0, bitorder="little")
+        width, data = len(packed), packed.T.tobytes()
+        yield block, c.tolist(), p.tolist(), [
+            int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
+def contours_in_region(model: SpinModel, q, region):
+    """All q-contours whose support and interior fit inside ``region``
+    (a finite set of Z^d coordinates); a ModelError where q is not a spin
+    of the model."""
+    out = []
+    for block, c, p, _ in _region_rows(model, q, frozenset(tuple(x) for x in region)):
+        out += _with_pairs(model, q, _rows(block), c, p)
     out.sort(key=lambda y: y.key())
     return out
 
@@ -738,8 +731,8 @@ def _grown_class_geometry(d: int, R: int, n_spins: int, bg: int,
             yield D
 
     first = {}  # per class: its first row and that row's two columns
-    for found, (digits, bad) in _zd_contours(R, bg, (-1,) * d, shape, blocks(), max_support):
-        for j, (cells, digs, holes) in enumerate(_rows(found)):
+    for block, (digits, bad) in _zd_contours(R, bg, (-1,) * d, shape, blocks(), max_support):
+        for j, (cells, digs, holes) in enumerate(_rows(block)):
             key = _class_key(cells, digs, holes)
             if key not in first:
                 first[key] = (key[1], key[2], holes), digits[:, j], bad[:, j]
@@ -759,8 +752,9 @@ def contour_classes(model: SpinModel, q, max_support: int):
     in order of size, then ``key()``: the geometry record of the model's
     alphabet and q's digit, with the model's spins and energy pairs."""
     geo = _class_geometry(model.dimension, model.range, len(model.spins),
-                          model.spins.index(q), max_support)
-    classes = _with_pairs(model, q, geo.classes, geo.columns, box_placements(model, geo.padded))
+                          model.digit(q), max_support)
+    c, p = boundary_energy_pairs(model, box_placements(model, geo.padded), *geo.columns)
+    classes = _with_pairs(model, q, geo.classes, c.tolist(), p.tolist())
     classes.sort(key=lambda y: (y.size, y.key()))
     return classes
 
@@ -785,7 +779,9 @@ class ContourSumEngine:
     """Evaluates Z_q(region) = sum over matching collections with external
     q-contours: an independent-set sum over families of volume-disjoint
     contours, each weighted with the sums over its interiors, memoized on
-    the translation-canonical region.
+    the translation-canonical region.  Each contour's energy pair, holes
+    and volume bitmask come straight from the enumeration rows
+    (``_region_rows``); no contour object is built.
 
     Volume-disjoint contours whose supports are adjacent count as
     compatible, although no configuration produces both; Ising regions from
@@ -804,21 +800,22 @@ class ContourSumEngine:
         key = (tuple(sorted(_canon_sites(region))) if region else (), q)
         if key in self._memo:
             return self._memo[key]
-        contours = contours_in_region(self.model, q, region)
-        weights = []
-        for y in contours:
-            w = pair_weight(y.energy_pair(self.model), self.z)
-            for comp, lab in y.interiors:
-                w *= self.partition_function(comp, lab)
-            weights.append(w)
-        masks, full = region_masks(region, [y.volume for y in contours])
-        total = independent_set_sum(masks, weights, self.theta[q], full)
+        spin, masks, weights = self.model.spins.__getitem__, [], []
+        for block, c, p, volumes in _region_rows(self.model, q, region):
+            for holes, pair in zip(block.holes, zip(c, p)):
+                w = pair_weight(pair, self.z)
+                for comp, k in holes:
+                    w *= self.partition_function(comp, spin(k))
+                weights.append(w)
+            masks += volumes
+        total = independent_set_sum(masks, weights, self.theta[q], (1 << len(region)) - 1)
         self._memo[key] = total
         return total
 
 
 def contour_partition_function(model: SpinModel, region, q, z: complex) -> complex:
-    """Z_q over a finite Z^d region (iterable of coordinate tuples)."""
+    """Z_q over a finite Z^d region (iterable of coordinate tuples); a
+    ModelError where q is not a spin of the model."""
     return ContourSumEngine(model, z).partition_function(region, q)
 
 

@@ -16,11 +16,15 @@ Extraction and reconstruction meet the same few masks over and over (a
 torus of 9 sites has 512 masks, and Blume-Capel has 19,683 configurations
 there), so each ``Torus`` memoises, per distinct mask, the geometry that
 ``contours`` reads: the box dilation of a value mask (keyed on the value
-mask), the box-linked components of an R-boundary split by diameter
-(keyed on the boundary mask) and the complement components of a support
-with their ring sites (keyed on the support).  Each memo is an LRU cache of
-at most ``_MEMO_CAP`` entries, and holds ints and tuples only, so no caller
-can change what another one reads.
+mask), the extraction skeleton of an R-boundary (keyed on the boundary
+mask: its contour supports, each with its complement components exterior
+first, and the union of its other components, the network's support) and
+the complement components of a support, each with its ring sites and its
+own sites (keyed on the support).  Extraction is then the R-boundary, one
+skeleton lookup and one label per complement component, and
+reconstruction fills each component from its site tuple.  Each memo is an
+LRU cache of at most ``_MEMO_CAP`` entries, and holds ints and tuples only,
+so no caller can change what another one reads.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ class Torus:
         self._bits = tuple(1 << i for i in range(self.n_sites))
         memo = lru_cache(maxsize=_MEMO_CAP)
         self._value_box = memo(self.dilate_box)
-        self.boundary_components = memo(self._boundary_components)
+        self.skeleton = memo(self._skeleton)
         self.complement_rings = memo(self._complement_rings)
 
     def index(self, coord: Coord) -> int:
@@ -162,20 +166,31 @@ class Torus:
             bad, seen = bad | seen & m, seen | m
         return bad
 
-    def _boundary_components(self, boundary: int) -> tuple:
-        """The box-linked components of an R-boundary mask, in order of
-        their smallest site, as (those of wrapped diameter below L/2, the
-        rest); memoised as ``boundary_components``."""
+    def _skeleton(self, boundary: int) -> tuple:
+        """The extraction skeleton of an R-boundary mask, from its box-linked
+        components in order of their smallest site: (those of wrapped
+        diameter below L/2, each as (support, its complement components with
+        the exterior first), the rest, their union, the complement
+        components of the union or None where there is no rest).  A
+        component's exterior is its one complement component with more than
+        half of the sites.  Memoised as ``skeleton``."""
         small, large = [], []
         for c in self.flood(boundary, self.dilate_box):
-            (small if 2 * self.diameter(c) < self.L else large).append(c)
-        return tuple(small), tuple(large)
+            if 2 * self.diameter(c) < self.L:
+                rings = self._complement_rings(c)
+                small.append((c, tuple(sorted(rings, key=lambda r: 2 * len(r[2]) <= self.n_sites))))
+            else:
+                large.append(c)
+        union = sum(large)
+        return tuple(small), tuple(large), union, self.complement_rings(union) if large else None
 
     def _complement_rings(self, support: int) -> tuple:
         """Every component of the complement of a support mask, in order of
-        its smallest site, with its ring: the support sites next to it, in
-        increasing order.  Memoised as ``complement_rings``."""
-        return tuple((comp, tuple(self.sites(self.dilate_nn(comp) & support)))
+        its smallest site, as (mask, its ring: the support sites next to
+        it, its sites), both in increasing order.  Memoised as
+        ``complement_rings``."""
+        sites = self.sites
+        return tuple((comp, tuple(sites(self.dilate_nn(comp) & support)), tuple(sites(comp)))
                      for comp in self.flood(self.full & ~support, self.dilate_nn))
 
     def shrink(self, mask: int) -> int:

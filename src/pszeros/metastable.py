@@ -325,7 +325,9 @@ def truncated_weight(model: SpinModel, y: ZdContour, z: complex,
 
 
 def truncated_partition(model: SpinModel, region, q, z: complex) -> complex:
-    """Z'_q over a finite Z^d region."""
+    """Z'_q over a finite Z^d region; a ModelError where q is not a spin of
+    the model."""
+    model.digit(q)
     return WeightEngine(model, z).zprime(region, q)
 
 

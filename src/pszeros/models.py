@@ -131,6 +131,14 @@ class SpinModel:
             out[m] = (c, p)
         return out
 
+    def digit(self, m: Spin) -> int:
+        """The index of a spin in ``spins``, its digit in digit arrays; a
+        ModelError naming it where it is not a spin of the model."""
+        try:
+            return self.spins.index(m)
+        except ValueError:
+            raise ModelError(f"unknown spin {m!r}") from None
+
     def orbit_of(self, m: Spin) -> tuple:
         for orb in self.orbits:
             if m in orb:

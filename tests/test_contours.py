@@ -18,6 +18,7 @@ from pszeros.contours import (
     _class_geometry,
     _extract_block,
     _padded,
+    _region_rows,
     _rows,
     _with_pairs,
     _zd_contours,
@@ -37,7 +38,9 @@ from pszeros.contours import (
 )
 from pszeros.errors import BudgetError
 from pszeros.lattice import chebyshev_ball, torus
+from pszeros.metastable import truncated_partition
 from pszeros.models import (
+    ModelError,
     TorusConfiguration,
     blume_capel,
     boundary_energy_pairs,
@@ -553,6 +556,69 @@ def test_zq_with_interior_recursion(rng):
     assert abs(val - oracle) / abs(oracle) < 1e-10
 
 
+# Z_q at z = 0.9+0.35j per (model, rectangle, q), as the engine gave them
+# when it summed ZdContour objects sorted by key(); the rows' sum differs
+# in summation order only
+_PINNED_Z = complex(0.9, 0.35)
+_PINNED = [
+    (lambda: ising(1.1), (3, 6), -1, complex(1.578696973643844e+17, 33863264078671.336)),
+    (lambda: ising(1.1), (3, 6), 1, complex(7.776494356309763e+16, 3.2204781126731136e+16)),
+    (lambda: ising(1.1), (5, 6), -1, complex(4.614792090635895e+28, 3.01549533770626e+25)),
+    (lambda: ising(1.1), (5, 6), 1, complex(2.1046928956716694e+27, -1.6040983523583928e+28)),
+    (lambda: blume_capel(1.4, 0.05), (4, 5), -1, complex(2.772898129148275, 0.023032099359041235)),
+    (lambda: blume_capel(1.4, 0.05), (4, 5), 0, complex(0.22019522232064478, 0.47147224638166596)),
+    (lambda: blume_capel(1.4, 0.05), (4, 5), 1, complex(-0.4366597528915131, 0.5296130980144725)),
+]
+
+
+@pytest.mark.parametrize("builder,shape,q,pinned", _PINNED)
+def test_zq_matches_the_pinned_object_sums(builder, shape, q, pinned):
+    # the compatibility relation is pinned with the values: Ising 5x6 keeps
+    # the ~1e-7 miss of adjacent volume-disjoint contours
+    region = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+    value = contour_partition_function(builder(), region, q, _PINNED_Z)
+    assert abs(value - pinned) <= 1e-14 * abs(pinned)
+
+
+@pytest.mark.parametrize("builder,shape", [(lambda: ising(1.1), (5, 6)),
+                                           (lambda: blume_capel(1.4, 0.05), (4, 5)),
+                                           (lambda: blume_capel(1.4, 0.05), (5, 5))])
+def test_region_rows_are_the_contours_in_region(builder, shape):
+    # the rows the engine sums, against the contours built from them:
+    # supports, spins, holes, bit-identical energy pairs and, per row, the
+    # volume (support and holes) as a bitmask over the sorted region
+    model = builder()
+    region = frozenset((i, j) for i in range(shape[0]) for j in range(shape[1]))
+    bit = {x: 1 << i for i, x in enumerate(sorted(region))}
+    for q in model.spins:
+        rows = []
+        for block, c, p, volumes in _region_rows(model, q, region):
+            rows += [(tuple(cells), tuple(map(model.spins.__getitem__, digits)),
+                      tuple((h, model.spins[k]) for h, k in holes), (cc, pp), v)
+                     for (cells, digits, holes), cc, pp, v in zip(_rows(block), c, p, volumes)]
+        rows.sort()
+        contours = sorted(contours_in_region(model, q, region), key=lambda y: tuple(sorted(y.support)))
+        assert len(rows) == len(contours) > 0
+        for (cells, spins, holes, pair, volume), y in zip(rows, contours):
+            assert cells == tuple(sorted(y.support))
+            assert spins == tuple(y.spins[x] for x in cells)
+            assert holes == y.interiors
+            assert repr(pair) == repr(y.energy_pair(model))
+            assert volume == sum(bit[x] for x in y.support.union(*(h for h, _ in holes)))
+        assert any(y.interiors for y in contours) == (shape[0] == 5)  # one-site holes
+
+
+@pytest.mark.parametrize("entry", [contours_in_region, contour_partition_function,
+                                   truncated_partition])
+@pytest.mark.parametrize("shape", [(1, 1), (4, 5)])
+def test_unknown_q_is_a_model_error(entry, shape):
+    model = blume_capel(1.4, 0.05)
+    region = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+    args = (model, 2, region) if entry is contours_in_region else (model, region, 2, 0.9 + 0.3j)
+    with pytest.raises(ModelError, match="unknown spin 2"):
+        entry(*args)
+
+
 # -- torus identity ---------------------------------------------------------------------
 
 
@@ -603,7 +669,8 @@ def test_zd_contour_key_with_a_hole_of_two_cells():
     D = np.full((90, 1), bg, dtype=np.int8)
     D[[10 * i + j for i in range(2, 7) for j in range(2, 8) if i in (2, 6) or j in (2, 7)]] = 1 - bg
     (found, columns), = _zd_contours(1, bg, (0, 0), shape, [D])
-    y, = _with_pairs(model, 1, list(_rows(found)), columns, box_placements(model, _padded(shape, 1)))
+    c, p = boundary_energy_pairs(model, box_placements(model, _padded(shape, 1)), *columns)
+    y, = _with_pairs(model, 1, list(_rows(found)), c.tolist(), p.tolist())
     assert [(sorted(h), lab) for h, lab in y.interiors] == [([(4, 4), (4, 5)], 1)]
     assert y.key() == ZdContour(y.q, y.support, y.spins, y.interiors).key()
 

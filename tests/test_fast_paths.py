@@ -112,12 +112,17 @@ def _gas(model, q, size_cap):
 # -- oracles: the bisection code replaced by the fast paths ---------------------
 
 
+def oracle_volume(y):
+    """The volume of a contour on Z^d: its support and its holes."""
+    return y.support.union(*(comp for comp, _ in y.interiors))
+
+
 def oracle_predicate(model, q, weights, size_cap=12):
     """The certificate predicate ok(alpha, eta) for fixed weights, with the
     volumes |V(Y)| of the mass condition taken from the contour classes."""
     gas = _gas(model, q, size_cap)
     sz, off = gas.shape.geometry.sizes, gas.shape.geometry.offsets
-    vol = np.array([len(y.volume) for y in gas.classes], dtype=float)
+    vol = np.array([len(oracle_volume(y)) for y in gas.classes], dtype=float)
     absw = np.array([abs(w) for w in weights])
 
     def ok(alpha, eta):
@@ -1678,7 +1683,7 @@ def oracle_wrapped_placements(model, classes, L):
     d = model.dimension
     placements = []
     for ci, y in enumerate(classes):
-        vol = y.volume
+        vol = oracle_volume(y)
         if any(max(p[k] for p in vol) - min(p[k] for p in vol) + 1 > L for k in range(d)):
             continue
         for anchor, base in enumerate(geom.coords):
@@ -2156,7 +2161,7 @@ def oracle_contours_in_region(model, q, region):
         y = oracle_zd_contour_from_deviations(model, q, dev)
         if y is None:
             continue
-        if not (y.support <= region and y.volume <= region):
+        if not oracle_volume(y) <= region:
             continue
         out.append(y)
     out.sort(key=lambda y: y.key())
@@ -2955,23 +2960,52 @@ def oracle_complement_rings(geom, sub):
             for c in sorted(comps, key=min)]
 
 
+def oracle_skeleton(geom, sub):
+    """``Torus.skeleton`` from sets: each small box-linked component with its
+    complement components and rings, the exterior (more than half of the
+    sites) first; the large components; the complement components of their
+    union, with their rings."""
+    small, large = oracle_boundary_components(geom, sub)
+    return (
+        [(c, sorted(oracle_complement_rings(geom, c), key=lambda r: 2 * len(r[0]) <= geom.n_sites))
+         for c in small],
+        list(large),
+        oracle_complement_rings(geom, frozenset().union(*large)) if large else None,
+    )
+
+
+def _rings_as_sets(geom, rings):
+    """``Torus.complement_rings`` entries as (component set, ring list),
+    after checking that each holds its component's sites in order."""
+    assert all(sites == tuple(geom.sites(c)) for c, _, sites in rings)
+    return [(frozenset(geom.sites(c)), list(ring)) for c, ring, _ in rings]
+
+
 def test_torus_masks_match_set_oracles():
     rng = random.Random(46)
     for L, d, R in ((3, 2, 1), (5, 2, 2), (6, 2, 1), (7, 2, 1), (3, 3, 1), (4, 3, 1)):
         geom = torus(L, d, R)
         for memo in _memos(geom).values():
             memo.cache_clear()
-        for _ in range(30):
-            sub = [x for x in range(geom.n_sites) if rng.random() < rng.uniform(0.1, 0.7)]
+        # 30 random masks, and the box around site 0 without site 0: on
+        # L=7 a contour support whose hole holds the least site, so the
+        # exterior must be put first
+        subs = [[x for x in range(geom.n_sites) if rng.random() < rng.uniform(0.1, 0.7)]
+                for _ in range(30)] + [geom.sites(geom.dilate_box(1) & ~1)]
+        for sub in subs:
             mask = geom.mask(sub)
-            # the memoised components and rings, cold and then warm
-            parts = geom.boundary_components(mask)
+            # the memoised skeleton and rings, cold and then warm
+            skeleton = geom.skeleton(mask)
             rings = geom.complement_rings(mask)
-            assert geom.boundary_components(mask) is parts and geom.complement_rings(mask) is rings
-            assert tuple(tuple(frozenset(geom.sites(c)) for c in part)
-                         for part in parts) == oracle_boundary_components(geom, sub)
-            assert [(frozenset(geom.sites(c)), list(ring))
-                    for c, ring in rings] == oracle_complement_rings(geom, sub)
+            assert geom.skeleton(mask) is skeleton and geom.complement_rings(mask) is rings
+            small, large, union, network = skeleton
+            assert union == sum(large)
+            assert ([(frozenset(geom.sites(c)), _rings_as_sets(geom, ext_first))
+                     for c, ext_first in small],
+                    [frozenset(geom.sites(c)) for c in large],
+                    None if network is None else _rings_as_sets(geom, network),
+                    ) == oracle_skeleton(geom, sub)
+            assert _rings_as_sets(geom, rings) == oracle_complement_rings(geom, sub)
             assert geom.sites(mask) == sub
             assert [frozenset(geom.sites(c)) for c in geom.flood(mask, geom.dilate_nn)] == sorted(
                 oracle_torus_components(geom, sub), key=min)
@@ -2982,8 +3016,9 @@ def test_torus_masks_match_set_oracles():
             assert set(geom.sites(geom.shrink(mask))) == {
                 x for x in sub if all(y in sub for y in geom.neighbors[x])}
         assert geom.diameter(0) == 0 and geom.flood(0, geom.dilate_nn) == []
-        assert geom.boundary([0] * geom.n_sites) == 0 and geom.boundary_components(0) == ((), ())
-        assert geom.complement_rings(geom.full) == () and geom.complement_rings(0) == ((geom.full, ()),)
+        assert geom.boundary([0] * geom.n_sites) == 0 and geom.skeleton(0) == ((), (), 0, None)
+        assert geom.complement_rings(geom.full) == ()
+        assert geom.complement_rings(0) == ((geom.full, (), tuple(range(geom.n_sites))),)
         assert all(memo.cache_info().hits >= 30 for name, memo in _memos(geom).items()
                    if name != "_value_box")
 
@@ -2992,7 +3027,7 @@ def test_torus_memos_hold_at_most_their_cap_and_only_tuples():
     # all of Ising L=4 meets more value masks than a memo holds
     geom = torus(4, 2, 1)
     memos = _memos(geom)
-    assert sorted(memos) == ["_value_box", "boundary_components", "complement_rings"]
+    assert sorted(memos) == ["_value_box", "complement_rings", "skeleton"]
     for memo in memos.values():
         memo.cache_clear()
     for cfg in all_configs(ising(1.0), 4):
@@ -3003,11 +3038,17 @@ def test_torus_memos_hold_at_most_their_cap_and_only_tuples():
     assert memos["_value_box"].cache_info().misses > lattice._MEMO_CAP
     # the values callers share cannot be changed in place
     rng = random.Random(49)
+
+    def frozen_rings(rings):
+        return type(rings) is tuple and all(
+            type(r) is tuple and type(r[1]) is tuple and type(r[2]) is tuple for r in rings)
+
     for mask in [0, geom.full] + [rng.getrandbits(geom.n_sites) for _ in range(50)]:
-        parts, rings = geom.boundary_components(mask), geom.complement_rings(mask)
-        assert type(parts) is tuple and all(type(p) is tuple for p in parts)
-        assert type(rings) is tuple and all(
-            type(r) is tuple and type(r[1]) is tuple for r in rings)
+        (small, large, union, network), rings = geom.skeleton(mask), geom.complement_rings(mask)
+        assert type(small) is tuple and type(large) is tuple and type(union) is int
+        assert all(type(c) is tuple and frozen_rings(c[1]) for c in small)
+        assert network is None or frozen_rings(network)
+        assert frozen_rings(rings)
         assert type(geom._value_box(mask)) is int
 
 
